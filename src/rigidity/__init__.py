@@ -11,11 +11,13 @@ answer is no.
 from .brauer import (
     OmegaVector,
     SOmegaOrbit,
+    compare_possible,
     inner_twin_bound,
     inner_twin_places,
     is_coherent,
     outer_fast_path,
     plain_orbits,
+    possible_vectors,
     s_omega_orbit,
     tate_sum,
     weak_uniformity,

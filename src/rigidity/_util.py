@@ -2,25 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import re
 
 _DIGITS = re.compile(r"(\d+)")
-
-DEFAULT_SUBSET_CAP = 24
 
 
 def natural_key(s: str):
     """Sort key that orders embedded integers numerically ('v2' < 'v11')."""
     return tuple(int(tok) if tok.isdigit() else tok for tok in _DIGITS.split(s))
 
-
-def subset_cap() -> int:
-    """Enumeration cap on the twin-place set, overridable via RIGIDITY_SUBSET_CAP."""
-    raw = os.environ.get("RIGIDITY_SUBSET_CAP")
-    if raw is None:
-        return DEFAULT_SUBSET_CAP
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SUBSET_CAP

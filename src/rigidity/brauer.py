@@ -12,11 +12,13 @@ variations.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ._util import natural_key, subset_cap
-from .errors import CapacityError, ContractError
+from ._util import natural_key
+from .errors import ContractError
 from .field_model import (
     Coords,
     FieldDescriptor,
@@ -116,16 +118,24 @@ def inner_twin_places(omega: OmegaVector) -> Tuple[PlaceLabel, ...]:
     return tuple(sorted(out, key=lambda l: natural_key(l.id)))
 
 
-def _admissible(t: GroupType, values, picked_sum: LocalClass, size: int) -> bool:
-    if t.is_outer:
-        return True
-    f, r = t.family, t.rank
-    if f == Family.D:
-        return size % 2 == 0
-    if f == Family.A and r % 2 == 1:
-        half = (r + 1) // 2
-        return picked_sum.value % half == 0
-    return picked_sum.is_zero  # even A, E6
+def _flip_rule(t: GroupType):
+    """The coherence rule for symmetry flips: a charge per flipped place and a modulus.
+
+    Flipping the coordinates at a set of twin places keeps the vector
+    globally realizable exactly when the flipped part's dual sum is fixed
+    by the global symmetry, that is when the charges of the flipped places
+    sum to zero mod the modulus.  The charge is the dual contribution (mod
+    half the center for odd A), one per flip for inner D (flips come in
+    pairs), and nothing for outer types.
+    """
+    if t.is_outer or not has_symmetry(t):
+        return (lambda kind, cls: 0), 1
+    if t.family == Family.D:
+        return (lambda kind, cls: 1), 2
+    m = center_shape(t).modulus
+    if t.family == Family.A and t.rank % 2 == 1:
+        m //= 2
+    return (lambda kind, cls: c_local(t, kind, cls).value % m), m
 
 
 @dataclass(frozen=True)
@@ -143,72 +153,35 @@ def _flip_subset(omega: OmegaVector, ids: FrozenSet[str]) -> Coords:
     )
 
 
-def s_omega_orbit(omega: OmegaVector, cap: Optional[int] = None) -> SOmegaOrbit:
+def s_omega_orbit(omega: OmegaVector) -> SOmegaOrbit:
     """All coherent symmetry flips of the finite coordinates.
 
     Flipping the coordinates in a subset of the twin places keeps the
     vector globally realizable exactly when the flipped part's dual sum is
     fixed by the global symmetry; the subsets satisfying that condition
-    parameterize the orbit.
+    parameterize the orbit.  This walks all 2^r subsets of the r twin
+    places: it is the reference listing, not the decision path.
     """
-    if cap is None:
-        cap = subset_cap()
-    t = omega.group_type
     twins = inner_twin_places(omega)
-    if len(twins) > cap:
-        partial = _capacity_certificate(omega, twins)
-        raise CapacityError(
-            f"{len(twins)} twin places exceed the enumeration cap {cap}", partial
-        )
-    cvals = [c_local(t, lab.kind, omega.finite_value(lab.id)) for lab in twins]
-    target_zero = zero(center_shape(t))
+    charge, m = _flip_rule(omega.group_type)
+    charges = [charge(lab.kind, omega.finite_value(lab.id)) for lab in twins]
     subsets = []
-    def walk(i: int, chosen, acc: LocalClass):
+    def walk(i: int, chosen, acc: int):
         if i == len(twins):
-            if _admissible(t, cvals, acc, len(chosen)):
+            if acc == 0:
                 subsets.append(frozenset(chosen))
             return
         walk(i + 1, chosen, acc)
         chosen.append(twins[i].id)
-        walk(i + 1, chosen, acc + cvals[i])
+        walk(i + 1, chosen, (acc + charges[i]) % m)
         chosen.pop()
-    walk(0, [], target_zero)
+    walk(0, [], 0)
     elements = {_flip_subset(omega, ids) for ids in subsets}
     return SOmegaOrbit(
         base=omega,
         admissible_subsets=tuple(sorted(subsets, key=lambda s: (len(s), sorted(map(natural_key, s))))),
         elements=tuple(sorted(elements, key=coords_key)),
     )
-
-
-def _capacity_certificate(omega: OmegaVector, twins) -> Tuple[Coords, ...]:
-    """Try to exhibit three orbit elements cheaply before giving up."""
-    t = omega.group_type
-    found = {omega.finite}
-    if t.is_outer:
-        for lab in twins[:2]:
-            found.add(_flip_subset(omega, frozenset([lab.id])))
-        return tuple(sorted(found, key=coords_key))
-    if t.family == Family.D:
-        for i in range(min(len(twins) - 1, 3)):
-            found.add(_flip_subset(omega, frozenset([twins[i].id, twins[i + 1].id])))
-            if len(found) >= 3:
-                break
-        return tuple(sorted(found, key=coords_key))
-    # cyclic targets: scan prefix sums for repeated residues
-    if t.family == Family.A and t.rank % 2 == 1:
-        m = (t.rank + 1) // 2
-    else:
-        m = center_shape(t).modulus
-    seen = {0: 0}
-    acc = 0
-    for j, lab in enumerate(twins, start=1):
-        acc = (acc + c_local(t, lab.kind, omega.finite_value(lab.id)).value) % m
-        if acc in seen and len(found) < 3:
-            ids = frozenset(l.id for l in twins[seen[acc]:j])
-            found.add(_flip_subset(omega, ids))
-        seen.setdefault(acc, j)
-    return tuple(sorted(found, key=coords_key))
 
 
 def pick_witness(candidates: Iterable[Coords], base: Coords) -> Coords:
@@ -222,11 +195,118 @@ def pick_witness(candidates: Iterable[Coords], base: Coords) -> Coords:
     return min(candidates, key=key)
 
 
+def _multiset(values: Iterable[LocalClass]) -> Dict[LocalClass, int]:
+    """How often each value occurs."""
+    out: Dict[LocalClass, int] = {}
+    for v in values:
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
+def _arrangements(counts: Iterable[int]) -> int:
+    """Distinct orderings of a multiset with the given multiplicities."""
+    counts = list(counts)
+    n = math.factorial(sum(counts))
+    for c in counts:
+        n //= math.factorial(c)
+    return n
+
+
+def compare_possible(
+    omega: OmegaVector, realized: Iterable[Coords], flips: bool = True
+) -> Tuple[int, Optional[Coords]]:
+    """Compare realized vectors with the adelically possible ones by counting.
+
+    The possible vectors are the coherent flips of the finite coordinates
+    (only the coordinates themselves when ``flips`` is off), permuted
+    within each adelic class.  A vector is possible exactly when every
+    class holds a value multiset that one coherent set of flips produces
+    there, so the possible side is counted class by class (a multinomial
+    per multiset) and combined over the classes by the residue of the flip
+    charges, without listing it.  Returns the possible count and, unless
+    the two sides are equal, the ``pick_witness`` choice among possible
+    vectors outside the realized side, or among realized vectors outside
+    the possible side when there are none.
+    """
+    t = omega.group_type
+    base = omega.finite
+    flips = flips and has_symmetry(t)
+    charge, m = _flip_rule(t) if flips else ((lambda kind, cls: 0), 1)
+    by_class: Dict[str, List[int]] = {}
+    for i, (lab, _) in enumerate(base):
+        by_class.setdefault(lab.class_key(), []).append(i)
+    classes = list(by_class.values())
+    class_of = {i: k for k, idx in enumerate(classes) for i in idx}
+    # per class: each value multiset coherent flips produce there, with its
+    # charge.  A twin value v (a places) pairs with its image w (b places):
+    # j flips of v and j' of w leave k = a - j + j' places at v, any k from
+    # 0 to a + b, and add (a - k) times the charge of v.
+    options: List[List[Tuple[Dict[LocalClass, int], int]]] = []
+    for idx in classes:
+        counts = _multiset(base[i][1] for i in idx)
+        kind = base[idx[0]][0].kind
+        still, pairs, paired = {}, [], set()
+        for v, a in counts.items():
+            w = sym_act(t, kind, v) if flips else v
+            if w == v:
+                still[v] = a
+            elif v not in paired:
+                paired.add(w)
+                pairs.append((v, w, a, a + counts.get(w, 0), charge(kind, v)))
+        opts = []
+        for ks in itertools.product(*(range(total + 1) for *_, total, _ in pairs)):
+            ms, acc = dict(still), 0
+            for (v, w, a, total, ch), k in zip(pairs, ks):
+                ms[v], ms[w] = k, total - k
+                acc += (a - k) * ch
+            opts.append((ms, acc % m))
+        options.append(opts)
+
+    def count(fixed: List[Dict[LocalClass, int]]) -> int:
+        """Possible vectors agreeing with the values already fixed per class."""
+        ways = {0: 1}
+        for opts, fix in zip(options, fixed):
+            nxt: Dict[int, int] = {}
+            for ms, ch in opts:
+                if any(n > ms.get(v, 0) for v, n in fix.items()):
+                    continue
+                arrangements = _arrangements(n - fix.get(v, 0) for v, n in ms.items())
+                for r, n in ways.items():
+                    key = (r + ch) % m
+                    nxt[key] = nxt.get(key, 0) + n * arrangements
+            ways = nxt
+        return ways.get(0, 0)
+
+    realized = set(realized)
+    members = [x for x in realized if count([_multiset(x[i][1] for i in idx) for idx in classes])]
+    fixed: List[Dict[LocalClass, int]] = [{} for _ in classes]
+    possible = count(fixed)
+    if possible == len(members):
+        if len(members) == len(realized):
+            return possible, None
+        return possible, pick_witness(realized.difference(members), base)
+    # rebuild the pick_witness minimum place by place: keep the first value,
+    # in pick_witness order, that leaves a possible vector outside the realized side
+    witness = []
+    for i, (lab, b) in enumerate(base):
+        fix = fixed[class_of[i]]
+        values = {v for ms, _ in options[class_of[i]] for v, n in ms.items() if n}
+        for v in sorted(values, key=lambda c: (c != b, c.sort_key())):
+            fix[v] = fix.get(v, 0) + 1
+            left = [x for x in members if x[i][1] == v]
+            if len(values) == 1 or count(fixed) > len(left):
+                break
+            fix[v] -= 1
+        witness.append((lab, v))
+        members = left
+    return possible, tuple(witness)
+
+
 @dataclass(frozen=True)
 class WeakUniformityReport:
     holds: bool
     lhs: Tuple[Coords, ...]
-    rhs: Tuple[Coords, ...]
+    possible: int
     witness: Optional[Coords]
 
 
@@ -235,34 +315,34 @@ def weak_uniformity(
     f: FieldDescriptor,
     s: PlaceSymmetry,
     stabilize_real: Optional[str] = None,
-    cap: Optional[int] = None,
 ) -> WeakUniformityReport:
     """Compare globally realized variations against adelically possible ones.
 
     Left side: the finite vector and its full symmetry flip, closed under
     the declared field automorphisms (restricted to the stabilizer of one
     real place when requested).  Right side: every coherent flip, closed
-    under all class-preserving place permutations.  Holding means every
-    locally invisible variation is globally accounted for.
+    under all class-preserving place permutations, counted rather than
+    listed.  Holding means every locally invisible variation is globally
+    accounted for.
     """
     sym = stabilizer_subgroup(s, f, stabilize_real) if stabilize_real else s
-    fin = omega.finite
-    lhs = set(global_orbit(fin, sym)) | set(global_orbit(sigma_flip(omega), sym))
-    orbit = s_omega_orbit(omega, cap=cap)
-    rhs = set()
-    for e in orbit.elements:
-        rhs.update(adelic_orbit(e, f))
-    holds = lhs == rhs
-    witness = None
-    if not holds:
-        extra = rhs - lhs
-        witness = pick_witness(extra, fin) if extra else pick_witness(lhs - rhs, fin)
+    lhs = set(global_orbit(omega.finite, sym)) | set(global_orbit(sigma_flip(omega), sym))
+    possible, witness = compare_possible(omega, lhs)
     return WeakUniformityReport(
-        holds=holds,
+        holds=witness is None,
         lhs=tuple(sorted(lhs, key=coords_key)),
-        rhs=tuple(sorted(rhs, key=coords_key)),
+        possible=possible,
         witness=witness,
     )
+
+
+def possible_vectors(omega: OmegaVector, f: FieldDescriptor) -> Tuple[Coords, ...]:
+    """The possible side listed by the reference enumerators: every coherent
+    flip, then every arrangement within the adelic classes."""
+    out: Set[Coords] = set()
+    for e in s_omega_orbit(omega).elements:
+        out.update(adelic_orbit(e, f))
+    return tuple(sorted(out, key=coords_key))
 
 
 def plain_orbits(

@@ -14,24 +14,22 @@ field) directly; they exist as independent cross-checks of ``classify``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._util import natural_key, subset_cap
+from ._util import natural_key
 from .brauer import (
     OmegaVector,
+    compare_possible,
     inner_twin_bound,
     inner_twin_places,
-    pick_witness,
-    plain_orbits,
     s_omega_orbit,
     sigma_flip,
     tate_sum,
     weak_uniformity,
 )
-from .errors import CapacityError, ContractError, ValidationError
+from .errors import ContractError, ValidationError
 from .field_model import (
     Coords,
     FieldDescriptor,
@@ -41,7 +39,6 @@ from .field_model import (
     apply_perm,
     global_orbit,
     sort_coords,
-    stabilizer_subgroup,
 )
 from .field_model import validate as validate_field
 from .invariants import (
@@ -49,8 +46,6 @@ from .invariants import (
     GroupType,
     LocalClass,
     PlaceKind,
-    c_local,
-    center_shape,
     h2_local,
     has_symmetry,
     sym_act,
@@ -368,18 +363,14 @@ def _two_sided_orbit(g: GroupDescriptor):
 # ---------------------------------------------------------------------------
 # subset sums
 
-def subset_sum_forbidden(
-    values: Sequence[int], modulus: int, targets, cap: Optional[int] = None
-) -> Optional[List[int]]:
+def subset_sum_forbidden(values: Sequence[int], modulus: int, targets) -> Optional[List[int]]:
     """Indices of a nonempty subset whose sum mod ``modulus`` lies in ``targets``.
 
-    Meet-in-the-middle over the two halves of the value list; returns the
-    canonically smallest hit (fewest indices, then lexicographic) or None.
+    Meet-in-the-middle over the two halves of the value list, each half
+    keeping one smallest index tuple per residue, so the cost is linear in
+    the number of values times the modulus; returns the canonically
+    smallest hit (fewest indices, then lexicographic) or None.
     """
-    if cap is None:
-        cap = subset_cap()
-    if len(values) > 2 * cap:
-        raise CapacityError(f"{len(values)} values exceed the subset-sum cap {2 * cap}")
     targets = {x % modulus for x in targets}
     if not targets:
         return None
@@ -427,58 +418,19 @@ def _real_gate(g: GroupDescriptor):
     return None
 
 
+def _not_rigid(g: GroupDescriptor, reasons, witness: GroupDescriptor) -> Verdict:
+    """A negative verdict whose witness has passed the machine check."""
+    check_witness(g, witness)
+    return Verdict(Outcome.NOT_RIGID, reasons, witness=witness)
+
+
 def _gate_verdict(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
     w, form = _real_gate(g)
-    witness = _witness_partner_swap(g, w)
-    v = Verdict(
-        Outcome.NOT_RIGID,
+    return _not_rigid(
+        g,
         [(tag, detail), (TAG_REAL_GATE, f"form {form} at {w} admits a locally invisible replacement")],
-        witness=witness,
+        _witness_partner_swap(g, w),
     )
-    check_witness(g, v.witness)
-    return v
-
-
-def _lhs_set(g: GroupDescriptor, stabilize: Optional[str]):
-    sym = stabilizer_subgroup(g.symmetry, g.field, stabilize) if stabilize else g.symmetry
-    lhs = set(global_orbit(g.omega.finite, sym))
-    lhs |= set(global_orbit(sigma_flip(g.omega), sym))
-    return lhs
-
-
-def _bound_witness(g: GroupDescriptor, stabilize: Optional[str], budget: int = 500000) -> Coords:
-    """Find a coherent flip outside the global side; the twin-count bound guarantees one."""
-    t = g.group_type
-    twins = inner_twin_places(g.omega)
-    cvals = {lab.id: c_local(t, lab.kind, g.omega.finite_value(lab.id)) for lab in twins}
-    lhs = _lhs_set(g, stabilize)
-    target_zero = zero(center_shape(t))
-
-    def admissible(ids) -> bool:
-        if t.is_outer:
-            return True
-        if t.family == Family.D:
-            return len(ids) % 2 == 0
-        acc = target_zero
-        for i in ids:
-            acc = acc + cvals[i]
-        if t.family == Family.A and t.rank % 2 == 1:
-            return acc.value % ((t.rank + 1) // 2) == 0
-        return acc.is_zero
-
-    seen = 0
-    ids = [lab.id for lab in twins]
-    for size in range(1, len(ids) + 1):
-        for combo in itertools.combinations(ids, size):
-            seen += 1
-            if seen > budget:
-                raise CapacityError("witness search budget exhausted")
-            if not admissible(combo):
-                continue
-            cand = _witness_flip_finite(g, combo).omega.finite
-            if cand not in lhs:
-                return cand
-    raise CapacityError("no flip witness found within the twin set")
 
 
 def _uniformity_verdict(
@@ -486,10 +438,7 @@ def _uniformity_verdict(
 ) -> Verdict:
     t = g.group_type
     twins = inner_twin_places(g.omega)
-    try:
-        report = weak_uniformity(g.omega, g.field, g.symmetry, stabilize_real=stabilize)
-    except CapacityError as blocked:
-        return _capped_uniformity_verdict(g, tag, branch, stabilize, twins, blocked)
+    report = weak_uniformity(g.omega, g.field, g.symmetry, stabilize_real=stabilize)
     cond = "stabilized uniformity" if stabilize else "weak uniformity"
     if report.holds:
         return Verdict(
@@ -497,77 +446,29 @@ def _uniformity_verdict(
             [(tag, branch), (TAG_WU, f"{cond} holds ({len(report.lhs)} realized variations)")],
         )
     reasons = [(tag, branch),
-               (TAG_WU, f"{cond} fails: {len(report.lhs)} realized < {len(report.rhs)} possible")]
+               (TAG_WU, f"{cond} fails: {len(report.lhs)} realized < {report.possible} possible")]
     if t.is_outer and len(twins) >= 2:
         reasons.append((TAG_OUTER_TWINS, f"twin places at {', '.join(l.id for l in twins)}"))
     elif not t.is_outer and inner_twin_bound(g.omega, g.field):
         reasons.append((TAG_TWIN_BOUND,
                         f"{len(twins)} twin places force non-rigidity at degree {g.field.degree}"))
-    v = Verdict(Outcome.NOT_RIGID, reasons, witness=_with_finite(g, report.witness))
-    check_witness(g, v.witness)
-    return v
-
-
-def _capped_uniformity_verdict(
-    g: GroupDescriptor, tag: str, branch: str, stabilize: Optional[str],
-    twins, blocked: CapacityError,
-) -> Verdict:
-    """Decide without the full flip enumeration when the twin set is too large."""
-    t = g.group_type
-    if t.is_outer and len(twins) >= 2:
-        v = Verdict(
-            Outcome.NOT_RIGID,
-            [(tag, branch),
-             (TAG_OUTER_TWINS, f"{len(twins)} twin places (enumeration skipped)")],
-            witness=_witness_flip_finite(g, [twins[0].id]),
-        )
-        check_witness(g, v.witness)
-        return v
-    if not t.is_outer and inner_twin_bound(g.omega, g.field):
-        fin = _bound_witness(g, stabilize)
-        v = Verdict(
-            Outcome.NOT_RIGID,
-            [(tag, branch),
-             (TAG_TWIN_BOUND,
-              f"{len(twins)} twin places force non-rigidity at degree {g.field.degree}")],
-            witness=_with_finite(g, fin),
-        )
-        check_witness(g, v.witness)
-        return v
-    # a partial certificate can still settle the comparison: more coherent
-    # flips than the two-sided automorphism orbit can ever contain
-    lhs_cap = 2 * len(g.symmetry.group())
-    partial = [p for p in blocked.partial if p not in _lhs_set(g, stabilize)]
-    if len(blocked.partial) > lhs_cap and partial:
-        v = Verdict(
-            Outcome.NOT_RIGID,
-            [(tag, branch),
-             (TAG_WU, f"{len(blocked.partial)} coherent flips exceed the "
-                      f"{lhs_cap} realizable variations (enumeration capped)")],
-            witness=_with_finite(g, pick_witness(partial, g.omega.finite)),
-        )
-        check_witness(g, v.witness)
-        return v
-    raise blocked
+    return _not_rigid(g, reasons, _with_finite(g, report.witness))
 
 
 def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
-    glob, adel = plain_orbits(g.omega, g.field, g.symmetry)
-    gset, aset = set(glob), set(adel)
-    if gset == aset:
+    realized = set(global_orbit(g.omega.finite, g.symmetry))
+    possible, witness = compare_possible(g.omega, realized, flips=False)
+    if witness is None:
         return Verdict(
             Outcome.RIGID,
-            [(tag, branch), (TAG_PLAIN, f"automorphism orbit matches the adelic orbit ({len(gset)})")],
+            [(tag, branch), (TAG_PLAIN, f"automorphism orbit matches the adelic orbit ({len(realized)})")],
         )
-    fin = pick_witness(aset - gset, g.omega.finite)
-    v = Verdict(
-        Outcome.NOT_RIGID,
+    return _not_rigid(
+        g,
         [(tag, branch),
-         (TAG_PLAIN, f"automorphism orbit has {len(gset)} vectors, adelic orbit {len(aset)}")],
-        witness=_with_finite(g, fin),
+         (TAG_PLAIN, f"automorphism orbit has {len(realized)} vectors, adelic orbit {possible}")],
+        _with_finite(g, witness),
     )
-    check_witness(g, v.witness)
-    return v
 
 
 def _flip_two_same_class(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
@@ -576,13 +477,11 @@ def _flip_two_same_class(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
     for p in reals:
         by_class.setdefault(g.omega.real_value(p.id).sort_key(), []).append(p.id)
     pair = next(ids[:2] for ids in by_class.values() if len(ids) >= 2)
-    v = Verdict(
-        Outcome.NOT_RIGID,
+    return _not_rigid(
+        g,
         [(tag, detail), (TAG_MANY_REAL, f"real classes repeat at {pair[0]} and {pair[1]}")],
-        witness=_witness_flip_reals(g, pair),
+        _witness_flip_reals(g, pair),
     )
-    check_witness(g, v.witness)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +499,12 @@ def classify_no_symmetry(g: GroupDescriptor) -> Verdict:
         if _real_gate(g):
             return _gate_verdict(g, TAG_NO_SYM, "(ii) requires the split symplectic form at real places")
         if len(reals) >= 2:
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_NO_SYM, "(ii) allows at most one real place"),
                  (TAG_MANY_REAL, f"{len(reals)} real places")],
-                witness=_witness_flip_reals(g, [reals[0].id, reals[1].id]),
+                _witness_flip_reals(g, [reals[0].id, reals[1].id]),
             )
-            check_witness(g, v.witness)
-            return v
         return _uniformity_verdict(g, TAG_NO_SYM, "(ii) at most one real place")
     # type A rank 1
     if len(reals) >= 3:
@@ -618,13 +515,11 @@ def classify_no_symmetry(g: GroupDescriptor) -> Verdict:
         if c1 == c2:
             return _flip_two_same_class(g, TAG_NO_SYM, "(iii) needs the two real forms to differ")
         if not any(phi.apply(w1) == w2 for phi in g.symmetry.group()):
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_NO_SYM, "(iii) needs an automorphism exchanging the real places")],
-                witness=_witness_swap_real_classes(g, w1, w2),
+                _witness_swap_real_classes(g, w1, w2),
             )
-            check_witness(g, v.witness)
-            return v
         return _uniformity_verdict(g, TAG_NO_SYM, "(iii) two exchanged real places", stabilize=w1)
     return _uniformity_verdict(g, TAG_NO_SYM, "(ii) at most one real place")
 
@@ -655,21 +550,17 @@ def classify_a(g: GroupDescriptor) -> Verdict:
         if c1 == c2:
             return _flip_two_same_class(g, TAG_A, "two real places need opposite real classes")
         if w1.kind != w2.kind:
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_A, "two real places of different split kind can never be exchanged")],
-                witness=_witness_swap_real_classes(g, w1.id, w2.id),
+                _witness_swap_real_classes(g, w1.id, w2.id),
             )
-            check_witness(g, v.witness)
-            return v
         if not any(phi.apply(w1.id) == w2.id for phi in g.symmetry.group()):
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_A, "no automorphism exchanges the two real places")],
-                witness=_witness_swap_real_classes(g, w1.id, w2.id),
+                _witness_swap_real_classes(g, w1.id, w2.id),
             )
-            check_witness(g, v.witness)
-            return v
         stabilize = w1.id
         branch = "(iv) two exchanged real places" if not t.is_outer else "(vi) two exchanged real places"
     if not t.is_outer and (rank + 1) % 4 == 0:
@@ -680,14 +571,12 @@ def classify_a(g: GroupDescriptor) -> Verdict:
         if hit is not None:
             nz = [lab for lab, cls in g.omega.finite if not cls.is_zero]
             ids = [nz[i].id for i in hit]
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_A, branch),
                  (TAG_SUBSET, f"coordinates at {', '.join(ids)} sum to half the real contribution")],
-                witness=_witness_subset_and_real_flip(g, ids, reals[0].id),
+                _witness_subset_and_real_flip(g, ids, reals[0].id),
             )
-            check_witness(g, v.witness)
-            return v
     return _uniformity_verdict(g, TAG_A, branch, stabilize=stabilize)
 
 
@@ -701,22 +590,18 @@ def classify_d(g: GroupDescriptor) -> Verdict:
         if rank % 2 == 0:
             w1, w2 = reals[0].id, reals[1].id
             shape = h2_local(t, PlaceKind.REAL_INNER)
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_D, "even rank allows only one real place"),
                  (TAG_MANY_REAL, "two inner-type real places")],
-                witness=_witness_set_reals(g, {w1: zero(shape), w2: zero(shape)}),
+                _witness_set_reals(g, {w1: zero(shape), w2: zero(shape)}),
             )
-            check_witness(g, v.witness)
-            return v
-        v = Verdict(
-            Outcome.NOT_RIGID,
+        return _not_rigid(
+            g,
             [(TAG_D, "odd rank allows only one real place"),
              (TAG_MANY_REAL, f"{len(reals)} real places")],
-            witness=_witness_flip_reals(g, [reals[0].id, reals[1].id]),
+            _witness_flip_reals(g, [reals[0].id, reals[1].id]),
         )
-        check_witness(g, v.witness)
-        return v
     twins = inner_twin_places(g.omega)
     r = len(twins)
     if rank % 2 == 0 and not t.is_outer:
@@ -725,62 +610,52 @@ def classify_d(g: GroupDescriptor) -> Verdict:
             for lab in twins:
                 by_val.setdefault(g.omega.finite_value(lab.id).sort_key(), []).append(lab.id)
             pair = next(ids[:2] for ids in by_val.values() if len(ids) >= 2)
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_D, "(i) needs a twin place at exactly one finite place"),
                  (TAG_TWIN_BOUND, f"{r} twin places")],
-                witness=_witness_flip_finite(g, pair),
+                _witness_flip_finite(g, pair),
             )
-            check_witness(g, v.witness)
-            return v
         return _plain_verdict(g, TAG_D, "(i) star form, one twin place")
     if rank % 2 == 0:
         if r >= 1:
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_D, "(ii) forbids twin places at finite places"),
                  (TAG_OUTER_TWINS if r >= 2 else TAG_TWIN_BOUND,
                   f"twin place at {twins[0].id}")],
-                witness=_witness_flip_finite(g, [twins[0].id]),
+                _witness_flip_finite(g, [twins[0].id]),
             )
-            check_witness(g, v.witness)
-            return v
         return _plain_verdict(g, TAG_D, "(ii) outer even rank, star form, no twins")
     if not t.is_outer:
         # rank 5 with Spin(7,3); larger odd inner ranks never pass the gate
         if r >= 1:
-            v = Verdict(
-                Outcome.NOT_RIGID,
+            return _not_rigid(
+                g,
                 [(TAG_D, "(iii) forbids twin places at finite places"),
                  (TAG_SUBSET, f"twin place at {twins[0].id}")],
-                witness=_witness_subset_and_real_flip(g, [twins[0].id], reals[0].id),
+                _witness_subset_and_real_flip(g, [twins[0].id], reals[0].id),
             )
-            check_witness(g, v.witness)
-            return v
         return _plain_verdict(g, TAG_D, "(iii) Spin(7,3), no twins")
     if r >= 2:
-        v = Verdict(
-            Outcome.NOT_RIGID,
+        return _not_rigid(
+            g,
             [(TAG_D, "(iv) allows at most one twin place"),
              (TAG_OUTER_TWINS, f"twin places at {', '.join(l.id for l in twins)}")],
-            witness=_witness_flip_finite(g, [twins[0].id]),
+            _witness_flip_finite(g, [twins[0].id]),
         )
-        check_witness(g, v.witness)
-        return v
     return _plain_verdict(g, TAG_D, "(iv) outer odd rank, at most one twin")
 
 
 def classify_e6(g: GroupDescriptor) -> Verdict:
     reals = _real_places(g)
     w = reals[0].id
-    v = Verdict(
-        Outcome.NOT_RIGID,
+    return _not_rigid(
+        g,
         [(TAG_E6, "never rigid with a real place"),
          (TAG_REAL_GATE, f"every real form of this type fails the gate, e.g. at {w}")],
-        witness=_witness_partner_swap(g, w),
+        _witness_partner_swap(g, w),
     )
-    check_witness(g, v.witness)
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._util import natural_key
 from .arith_equiv import PermGroup, perm_from_cycles, verify_prop_almost_conjugate
-from .brauer import OmegaVector, weak_uniformity, plain_orbits
+from .brauer import OmegaVector, plain_orbits, possible_vectors, weak_uniformity
 from .classifier import (
     GroupDescriptor,
     Outcome,
@@ -62,6 +62,7 @@ from .field_model import (
     PlaceSymmetry,
 )
 from .invariants import (
+    FIXED_RANKS,
     Family,
     FormKind,
     GroupType,
@@ -213,12 +214,11 @@ class _Parser:
             self.err(code_line, 1, f"unknown type code {code!r}")
             return None
         family, kind = _TYPE_CODES[code]
-        fixed = {Family.E6: 6, Family.E7: 7, Family.E8: 8, Family.F4: 4, Family.G2: 2}
         if rank is None:
-            if family not in fixed:
+            if family not in FIXED_RANKS:
                 self.err(code_line, 1, f"type {code} needs an explicit rank")
                 return None
-            rank = fixed[family]
+            rank = FIXED_RANKS[family]
         if family == Family.D and rank == 4:
             self.err(code_line, 1, "triality type D4 is out of scope")
             return None
@@ -610,11 +610,20 @@ def cmd_classify(args, out=None) -> int:
     return _classify_file(target, args.json, out)
 
 
+# Most possible vectors ``rigidity orbit`` lists; classification counts them instead.
+ORBIT_LISTING_LIMIT = 10000
+
+
 def cmd_orbit(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         desc = parse(Path(args.file))
         report = weak_uniformity(desc.omega, desc.field, desc.symmetry)
+        if report.possible > ORBIT_LISTING_LIMIT:
+            raise CapacityError(
+                f"{report.possible} possible vectors exceed the listing limit {ORBIT_LISTING_LIMIT}"
+            )
+        possible = possible_vectors(desc.omega, desc.field)
         glob, adel = plain_orbits(desc.omega, desc.field, desc.symmetry)
     except RigidityError as e:
         print(f"{args.file}: {e}", file=sys.stderr)
@@ -626,7 +635,7 @@ def cmd_orbit(args, out=None) -> int:
             print("  " + "  ".join(f"{lab.id}:{cls}" for lab, cls in vec), file=out)
 
     show("realized (two-sided, automorphisms)", report.lhs)
-    show("possible (flips x adelic)", report.rhs)
+    show("possible (flips x adelic)", possible)
     print(f"weak uniformity: {'holds' if report.holds else 'fails'}", file=out)
     show("automorphism orbit", glob)
     show("adelic orbit", adel)

@@ -20,16 +20,9 @@ class MissingRealClassError(RigidityError):
 
 
 class CapacityError(RigidityError):
-    """An enumeration exceeded the configured cap.
-
-    ``partial`` may carry already-found orbit elements, enough to certify
-    that an orbit has more than two elements even though the full
-    enumeration was abandoned.
-    """
-
-    def __init__(self, message: str, partial: tuple = ()):
-        super().__init__(message)
-        self.partial = partial
+    """A listing exceeded its fixed limit: the permutation group order in
+    ``arith_equiv``, or the possible side that ``rigidity orbit`` prints.
+    Classification itself counts and never raises this."""
 
 
 class ValidationError(RigidityError):

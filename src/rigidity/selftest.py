@@ -31,7 +31,7 @@ def _checks():
     t3 = parse(FIXTURES["table3_A4_Qi"])
     r3 = weak_uniformity(t3.omega, t3.field, t3.symmetry)
     yield "gaussian rank 4: four realized = four possible", (
-        r3.holds and len(r3.lhs) == 4 and len(r3.rhs) == 4
+        r3.holds and len(r3.lhs) == 4 and r3.possible == 4
     )
     yield "gaussian rank 4: rigid", classify(t3).outcome == Outcome.RIGID
 

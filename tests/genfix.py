@@ -444,3 +444,26 @@ def rand_three_reals(rng: random.Random) -> GroupDescriptor:
         finite,
         reals,
     )
+
+
+def rand_classed(rng: random.Random, max_places: int = 12, max_class: int = 7) -> GroupDescriptor:
+    """A symmetric type over a totally imaginary Galois field whose finite
+    places sit in adelic classes of up to ``max_class`` places, with one
+    automorphism cycling places inside some of the classes."""
+    t = rng.choice(SYMMETRIC_TYPES)
+    n = rng.randint(1, max_places)
+    labels: List[PlaceLabel] = []
+    cycles = []
+    c = 0
+    while len(labels) < n:
+        size = min(rng.randint(1, max_class), n - len(labels))
+        kind = PlaceKind.FINITE_OUTER if t.is_outer and rng.random() < 0.3 else PlaceKind.FINITE_INNER
+        ids = [f"v{len(labels) + i + 1}" for i in range(size)]
+        labels += [PlaceLabel(pid, kind, f"c{c}") for pid in ids]
+        if size >= 2 and rng.random() < 0.5:
+            cycles.append(tuple(rng.sample(ids, rng.randint(2, size))))
+        c += 1
+    finite = _balanced_finite(rng, t, labels, zero(center_shape(t)))
+    generators = (PlacePerm.from_cycles(cycles),) if cycles else ()
+    order = len(PlaceSymmetry(generators).group())
+    return _assemble(t, _galois_field(0, 2 * order), finite, [], generators)

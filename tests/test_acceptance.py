@@ -24,6 +24,7 @@ from rigidity.brauer import (
     inner_twin_places,
     is_coherent,
     plain_orbits,
+    possible_vectors,
     s_omega_orbit,
     weak_uniformity,
 )
@@ -85,7 +86,8 @@ def test_criterion_2_gaussian_tables():
             (("v3", 4), ("v5a", 2), ("v5b", 3), ("v7", 1)),
         }
         as_rows = lambda vecs: {tuple((lab.id, cls.value) for lab, cls in v) for v in vecs}
-        assert as_rows(report4.lhs) == rows4 and as_rows(report4.rhs) == rows4
+        assert as_rows(report4.lhs) == rows4 and report4.possible == len(rows4)
+        assert as_rows(possible_vectors(four.omega, four.field)) == rows4
         assert report4.holds
         assert classify(four).outcome == Outcome.RIGID
 
@@ -97,7 +99,8 @@ def test_criterion_2_gaussian_tables():
             (("v3", 3), ("v5a", 4), ("v5b", 2), ("v11a", 3), ("v11b", 0)),
         }
         report5 = weak_uniformity(five.omega, five.field, five.symmetry)
-        assert as_rows(report5.lhs) == rows5 and as_rows(report5.rhs) == rows5
+        assert as_rows(report5.lhs) == rows5 and report5.possible == len(rows5)
+        assert as_rows(possible_vectors(five.omega, five.field)) == rows5
         glob, adel = plain_orbits(five.omega, five.field, five.symmetry)
         assert len(glob) == 2 and len(adel) == 4 and set(glob) < set(adel)
         # the two-sided sets coincide, so the instance is rigid even though

@@ -1,28 +1,35 @@
 import itertools
+import math
 import random
 
 import pytest
 
+import genfix
 from genfix import rand_symmetric_omega
 from rigidity.brauer import (
     OmegaVector,
+    compare_possible,
     inner_twin_bound,
     inner_twin_places,
     is_coherent,
     outer_fast_path,
+    pick_witness,
+    possible_vectors,
     s_omega_orbit,
     sigma_flip,
     tate_sum,
     weak_uniformity,
 )
-from rigidity.errors import CapacityError
 from rigidity.field_model import (
     FieldDescriptor,
     HbarFiber,
     PlaceLabel,
     PlacePerm,
     PlaceSymmetry,
+    adelic_orbit,
+    global_orbit,
     sort_coords,
+    stabilizer_subgroup,
 )
 from rigidity.invariants import (
     KLEIN,
@@ -158,7 +165,7 @@ class TestSOmegaOrbit:
         orb = s_omega_orbit(om)
         assert orb.elements == (om.finite,)
 
-    def test_capacity_error_carries_partial_certificate(self):
+    def test_counting_matches_the_listing_without_a_cap(self):
         z3 = cyclic(3)
         fin = [(PlaceLabel(f"v{i}", FI), LocalClass(z3, 1 + i % 2)) for i in range(9)]
         # rebalance the last coordinate to keep the vector coherent
@@ -166,9 +173,9 @@ class TestSOmegaOrbit:
         fin[-1] = (fin[-1][0], LocalClass(z3, -total))
         om = OmegaVector(A2, tuple(fin))
         assert is_coherent(om)
-        with pytest.raises(CapacityError) as exc:
-            s_omega_orbit(om, cap=4)
-        assert len(exc.value.partial) >= 3
+        listed = s_omega_orbit(om).elements
+        assert len(listed) > 3
+        assert compare_possible(om, set(listed))[0] == len(listed)
 
     def test_elements_keep_the_dual_sum(self):
         rng = random.Random(37)
@@ -255,7 +262,7 @@ class TestWeakUniformity:
         ))
         f = gaussian_field(om)
         report = weak_uniformity(om, f, PlaceSymmetry())
-        assert report.holds and len(report.rhs) == 1
+        assert report.holds and report.possible == 1
 
     def test_invariant_under_relabeling(self):
         om = omega_table3()
@@ -276,7 +283,87 @@ class TestWeakUniformity:
         r1 = weak_uniformity(om, f, s)
         r2 = weak_uniformity(om2, f2, s2)
         assert r1.holds == r2.holds
-        assert len(r1.lhs) == len(r2.lhs) and len(r1.rhs) == len(r2.rhs)
+        assert len(r1.lhs) == len(r2.lhs) and r1.possible == r2.possible
+
+
+def enumerated_comparison(omega, f, realized, flips):
+    """The possible count and witness from the reference listing."""
+    if flips:
+        possible = set(possible_vectors(omega, f))
+    else:
+        possible = set(adelic_orbit(omega.finite, f))
+    realized = set(realized)
+    if possible == realized:
+        return len(possible), None
+    extra = possible - realized
+    return len(possible), pick_witness(extra or realized - possible, omega.finite)
+
+
+class TestCountingMatchesEnumeration:
+    """The counted comparison against the listed one: same verdict, same
+    possible count, same witness, with flips (weak uniformity, plain and
+    stabilized) and without (the orbit match)."""
+
+    GENERATORS = [
+        (genfix.rand_classed, 150),
+        (genfix.rand_q, 60),
+        (genfix.rand_quasisplit_galois, 30),
+        (genfix.rand_outer_two_twins, 40),
+        (genfix.rand_bound_violator, 40),
+        (genfix.rand_two_real_quadratic, 60),
+        (genfix.rand_three_reals, 30),
+    ]
+
+    @staticmethod
+    def listing_cost(g):
+        """Vectors the reference listing walks: 2^twins flips times k! per class."""
+        sizes = {}
+        for lab in g.field.finite_places:
+            sizes[lab.class_key()] = sizes.get(lab.class_key(), 0) + 1
+        return 2 ** len(inner_twin_places(g.omega)) * math.prod(map(math.factorial, sizes.values()))
+
+    @pytest.mark.parametrize("make,count", GENERATORS, ids=[m.__name__ for m, _ in GENERATORS])
+    def test_counted_equals_listed(self, make, count):
+        rng = random.Random(make.__name__)
+        seen = 0
+        outcomes = set()
+        while seen < count:
+            g = make(rng)
+            if self.listing_cost(g) > 20000:
+                continue
+            seen += 1
+            om, f = g.omega, g.field
+            for stab in [None] + [p.id for p in f.real_places[:1]]:
+                sym = stabilizer_subgroup(g.symmetry, f, stab) if stab else g.symmetry
+                one_sided = set(global_orbit(om.finite, sym))
+                report = weak_uniformity(om, f, g.symmetry, stabilize_real=stab)
+                want = enumerated_comparison(om, f, report.lhs, True)
+                assert (report.possible, report.witness) == want
+                assert report.holds == (want[1] is None)
+                outcomes.add(report.holds)
+                assert compare_possible(om, one_sided, flips=False) == \
+                    enumerated_comparison(om, f, one_sided, False)
+        if make is genfix.rand_classed:
+            assert outcomes == {True, False}
+
+    def test_reaches_twelve_twins_and_a_class_of_seven(self):
+        rng = random.Random("extremes")
+        twelve = OmegaVector(A2, tuple(
+            (PlaceLabel(f"v{i + 1}", FI), LocalClass(cyclic(3), v))
+            for i, v in enumerate([1, 2] * 6)
+        ))
+        seven = genfix.rand_classed(rng, max_places=7, max_class=7)
+        while len(seven.field.finite_places) < 7 or len({p.class_key() for p in seven.field.finite_places}) > 1:
+            seven = genfix.rand_classed(rng, max_places=7, max_class=7)
+        f12 = FieldDescriptor(degree=1, finite_places=tuple(lab for lab, _ in twelve.finite))
+        assert len(inner_twin_places(twelve)) == 12
+        for om, f, s in ((twelve, f12, PlaceSymmetry()),
+                         (seven.omega, seven.field, seven.symmetry)):
+            report = weak_uniformity(om, f, s)
+            assert (report.possible, report.witness) == enumerated_comparison(om, f, report.lhs, True)
+            one_sided = set(global_orbit(om.finite, s))
+            assert compare_possible(om, one_sided, flips=False) == \
+                enumerated_comparison(om, f, one_sided, False)
 
 
 class TestOuterFastPath:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -457,6 +458,11 @@ class TestSubsetSum:
     def test_empty_subset_never_returned(self):
         assert subset_sum_forbidden([2, 4], 6, {0}) == [0, 1]
 
+    def test_more_values_than_the_old_cap(self):
+        values = [2] * 60
+        assert subset_sum_forbidden(values, 8, {1, 7}) is None
+        assert subset_sum_forbidden(values + [5], 8, {1, 7}) == [0, 60]
+
 
 class TestSpecializations:
     def test_split_b3_not_rigid(self):
@@ -585,25 +591,57 @@ class TestVerdictInvariants:
             check_witness(g, g)
 
 
-class TestCappedFallbacks:
-    def test_bound_rescues_a_capped_enumeration(self, monkeypatch):
-        monkeypatch.setenv("RIGIDITY_SUBSET_CAP", "3")
-        v = classify(parse(FIXTURES["table1_D1"]))
-        assert v.outcome == Outcome.NOT_RIGID
-        assert any(tag == "twin-count-bound" for tag, _ in v.reasons)
-        check_witness(parse(FIXTURES["table1_D1"]), v.witness)
+def twins_over_q(rank: int, values) -> str:
+    """Inner type A of the given rank over Q with one twin place per value."""
+    places = "\n".join(f"v{i + 1} = omega={v}/{rank + 1}" for i, v in enumerate(values))
+    return (f"[group]\ntype = 1A\nrank = {rank}\n[field]\ndegree = 1\n"
+            f"[places]\n{places}\n[real]\nw = form=SL_R({rank + 1})\n")
 
-    def test_partial_certificate_rescues_when_the_bound_is_silent(self, monkeypatch):
-        from rigidity.brauer import OmegaVector, inner_twin_bound
-        from rigidity.field_model import (
-            FieldDescriptor,
-            HbarFiber,
-            PlaceLabel,
-            PlaceSymmetry,
-        )
+
+# Gaussian rank 4 (table 3) plus one adelic class of ten places of a value
+# the symmetry fixes: the adelic side alone would list 10! arrangements.
+GAUSSIAN_CLASS_OF_TEN = FIXTURES["table3_A4_Qi"].replace(
+    "degree = 2\ncomplex_places = 1", "degree = 16\ncomplex_places = 8\nlocally_determined = true"
+) + "".join(f"v13{chr(97 + i)} = class=c13 omega=0/5\n" for i in range(10))
+
+TWIN_BOUND_TAGS = ["type-A-classification", "weak-uniformity", "twin-count-bound"]
+
+
+class TestBeyondTheOldCap:
+    """Inputs the twin-place cap of 24 used to divert to a capped path are
+    now decided exactly, in polynomial time."""
+
+    @pytest.mark.parametrize("text,outcome,tags", [
+        (twins_over_q(2, [1, 2] * 12), Outcome.NOT_RIGID, TWIN_BOUND_TAGS),
+        (twins_over_q(5, [1, 2, 4, 5] * 6), Outcome.NOT_RIGID, TWIN_BOUND_TAGS),
+        (GAUSSIAN_CLASS_OF_TEN, Outcome.RIGID,
+         ["symmetric-imaginary-classification", "weak-uniformity"]),
+    ], ids=["1A2_24_twins", "1A5_24_twins", "gaussian_class_of_10"])
+    def test_classifies_within_budget(self, text, outcome, tags):
+        g = parse(text)
+        start = time.perf_counter()
+        v = classify(g)
+        elapsed = time.perf_counter() - start
+        assert v.outcome == outcome
+        assert [tag for tag, _ in v.reasons] == tags
+        if v.witness is not None:
+            check_witness(g, v.witness)
+        assert elapsed < 1.0
+
+    def test_more_twins_than_the_old_cap_take_the_normal_path(self):
+        small = classify_text(twins_over_q(2, [1, 2] * 3))
+        large_g = parse(twins_over_q(2, [1, 2] * 15))
+        large = classify(large_g)
+        assert [tag for tag, _ in small.reasons] == TWIN_BOUND_TAGS
+        assert [tag for tag, _ in large.reasons] == TWIN_BOUND_TAGS
+        assert "30 twin places" in large.reasons[2][1]
+        check_witness(large_g, large.witness)
+
+    def test_silent_bound_is_decided_by_counting(self):
+        from rigidity.brauer import inner_twin_bound, s_omega_orbit
+        from rigidity.field_model import HbarFiber, PlaceLabel
         from rigidity.invariants import LocalClass, PlaceKind, cyclic
 
-        monkeypatch.setenv("RIGIDITY_SUBSET_CAP", "8")
         t = GroupType(Family.A, 2)
         z3 = cyclic(3)
         vals = [1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 1]  # eleven twins, zero sum
@@ -615,7 +653,8 @@ class TestCappedFallbacks:
         assert not inner_twin_bound(om, f)
         v = classify(g)
         assert v.outcome == Outcome.NOT_RIGID
-        assert any("enumeration capped" in d for _, d in v.reasons)
+        listed = len(s_omega_orbit(om).elements)  # singleton classes: no arrangements
+        assert v.reasons[1] == ("weak-uniformity", f"weak uniformity fails: 2 realized < {listed} possible")
         check_witness(g, v.witness)
 
 

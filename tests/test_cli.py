@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import jsonschema
 import pytest
@@ -180,14 +182,20 @@ class TestCatalogParse:
         assert orders["C2wrC3"] == 24
 
 
-class TestSubsetCapEnv:
-    def test_env_override(self, monkeypatch, fixtures_dir):
-        from rigidity.errors import CapacityError
+class TestOrbitListingLimit:
+    def test_orbit_fails_fast_above_the_listing_limit(self, tmp_path, capsys):
+        from rigidity.cli import ORBIT_LISTING_LIMIT
 
-        monkeypatch.setenv("RIGIDITY_SUBSET_CAP", "2")
-        g = parse(FIXTURES["table1_D1"])
-        from rigidity.brauer import s_omega_orbit
-        with pytest.raises(CapacityError):
-            s_omega_orbit(g.omega)
-        monkeypatch.delenv("RIGIDITY_SUBSET_CAP")
-        assert len(s_omega_orbit(g.omega).elements) == 6
+        places = "\n".join(f"v{i + 1} = omega={1 + i % 2}/3" for i in range(20))
+        path = tmp_path / "twenty_twins.grp"
+        path.write_text("[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 1\n"
+                        f"[places]\n{places}\n[real]\nw = form=SL_R(3)\n")
+        start = time.perf_counter()
+        assert main(["orbit", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        # ten places of 1 and ten of 2: a flips of 1 and b of 2 cohere when a + 2b = 0 mod 3
+        count = sum(math.comb(10, a) * math.comb(10, b)
+                    for a in range(11) for b in range(11) if (a + 2 * b) % 3 == 0)
+        assert count > ORBIT_LISTING_LIMIT
+        err = capsys.readouterr().err
+        assert f"{count} possible vectors exceed the listing limit {ORBIT_LISTING_LIMIT}" in err

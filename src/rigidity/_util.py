@@ -8,6 +8,7 @@ _DIGITS = re.compile(r"(\d+)")
 
 
 def natural_key(s: str):
-    """Sort key that orders embedded integers numerically ('v2' < 'v11')."""
-    return tuple(int(tok) if tok.isdigit() else tok for tok in _DIGITS.split(s))
+    """Sort key that orders embedded integers numerically ('v2' < 'v11'); the
+    string itself breaks ties ('v01' < 'v1'), so the order is total."""
+    return tuple(int(tok) if tok.isdigit() else tok for tok in _DIGITS.split(s)), s
 

@@ -47,22 +47,6 @@ def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
     return tuple(out)
 
 
-def perm_cycles(p: Perm) -> Tuple[Tuple[int, ...], ...]:
-    seen, out = set(), []
-    for start in range(len(p)):
-        if start in seen or p[start] == start:
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = p[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = p[nxt]
-        out.append(tuple(cyc))
-    return tuple(out)
-
-
 class PermGroup:
     """A finite permutation group with cached element list and classes."""
 

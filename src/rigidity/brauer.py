@@ -100,7 +100,7 @@ def is_coherent(omega: OmegaVector) -> bool:
 def sigma_flip(omega: OmegaVector) -> Coords:
     """The finite coordinates with the diagram symmetry applied everywhere."""
     t = omega.group_type
-    return sort_coords((lab, sym_act(t, lab.kind, cls)) for lab, cls in omega.finite)
+    return tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in omega.finite)
 
 
 def inner_twin_places(omega: OmegaVector) -> Tuple[PlaceLabel, ...]:
@@ -111,11 +111,7 @@ def inner_twin_places(omega: OmegaVector) -> Tuple[PlaceLabel, ...]:
     locally invisible variation can happen.
     """
     t = omega.group_type
-    out = []
-    for lab, cls in omega.finite:
-        if sym_act(t, lab.kind, cls) != cls:
-            out.append(lab)
-    return tuple(sorted(out, key=lambda l: natural_key(l.id)))
+    return tuple(lab for lab, cls in omega.finite if sym_act(t, lab.kind, cls) != cls)
 
 
 def _flip_rule(t: GroupType):
@@ -147,7 +143,7 @@ class SOmegaOrbit:
 
 def _flip_subset(omega: OmegaVector, ids: FrozenSet[str]) -> Coords:
     t = omega.group_type
-    return sort_coords(
+    return tuple(
         (lab, sym_act(t, lab.kind, cls) if lab.id in ids else cls)
         for lab, cls in omega.finite
     )

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ._util import natural_key
 from .brauer import (
     OmegaVector,
+    _flip_subset,
     compare_possible,
     inner_twin_bound,
     inner_twin_places,
@@ -29,7 +30,7 @@ from .brauer import (
     tate_sum,
     weak_uniformity,
 )
-from .errors import ContractError, ValidationError
+from .errors import CapacityError, ContractError, ValidationError
 from .field_model import (
     Coords,
     FieldDescriptor,
@@ -38,7 +39,6 @@ from .field_model import (
     PlaceSymmetry,
     apply_perm,
     global_orbit,
-    sort_coords,
 )
 from .field_model import validate as validate_field
 from .invariants import (
@@ -225,12 +225,8 @@ def _flip_real(cls: LocalClass) -> LocalClass:
 
 def _with_reals(g: GroupDescriptor, new_classes: Dict[str, LocalClass],
                 new_tags: Dict[str, RealFormTag]) -> GroupDescriptor:
-    real = sort_coords(
-        (lab, new_classes.get(lab.id, cls)) for lab, cls in g.omega.real
-    )
-    tags = tuple(
-        (w, new_tags.get(w, tag)) for w, tag in g.real_forms
-    )
+    real = tuple((lab, new_classes.get(lab.id, cls)) for lab, cls in g.omega.real)
+    tags = tuple((w, new_tags.get(w, tag)) for w, tag in g.real_forms)
     return replace(
         g,
         omega=OmegaVector(g.group_type, g.omega.finite, real),
@@ -273,13 +269,7 @@ def _witness_set_reals(g: GroupDescriptor, values: Dict[str, LocalClass]) -> Gro
 
 
 def _witness_flip_finite(g: GroupDescriptor, places: Sequence[str]) -> GroupDescriptor:
-    t = g.group_type
-    ids = set(places)
-    fin = sort_coords(
-        (lab, sym_act(t, lab.kind, cls) if lab.id in ids else cls)
-        for lab, cls in g.omega.finite
-    )
-    return _with_finite(g, fin)
+    return _with_finite(g, _flip_subset(g.omega, frozenset(places)))
 
 
 def _witness_subset_and_real_flip(g: GroupDescriptor, places: Sequence[str], w: str) -> GroupDescriptor:
@@ -345,19 +335,14 @@ def _two_sided_orbit(g: GroupDescriptor):
         variants.append(
             (
                 sigma_flip(g.omega),
-                sort_coords((lab, sym_act(t, lab.kind, cls)) for lab, cls in g.omega.real),
+                tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in g.omega.real),
             )
         )
-    tag_of = dict(g.real_forms)
-    for fin, real in variants:
-        for phi in g.symmetry.group():
-            pfin = apply_perm(fin, phi)
-            preal = apply_perm(real, phi) if real else real
-            ptags = tuple(
-                sorted(((phi.apply(wid), tag) for wid, tag in tag_of.items()),
-                       key=lambda e: natural_key(e[0]))
-            )
-            yield (pfin, preal, ptags)
+    for phi in g.symmetry.group():
+        tag_at = {phi.apply(w): tag for w, tag in g.real_forms}
+        ptags = tuple((w, tag_at[w]) for w, _ in g.real_forms)
+        for fin, real in variants:
+            yield (apply_perm(fin, phi), apply_perm(real, phi), ptags)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +391,6 @@ def subset_sum_forbidden(values: Sequence[int], modulus: int, targets) -> Option
 
 # ---------------------------------------------------------------------------
 # shared branch helpers
-
-def _real_places(g: GroupDescriptor) -> Tuple[PlaceLabel, ...]:
-    return tuple(sorted(g.field.real_places, key=lambda p: natural_key(p.id)))
-
 
 def _real_gate(g: GroupDescriptor):
     for w, tag in g.real_forms:
@@ -472,7 +453,7 @@ def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
 
 
 def _flip_two_same_class(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
-    reals = _real_places(g)
+    reals = g.field.real_places
     by_class: Dict[tuple, list] = {}
     for p in reals:
         by_class.setdefault(g.omega.real_value(p.id).sort_key(), []).append(p.id)
@@ -489,7 +470,7 @@ def _flip_two_same_class(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
 
 def classify_no_symmetry(g: GroupDescriptor) -> Verdict:
     t = g.group_type
-    reals = _real_places(g)
+    reals = g.field.real_places
     fam = t.family
     if fam in (Family.B, Family.E7, Family.E8, Family.F4, Family.G2):
         if _real_gate(g):
@@ -531,7 +512,7 @@ def classify_symmetric_imaginary(g: GroupDescriptor) -> Verdict:
 def classify_a(g: GroupDescriptor) -> Verdict:
     t = g.group_type
     rank = t.rank
-    reals = _real_places(g)
+    reals = g.field.real_places
     if _real_gate(g):
         detail = "(ii) outer even rank must split at real places" if t.is_outer and rank % 2 == 0 \
             else "real forms must pass the trivial-image gate"
@@ -583,7 +564,7 @@ def classify_a(g: GroupDescriptor) -> Verdict:
 def classify_d(g: GroupDescriptor) -> Verdict:
     t = g.group_type
     rank = t.rank
-    reals = _real_places(g)
+    reals = g.field.real_places
     if _real_gate(g):
         return _gate_verdict(g, TAG_D, "the star form or Spin(7,3) is required at the real place")
     if len(reals) >= 2:
@@ -648,7 +629,7 @@ def classify_d(g: GroupDescriptor) -> Verdict:
 
 
 def classify_e6(g: GroupDescriptor) -> Verdict:
-    reals = _real_places(g)
+    reals = g.field.real_places
     w = reals[0].id
     return _not_rigid(
         g,
@@ -715,14 +696,29 @@ def _nonzero_finite(g: GroupDescriptor) -> List[PlaceLabel]:
     return [lab for lab, cls in g.omega.finite if not cls.is_zero]
 
 
+# Most twin places whose 2^r flip subsets the rational checklist lists: 14
+# take about 0.6 s (type 1A3, 2-vCPU Xeon VM, Python 3.11), each further
+# twin about twice that.
+Q_CHECKLIST_TWIN_LIMIT = 14
+
+
 def _wu_over_q(g: GroupDescriptor) -> bool:
     # over the rationals both permutation actions are trivial, so weak
     # uniformity is just the flip orbit staying within the symmetry pair
+    twins = len(inner_twin_places(g.omega))
+    if twins > Q_CHECKLIST_TWIN_LIMIT:
+        raise CapacityError(
+            f"{twins} twin places exceed the rational checklist's listing limit "
+            f"{Q_CHECKLIST_TWIN_LIMIT}"
+        )
     return len(s_omega_orbit(g.omega).elements) <= 2
 
 
 def specialize_q(g: GroupDescriptor) -> Verdict:
-    """The rational-base-field checklist, evaluated literally."""
+    """The rational-base-field checklist, evaluated literally.
+
+    Its weak uniformity branches list the flip orbit, so above
+    ``Q_CHECKLIST_TWIN_LIMIT`` twin places they raise CapacityError."""
     if g.group_type.family == Family.D and g.group_type.rank == 4:
         return Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, "triality type D4 is not handled")])
     g = normalize(g)
@@ -731,7 +727,7 @@ def specialize_q(g: GroupDescriptor) -> Verdict:
         raise ContractError("this checklist only applies over the rationals")
     t = g.group_type
     fam, rank = t.family, t.rank
-    w = _real_places(g)[0]
+    w = g.field.real_places[0]
     tag = g.real_tag(w.id)
     twins = len(inner_twin_places(g.omega))
 
@@ -803,7 +799,7 @@ def specialize_quasisplit(g: GroupDescriptor) -> Verdict:
         raise ContractError("this checklist assumes a quasi-split group")
     t = g.group_type
     fam, rank = t.family, t.rank
-    reals = _real_places(g)
+    reals = g.field.real_places
 
     def verdict(ok: bool, detail: str) -> Verdict:
         return Verdict(Outcome.RIGID if ok else Outcome.NOT_RIGID, [(TAG_QS, detail)])

@@ -45,6 +45,7 @@ from .classifier import (
     Outcome,
     Verdict,
     classify,
+    validate_descriptor,
 )
 from .errors import (
     CapacityError,
@@ -618,6 +619,7 @@ def cmd_orbit(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         desc = parse(Path(args.file))
+        validate_descriptor(desc)
         report = weak_uniformity(desc.omega, desc.field, desc.symmetry)
         if report.possible > ORBIT_LISTING_LIMIT:
             raise CapacityError(

@@ -21,8 +21,9 @@ class MissingRealClassError(RigidityError):
 
 class CapacityError(RigidityError):
     """A listing exceeded its fixed limit: the permutation group order in
-    ``arith_equiv``, or the possible side that ``rigidity orbit`` prints.
-    Classification itself counts and never raises this."""
+    ``arith_equiv``, the possible side that ``rigidity orbit`` prints, or
+    the twin places whose flips ``specialize_q`` lists.  Classification
+    itself counts and never raises this."""
 
 
 class ValidationError(RigidityError):

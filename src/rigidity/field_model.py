@@ -13,9 +13,10 @@ uniformity condition downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._util import natural_key
 from .errors import ValidationError
@@ -146,22 +147,32 @@ class PlaceSymmetry:
     """Generators of the square-class-stabilizing field automorphisms, as place permutations."""
 
     generators: Tuple[PlacePerm, ...] = ()
+    # the whole group once enumerated; not part of the value
+    _group: Optional[Tuple[PlacePerm, ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        # one generator order, however they were declared
+        object.__setattr__(self, "generators", tuple(sorted(self.generators, key=lambda p: p.moved)))
 
     def group(self, cap: int = 100000) -> Tuple[PlacePerm, ...]:
-        elems = {IDENTITY}
-        frontier = [IDENTITY]
-        while frontier:
-            nxt = []
-            for e in frontier:
+        """Every element of the generated group, enumerated once and then kept;
+        ValidationError once it has more than ``cap`` elements."""
+        if self._group is None:
+            elems, seen = [IDENTITY], {IDENTITY}
+            for e in elems:  # breadth first: elems grows while it is read
                 for g in self.generators:
                     h = g.compose(e)
-                    if h not in elems:
-                        elems.add(h)
-                        nxt.append(h)
+                    if h not in seen:
+                        seen.add(h)
+                        elems.append(h)
                         if len(elems) > cap:
                             raise ValidationError([f"symmetry group exceeds cap {cap}"])
-            frontier = nxt
-        return tuple(sorted(elems, key=lambda p: p.moved))
+            object.__setattr__(self, "_group", tuple(sorted(elems, key=lambda p: p.moved)))
+        if len(self._group) > cap:
+            raise ValidationError([f"symmetry group exceeds cap {cap}"])
+        return self._group
 
 
 TRIVIAL_SYMMETRY = PlaceSymmetry()
@@ -238,6 +249,7 @@ def validate(f: FieldDescriptor, s: PlaceSymmetry) -> None:
 # coordinate vectors and orbits
 
 def sort_coords(pairs: Iterable[Tuple[PlaceLabel, LocalClass]]) -> Coords:
+    """Put coordinates in the field's place order; every later operation keeps it."""
     return tuple(sorted(pairs, key=lambda e: natural_key(e[0].id)))
 
 
@@ -247,14 +259,14 @@ def coords_key(coords: Coords):
 
 def apply_perm(coords: Coords, perm: PlacePerm) -> Coords:
     """Push a coordinate vector forward along a place permutation."""
-    label_of = {lab.id: lab for lab, _ in coords}
-    out = []
+    ids = {lab.id for lab, _ in coords}
+    pushed = {}
     for lab, cls in coords:
         target = perm.apply(lab.id)
-        if target not in label_of:
+        if target not in ids:
             raise ValidationError([f"permutation moves {lab.id} outside the declared support"])
-        out.append((label_of[target], cls))
-    return sort_coords(out)
+        pushed[target] = cls
+    return tuple((lab, pushed[lab.id]) for lab, _ in coords)
 
 
 def _canonical(orbit) -> Tuple[Coords, ...]:
@@ -263,18 +275,21 @@ def _canonical(orbit) -> Tuple[Coords, ...]:
 
 def global_orbit(coords: Coords, s: PlaceSymmetry) -> Tuple[Coords, ...]:
     """Orbit of a coordinate vector under the declared field automorphisms."""
-    seen = {coords}
-    frontier = [coords]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g in s.generators:
-                d = apply_perm(c, g)
-                if d not in seen:
-                    seen.add(d)
-                    nxt.append(d)
-        frontier = nxt
-    return _canonical(seen)
+    return _canonical({apply_perm(coords, phi) for phi in s.group()})
+
+
+def _orderings(counts: Dict[LocalClass, int]) -> List[Tuple[LocalClass, ...]]:
+    """Each distinct ordering of a multiset (value -> multiplicity) exactly once,
+    by placing one still unplaced value after another."""
+    if not any(counts.values()):
+        return [()]
+    out = []
+    for v, n in counts.items():
+        if n:
+            counts[v] = n - 1
+            out += [(v,) + rest for rest in _orderings(counts)]
+            counts[v] = n
+    return out
 
 
 def adelic_orbit(coords: Coords, f: Optional[FieldDescriptor] = None) -> Tuple[Coords, ...]:
@@ -285,23 +300,21 @@ def adelic_orbit(coords: Coords, f: Optional[FieldDescriptor] = None) -> Tuple[C
     placement within a class is free.  Output order is canonical and
     independent of how the places were declared.
     """
-    finite = [(lab, cls) for lab, cls in coords if lab.kind.is_finite]
-    rest = [(lab, cls) for lab, cls in coords if not lab.kind.is_finite]
-    groups: Dict[str, list] = {}
-    for lab, cls in finite:
-        groups.setdefault(lab.class_key(), []).append((lab, cls))
-    per_class = []
-    for key in sorted(groups):
-        labs = [lab for lab, _ in groups[key]]
-        vals = [cls for _, cls in groups[key]]
-        arrangements = {tuple(p) for p in itertools.permutations(vals)}
-        per_class.append([list(zip(labs, arr)) for arr in sorted(arrangements, key=lambda a: [c.sort_key() for c in a])])
-    orbit = set()
-    for combo in itertools.product(*per_class) if per_class else [()]:
-        pairs = list(rest)
+    classes: Dict[str, List[str]] = {}
+    for lab, _ in coords:
+        if lab.kind.is_finite:
+            classes.setdefault(lab.class_key(), []).append(lab.id)
+    value_of = {lab.id: cls for lab, cls in coords}
+    per_class = [
+        [list(zip(ids, arr)) for arr in _orderings(Counter(value_of[i] for i in ids))]
+        for ids in classes.values()
+    ]
+    orbit = []
+    for combo in itertools.product(*per_class):
+        placed = dict(value_of)
         for part in combo:
-            pairs.extend(part)
-        orbit.add(sort_coords(pairs))
+            placed.update(part)
+        orbit.append(tuple((lab, placed[lab.id]) for lab, _ in coords))
     return _canonical(orbit)
 
 

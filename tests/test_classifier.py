@@ -7,6 +7,7 @@ from genfix import rand_q
 from rigidity.brauer import OmegaVector
 from rigidity.classifier import (
     CLASSIFICATION_TAGS,
+    Q_CHECKLIST_TWIN_LIMIT,
     GroupDescriptor,
     Outcome,
     build_witness,
@@ -18,8 +19,8 @@ from rigidity.classifier import (
     subset_sum_forbidden,
 )
 from rigidity.cli import parse
-from rigidity.errors import ContractError
-from rigidity.field_model import FieldDescriptor, PlaceSymmetry
+from rigidity.errors import CapacityError, ContractError
+from rigidity.field_model import FieldDescriptor, PlacePerm, PlaceSymmetry
 from rigidity.fixtures import FIXTURES
 from rigidity.invariants import Family, GroupType
 from rigidity.real_forms import RealFormTag
@@ -656,6 +657,36 @@ class TestBeyondTheOldCap:
         listed = len(s_omega_orbit(om).elements)  # singleton classes: no arrangements
         assert v.reasons[1] == ("weak-uniformity", f"weak uniformity fails: 2 realized < {listed} possible")
         check_witness(g, v.witness)
+
+
+class TestRationalChecklistLimit:
+    def test_listing_above_the_limit_fails_fast(self):
+        g = parse(twins_over_q(2, [1, 2] * 12))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError) as err:
+            specialize_q(g)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == (
+            f"24 twin places exceed the rational checklist's listing limit {Q_CHECKLIST_TWIN_LIMIT}"
+        )
+
+
+class TestGroupEnumeratedOnce:
+    @pytest.mark.parametrize("text", [
+        FIXTURES["quat_sqrt2"],
+        FIXTURES["table3_A4_Qi"] + "v11a = class=c11 omega=1/5\nv11b = class=c11 omega=4/5\n",
+    ], ids=["quat_sqrt2", "table3_plus_a_class"])
+    def test_not_rigid_classify_enumerates_the_group_once(self, text, monkeypatch):
+        g = parse(text)
+        calls = []
+        compose = PlacePerm.compose
+        monkeypatch.setattr(PlacePerm, "compose", lambda p, q: calls.append(1) or compose(p, q))
+        PlaceSymmetry(g.symmetry.generators).group()
+        once = len(calls)
+        calls.clear()
+        v = classify(g)
+        assert v.outcome == Outcome.NOT_RIGID and once > 0
+        assert len(calls) == once
 
 
 class TestBuildWitness:

@@ -183,6 +183,30 @@ class TestCatalogParse:
 
 
 class TestOrbitListingLimit:
+    def test_orbit_lists_a_class_of_ten_in_under_a_second(self, fixtures_dir, tmp_path, capsys):
+        text = (fixtures_dir / "table3_A4_Qi.grp").read_text(encoding="utf-8").replace(
+            "degree = 2\ncomplex_places = 1", "degree = 20\ncomplex_places = 10\nlocally_determined = true"
+        ) + "".join(f"v11{chr(97 + i)} = class=c11\n" for i in range(10))
+        path = tmp_path / "class_of_ten.grp"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["orbit", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert "possible (flips x adelic) (4):" in out and "adelic orbit (2):" in out
+
+    def test_orbit_rejects_an_invalid_descriptor_first(self, fixtures_dir, tmp_path, capsys):
+        # eight places permuted by all of S8: far more automorphisms than degree 2 allows
+        text = (fixtures_dir / "table3_A4_Qi.grp").read_text(encoding="utf-8").replace(
+            "conj = (v5a v5b)", "conj = (v5a v5b)\nall = (u1 u2 u3 u4 u5 u6 u7 u8)\nswap = (u1 u2)"
+        ) + "".join(f"u{i} = class=c11\n" for i in range(1, 9))
+        path = tmp_path / "s8.grp"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["orbit", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "symmetry group order exceeds the degree bound" in capsys.readouterr().err
+
     def test_orbit_fails_fast_above_the_listing_limit(self, tmp_path, capsys):
         from rigidity.cli import ORBIT_LISTING_LIMIT
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from rigidity.field_model import (
     PlaceSymmetry,
     adelic_orbit,
     apply_perm,
+    coords_key,
     global_orbit,
     sort_coords,
     stabilizer_subgroup,
@@ -169,6 +171,32 @@ class TestAdelicOrbit:
         y = sort_coords(reversed(list(x)))
         assert adelic_orbit(x) == adelic_orbit(y)
 
+    @staticmethod
+    def listed(x):
+        """The reference listing: every permutation of each class, deduplicated afterwards."""
+        classes = {}
+        for lab, cls in x:
+            if lab.kind.is_finite:
+                classes.setdefault(lab.class_key(), []).append((lab, cls))
+        per_class = [
+            [list(zip([lab for lab, _ in members], arr))
+             for arr in set(itertools.permutations([cls for _, cls in members]))]
+            for members in classes.values()
+        ]
+        rest = [(lab, cls) for lab, cls in x if not lab.kind.is_finite]
+        return {sort_coords(rest + [e for part in combo for e in part])
+                for combo in itertools.product(*per_class)}
+
+    def test_distinct_orderings_match_the_permutation_listing(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 2))]
+            pairs = [(PlaceLabel(f"v{k}{chr(97 + i)}", FI, f"c{k}"), LocalClass(Z5, rng.randrange(3)))
+                     for k, size in enumerate(sizes) for i in range(size)]
+            pairs += [(PlaceLabel("v9", FI), LocalClass(Z5, 4)), (PlaceLabel("w", RI), LocalClass(Z5, 1))]
+            x = sort_coords(pairs)
+            assert adelic_orbit(x) == tuple(sorted(self.listed(x), key=coords_key))
+
     def test_global_orbit_inside_adelic_orbit(self):
         labs = gaussian_places()
         rng = random.Random(9)
@@ -207,6 +235,44 @@ class TestStabilizer:
         f = FieldDescriptor(degree=1, real_places=(PlaceLabel("w", RI),))
         with pytest.raises(ValidationError):
             stabilizer_subgroup(PlaceSymmetry(), f, "nope")
+
+
+class TestGroupCache:
+    @staticmethod
+    def klein():
+        return PlaceSymmetry((PlacePerm.from_cycles([("a", "b"), ("c", "d")]),
+                              PlacePerm.from_cycles([("a", "c"), ("b", "d")])))
+
+    def test_group_is_enumerated_once_and_is_not_part_of_the_value(self, monkeypatch):
+        calls = []
+        compose = PlacePerm.compose
+        monkeypatch.setattr(PlacePerm, "compose", lambda p, q: calls.append(1) or compose(p, q))
+        s = self.klein()
+        first = s.group()
+        enumerated = len(calls)
+        assert len(first) == 4 and enumerated > 0
+        assert s.group() is first and s.group(cap=4) is first
+        assert len(calls) == enumerated
+        fresh = self.klein()
+        assert fresh == s and hash(fresh) == hash(s) and repr(fresh) == repr(s)
+
+    def test_generator_order_is_fixed_at_construction(self):
+        a, b = self.klein().generators
+        assert PlaceSymmetry((b, a)).generators == (a, b)
+
+    def test_a_known_group_still_checks_the_cap(self):
+        s = self.klein()
+        s.group()
+        with pytest.raises(ValidationError, match="exceeds cap 3"):
+            s.group(cap=3)
+        # validate's degree bound holds against a group enumerated earlier
+        f = FieldDescriptor(degree=4, complex_place_count=2,
+                            finite_places=tuple(PlaceLabel(p, FI, "c") for p in "abcde"))
+        big = PlaceSymmetry((PlacePerm.from_cycles([tuple("abcde")]),
+                             PlacePerm.from_cycles([("a", "b")])))
+        assert len(big.group()) == 120
+        with pytest.raises(ValidationError, match="exceeds the degree bound"):
+            validate(f, big)
 
 
 class TestPlacePerm:

@@ -14,7 +14,7 @@ locally-but-not-globally interchangeable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, ContractError
 
@@ -25,7 +25,7 @@ DEFAULT_GROUP_CAP = 10080
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
     """(a*b)(x) = a(b(x))."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def perm_inv(a: Perm) -> Perm:
@@ -63,6 +63,7 @@ class PermGroup:
         self._index: Optional[Dict[Perm, int]] = None
         self._classes: Optional[List[Tuple[Perm, ...]]] = None
         self._subgroups: Optional[List[FrozenSet[Perm]]] = None
+        self._normal: Optional[List[FrozenSet[Perm]]] = None
 
     @property
     def identity(self) -> Perm:
@@ -99,29 +100,36 @@ class PermGroup:
     def conjugacy_classes(self) -> List[Tuple[Perm, ...]]:
         """Partition of the element list into conjugacy classes, canonically sorted."""
         if self._classes is None:
-            elems = self.elements()
-            unassigned = set(elems)
+            assigned = set()
             classes = []
-            while unassigned:
-                rep = min(unassigned)
+            pairs = [(g, perm_inv(g)) for g in self.generators]
+            for rep in self.elements():  # sorted, so each rep is its class's least element
+                if rep in assigned:
+                    continue
                 orbit = {rep}
                 frontier = [rep]
                 while frontier:
                     nxt = []
                     for x in frontier:
-                        for g in self.generators:
-                            y = perm_mul(perm_mul(g, x), perm_inv(g))
+                        for g, gi in pairs:
+                            y = perm_mul(perm_mul(g, x), gi)
                             if y not in orbit:
                                 orbit.add(y)
                                 nxt.append(y)
                     frontier = nxt
-                unassigned -= orbit
+                assigned |= orbit
                 classes.append(tuple(sorted(orbit)))
             self._classes = sorted(classes, key=lambda c: (len(c), c[0]))
         return self._classes
 
     def subgroups(self) -> List[FrozenSet[Perm]]:
-        """All subgroups, by closing known ones under one extra cyclic subgroup at a time."""
+        """Every subgroup, sorted by order and then by elements: the reference lattice.
+
+        Known subgroups are closed under one extra cyclic subgroup at a time,
+        which takes seconds from order 168 on.  Nothing in the package calls
+        it; it stays as the oracle the tests compare ``normal_subgroups`` and
+        ``index_two_subgroups`` with, and for the bench tracer.
+        """
         if self._subgroups is not None:
             return self._subgroups
         elems = self.elements()
@@ -150,14 +158,62 @@ class PermGroup:
         return self._subgroups
 
     def normal_subgroups(self) -> List[FrozenSet[Perm]]:
-        out = []
-        for sub in self.subgroups():
-            if all(
-                frozenset(perm_mul(perm_mul(g, x), perm_inv(g)) for x in sub) == sub
-                for g in self.generators
-            ):
-                out.append(sub)
-        return out
+        """Every normal subgroup, in the order of ``subgroups()``.
+
+        The subgroup a conjugacy class generates is normal, and every normal
+        subgroup is a join of such class subgroups.  Starting from the class
+        subgroups, each normal subgroup found is joined with every class
+        subgroup that neither contains it nor lies in it.  It is normal, so
+        the join is the union of its cosets that the class subgroup's
+        generating tuple reaches.
+        """
+        if self._normal is None:
+            trivial = frozenset([self.identity])
+            spans: Dict[FrozenSet[Perm], Tuple[Perm, ...]] = {}  # class subgroup -> generators
+            for cls in self.conjugacy_classes():
+                if cls[0] != self.identity:
+                    gens, sub = _generate(cls, self.identity)
+                    spans.setdefault(sub, gens)
+            known = {trivial, *spans}
+            frontier = list(spans)
+            while frontier:
+                nxt = []
+                for n in frontier:
+                    for sub, gens in spans.items():
+                        # n is normal, so it holds the class subgroup iff it holds gens[0]
+                        if gens[0] in n or n <= sub:
+                            continue
+                        join = _adjoin(n, gens)
+                        if join not in known:
+                            known.add(join)
+                            nxt.append(join)
+                frontier = nxt
+            self._normal = sorted(known, key=lambda s: (len(s), sorted(s)))
+        return self._normal
+
+    def index_two_subgroups(self, n: FrozenSet[Perm]) -> List[FrozenSet[Perm]]:
+        """The subgroups of index two in the subgroup ``n``, in the order of ``subgroups()``.
+
+        Each contains every square, so they are the preimages of the
+        hyperplanes of the elementary abelian quotient of ``n`` by the
+        subgroup its squares generate.  Every element gets its coordinates in
+        a basis of that quotient as a bit mask, and each nonzero functional,
+        itself a mask f, keeps the elements whose mask meets f in an even
+        number of bits: 2^d - 1 subgroups for a quotient of rank d.
+        """
+        if len(n) % 2:
+            return []
+        _, squares = _generate({perm_mul(x, x) for x in n}, self.identity)
+        coords = dict.fromkeys(squares, 0)
+        bit = 1
+        for x in n:
+            if x not in coords:
+                # the known part is a subgroup holding the squares, so normal in n
+                coords.update([(perm_mul(y, x), c | bit) for y, c in coords.items()])
+                bit <<= 1
+        halves = [frozenset(x for x, c in coords.items() if not (c & f).bit_count() % 2)
+                  for f in range(1, bit)]
+        return sorted(halves, key=sorted)
 
 
 def _cyclic(x: Perm, e: Perm) -> List[Perm]:
@@ -182,6 +238,40 @@ def _mulclose(gens: Sequence[Perm], e: Perm) -> List[Perm]:
                     nxt.append(h)
         frontier = nxt
     return sorted(elems)
+
+
+def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm]) -> FrozenSet[Perm]:
+    """The subgroup ``sub`` and ``gens`` generate, as the union of the right
+    cosets of ``sub`` reached from ``sub`` by ``gens`` (Dimino's algorithm).
+
+    The union is closed under the generators it is built with, so ``gens``
+    must include generators of ``sub`` unless they normalize ``sub``.
+    """
+    elems = set(sub)
+    reps = [next(iter(sub))]
+    i = 0
+    while i < len(reps):
+        r = reps[i]
+        i += 1
+        for g in gens:
+            t = perm_mul(r, g)
+            if t not in elems:
+                elems.update([tuple(map(h.__getitem__, t)) for h in sub])  # h * t
+                reps.append(t)
+    return frozenset(elems)
+
+
+def _generate(elements: Iterable[Perm], e: Perm) -> Tuple[Tuple[Perm, ...], FrozenSet[Perm]]:
+    """A generating tuple taken from ``elements`` in their order, one element
+    for each that the earlier ones do not generate, and the subgroup generated."""
+    gens: Tuple[Perm, ...] = ()
+    sub = frozenset([e])
+    for x in elements:
+        if x not in sub:
+            gens += (x,)
+            # a first generator spans its powers, which are cheaper to list than cosets
+            sub = _adjoin(sub, gens) if len(gens) > 1 else frozenset(_cyclic(x, e))
+    return gens, sub
 
 
 @dataclass(frozen=True)
@@ -217,37 +307,40 @@ def _profile(G: PermGroup, U: Subgroup) -> Tuple[int, ...]:
 def _induced_character(G: PermGroup, U: Subgroup) -> Tuple[int, ...]:
     """Value on each conjugacy class of the character induced from the trivial
     one on U, computed as fixed points on the coset space."""
-    elems = G.elements()
-    cosets = []
+    cosets = []  # (representative x, coset xU)
     assigned = set()
-    for x in elems:
+    for x in G.elements():
         if x in assigned:
             continue
-        coset = frozenset(perm_mul(x, u) for u in U.members)
+        coset = frozenset([perm_mul(x, u) for u in U.members])
         assigned |= coset
-        cosets.append(coset)
-    values = []
-    for cls in G.conjugacy_classes():
-        g = cls[0]
-        fixed = sum(
-            1 for coset in cosets
-            if perm_mul(g, next(iter(coset))) in coset
+        cosets.append((x, coset))
+    return tuple(
+        sum(perm_mul(cls[0], x) in coset for x, coset in cosets)
+        for cls in G.conjugacy_classes()
+    )
+
+
+def _signature(G: PermGroup, U: Subgroup) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    return _profile(G, U), _induced_character(G, U)
+
+
+def _signatures_agree(sig1, sig2) -> bool:
+    """Equal class profiles, cross-checked against equal induced characters."""
+    by_profile = sig1[0] == sig2[0]
+    by_character = sig1[1] == sig2[1]
+    if by_profile != by_character:
+        raise ContractError(
+            "class profiles and induced characters disagree; this cannot happen"
         )
-        values.append(fixed)
-    return tuple(values)
+    return by_profile
 
 
 def almost_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
     """Equal class intersection profiles, cross-checked against induced characters."""
     if U1.order() != U2.order():
         return False
-    by_profile = _profile(G, U1) == _profile(G, U2)
-    by_character = _induced_character(G, U1) == _induced_character(G, U2)
-    if by_profile != by_character:
-        raise ContractError(
-            "class profiles and induced characters disagree; this cannot happen"
-        )
-    return by_profile
+    return _signatures_agree(_signature(G, U1), _signature(G, U2))
 
 
 def are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
@@ -256,7 +349,8 @@ def are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
     target = U2.members
     for g in G.elements():
         gi = perm_inv(g)
-        if frozenset(perm_mul(perm_mul(g, u), gi) for u in U1.members) == target:
+        # conjugation is injective and the orders agree, so landing inside is equality
+        if all(perm_mul(perm_mul(g, u), gi) in target for u in U1.members):
             return True
     return False
 
@@ -275,20 +369,27 @@ def common_normal_index2(G: PermGroup, U1: Subgroup, U2: Subgroup) -> Optional[S
 def verify_prop_almost_conjugate(G: PermGroup):
     """Scan every index-two pair inside every normal subgroup.
 
+    The normal subgroups and their index-two subgroups come from
+    ``normal_subgroups`` and ``index_two_subgroups``, not from the subgroup
+    lattice.  The class profile and induced character of each index-two
+    subgroup are computed once; every pair still compares both, raising
+    ``ContractError`` when they disagree, and only almost conjugate pairs
+    are tested for conjugacy.
+
     Returns (True, None) when almost conjugate implies conjugate throughout,
     otherwise (False, counterexample pair).  No counterexample should ever
     exist; the scan is the verification.
     """
-    subgroups = G.subgroups()
     for n in G.normal_subgroups():
-        if len(n) % 2:
+        halves = G.index_two_subgroups(n)
+        if len(halves) < 2:
             continue
-        half = len(n) // 2
-        inside = [s for s in subgroups if len(s) == half and s <= n]
-        for i, s1 in enumerate(inside):
-            for s2 in inside[i + 1:]:
-                u1, u2 = Subgroup(G, s1), Subgroup(G, s2)
-                if almost_conjugate(G, u1, u2) and not are_conjugate(G, u1, u2):
+        inside = [Subgroup(G, s) for s in halves]
+        signatures = [_signature(G, u) for u in inside]
+        for i, u1 in enumerate(inside):
+            for j in range(i + 1, len(inside)):
+                u2 = inside[j]
+                if _signatures_agree(signatures[i], signatures[j]) and not are_conjugate(G, u1, u2):
                     return False, (u1, u2)
     return True, None
 

@@ -49,6 +49,7 @@ from .classifier import (
 )
 from .errors import (
     CapacityError,
+    ContractError,
     DescriptorParseError,
     MissingRealClassError,
     OutOfScopeError,
@@ -667,8 +668,17 @@ def cmd_realforms(args, out=None) -> int:
     return 0
 
 
+# Every element of a catalog group is a tuple of DEGREE points, so with the
+# group order cap of 10080 a degree of 1000 already means 10^7 stored points.
+CATALOG_DEGREE_LIMIT = 1000
+
+
 def parse_catalog(text: str) -> List[PermGroup]:
-    """Catalog grammar: one group per line, ``NAME DEGREE (cycles)(...)``, 1-based points."""
+    """Catalog grammar: one group per line, ``NAME DEGREE (cycles)(...)``, 1-based points.
+
+    Generators are separated by ``;``.  Every fault is reported as a
+    positioned ``DescriptorParseError`` entry.
+    """
     groups = []
     errors = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -685,25 +695,47 @@ def parse_catalog(text: str) -> List[PermGroup]:
         except ValueError:
             errors.append((no, 1, f"bad degree {deg_txt!r}"))
             continue
+        if not 1 <= degree <= CATALOG_DEGREE_LIMIT:
+            errors.append((no, 1, f"degree {degree} outside 1..{CATALOG_DEGREE_LIMIT}"))
+            continue
         gens = []
         for chunk in gen_txt.split(";"):
-            chunk = chunk.strip()
-            cycles = []
-            rest = chunk
-            while rest:
-                if not rest.startswith("(") or ")" not in rest:
-                    errors.append((no, 1, f"bad cycle notation {chunk!r}"))
-                    break
-                close = rest.index(")")
-                pts = tuple(int(x) - 1 for x in rest[1:close].split())
-                cycles.append(pts)
-                rest = rest[close + 1:].strip()
-            else:
-                gens.append(perm_from_cycles(degree, cycles))
+            try:
+                gens.append(_catalog_generator(chunk.strip(), degree))
+            except ValueError as e:
+                errors.append((no, 1, str(e)))
         groups.append(PermGroup(degree, gens, name=name))
     if errors:
         raise DescriptorParseError(errors)
     return groups
+
+
+def _catalog_generator(chunk: str, degree: int) -> Tuple[int, ...]:
+    """One generator in 1-based cycle notation; ValueError says what is wrong."""
+    cycles = []
+    rest = chunk
+    while rest:
+        if not rest.startswith("(") or ")" not in rest:
+            raise ValueError(f"bad cycle notation {chunk!r}")
+        close = rest.index(")")
+        words = rest[1:close].split()
+        if not words:
+            raise ValueError(f"empty cycle in {chunk!r}")
+        cycle = []
+        for word in words:
+            try:
+                point = int(word)
+            except ValueError:
+                raise ValueError(f"bad point {word!r} in {chunk!r}") from None
+            if not 1 <= point <= degree:
+                raise ValueError(f"point {point} outside degree {degree} in {chunk!r}")
+            cycle.append(point - 1)
+        cycles.append(cycle)
+        rest = rest[close + 1:].strip()
+    try:
+        return perm_from_cycles(degree, cycles)
+    except ContractError:
+        raise ValueError(f"cycles {chunk!r} do not define a permutation") from None
 
 
 def cmd_equiv(args, out=None) -> int:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from rigidity.arith_equiv import (
@@ -10,6 +12,8 @@ from rigidity.arith_equiv import (
     hbar_certificate,
     mackey_decomposition_holds,
     perm_from_cycles,
+    perm_inv,
+    perm_mul,
     verify_prop_almost_conjugate,
 )
 from rigidity.catalog import (
@@ -21,7 +25,20 @@ from rigidity.catalog import (
     symmetric_group,
     wreath_pair,
 )
+from rigidity.cli import main
 from rigidity.errors import CapacityError, ContractError
+
+# every bundled group whose subgroup lattice takes well under a second
+SMALL_CATALOG = [G for G in bundled_catalog() if G.order() <= 48]
+
+
+def lattice_normal_subgroups(G):
+    """The normal subgroups filtered out of the reference lattice."""
+    return [
+        s for s in G.subgroups()
+        if all(frozenset(perm_mul(perm_mul(g, x), perm_inv(g)) for x in s) == s
+               for g in G.generators)
+    ]
 
 
 class TestConjugacyClasses:
@@ -112,8 +129,7 @@ class TestHbarCertificate:
     def test_wreath_base_with_all_index_two_pairs(self):
         G, U, _, _ = wreath_pair()
         base = common_normal_index2(G, U, U)
-        quarters = [Subgroup(G, s) for s in G.subgroups()
-                    if len(s) == 4 and s <= base.members]
+        quarters = [Subgroup(G, s) for s in G.index_two_subgroups(base.members)]
         pairs = [(a, b) for i, a in enumerate(quarters) for b in quarters[i + 1:]]
         assert pairs
         assert hbar_certificate(G, base, pairs)
@@ -138,10 +154,9 @@ class TestHbarCertificate:
 
 class TestMackey:
     def test_wreath_model(self):
-        G, U, V1, V2 = wreath_pair()
+        G, U, _, _ = wreath_pair()
         base = common_normal_index2(G, U, U)  # the elementary abelian base
-        for u in (V1, V2):
-            pass  # V1, V2 have index 4 in the base; use U itself instead
+        # U has index two in it; the rank-one parts have index four
         assert mackey_decomposition_holds(G, base, U)
 
     def test_catalog_samples(self):
@@ -149,17 +164,13 @@ class TestMackey:
         for G in bundled_catalog():
             if G.order() > 48:
                 continue
-            subgroups = G.subgroups()
             for n in G.normal_subgroups():
-                if len(n) % 2:
-                    continue
-                for s in subgroups:
-                    if 2 * len(s) == len(n) and s <= n:
-                        assert mackey_decomposition_holds(
-                            G, Subgroup(G, n), Subgroup(G, s)
-                        )
-                        checked += 1
-                        break  # one index-two pair per normal subgroup is plenty
+                for s in G.index_two_subgroups(n):
+                    assert mackey_decomposition_holds(
+                        G, Subgroup(G, n), Subgroup(G, s)
+                    )
+                    checked += 1
+                    break  # one index-two pair per normal subgroup is plenty
                 if checked >= 25:
                     break
             if checked >= 25:
@@ -173,3 +184,67 @@ class TestCaps:
                              perm_from_cycles(11, [(0, 1)])], cap=1000)
         with pytest.raises(CapacityError):
             big.order()
+
+
+class TestEnumeratorsMatchTheLattice:
+    @pytest.mark.parametrize("G", SMALL_CATALOG, ids=lambda G: G.name)
+    def test_normal_subgroups(self, G):
+        assert G.normal_subgroups() == lattice_normal_subgroups(G)
+
+    @pytest.mark.parametrize("G", SMALL_CATALOG, ids=lambda G: G.name)
+    def test_index_two_subgroups(self, G):
+        lattice = G.subgroups()
+        for n in G.normal_subgroups():
+            if len(n) % 2 == 0:
+                assert G.index_two_subgroups(n) == [
+                    s for s in lattice if 2 * len(s) == len(n) and s <= n
+                ]
+
+    def test_odd_order_has_no_index_two_subgroup(self):
+        G = cyclic_group(3)
+        assert G.index_two_subgroups(frozenset(G.elements())) == []
+
+    def test_fano_group_without_its_lattice(self, monkeypatch):
+        def no_lattice(self):
+            raise AssertionError("the subgroup lattice was built")
+
+        monkeypatch.setattr(PermGroup, "subgroups", no_lattice)
+        G = fano_group()
+        whole = frozenset(G.elements())
+        assert G.normal_subgroups() == [frozenset([G.identity]), whole]
+        # perfect: commutators already generate the whole group, so no
+        # subgroup of index two exists
+        commutators = {
+            perm_mul(perm_mul(a, b), perm_inv(perm_mul(b, a)))
+            for a in G.generators for b in G.elements()
+        }
+        assert PermGroup(G.degree, sorted(commutators)).order() == G.order()
+        assert G.index_two_subgroups(whole) == []
+
+    def test_production_paths_skip_the_lattice(self, monkeypatch):
+        def no_lattice(self):
+            raise AssertionError("the subgroup lattice was built")
+
+        monkeypatch.setattr(PermGroup, "subgroups", no_lattice)
+        for G in bundled_catalog():
+            ok, counterexample = verify_prop_almost_conjugate(G)
+            assert ok and counterexample is None, G.name
+        G, P, L = fano_point_line_stabilizers()
+        assert common_normal_index2(G, P, L) is None
+        G, U, V1, V2 = wreath_pair()
+        assert common_normal_index2(G, V1, V2) is None
+        assert common_normal_index2(G, U, U).order() == 8
+
+
+class TestBudget:
+    def test_equiv_over_the_catalog_with_the_fano_group(self, fixtures_dir, capsys):
+        start = time.perf_counter()
+        assert main(["equiv", str(fixtures_dir / "groups.cat")]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert "PSL(3,2) (order 168): ok" in capsys.readouterr().out
+
+    def test_fano_common_normal_index2(self):
+        start = time.perf_counter()
+        G, P, L = fano_point_line_stabilizers()
+        assert common_normal_index2(G, P, L) is None
+        assert time.perf_counter() - start < 2.0

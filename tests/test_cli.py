@@ -4,6 +4,7 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidity.classifier import Outcome, classify
 from rigidity.cli import (
@@ -14,6 +15,7 @@ from rigidity.cli import (
     parse_catalog,
     verdict_to_json,
 )
+from rigidity.arith_equiv import PermGroup
 from rigidity.errors import DescriptorParseError
 from rigidity.fixtures import FIXTURES
 
@@ -180,6 +182,50 @@ class TestCatalogParse:
         orders = {g.name: g.order() for g in groups}
         assert orders["PSL(3,2)"] == 168
         assert orders["C2wrC3"] == 24
+
+    @pytest.mark.parametrize("line, message", [
+        ("X 3 (1 5)", "1:1: point 5 outside degree 3 in '(1 5)'"),
+        ("X 3 (0 1)", "1:1: point 0 outside degree 3 in '(0 1)'"),
+        ("X 3 (1 a)", "1:1: bad point 'a' in '(1 a)'"),
+        ("X 3 (1 2)(2 3)", "1:1: cycles '(1 2)(2 3)' do not define a permutation"),
+        ("X 3 (1 2); ()", "1:1: empty cycle in '()'"),
+        ("X 0 (1 2)", "1:1: degree 0 outside 1..1000"),
+        ("X -1 (1 2)", "1:1: degree -1 outside 1..1000"),
+        ("X 1001 (1 2)", "1:1: degree 1001 outside 1..1000"),
+    ])
+    def test_equiv_reports_a_bad_catalog_line(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cat"
+        path.write_text(f"{line}\nC2 2 (1 2)\n", encoding="utf-8")
+        assert main(["equiv", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
+
+# near-valid catalog lines: names, small degrees and cycles of small points,
+# with stray words, empty cycles and out-of-range points mixed in
+_POINT = st.one_of(st.integers(-1, 9).map(str), st.sampled_from(["a", "", "1.5", "(", ")"]))
+_CYCLE = st.lists(_POINT, max_size=4).map(lambda ps: "(" + " ".join(ps) + ")")
+_GENERATOR = st.lists(_CYCLE, max_size=3).map("".join)
+_LINE = st.tuples(
+    st.sampled_from(["C2", "G", "#", ""]),
+    st.one_of(st.integers(-2, 9).map(str), st.text(max_size=3)),
+    st.lists(_GENERATOR, max_size=3).map("; ".join),
+).map(" ".join)
+CATALOG_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.one_of(_LINE, st.text(max_size=12)), max_size=4).map("\n".join),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(CATALOG_TEXT)
+def test_parse_catalog_raises_only_parse_errors(text):
+    try:
+        groups = parse_catalog(text)
+    except DescriptorParseError:
+        return
+    assert all(isinstance(g, PermGroup) for g in groups)
 
 
 class TestOrbitListingLimit:

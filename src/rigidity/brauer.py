@@ -13,7 +13,6 @@ variations.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -199,13 +198,16 @@ def _multiset(values: Iterable[LocalClass]) -> Dict[LocalClass, int]:
     return out
 
 
-def _arrangements(counts: Iterable[int]) -> int:
-    """Distinct orderings of a multiset with the given multiplicities."""
-    counts = list(counts)
-    n = math.factorial(sum(counts))
-    for c in counts:
-        n //= math.factorial(c)
-    return n
+def _convolve(a: List[int], b: List[int]) -> List[int]:
+    """Cyclic convolution of two residue vectors of the same length."""
+    m = len(a)
+    out = [0] * m
+    for r, x in enumerate(a):
+        if x:
+            for s, y in enumerate(b):
+                if y:
+                    out[(r + s) % m] += x * y
+    return out
 
 
 def compare_possible(
@@ -217,12 +219,13 @@ def compare_possible(
     (only the coordinates themselves when ``flips`` is off), permuted
     within each adelic class.  A vector is possible exactly when every
     class holds a value multiset that one coherent set of flips produces
-    there, so the possible side is counted class by class (a multinomial
-    per multiset) and combined over the classes by the residue of the flip
-    charges, without listing it.  Returns the possible count and, unless
-    the two sides are equal, the ``pick_witness`` choice among possible
-    vectors outside the realized side, or among realized vectors outside
-    the possible side when there are none.
+    there, so each class contributes a residue vector (its arrangements,
+    a multinomial per multiset, summed by the residue of the flip charge)
+    and the possible side is counted, without listing it, as coefficient
+    0 of the cyclic convolution of those vectors.  Returns the possible
+    count and, unless the two sides are equal, the ``pick_witness``
+    choice among possible vectors outside the realized side, or among
+    realized vectors outside the possible side when there are none.
     """
     t = omega.group_type
     base = omega.finite
@@ -231,68 +234,121 @@ def compare_possible(
     by_class: Dict[str, List[int]] = {}
     for i, (lab, _) in enumerate(base):
         by_class.setdefault(lab.class_key(), []).append(i)
-    classes = list(by_class.values())
+    classes = list(by_class.values())  # numbered by their first place
     class_of = {i: k for k, idx in enumerate(classes) for i in idx}
-    # per class: each value multiset coherent flips produce there, with its
-    # charge.  A twin value v (a places) pairs with its image w (b places):
-    # j flips of v and j' of w leave k = a - j + j' places at v, any k from
-    # 0 to a + b, and add (a - k) times the charge of v.
-    options: List[List[Tuple[Dict[LocalClass, int], int]]] = []
+    # per class: its values, indexed once, and each value multiset coherent
+    # flips produce there as a count tuple over that index, with its charge.
+    # A twin value v (a places) pairs with its image w (b places): j flips
+    # of v and j' of w leave k = a - j + j' places at v, any k from 0 to
+    # a + b, and add (a - k) times the charge of v.
+    values: List[Tuple[LocalClass, ...]] = []
+    options: List[Dict[Tuple[int, ...], int]] = []
     for idx in classes:
         counts = _multiset(base[i][1] for i in idx)
         kind = base[idx[0]][0].kind
-        still, pairs, paired = {}, [], set()
+        still, pairs, paired = [], [], set()
         for v, a in counts.items():
             w = sym_act(t, kind, v) if flips else v
             if w == v:
-                still[v] = a
+                still.append((v, a))
             elif v not in paired:
                 paired.add(w)
                 pairs.append((v, w, a, a + counts.get(w, 0), charge(kind, v)))
-        opts = []
+        opts = {}
         for ks in itertools.product(*(range(total + 1) for *_, total, _ in pairs)):
-            ms, acc = dict(still), 0
+            ms, acc = [a for _, a in still], 0
             for (v, w, a, total, ch), k in zip(pairs, ks):
-                ms[v], ms[w] = k, total - k
+                ms += (k, total - k)
                 acc += (a - k) * ch
-            opts.append((ms, acc % m))
+            opts[tuple(ms)] = acc % m
+        values.append(tuple([v for v, _ in still] + [u for v, w, *_ in pairs for u in (v, w)]))
         options.append(opts)
 
-    def count(fixed: List[Dict[LocalClass, int]]) -> int:
-        """Possible vectors agreeing with the values already fixed per class."""
-        ways = {0: 1}
-        for opts, fix in zip(options, fixed):
-            nxt: Dict[int, int] = {}
-            for ms, ch in opts:
-                if any(n > ms.get(v, 0) for v, n in fix.items()):
-                    continue
-                arrangements = _arrangements(n - fix.get(v, 0) for v, n in ms.items())
-                for r, n in ways.items():
-                    key = (r + ch) % m
-                    nxt[key] = nxt.get(key, 0) + n * arrangements
-            ways = nxt
-        return ways.get(0, 0)
+    factorial = [1]
+    for n in range(1, len(base) + 1):
+        factorial.append(factorial[-1] * n)
+    memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+
+    def weights(k: int, fix: Tuple[int, ...]) -> List[int]:
+        """Class k's arrangements agreeing with the value counts already
+        fixed there, summed by the residue of their charge."""
+        w = memo.get((k, fix))
+        if w is None:
+            w = [0] * m
+            free = factorial[len(classes[k]) - sum(fix)]
+            for ms, ch in options[k].items():
+                n = free
+                for c, f in zip(ms, fix):
+                    if c < f:
+                        break
+                    n //= factorial[c - f]
+                else:
+                    w[ch] += n
+            memo[k, fix] = w
+        return w
+
+    # suffix[k]: the classes from k on, nothing fixed
+    unfixed = [(0,) * len(vals) for vals in values]
+    one = [1] + [0] * (m - 1)
+    suffix = [one]
+    for k in reversed(range(len(classes))):
+        suffix.append(_convolve(weights(k, unfixed[k]), suffix[-1]))
+    suffix.reverse()
+    possible = suffix[0][0]
+
+    index = [{v: j for j, v in enumerate(vals)} for vals in values]
+
+    def is_possible(x: Coords) -> bool:
+        total = 0
+        for k, idx in enumerate(classes):
+            ms = [0] * len(values[k])
+            for i in idx:
+                j = index[k].get(x[i][1])
+                if j is None:
+                    return False
+                ms[j] += 1
+            ch = options[k].get(tuple(ms))
+            if ch is None:
+                return False
+            total += ch
+        return total % m == 0
 
     realized = set(realized)
-    members = [x for x in realized if count([_multiset(x[i][1] for i in idx) for idx in classes])]
-    fixed: List[Dict[LocalClass, int]] = [{} for _ in classes]
-    possible = count(fixed)
+    members = [x for x in realized if is_possible(x)]
     if possible == len(members):
         if len(members) == len(realized):
             return possible, None
         return possible, pick_witness(realized.difference(members), base)
     # rebuild the pick_witness minimum place by place: keep the first value,
-    # in pick_witness order, that leaves a possible vector outside the realized side
+    # in pick_witness order, that leaves a possible vector outside the
+    # realized side.  The classes not started yet contribute a suffix
+    # product, the finished ones a running product, and the other open
+    # ones (classes interleave in place order) their current vectors.
+    fixed = list(unfixed)
+    done = one
+    started = 0
+    opened: List[int] = []
     witness = []
     for i, (lab, b) in enumerate(base):
-        fix = fixed[class_of[i]]
-        values = {v for ms, _ in options[class_of[i]] for v, n in ms.items() if n}
-        for v in sorted(values, key=lambda c: (c != b, c.sort_key())):
-            fix[v] = fix.get(v, 0) + 1
+        c = class_of[i]
+        if c == started:
+            started += 1
+            opened.append(c)
+        rest = _convolve(done, suffix[started])
+        for k in opened:
+            if k != c:
+                rest = _convolve(rest, weights(k, fixed[k]))
+        vals = values[c]
+        for j in sorted(range(len(vals)), key=lambda j: (vals[j] != b, vals[j].sort_key())):
+            v = vals[j]
+            fix = fixed[c][:j] + (fixed[c][j] + 1,) + fixed[c][j + 1:]
             left = [x for x in members if x[i][1] == v]
-            if len(values) == 1 or count(fixed) > len(left):
+            if len(vals) == 1 or sum(n * rest[-r % m] for r, n in enumerate(weights(c, fix))) > len(left):
                 break
-            fix[v] -= 1
+        fixed[c] = fix
+        if i == classes[c][-1]:
+            opened.remove(c)
+            done = _convolve(done, weights(c, fix))
         witness.append((lab, v))
         members = left
     return possible, tuple(witness)

@@ -382,6 +382,9 @@ class _Parser:
                 if want_outer != outer:
                     self.err(no, 1, f"form {tag} contradicts kind={explicit_kind}")
                     continue
+            if outer and not gtype.is_outer:
+                self.err(no, 1, f"inner form {gtype.symbol()} has no outer real form {tag}")
+                continue
             kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
             lab = PlaceLabel(label, kind)
             shape = h2_local(gtype, kind)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Tuple, Union
 
 from .errors import ContractError, OutOfScopeError
@@ -31,6 +32,12 @@ class Family(str, Enum):
 
 
 FIXED_RANKS = {Family.E6: 6, Family.E7: 7, Family.E8: 8, Family.F4: 4, Family.G2: 2}
+
+# Entries kept by each memoized table below.  The tables are pure, but
+# ranks (and so moduli and classes) are unbounded input, so the caches are
+# bounded; a descriptor touches a handful of entries.
+MEMO_SIZE = 1024
+_memo = lru_cache(maxsize=MEMO_SIZE)
 
 
 class FormKind(str, Enum):
@@ -151,6 +158,7 @@ TRIVIAL = Shape("trivial")
 KLEIN = Shape("klein")
 
 
+@_memo
 def cyclic(m: int) -> Shape:
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -237,6 +245,7 @@ def shape_elements(shape: Shape) -> Iterator[LocalClass]:
 # ---------------------------------------------------------------------------
 # the tables
 
+@_memo
 def center_shape(t: GroupType) -> Shape:
     """Shape of the global dual target attached to the center of the quasi-split form."""
     _check_scope(t)
@@ -278,6 +287,7 @@ def _inner_real_shape(f: Family, r: int) -> Shape:
     return TRIVIAL  # E6, E8, F4, G2
 
 
+@_memo
 def h2_local(t: GroupType, kind: PlaceKind) -> Shape:
     """Shape of the local second cohomology of the center at a place of the given kind.
 
@@ -304,6 +314,7 @@ def h2_local(t: GroupType, kind: PlaceKind) -> Shape:
     return _inner_real_shape(t.family, t.rank)
 
 
+@_memo
 def c_local(t: GroupType, kind: PlaceKind, x: LocalClass) -> LocalClass:
     """Local component of the global duality map, into ``center_shape(t)``."""
     source = h2_local(t, kind)
@@ -341,6 +352,7 @@ def c_local(t: GroupType, kind: PlaceKind, x: LocalClass) -> LocalClass:
     return zero(target)  # outer E6 split places; trivial target anyway
 
 
+@_memo
 def sym_act(t: GroupType, kind: PlaceKind, x: LocalClass) -> LocalClass:
     """Action of the nontrivial diagram symmetry on a local class.
 

@@ -467,3 +467,28 @@ def rand_classed(rng: random.Random, max_places: int = 12, max_class: int = 7) -
     generators = (PlacePerm.from_cycles(cycles),) if cycles else ()
     order = len(PlaceSymmetry(generators).group())
     return _assemble(t, _galois_field(0, 2 * order), finite, [], generators)
+
+
+def rand_interleaved(rng: random.Random, max_places: int = 12, max_classes: int = 4) -> GroupDescriptor:
+    """Like ``rand_classed``, but the adelic classes interleave in place
+    order: the first class comes back after the second has started, so a
+    class is still open while another one is being filled."""
+    t = rng.choice(SYMMETRIC_TYPES)
+    n = rng.randint(3, max_places)
+    k = rng.randint(2, max_classes)
+    class_of = [0, 1, 0] + [rng.randrange(k) for _ in range(n - 3)]
+    names = [f"c{j}" for j in rng.sample(range(k), k)]
+    kinds = [
+        PlaceKind.FINITE_OUTER if t.is_outer and rng.random() < 0.3 else PlaceKind.FINITE_INNER
+        for _ in range(k)
+    ]
+    labels = [PlaceLabel(f"v{i + 1}", kinds[c], names[c]) for i, c in enumerate(class_of)]
+    cycles = []
+    for c in range(k):
+        ids = [lab.id for lab, d in zip(labels, class_of) if d == c]
+        if len(ids) >= 2 and rng.random() < 0.5:
+            cycles.append(tuple(rng.sample(ids, rng.randint(2, len(ids)))))
+    finite = _balanced_finite(rng, t, labels, zero(center_shape(t)))
+    generators = (PlacePerm.from_cycles(cycles),) if cycles else ()
+    order = len(PlaceSymmetry(generators).group())
+    return _assemble(t, _galois_field(0, 2 * order), finite, [], generators)

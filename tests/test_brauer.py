@@ -6,6 +6,7 @@ import pytest
 
 import genfix
 from genfix import rand_symmetric_omega
+from recount import recount_compare_possible
 from rigidity.brauer import (
     OmegaVector,
     compare_possible,
@@ -306,6 +307,7 @@ class TestCountingMatchesEnumeration:
 
     GENERATORS = [
         (genfix.rand_classed, 150),
+        (genfix.rand_interleaved, 60),
         (genfix.rand_q, 60),
         (genfix.rand_quasisplit_galois, 30),
         (genfix.rand_outer_two_twins, 40),
@@ -364,6 +366,68 @@ class TestCountingMatchesEnumeration:
             one_sided = set(global_orbit(om.finite, s))
             assert compare_possible(om, one_sided, flips=False) == \
                 enumerated_comparison(om, f, one_sided, False)
+
+
+def class_multisets(coords):
+    """The sorted values of each adelic class."""
+    out = {}
+    for lab, cls in coords:
+        out.setdefault(lab.class_key(), []).append(cls.sort_key())
+    return {k: sorted(v) for k, v in out.items()}
+
+
+class TestResidueVectorsMatchTheRecount:
+    """The per-class residue vectors against the recount they replaced: the
+    same possible count and the same witness, with flips on and off, on
+    realized sides that match, fall short of or exceed the possible side."""
+
+    GENERATORS = [
+        (genfix.rand_classed, 150),
+        (genfix.rand_interleaved, 250),
+        (genfix.rand_q, 60),
+        (genfix.rand_quasisplit_galois, 30),
+        (genfix.rand_outer_two_twins, 40),
+        (genfix.rand_bound_violator, 40),
+        (genfix.rand_two_real_quadratic, 60),
+        (genfix.rand_three_reals, 30),
+    ]
+
+    @pytest.mark.parametrize("make,count", GENERATORS, ids=[m.__name__ for m, _ in GENERATORS])
+    def test_same_count_and_witness(self, make, count):
+        rng = random.Random(f"recount/{make.__name__}")
+        witnesses = 0
+        for _ in range(count):
+            g = make(rng)
+            om = g.omega
+            for stab in [None] + [p.id for p in g.field.real_places[:1]]:
+                sym = stabilizer_subgroup(g.symmetry, g.field, stab) if stab else g.symmetry
+                one_sided = set(global_orbit(om.finite, sym))
+                two_sided = one_sided | set(global_orbit(sigma_flip(om), sym))
+                for realized in (one_sided, two_sided):
+                    for flips in (True, False):
+                        got = compare_possible(om, realized, flips)
+                        assert got == recount_compare_possible(om, realized, flips)
+                        witnesses += got[1] is not None
+        if make in (genfix.rand_classed, genfix.rand_interleaved):
+            assert witnesses
+
+    def test_interleaved_classes_are_revisited(self):
+        """Every rand_interleaved input has a class that comes back after
+        another class has started, and witnesses are rebuilt across them."""
+        rng = random.Random("interleaved")
+        rebuilt = 0
+        for _ in range(100):
+            g = genfix.rand_interleaved(rng)
+            keys = [lab.class_key() for lab, _ in g.omega.finite]
+            runs = [k for i, k in enumerate(keys) if i == 0 or keys[i - 1] != k]
+            assert len(runs) > len(set(keys))
+            realized = set(global_orbit(g.omega.finite, g.symmetry))
+            possible, witness = compare_possible(g.omega, realized, flips=False)
+            if possible > len(realized):
+                rebuilt += 1
+                assert witness not in realized
+                assert class_multisets(witness) == class_multisets(g.omega.finite)
+        assert rebuilt >= 20
 
 
 class TestOuterFastPath:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 
 import jsonschema
@@ -18,6 +19,8 @@ from rigidity.cli import (
 from rigidity.arith_equiv import PermGroup
 from rigidity.errors import DescriptorParseError
 from rigidity.fixtures import FIXTURES
+
+import genfix
 
 
 class TestParse:
@@ -226,6 +229,80 @@ def test_parse_catalog_raises_only_parse_errors(text):
     except DescriptorParseError:
         return
     assert all(isinstance(g, PermGroup) for g in groups)
+
+
+# descriptor fuzzing: bundled and generated descriptor text, mutated line by
+# line with values and entries from every corner of the grammar, valid or
+# not for the section and the type they land in
+_FUZZ_VALUES = [
+    "1A", "2A", "1D", "2D", "2E6", "B", "G2", "0", "1", "3", "4", "-1", "999", "x", "",
+    "true", "false", "trivial", "nontrivial", "unknown",
+    "omega=1/3", "omega=1/0", "omega=2/4", "omega=(1,0)", "omega=x",
+    "kind=nonsplit", "kind=split omega=1/2", "class=c", "class=c kind=nonsplit", "kind=other",
+    "form=SU(2,2)", "form=SU(2,2) omega=0", "form=SU(3,1)", "form=SU(2,1) kind=nonsplit",
+    "form=SL_R(3)", "form=SL_R(4) kind=nonsplit", "form=SL_H(2)", "form=Spin(7,3)",
+    "form=Spin(6,4)", "form=SpinStar(10)", "form=Sp(1,1)", "form=Sp_R(4)", "form=E7_compact",
+    "form=AnisotropicOther kind=nonsplit", "form=AnisotropicOther", "form=CompactForm",
+    "form=SplitForm kind=nonsplit", "form=SU(", "form=SU(a,b)", "form=Nope",
+    "(v2 v3)", "(v2 w)", "(v1 v2)(v3 v4)", "(v2", "()",
+]
+_FUZZ_KEYS = ["type", "rank", "degree", "complex_places", "galois", "hbar_fiber",
+              "locally_determined", "v2", "v3", "v13", "w", "w2", "g"]
+_FUZZ_GENERATORS = [
+    genfix.rand_q,
+    genfix.rand_quasisplit_galois,
+    genfix.rand_outer_two_twins,
+    genfix.rand_two_real_quadratic,
+    genfix.rand_three_reals,
+    genfix.rand_classed,
+    genfix.rand_interleaved,
+]
+
+
+@st.composite
+def mutated_descriptors(draw):
+    """A bundled or generated descriptor with one to three line mutations:
+    a new value, a new entry, a deleted or repeated line, or a few stray
+    characters."""
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(sorted(FIXTURES.values())))
+    else:
+        make = draw(st.sampled_from(_FUZZ_GENERATORS))
+        text = emit_descriptor(make(random.Random(draw(st.integers(0, 2 ** 32 - 1)))))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        op = draw(st.sampled_from(["value", "entry", "delete", "repeat", "chars"]))
+        if op == "value" and lines and "=" in lines[i]:
+            lines[i] = lines[i].split("=", 1)[0] + "= " + draw(st.sampled_from(_FUZZ_VALUES))
+        elif op == "entry":
+            entry = f"{draw(st.sampled_from(_FUZZ_KEYS))} = {draw(st.sampled_from(_FUZZ_VALUES))}"
+            lines.insert(i + 1, entry)
+        elif op == "delete" and lines:
+            del lines[i]
+        elif op == "repeat" and lines:
+            lines.insert(i, lines[i])
+        elif op == "chars" and lines:
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.text(max_size=3)) + lines[i][at:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(mutated_descriptors())
+def test_parse_raises_only_parse_errors(text):
+    try:
+        g = parse(text)
+    except DescriptorParseError:
+        return
+    assert parse(emit_descriptor(g)) == g
+
+
+@pytest.mark.parametrize("form", ["form=SU(2,2) omega=0", "form=AnisotropicOther kind=nonsplit"])
+def test_inner_type_with_an_outer_real_form_is_a_parse_error(form):
+    text = f"[group]\ntype = 1A\nrank = 3\n[field]\ndegree = 1\n[real]\nw = {form}\n"
+    with pytest.raises(DescriptorParseError, match=r"7:1: inner form 1A3 has no outer real form"):
+        parse(text)
 
 
 class TestOrbitListingLimit:

@@ -1,8 +1,11 @@
 import pytest
 
+from rigidity.classifier import classify
+from rigidity.cli import parse
 from rigidity.errors import ContractError, OutOfScopeError
 from rigidity.invariants import (
     KLEIN,
+    MEMO_SIZE,
     TRIVIAL,
     Family,
     FormKind,
@@ -227,3 +230,41 @@ class TestLocalClass:
         k = LocalClass(KLEIN, (1, 0))
         assert (k + k).is_zero
         assert (-k) == k
+
+
+class TestMemo:
+    TABLES = (cyclic, center_shape, h2_local, c_local, sym_act)
+
+    def test_caches_stay_bounded_over_many_ranks(self):
+        before = {f.__name__: f.cache_info().misses for f in self.TABLES}
+        outcomes = set()
+        for r in range(1, MEMO_SIZE + 200):
+            n = r + 1
+            text = (f"[group]\ntype = 1A\nrank = {r}\n[field]\ndegree = 1\n"
+                    f"[real]\nw = form=SL_R({n})\n[places]\nv2 = omega=1/{n}\nv3 = omega={r}/{n}\n")
+            outcomes.add(classify(parse(text)).outcome.value)
+        assert outcomes == {"Rigid", "NotRigid"}
+        for f in self.TABLES:
+            info = f.cache_info()
+            assert info.maxsize == MEMO_SIZE
+            assert info.currsize <= MEMO_SIZE
+            # the bound was reached and entries were evicted
+            assert info.misses - before[f.__name__] > MEMO_SIZE
+
+    def test_errors_are_raised_after_a_cached_success(self):
+        x = LocalClass(cyclic(3), 1)
+        wrong = LocalClass(cyclic(4), 1)
+        for _ in range(2):
+            assert sym_act(t("A", 2), FI, x) == LocalClass(cyclic(3), 2)
+            assert c_local(t("A", 2), FI, x) == LocalClass(cyclic(3), 1)
+        for _ in range(2):
+            with pytest.raises(ContractError):
+                sym_act(t("A", 2), FI, wrong)
+            with pytest.raises(ContractError):
+                c_local(t("A", 2), FI, wrong)
+            with pytest.raises(ContractError):
+                h2_local(t("A", 2), FO)
+            with pytest.raises(OutOfScopeError):
+                center_shape(t("D", 4))
+            with pytest.raises(ValueError):
+                cyclic(0)

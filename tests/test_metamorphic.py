@@ -1,9 +1,12 @@
-"""Metamorphic properties of the place order.
+"""Metamorphic properties of the place order and the place names.
 
 The engine fixes one order of places where descriptors enter and keeps it
 in every later operation, so the order in which a file declares its
 places, real places and automorphisms can never reach a verdict, and
 emitting a descriptor and parsing it back gives the same descriptor.
+Place names only matter through that order: renaming the places keeps the
+outcome and the reasons, and a renaming that keeps the order keeps the
+witness too.
 """
 
 import json
@@ -13,7 +16,9 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 import genfix
-from rigidity.classifier import classify
+from rigidity._util import natural_key
+from rigidity.brauer import OmegaVector
+from rigidity.classifier import GroupDescriptor, check_witness, classify
 from rigidity.cli import emit_descriptor, parse, verdict_to_json
 from rigidity.field_model import PlacePerm, PlaceSymmetry
 from rigidity.fixtures import FIXTURES
@@ -26,6 +31,7 @@ GENERATORS = [
     genfix.rand_two_real_quadratic,
     genfix.rand_three_reals,
     genfix.rand_classed,
+    genfix.rand_interleaved,
 ]
 
 SHUFFLED_SECTIONS = ("[places]", "[real]", "[aut]")
@@ -104,3 +110,57 @@ def test_declaration_order_never_reaches_the_verdict(text, rng):
 @given(st.one_of(st.sampled_from(sorted(FIXTURES.values())).map(parse), descriptors()))
 def test_parse_inverts_emit(g):
     assert parse(emit_descriptor(g)) == g
+
+
+def rename(g: GroupDescriptor, names) -> GroupDescriptor:
+    """The same descriptor with every place id p renamed to names[p]."""
+    def label(p):
+        return replace(p, id=names[p.id])
+
+    def coords(cs):
+        return tuple((label(p), cls) for p, cls in cs)
+
+    return GroupDescriptor(
+        group_type=g.group_type,
+        field=replace(g.field, real_places=tuple(map(label, g.field.real_places)),
+                      finite_places=tuple(map(label, g.field.finite_places))),
+        symmetry=PlaceSymmetry(tuple(
+            PlacePerm.from_mapping({names[a]: names[b] for a, b in p.moved})
+            for p in g.symmetry.generators
+        )),
+        omega=OmegaVector(g.group_type, coords(g.omega.finite), coords(g.omega.real)),
+        real_forms=tuple((names[w], tag) for w, tag in g.real_forms),
+    )
+
+
+def place_ids(g: GroupDescriptor):
+    return sorted((p.id for p in g.field.finite_places + g.field.real_places), key=natural_key)
+
+
+def reason_tags(v):
+    return [tag for tag, _ in v.reasons]
+
+
+cases = st.one_of(st.sampled_from(sorted(FIXTURES.values())).map(parse), descriptors())
+
+
+@SETTINGS
+@given(cases, st.randoms(use_true_random=False))
+def test_renaming_keeps_the_outcome_and_the_reasons(g, rng):
+    ids = place_ids(g)
+    names = dict(zip(ids, (f"q{n}" for n in rng.sample(range(1000), len(ids)))))
+    h = rename(g, names)
+    v, w = classify(g), classify(h)
+    assert (w.outcome, reason_tags(w)) == (v.outcome, reason_tags(v))
+    assert (w.witness is None) == (v.witness is None)
+    if w.witness is not None:
+        check_witness(h, w.witness)
+
+
+@SETTINGS
+@given(cases)
+def test_order_preserving_renaming_keeps_the_witness(g):
+    names = {pid: f"p{i + 1}" for i, pid in enumerate(place_ids(g))}
+    v, w = classify(g), classify(rename(g, names))
+    assert (w.outcome, reason_tags(w)) == (v.outcome, reason_tags(v))
+    assert w.witness == (None if v.witness is None else rename(v.witness, names))

@@ -12,12 +12,13 @@ variations.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ._util import natural_key
-from .errors import ContractError
+from .errors import CapacityError, ContractError
 from .field_model import (
     Coords,
     FieldDescriptor,
@@ -198,15 +199,22 @@ def _multiset(values: Iterable[LocalClass]) -> Dict[LocalClass, int]:
     return out
 
 
-def _convolve(a: List[int], b: List[int]) -> List[int]:
-    """Cyclic convolution of two residue vectors of the same length."""
-    m = len(a)
-    out = [0] * m
-    for r, x in enumerate(a):
-        if x:
-            for s, y in enumerate(b):
-                if y:
-                    out[(r + s) % m] += x * y
+# Most terms one convolution of residue vectors may multiply; sparse vectors
+# still grow like 2^k with k distinct charges when the modulus is large.
+RESIDUE_WORK_LIMIT = 1 << 20
+
+
+def _convolve(a: Dict[int, int], b: Dict[int, int], m: int) -> Dict[int, int]:
+    """Cyclic convolution mod m of two residue vectors stored by their support."""
+    if len(a) * len(b) > RESIDUE_WORK_LIMIT:
+        raise CapacityError(
+            f"{len(a) * len(b)} residue products exceed the work limit {RESIDUE_WORK_LIMIT}"
+        )
+    out: Dict[int, int] = {}
+    for r, x in a.items():
+        for s, y in b.items():
+            key = (r + s) % m
+            out[key] = out.get(key, 0) + x * y
     return out
 
 
@@ -219,13 +227,16 @@ def compare_possible(
     (only the coordinates themselves when ``flips`` is off), permuted
     within each adelic class.  A vector is possible exactly when every
     class holds a value multiset that one coherent set of flips produces
-    there, so each class contributes a residue vector (its arrangements,
-    a multinomial per multiset, summed by the residue of the flip charge)
-    and the possible side is counted, without listing it, as coefficient
-    0 of the cyclic convolution of those vectors.  Returns the possible
-    count and, unless the two sides are equal, the ``pick_witness``
-    choice among possible vectors outside the realized side, or among
-    realized vectors outside the possible side when there are none.
+    there, so each class contributes a residue vector (its arrangements
+    summed by the residue of the flip charge) and the possible side is
+    counted, without listing it, as coefficient 0 of the cyclic
+    convolution of those vectors.  Vectors are stored by their support, so
+    the cost follows the residues that occur, not the modulus; a
+    convolution above ``RESIDUE_WORK_LIMIT`` products raises
+    ``CapacityError``.  Returns the possible count and, unless the two
+    sides are equal, the ``pick_witness`` choice among possible vectors
+    outside the realized side, or among realized vectors outside the
+    possible side when there are none.
     """
     t = omega.group_type
     base = omega.finite
@@ -236,13 +247,15 @@ def compare_possible(
         by_class.setdefault(lab.class_key(), []).append(i)
     classes = list(by_class.values())  # numbered by their first place
     class_of = {i: k for k, idx in enumerate(classes) for i in idx}
-    # per class: its values, indexed once, and each value multiset coherent
-    # flips produce there as a count tuple over that index, with its charge.
-    # A twin value v (a places) pairs with its image w (b places): j flips
-    # of v and j' of w leave k = a - j + j' places at v, any k from 0 to
-    # a + b, and add (a - k) times the charge of v.
+    # per class: the values flips keep (v, a places) and the flip pairs.  A
+    # twin value v (a places) pairs with its image w: j flips of v and j' of
+    # w leave k = a - j + j' places at v, any k from 0 to the pair's total,
+    # and add (a - k) times the charge of v.  Values are indexed still ones
+    # first, then v and w of each pair; each still value and each pair is a
+    # slot whose places membership counts.
+    parts: List[Tuple[list, list]] = []
     values: List[Tuple[LocalClass, ...]] = []
-    options: List[Dict[Tuple[int, ...], int]] = []
+    rules = []  # per class: value -> (slot, charge change), slot totals, base charge
     for idx in classes:
         counts = _multiset(base[i][1] for i in idx)
         kind = base[idx[0]][0].kind
@@ -254,63 +267,73 @@ def compare_possible(
             elif v not in paired:
                 paired.add(w)
                 pairs.append((v, w, a, a + counts.get(w, 0), charge(kind, v)))
-        opts = {}
-        for ks in itertools.product(*(range(total + 1) for *_, total, _ in pairs)):
-            ms, acc = [a for _, a in still], 0
-            for (v, w, a, total, ch), k in zip(pairs, ks):
-                ms += (k, total - k)
-                acc += (a - k) * ch
-            opts[tuple(ms)] = acc % m
+        parts.append((still, pairs))
         values.append(tuple([v for v, _ in still] + [u for v, w, *_ in pairs for u in (v, w)]))
-        options.append(opts)
+        where = {v: (j, 0) for j, (v, _) in enumerate(still)}
+        for j, (v, w, _, _, ch) in enumerate(pairs, len(still)):
+            where[v], where[w] = (j, -ch), (j, 0)
+        totals = [a for _, a in still] + [p[3] for p in pairs]
+        rules.append((where, totals, sum(a * ch for _, _, a, _, ch in pairs)))
 
     factorial = [1]
     for n in range(1, len(base) + 1):
         factorial.append(factorial[-1] * n)
-    memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
 
-    def weights(k: int, fix: Tuple[int, ...]) -> List[int]:
-        """Class k's arrangements agreeing with the value counts already
-        fixed there, summed by the residue of their charge."""
-        w = memo.get((k, fix))
-        if w is None:
-            w = [0] * m
-            free = factorial[len(classes[k]) - sum(fix)]
-            for ms, ch in options[k].items():
-                n = free
-                for c, f in zip(ms, fix):
-                    if c < f:
-                        break
-                    n //= factorial[c - f]
-                else:
-                    w[ch] += n
-            memo[k, fix] = w
-        return w
+    @lru_cache(maxsize=None)
+    def weights(k: int, fix: Tuple[int, ...]) -> Dict[int, int]:
+        """Class k's arrangements agreeing with the value counts f already
+        fixed there, summed by the residue of their charge: the multinomial
+        of the places left open at each still value and each pair, times
+        one factor per pair with r places open, sum over i of C(r, i) at
+        residue (a - f_v - i) * charge."""
+        still, pairs = parts[k]
+        s = len(still)
+        n = factorial[len(classes[k]) - sum(fix)]
+        for (_, a), f in zip(still, fix):
+            if f > a:
+                return {}
+            n //= factorial[a - f]
+        open_pairs = []
+        for (_, _, a, total, ch), fv, fw in zip(pairs, fix[s::2], fix[s + 1::2]):
+            r = total - fv - fw
+            if r < 0:
+                return {}
+            n //= factorial[r]
+            open_pairs.append((r, a - fv, ch))
+        w = None  # the first factor carries the multinomial
+        for r, a, ch in open_pairs:
+            factor: Dict[int, int] = {}
+            for i in range(r + 1):
+                key = (a - i) * ch % m
+                factor[key] = factor.get(key, 0) + n * math.comb(r, i)
+            w, n = (factor if w is None else _convolve(w, factor, m)), 1
+        return {0: n} if w is None else w
 
     # suffix[k]: the classes from k on, nothing fixed
     unfixed = [(0,) * len(vals) for vals in values]
-    one = [1] + [0] * (m - 1)
+    one = {0: 1}
     suffix = [one]
     for k in reversed(range(len(classes))):
-        suffix.append(_convolve(weights(k, unfixed[k]), suffix[-1]))
+        suffix.append(_convolve(weights(k, unfixed[k]), suffix[-1], m))
     suffix.reverse()
-    possible = suffix[0][0]
-
-    index = [{v: j for j, v in enumerate(vals)} for vals in values]
+    possible = suffix[0].get(0, 0)
 
     def is_possible(x: Coords) -> bool:
+        # every still value and every pair holds its places, and the
+        # charges sum to zero: sum over pairs of a * charge, less the
+        # charge of every place left at v
         total = 0
-        for k, idx in enumerate(classes):
-            ms = [0] * len(values[k])
+        for idx, (where, totals, charge0) in zip(classes, rules):
+            held = [0] * len(totals)
             for i in idx:
-                j = index[k].get(x[i][1])
-                if j is None:
+                hit = where.get(x[i][1])
+                if hit is None:
                     return False
-                ms[j] += 1
-            ch = options[k].get(tuple(ms))
-            if ch is None:
+                held[hit[0]] += 1
+                total += hit[1]
+            if held != totals:
                 return False
-            total += ch
+            total += charge0
         return total % m == 0
 
     realized = set(realized)
@@ -334,21 +357,21 @@ def compare_possible(
         if c == started:
             started += 1
             opened.append(c)
-        rest = _convolve(done, suffix[started])
+        rest = _convolve(done, suffix[started], m)
         for k in opened:
             if k != c:
-                rest = _convolve(rest, weights(k, fixed[k]))
+                rest = _convolve(rest, weights(k, fixed[k]), m)
         vals = values[c]
         for j in sorted(range(len(vals)), key=lambda j: (vals[j] != b, vals[j].sort_key())):
             v = vals[j]
             fix = fixed[c][:j] + (fixed[c][j] + 1,) + fixed[c][j + 1:]
             left = [x for x in members if x[i][1] == v]
-            if len(vals) == 1 or sum(n * rest[-r % m] for r, n in enumerate(weights(c, fix))) > len(left):
+            if len(vals) == 1 or sum(n * rest.get(-r % m, 0) for r, n in weights(c, fix).items()) > len(left):
                 break
         fixed[c] = fix
         if i == classes[c][-1]:
             opened.remove(c)
-            done = _convolve(done, weights(c, fix))
+            done = _convolve(done, weights(c, fix), m)
         witness.append((lab, v))
         members = left
     return possible, tuple(witness)
@@ -424,10 +447,4 @@ def inner_twin_bound(omega: OmegaVector, f: FieldDescriptor) -> bool:
     r = len(inner_twin_places(omega))
     if r == 0:
         return False
-    if t.family == Family.A:
-        m = t.rank + 1 if t.rank % 2 == 0 else (t.rank + 1) // 2
-    elif t.family == Family.D:
-        m = 2
-    else:
-        m = 3  # E6
-    return f.degree < 2 ** ((r - 1) // m)
+    return f.degree < 2 ** ((r - 1) // _flip_rule(t)[1])

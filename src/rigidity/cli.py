@@ -51,7 +51,6 @@ from .errors import (
     CapacityError,
     ContractError,
     DescriptorParseError,
-    MissingRealClassError,
     OutOfScopeError,
     RigidityError,
     ValidationError,
@@ -395,9 +394,6 @@ class _Parser:
                     continue
             try:
                 cls = real_class(tag, gtype, supplied)
-            except MissingRealClassError as e:
-                self.err(no, 1, str(e))
-                continue
             except RigidityError as e:
                 self.err(no, 1, str(e))
                 continue
@@ -498,10 +494,6 @@ def parse(text_or_path) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 # emitting
 
-def _format_value(cls: LocalClass) -> str:
-    return str(cls)
-
-
 def _format_form(tag: RealFormTag) -> str:
     if tag.name in ("SplitForm", "CompactForm", "AnisotropicOther"):
         return tag.name
@@ -540,7 +532,7 @@ def emit_descriptor(g: GroupDescriptor) -> str:
                 parts.append(f"class={lab.adelic_class}")
             if g.group_type.is_outer:
                 parts.append(f"kind={'split' if lab.kind == PlaceKind.FINITE_INNER else 'nonsplit'}")
-            parts.append(f"omega={_format_value(cls)}")
+            parts.append(f"omega={cls}")
             out.append(" ".join(parts))
     if g.field.real_places:
         out += ["", "[real]"]
@@ -549,7 +541,7 @@ def emit_descriptor(g: GroupDescriptor) -> str:
             parts = [lab.id, "=", f"form={_format_form(tag)}"]
             if tag.name == "AnisotropicOther":
                 parts.append(f"kind={'nonsplit' if lab.kind == PlaceKind.REAL_OUTER else 'split'}")
-            parts.append(f"omega={_format_value(cls)}")
+            parts.append(f"omega={cls}")
             out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 

@@ -20,10 +20,11 @@ class MissingRealClassError(RigidityError):
 
 
 class CapacityError(RigidityError):
-    """A listing exceeded its fixed limit: the permutation group order in
-    ``arith_equiv``, the possible side that ``rigidity orbit`` prints, or
-    the twin places whose flips ``specialize_q`` lists.  Classification
-    itself counts and never raises this."""
+    """Work exceeded its fixed limit: the permutation group order in
+    ``arith_equiv``, the possible side that ``rigidity orbit`` prints, the
+    twin places whose flips ``specialize_q`` lists, or the products one
+    convolution of residue vectors multiplies when classification counts
+    the possible side (``brauer.RESIDUE_WORK_LIMIT``)."""
 
 
 class ValidationError(RigidityError):

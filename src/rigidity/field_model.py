@@ -175,9 +175,6 @@ class PlaceSymmetry:
         return self._group
 
 
-TRIVIAL_SYMMETRY = PlaceSymmetry()
-
-
 def validate(f: FieldDescriptor, s: PlaceSymmetry) -> None:
     """Check every field and symmetry invariant; raise ValidationError listing all failures."""
     issues = []

@@ -249,20 +249,11 @@ def shape_elements(shape: Shape) -> Iterator[LocalClass]:
 def center_shape(t: GroupType) -> Shape:
     """Shape of the global dual target attached to the center of the quasi-split form."""
     _check_scope(t)
-    f, r, outer = t.family, t.rank, t.is_outer
-    if f == Family.A:
-        if outer:
-            return cyclic(2) if r % 2 == 1 else TRIVIAL
-        return cyclic(r + 1)
-    if f in (Family.B, Family.C, Family.E7):
-        return cyclic(2)
-    if f == Family.D:
-        if outer:
-            return cyclic(2)
-        return KLEIN if r % 2 == 0 else cyclic(4)
-    if f == Family.E6:
-        return TRIVIAL if outer else cyclic(3)
-    return TRIVIAL  # E8, F4, G2: trivial center forces the zero object
+    if not t.is_outer:
+        return _inner_finite_shape(t.family, t.rank)
+    if t.family == Family.A:
+        return cyclic(2) if t.rank % 2 == 1 else TRIVIAL
+    return cyclic(2) if t.family == Family.D else TRIVIAL  # 2E6
 
 
 def _inner_finite_shape(f: Family, r: int) -> Shape:
@@ -274,7 +265,7 @@ def _inner_finite_shape(f: Family, r: int) -> Shape:
         return KLEIN if r % 2 == 0 else cyclic(4)
     if f == Family.E6:
         return cyclic(3)
-    return TRIVIAL
+    return TRIVIAL  # E8, F4, G2: trivial center forces the zero object
 
 
 def _inner_real_shape(f: Family, r: int) -> Shape:

@@ -29,6 +29,7 @@ from rigidity.invariants import (
     center_shape,
     h2_local,
     shape_elements,
+    sym_act,
     zero,
 )
 from rigidity.errors import MissingRealClassError
@@ -489,6 +490,42 @@ def rand_interleaved(rng: random.Random, max_places: int = 12, max_classes: int 
         if len(ids) >= 2 and rng.random() < 0.5:
             cycles.append(tuple(rng.sample(ids, rng.randint(2, len(ids)))))
     finite = _balanced_finite(rng, t, labels, zero(center_shape(t)))
+    generators = (PlacePerm.from_cycles(cycles),) if cycles else ()
+    order = len(PlaceSymmetry(generators).group())
+    return _assemble(t, _galois_field(0, 2 * order), finite, [], generators)
+
+
+def rand_paired(rng: random.Random, max_pairs: int = 5) -> GroupDescriptor:
+    """Inner type A of rank 4-12 over a totally imaginary Galois field whose
+    adelic classes hold many distinct flip pairs: each class takes up to
+    ``max_pairs`` twin values, one or two places each, some of them next to
+    their image, and perhaps a value the symmetry fixes.  A last place in
+    its own class makes the vector coherent."""
+    t = GroupType(Family.A, rng.randint(4, 12))
+    kind = PlaceKind.FINITE_INNER
+    shape = h2_local(t, kind)
+    still = [x for x in shape_elements(shape) if sym_act(t, kind, x) == x]
+    pairs = [(x, sym_act(t, kind, x)) for x in shape_elements(shape)
+             if x.sort_key() < sym_act(t, kind, x).sort_key()]
+    finite = []
+    cycles = []
+    total = zero(center_shape(t))
+    for c in range(rng.randint(1, 2)):
+        vals = []
+        for pair in rng.sample(pairs, rng.randint(1, min(max_pairs, len(pairs)))):
+            v, w = rng.sample(pair, 2)
+            vals += [v] * rng.randint(1, 2) + [w] * (rng.random() < 0.5)
+        if rng.random() < 0.3:
+            vals.append(rng.choice(still))
+        rng.shuffle(vals)
+        ids = [f"v{len(finite) + i + 1}" for i in range(len(vals))]
+        for pid, cls in zip(ids, vals):
+            finite.append((PlaceLabel(pid, kind, f"c{c}"), cls))
+            total = total + c_local(t, kind, cls)
+        if len(ids) >= 2 and rng.random() < 0.5:
+            cycles.append(tuple(rng.sample(ids, rng.randint(2, len(ids)))))
+    balancer = PlaceLabel("vb", kind, "cb")
+    finite.append((balancer, _preimage_for(t, kind, -total)))
     generators = (PlacePerm.from_cycles(cycles),) if cycles else ()
     order = len(PlaceSymmetry(generators).group())
     return _assemble(t, _galois_field(0, 2 * order), finite, [], generators)

@@ -308,6 +308,7 @@ class TestCountingMatchesEnumeration:
     GENERATORS = [
         (genfix.rand_classed, 150),
         (genfix.rand_interleaved, 60),
+        (genfix.rand_paired, 60),
         (genfix.rand_q, 60),
         (genfix.rand_quasisplit_galois, 30),
         (genfix.rand_outer_two_twins, 40),
@@ -345,7 +346,7 @@ class TestCountingMatchesEnumeration:
                 outcomes.add(report.holds)
                 assert compare_possible(om, one_sided, flips=False) == \
                     enumerated_comparison(om, f, one_sided, False)
-        if make is genfix.rand_classed:
+        if make in (genfix.rand_classed, genfix.rand_paired):
             assert outcomes == {True, False}
 
     def test_reaches_twelve_twins_and_a_class_of_seven(self):
@@ -384,6 +385,7 @@ class TestResidueVectorsMatchTheRecount:
     GENERATORS = [
         (genfix.rand_classed, 150),
         (genfix.rand_interleaved, 250),
+        (genfix.rand_paired, 150),
         (genfix.rand_q, 60),
         (genfix.rand_quasisplit_galois, 30),
         (genfix.rand_outer_two_twins, 40),
@@ -408,7 +410,7 @@ class TestResidueVectorsMatchTheRecount:
                         got = compare_possible(om, realized, flips)
                         assert got == recount_compare_possible(om, realized, flips)
                         witnesses += got[1] is not None
-        if make in (genfix.rand_classed, genfix.rand_interleaved):
+        if make in (genfix.rand_classed, genfix.rand_interleaved, genfix.rand_paired):
             assert witnesses
 
     def test_interleaved_classes_are_revisited(self):
@@ -428,6 +430,23 @@ class TestResidueVectorsMatchTheRecount:
                 assert witness not in realized
                 assert class_multisets(witness) == class_multisets(g.omega.finite)
         assert rebuilt >= 20
+
+    def test_paired_classes_hold_many_pairs(self):
+        """rand_paired classes reach five distinct flip pairs, and some hold
+        a value next to its image."""
+        rng = random.Random("paired")
+        most = both = 0
+        for _ in range(100):
+            g = genfix.rand_paired(rng)
+            t = g.group_type
+            by_class = {}
+            for lab, cls in g.omega.finite:
+                by_class.setdefault(lab.class_key(), set()).add(cls)
+            for vals in by_class.values():
+                moved = {v for v in vals if sym_act(t, FI, v) != v}
+                most = max(most, len({frozenset((v, sym_act(t, FI, v))) for v in moved}))
+                both += any(sym_act(t, FI, v) in vals for v in moved)
+        assert most == 5 and both
 
 
 class TestOuterFastPath:

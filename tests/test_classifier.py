@@ -1,10 +1,11 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from genfix import rand_q
-from rigidity.brauer import OmegaVector
+from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.classifier import (
     CLASSIFICATION_TAGS,
     Q_CHECKLIST_TWIN_LIMIT,
@@ -22,7 +23,15 @@ from rigidity.cli import parse
 from rigidity.errors import CapacityError, ContractError
 from rigidity.field_model import FieldDescriptor, PlacePerm, PlaceSymmetry
 from rigidity.fixtures import FIXTURES
-from rigidity.invariants import Family, GroupType
+from rigidity.invariants import (
+    Family,
+    GroupType,
+    c_local,
+    center_shape,
+    cyclic,
+    h2_local,
+    sym_act,
+)
 from rigidity.real_forms import RealFormTag
 
 
@@ -657,6 +666,69 @@ class TestBeyondTheOldCap:
         listed = len(s_omega_orbit(om).elements)  # singleton classes: no arrangements
         assert v.reasons[1] == ("weak-uniformity", f"weak uniformity fails: 2 realized < {listed} possible")
         check_witness(g, v.witness)
+
+
+def pairs_in_one_class(pairs: int) -> str:
+    """Inner type A60 over an imaginary quadratic field with one adelic
+    class of the given number of flip pairs, valued i/61 and -i/61."""
+    places = "\n".join(f"v{i}{side} = class=c omega={v}/61" for i in range(1, pairs + 1)
+                       for side, v in (("a", i), ("b", 61 - i)))
+    return ("[group]\ntype = 1A\nrank = 60\n[field]\ndegree = 2\ncomplex_places = 1\n"
+            f"galois = true\n[places]\n{places}\n")
+
+
+def random_twins_over_q(rank: int, count: int) -> str:
+    """Type A over Q with ``count`` twin places of random charge, balanced."""
+    rng = random.Random(f"twins/{rank}/{count}")
+    values = [rng.randrange(1, rank + 1) for _ in range(count)]
+    return twins_over_q(rank, values + [-sum(values) % (rank + 1)])
+
+
+RESIDUE_WORK_MESSAGE = rf"^\d+ residue products exceed the work limit {RESIDUE_WORK_LIMIT}$"
+
+
+class TestResidueWork:
+    """Class residue vectors are products of per-pair factors stored by
+    their support: their cost follows the pairs and the residues that
+    occur, not the listing of options or the modulus."""
+
+    def test_a_class_of_thirty_pairs_classifies_within_budget(self):
+        small = classify_text(pairs_in_one_class(6))
+        g = parse(pairs_in_one_class(30))
+        start = time.perf_counter()
+        v = classify(g)
+        assert time.perf_counter() - start < 1.0
+        assert v.outcome == small.outcome == Outcome.NOT_RIGID
+        assert [tag for tag, _ in v.reasons] == [tag for tag, _ in small.reasons]
+        check_witness(g, v.witness)
+
+    def test_twin_free_cost_does_not_follow_the_rank(self):
+        def peak(rank):
+            g = parse(twins_over_q(rank, [0, 0]))
+            for table in (cyclic, center_shape, h2_local, c_local, sym_act):
+                table.cache_clear()
+            tracemalloc.start()
+            assert classify(g).outcome == Outcome.RIGID
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+
+        peak(10)  # first-call allocations
+        small, large = peak(10**3), peak(10**8)
+        # the rank's digits enter the reason texts; a table over the
+        # residues would take hundreds of megabytes
+        assert large <= small + 1024
+        g = parse(twins_over_q(10**8, [0, 0]))
+        start = time.perf_counter()
+        classify(g)
+        assert time.perf_counter() - start < 0.05
+
+    def test_random_charges_at_a_large_rank_fail_fast(self):
+        g = parse(random_twins_over_q(10**6, 24))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=RESIDUE_WORK_MESSAGE):
+            classify(g)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRationalChecklistLimit:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import time
 
 import jsonschema
@@ -17,6 +18,7 @@ from rigidity.cli import (
     verdict_to_json,
 )
 from rigidity.arith_equiv import PermGroup
+from rigidity.brauer import RESIDUE_WORK_LIMIT
 from rigidity.errors import DescriptorParseError
 from rigidity.fixtures import FIXTURES
 
@@ -145,6 +147,23 @@ class TestCommands:
         f.write_text("[group]\ntype = 1D\nrank = 4\n[field]\ndegree = 1\n")
         assert main(["classify", str(f)]) == 4
         capsys.readouterr()
+
+    def test_classify_exits_3_above_the_residue_work_limit(self, tmp_path, capsys):
+        rank = 10**6
+        rng = random.Random("residue-work")
+        values = [rng.randrange(1, rank + 1) for _ in range(24)]
+        values.append(-sum(values) % (rank + 1))
+        places = "".join(f"v{i + 1} = omega={v}/{rank + 1}\n" for i, v in enumerate(values))
+        f = tmp_path / "wide.grp"
+        f.write_text(f"[group]\ntype = 1A\nrank = {rank}\n[field]\ndegree = 1\n"
+                     f"[real]\nw = form=SL_R({rank + 1})\n[places]\n{places}")
+        assert main(["classify", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            rf"{re.escape(str(f))}: \d+ residue products exceed the work limit {RESIDUE_WORK_LIMIT}\n",
+            captured.err,
+        )
 
     def test_realforms_output(self, capsys):
         assert main(["realforms", "C", "3"]) == 0

@@ -296,10 +296,6 @@ class Subgroup:
         return len(self.members)
 
 
-def conjugacy_classes(G: PermGroup) -> List[Tuple[Perm, ...]]:
-    return G.conjugacy_classes()
-
-
 def _profile(G: PermGroup, U: Subgroup) -> Tuple[int, ...]:
     return tuple(len(U.members.intersection(c)) for c in G.conjugacy_classes())
 
@@ -393,52 +389,3 @@ def verify_prop_almost_conjugate(G: PermGroup):
                     return False, (u1, u2)
     return True, None
 
-
-def hbar_certificate(G: PermGroup, N: Subgroup, pairs) -> bool:
-    """Certify that every almost conjugate pair of index-two subgroups of a
-    normal subgroup is conjugate in the ambient group."""
-    if frozenset(
-        perm_mul(perm_mul(g, x), perm_inv(g)) for g in G.generators for x in N.members
-    ) != N.members:
-        raise ContractError("N must be normal in G")
-    for U1, U2 in pairs:
-        for U in (U1, U2):
-            if not U.members <= N.members or 2 * U.order() != N.order():
-                raise ContractError("pair members must have index two in N")
-        if almost_conjugate(G, U1, U2) and not are_conjugate(G, U1, U2):
-            return False
-    return True
-
-
-def mackey_decomposition_holds(G: PermGroup, N: Subgroup, U: Subgroup) -> bool:
-    """Check that inducing the trivial character of U to G and restricting to N
-    equals [G:N] copies of the trivial character plus the order-two characters
-    with kernels the G-conjugates of U, one per coset of N."""
-    if not U.members <= N.members or 2 * U.order() != N.order():
-        raise ContractError("U must have index two in N")
-    elems = G.elements()
-    # coset representatives of N\G
-    reps, covered = [], set()
-    for x in elems:
-        if x not in covered:
-            reps.append(x)
-            covered |= {perm_mul(n, x) for n in N.members}
-    index = len(reps)
-    conjugates = []
-    for g in reps:
-        gi = perm_inv(g)
-        conjugates.append(frozenset(perm_mul(perm_mul(g, u), gi) for u in U.members))
-    cosets = []
-    assigned = set()
-    for x in elems:
-        if x in assigned:
-            continue
-        coset = frozenset(perm_mul(x, u) for u in U.members)
-        assigned |= coset
-        cosets.append(coset)
-    for n in N.members:
-        induced = sum(1 for c in cosets if perm_mul(n, next(iter(c))) in c)
-        rhs = index + sum(1 if n in k else -1 for k in conjugates)
-        if induced != rhs:
-            return False
-    return True

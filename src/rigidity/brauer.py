@@ -201,7 +201,7 @@ def _multiset(values: Iterable[LocalClass]) -> Dict[LocalClass, int]:
 
 # Most terms one convolution of residue vectors may multiply; sparse vectors
 # still grow like 2^k with k distinct charges when the modulus is large.
-RESIDUE_WORK_LIMIT = 1 << 20
+RESIDUE_WORK_LIMIT = 1 << 18
 
 
 def _convolve(a: Dict[int, int], b: Dict[int, int], m: int) -> Dict[int, int]:

@@ -118,7 +118,6 @@ _TYPE_CODES = {
 }
 
 _SECTIONS = ("group", "field", "aut", "places", "real")
-_GROUP_KEYS = {"type", "rank"}
 _FIELD_KEYS = {"degree", "complex_places", "locally_determined", "galois", "hbar_fiber"}
 
 
@@ -418,7 +417,7 @@ class _Parser:
                 return None
         try:
             if name in ("SplitForm", "CompactForm", "AnisotropicOther"):
-                outer = explicit_kind == "nonsplit"
+                outer = name == "AnisotropicOther" and explicit_kind == "nonsplit"
                 return RealFormTag(name, family=gtype.family, rank=gtype.rank, outer=outer)
             return RealFormTag(name, params)
         except ValueError as e:
@@ -502,14 +501,8 @@ def _format_form(tag: RealFormTag) -> str:
     return tag.name
 
 
-_TYPE_OUT = {
-    (Family.A, FormKind.INNER): "1A", (Family.A, FormKind.OUTER): "2A",
-    (Family.B, FormKind.INNER): "B", (Family.C, FormKind.INNER): "C",
-    (Family.D, FormKind.INNER): "1D", (Family.D, FormKind.OUTER): "2D",
-    (Family.E6, FormKind.INNER): "1E6", (Family.E6, FormKind.OUTER): "2E6",
-    (Family.E7, FormKind.INNER): "E7", (Family.E8, FormKind.INNER): "E8",
-    (Family.F4, FormKind.INNER): "F4", (Family.G2, FormKind.INNER): "G2",
-}
+# the last code listed for a type in _TYPE_CODES is the one emitted
+_TYPE_OUT = {v: k for k, v in _TYPE_CODES.items()}
 
 
 def emit_descriptor(g: GroupDescriptor) -> str:

@@ -68,10 +68,6 @@ class PlaceKind(str, Enum):
     def is_real(self) -> bool:
         return self in (PlaceKind.REAL_INNER, PlaceKind.REAL_OUTER)
 
-    @property
-    def is_inner(self) -> bool:
-        return self in (PlaceKind.FINITE_INNER, PlaceKind.REAL_INNER)
-
 
 @dataclass(frozen=True)
 class GroupType:
@@ -359,18 +355,6 @@ def sym_act(t: GroupType, kind: PlaceKind, x: LocalClass) -> LocalClass:
         return x
     if source.kind == "klein":
         return LocalClass(source, (x.value[1], x.value[0]))
-    return -x
-
-
-def global_sym_act(t: GroupType, x: LocalClass) -> LocalClass:
-    """Action of the diagram symmetry on the global dual target."""
-    target = center_shape(t)
-    if x.shape != target:
-        raise ContractError(f"class shape {x.shape} does not match global target {target}")
-    if not has_symmetry(t) or target.kind == "trivial":
-        return x
-    if target.kind == "klein":
-        return LocalClass(target, (x.value[1], x.value[0]))
     return -x
 
 

@@ -8,15 +8,23 @@ installed tables end to end.
 from __future__ import annotations
 
 import sys
+from importlib.resources import files
 
 from .arith_equiv import almost_conjugate, are_conjugate, common_normal_index2
 from .brauer import plain_orbits, weak_uniformity
 from .catalog import fano_point_line_stabilizers, wreath_pair
 from .classifier import Outcome, classify
 from .cli import parse
-from .fixtures import FIXTURES
 from .invariants import Family, GroupType
 from .real_forms import RealFormTag, trivial_image_forms
+
+# The bundled descriptors by file stem.  The package's ``fixtures`` directory
+# is the repository's ``fixtures/``: a symlink in a checkout, a copy when built.
+FIXTURES = {
+    p.name.removesuffix(".grp"): p.read_text(encoding="utf-8")
+    for p in sorted((files(__package__) / "fixtures").iterdir(), key=lambda p: p.name)
+    if p.name.endswith(".grp")
+}
 
 
 def _checks():

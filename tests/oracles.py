@@ -1,0 +1,100 @@
+"""Reference checks the engine does not need, and the catalog groups by name.
+
+``hbar_certificate`` and ``mackey_decomposition_holds`` restate the
+index-two criterion and the Mackey decomposition behind it;
+``global_sym_act`` is the diagram symmetry on the global dual target,
+which the brute-force flip listings filter by.  The catalog groups are
+parsed from ``fixtures/groups.cat`` afresh on every call, so no two tests
+share a group's caches.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import List
+
+from rigidity.arith_equiv import (
+    PermGroup,
+    Subgroup,
+    almost_conjugate,
+    are_conjugate,
+    perm_inv,
+    perm_mul,
+)
+from rigidity.cli import parse_catalog
+from rigidity.errors import ContractError
+from rigidity.invariants import GroupType, LocalClass, center_shape, has_symmetry
+
+CATALOG = Path(__file__).resolve().parent.parent / "fixtures" / "groups.cat"
+
+
+def catalog_groups() -> List[PermGroup]:
+    """Every group of the bundled catalog, in file order, freshly parsed."""
+    return parse_catalog(CATALOG.read_text(encoding="utf-8"))
+
+
+def catalog_group(name: str) -> PermGroup:
+    """The bundled catalog group of that name, freshly parsed."""
+    return next(G for G in catalog_groups() if G.name == name)
+
+
+def global_sym_act(t: GroupType, x: LocalClass) -> LocalClass:
+    """Action of the diagram symmetry on the global dual target."""
+    target = center_shape(t)
+    if x.shape != target:
+        raise ContractError(f"class shape {x.shape} does not match global target {target}")
+    if not has_symmetry(t) or target.kind == "trivial":
+        return x
+    if target.kind == "klein":
+        return LocalClass(target, (x.value[1], x.value[0]))
+    return -x
+
+
+def hbar_certificate(G: PermGroup, N: Subgroup, pairs) -> bool:
+    """Certify that every almost conjugate pair of index-two subgroups of a
+    normal subgroup is conjugate in the ambient group."""
+    if frozenset(
+        perm_mul(perm_mul(g, x), perm_inv(g)) for g in G.generators for x in N.members
+    ) != N.members:
+        raise ContractError("N must be normal in G")
+    for U1, U2 in pairs:
+        for U in (U1, U2):
+            if not U.members <= N.members or 2 * U.order() != N.order():
+                raise ContractError("pair members must have index two in N")
+        if almost_conjugate(G, U1, U2) and not are_conjugate(G, U1, U2):
+            return False
+    return True
+
+
+def mackey_decomposition_holds(G: PermGroup, N: Subgroup, U: Subgroup) -> bool:
+    """Check that inducing the trivial character of U to G and restricting to N
+    equals [G:N] copies of the trivial character plus the order-two characters
+    with kernels the G-conjugates of U, one per coset of N."""
+    if not U.members <= N.members or 2 * U.order() != N.order():
+        raise ContractError("U must have index two in N")
+    elems = G.elements()
+    # coset representatives of N\G
+    reps, covered = [], set()
+    for x in elems:
+        if x not in covered:
+            reps.append(x)
+            covered |= {perm_mul(n, x) for n in N.members}
+    index = len(reps)
+    conjugates = []
+    for g in reps:
+        gi = perm_inv(g)
+        conjugates.append(frozenset(perm_mul(perm_mul(g, u), gi) for u in U.members))
+    cosets = []
+    assigned = set()
+    for x in elems:
+        if x in assigned:
+            continue
+        coset = frozenset(perm_mul(x, u) for u in U.members)
+        assigned |= coset
+        cosets.append(coset)
+    for n in N.members:
+        induced = sum(1 for c in cosets if perm_mul(n, next(iter(c))) in c)
+        rhs = index + sum(1 if n in k else -1 for k in conjugates)
+        if induced != rhs:
+            return False
+    return True

@@ -13,6 +13,7 @@ from genfix import (
     rand_symmetric_omega,
     rand_three_reals,
 )
+from oracles import catalog_groups, global_sym_act
 from rigidity.arith_equiv import (
     almost_conjugate,
     are_conjugate,
@@ -28,7 +29,7 @@ from rigidity.brauer import (
     s_omega_orbit,
     weak_uniformity,
 )
-from rigidity.catalog import bundled_catalog, fano_point_line_stabilizers
+from rigidity.catalog import fano_point_line_stabilizers
 from rigidity.classifier import (
     Outcome,
     check_witness,
@@ -38,18 +39,17 @@ from rigidity.classifier import (
 )
 from rigidity.cli import emit_descriptor, parse
 from rigidity.field_model import sort_coords
-from rigidity.fixtures import FIXTURES
 from rigidity.invariants import (
     Family,
     FormKind,
     GroupType,
     c_local,
     center_shape,
-    global_sym_act,
     sym_act,
     zero,
 )
 from rigidity.real_forms import RealFormTag, q_image_trivial, trivial_image_forms
+from rigidity.selftest import FIXTURES
 
 
 @contextmanager
@@ -262,7 +262,7 @@ def test_criterion_8_arithmetic_equivalence():
         assert almost_conjugate(G, P, L)
         assert not are_conjugate(G, P, L)
         assert common_normal_index2(G, P, L) is None
-        for group in bundled_catalog():
+        for group in catalog_groups():
             ok, counterexample = verify_prop_almost_conjugate(group)
             assert ok, (group.name, counterexample)
         assert time.monotonic() - start < 60.0

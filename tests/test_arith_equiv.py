@@ -2,34 +2,24 @@ import time
 
 import pytest
 
+from oracles import catalog_group, catalog_groups, hbar_certificate, mackey_decomposition_holds
 from rigidity.arith_equiv import (
     PermGroup,
     Subgroup,
     almost_conjugate,
     are_conjugate,
     common_normal_index2,
-    conjugacy_classes,
-    hbar_certificate,
-    mackey_decomposition_holds,
     perm_from_cycles,
     perm_inv,
     perm_mul,
     verify_prop_almost_conjugate,
 )
-from rigidity.catalog import (
-    bundled_catalog,
-    cyclic_group,
-    dihedral_group,
-    fano_group,
-    fano_point_line_stabilizers,
-    symmetric_group,
-    wreath_pair,
-)
+from rigidity.catalog import fano_group, fano_point_line_stabilizers, wreath_pair
 from rigidity.cli import main
 from rigidity.errors import CapacityError, ContractError
 
 # every bundled group whose subgroup lattice takes well under a second
-SMALL_CATALOG = [G for G in bundled_catalog() if G.order() <= 48]
+SMALL_CATALOG = [G.name for G in catalog_groups() if G.order() <= 48]
 
 
 def lattice_normal_subgroups(G):
@@ -43,19 +33,19 @@ def lattice_normal_subgroups(G):
 
 class TestConjugacyClasses:
     def test_symmetric_three(self):
-        assert len(conjugacy_classes(symmetric_group(3))) == 3
+        assert len(catalog_group("S3").conjugacy_classes()) == 3
 
     def test_cyclic_four(self):
-        assert len(conjugacy_classes(cyclic_group(4))) == 4
+        assert len(catalog_group("C4").conjugacy_classes()) == 4
 
     def test_fano_group(self):
         G = fano_group()
         assert G.order() == 168
-        assert len(conjugacy_classes(G)) == 6
+        assert len(G.conjugacy_classes()) == 6
 
     def test_classes_partition_the_group(self):
-        for G in (symmetric_group(4), dihedral_group(6)):
-            classes = conjugacy_classes(G)
+        for G in (catalog_group("S4"), catalog_group("D12")):
+            classes = G.conjugacy_classes()
             flat = [x for c in classes for x in c]
             assert sorted(flat) == G.elements()
 
@@ -71,7 +61,7 @@ class TestAlmostConjugate:
         assert almost_conjugate(G, P, P)
 
     def test_different_orders_fail_fast(self):
-        G = symmetric_group(3)
+        G = catalog_group("S3")
         e = G.identity
         u1 = Subgroup(G, frozenset([e]))
         u2 = Subgroup(G, frozenset(G.elements()))
@@ -107,7 +97,7 @@ class TestCommonNormalIndex2:
         assert common_normal_index2(G, P, L) is None
 
     def test_index_two_in_the_whole_group(self):
-        G = cyclic_group(4)
+        G = catalog_group("C4")
         half = frozenset(p for p in G.elements() if p[0] in (0, 2))
         u = Subgroup(G, half)
         n = common_normal_index2(G, u, u)
@@ -117,8 +107,8 @@ class TestCommonNormalIndex2:
 class TestVerifyProp:
     @pytest.mark.parametrize("factory", [
         lambda: wreath_pair()[0],
-        lambda: dihedral_group(4),
-        lambda: symmetric_group(4),
+        lambda: catalog_group("D8"),
+        lambda: catalog_group("S4"),
     ])
     def test_small_groups(self, factory):
         ok, counterexample = verify_prop_almost_conjugate(factory())
@@ -161,7 +151,7 @@ class TestMackey:
 
     def test_catalog_samples(self):
         checked = 0
-        for G in bundled_catalog():
+        for G in catalog_groups():
             if G.order() > 48:
                 continue
             for n in G.normal_subgroups():
@@ -187,12 +177,14 @@ class TestCaps:
 
 
 class TestEnumeratorsMatchTheLattice:
-    @pytest.mark.parametrize("G", SMALL_CATALOG, ids=lambda G: G.name)
-    def test_normal_subgroups(self, G):
+    @pytest.mark.parametrize("name", SMALL_CATALOG)
+    def test_normal_subgroups(self, name):
+        G = catalog_group(name)
         assert G.normal_subgroups() == lattice_normal_subgroups(G)
 
-    @pytest.mark.parametrize("G", SMALL_CATALOG, ids=lambda G: G.name)
-    def test_index_two_subgroups(self, G):
+    @pytest.mark.parametrize("name", SMALL_CATALOG)
+    def test_index_two_subgroups(self, name):
+        G = catalog_group(name)
         lattice = G.subgroups()
         for n in G.normal_subgroups():
             if len(n) % 2 == 0:
@@ -201,7 +193,7 @@ class TestEnumeratorsMatchTheLattice:
                 ]
 
     def test_odd_order_has_no_index_two_subgroup(self):
-        G = cyclic_group(3)
+        G = catalog_group("C3")
         assert G.index_two_subgroups(frozenset(G.elements())) == []
 
     def test_fano_group_without_its_lattice(self, monkeypatch):
@@ -226,7 +218,7 @@ class TestEnumeratorsMatchTheLattice:
             raise AssertionError("the subgroup lattice was built")
 
         monkeypatch.setattr(PermGroup, "subgroups", no_lattice)
-        for G in bundled_catalog():
+        for G in catalog_groups():
             ok, counterexample = verify_prop_almost_conjugate(G)
             assert ok and counterexample is None, G.name
         G, P, L = fano_point_line_stabilizers()

@@ -22,7 +22,6 @@ from rigidity.classifier import (
 from rigidity.cli import parse
 from rigidity.errors import CapacityError, ContractError
 from rigidity.field_model import FieldDescriptor, PlacePerm, PlaceSymmetry
-from rigidity.fixtures import FIXTURES
 from rigidity.invariants import (
     Family,
     GroupType,
@@ -33,6 +32,7 @@ from rigidity.invariants import (
     sym_act,
 )
 from rigidity.real_forms import RealFormTag
+from rigidity.selftest import FIXTURES
 
 
 def classify_text(text):

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import random
 import re
 import time
+from importlib.resources import files
 
 import jsonschema
 import pytest
@@ -20,7 +22,7 @@ from rigidity.cli import (
 from rigidity.arith_equiv import PermGroup
 from rigidity.brauer import RESIDUE_WORK_LIMIT
 from rigidity.errors import DescriptorParseError
-from rigidity.fixtures import FIXTURES
+from rigidity.selftest import FIXTURES
 
 import genfix
 
@@ -30,9 +32,10 @@ class TestParse:
         for name, text in FIXTURES.items():
             parse(text)
 
-    def test_disk_fixtures_match_bundled_texts(self, fixtures_dir):
-        for name, text in FIXTURES.items():
-            assert (fixtures_dir / f"{name}.grp").read_text(encoding="utf-8") == text
+    def test_bundled_fixtures_are_the_repository_fixtures(self, fixtures_dir):
+        assert os.path.samefile(str(files("rigidity") / "fixtures"), fixtures_dir)
+        assert sorted(FIXTURES) == sorted(p.stem for p in fixtures_dir.glob("*.grp"))
+        assert len(FIXTURES) == 14
 
     def test_empty_file(self):
         with pytest.raises(DescriptorParseError, match=r"missing \[group\]"):

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import global_sym_act
 from rigidity.classifier import classify
 from rigidity.cli import parse
 from rigidity.errors import ContractError, OutOfScopeError
@@ -16,7 +17,6 @@ from rigidity.invariants import (
     center_shape,
     count_local_forms,
     cyclic,
-    global_sym_act,
     h2_local,
     shape_elements,
     sym_act,

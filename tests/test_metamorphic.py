@@ -21,7 +21,7 @@ from rigidity.brauer import OmegaVector
 from rigidity.classifier import GroupDescriptor, check_witness, classify
 from rigidity.cli import emit_descriptor, parse, verdict_to_json
 from rigidity.field_model import PlacePerm, PlaceSymmetry
-from rigidity.fixtures import FIXTURES
+from rigidity.selftest import FIXTURES
 
 GENERATORS = [
     genfix.rand_q,
@@ -106,8 +106,23 @@ def test_declaration_order_never_reaches_the_verdict(text, rng):
     assert verdict_json(shuffle_entries(text, rng)) == verdict_json(text)
 
 
+# a generic real form with an explicit kind that only AnisotropicOther keeps
+COMPACT_E6_NONSPLIT = """[group]
+type = 2E6
+rank = 6
+
+[field]
+degree = 1
+complex_places = 0
+
+[real]
+w = form=CompactForm kind=nonsplit
+"""
+
+
 @SETTINGS
-@given(st.one_of(st.sampled_from(sorted(FIXTURES.values())).map(parse), descriptors()))
+@given(st.one_of(st.sampled_from(sorted(FIXTURES.values()) + [COMPACT_E6_NONSPLIT]).map(parse),
+                 descriptors()))
 def test_parse_inverts_emit(g):
     assert parse(emit_descriptor(g)) == g
 

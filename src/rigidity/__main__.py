@@ -1,0 +1,6 @@
+"""``python -m rigidity``: the command line of ``rigidity.cli``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -22,6 +22,9 @@ Perm = Tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 10080
 
+# Most normal subgroups one group may list; (Z/2)^n has about 2^(n^2/4).
+NORMAL_SUBGROUP_LIMIT = 512
+
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
     """(a*b)(x) = a(b(x))."""
@@ -165,7 +168,8 @@ class PermGroup:
         subgroups, each normal subgroup found is joined with every class
         subgroup that neither contains it nor lies in it.  It is normal, so
         the join is the union of its cosets that the class subgroup's
-        generating tuple reaches.
+        generating tuple reaches.  Before each join pass it raises
+        ``CapacityError`` once more than ``NORMAL_SUBGROUP_LIMIT`` are known.
         """
         if self._normal is None:
             trivial = frozenset([self.identity])
@@ -179,6 +183,10 @@ class PermGroup:
             while frontier:
                 nxt = []
                 for n in frontier:
+                    if len(known) > NORMAL_SUBGROUP_LIMIT:
+                        raise CapacityError(
+                            f"{len(known)} normal subgroups exceed the limit {NORMAL_SUBGROUP_LIMIT}"
+                        )
                     for sub, gens in spans.items():
                         # n is normal, so it holds the class subgroup iff it holds gens[0]
                         if gens[0] in n or n <= sub:

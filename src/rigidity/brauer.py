@@ -13,6 +13,7 @@ variations.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -39,7 +40,6 @@ from .invariants import (
     h2_local,
     has_symmetry,
     sym_act,
-    zero,
 )
 
 
@@ -87,10 +87,11 @@ class OmegaVector:
 def tate_sum(omega: OmegaVector) -> LocalClass:
     """Sum of all local contributions in the global dual target; zero means coherent."""
     t = omega.group_type
-    total = zero(center_shape(t))
-    for lab, cls in omega.finite + omega.real:
-        total = total + c_local(t, lab.kind, cls)
-    return total
+    target = center_shape(t)
+    values = [c_local(t, lab.kind, cls).value for lab, cls in omega.finite + omega.real]
+    if target.kind == "klein":  # the class reduces each bit sum mod 2
+        return LocalClass(target, (sum(a for a, _ in values), sum(b for _, b in values)))
+    return LocalClass(target, sum(values) if target.kind == "cyclic" else None)
 
 
 def is_coherent(omega: OmegaVector) -> bool:
@@ -191,24 +192,17 @@ def pick_witness(candidates: Iterable[Coords], base: Coords) -> Coords:
     return min(candidates, key=key)
 
 
-def _multiset(values: Iterable[LocalClass]) -> Dict[LocalClass, int]:
-    """How often each value occurs."""
-    out: Dict[LocalClass, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return out
-
-
-# Most terms one convolution of residue vectors may multiply; sparse vectors
-# still grow like 2^k with k distinct charges when the modulus is large.
+# Most terms the convolutions of one comparison may multiply; sparse residue
+# vectors still grow like 2^k with k distinct charges when the modulus is large.
 RESIDUE_WORK_LIMIT = 1 << 18
 
 
-def _convolve(a: Dict[int, int], b: Dict[int, int], m: int) -> Dict[int, int]:
+def _convolve(a: Dict[int, int], b: Dict[int, int], m: int, work: List[int]) -> Dict[int, int]:
     """Cyclic convolution mod m of two residue vectors stored by their support."""
-    if len(a) * len(b) > RESIDUE_WORK_LIMIT:
+    work[0] += len(a) * len(b)
+    if work[0] > RESIDUE_WORK_LIMIT:
         raise CapacityError(
-            f"{len(a) * len(b)} residue products exceed the work limit {RESIDUE_WORK_LIMIT}"
+            f"{work[0]} residue products exceed the work limit {RESIDUE_WORK_LIMIT}"
         )
     out: Dict[int, int] = {}
     for r, x in a.items():
@@ -231,8 +225,8 @@ def compare_possible(
     summed by the residue of the flip charge) and the possible side is
     counted, without listing it, as coefficient 0 of the cyclic
     convolution of those vectors.  Vectors are stored by their support, so
-    the cost follows the residues that occur, not the modulus; a
-    convolution above ``RESIDUE_WORK_LIMIT`` products raises
+    the cost follows the residues that occur, not the modulus; convolutions
+    of more than ``RESIDUE_WORK_LIMIT`` products in all raise
     ``CapacityError``.  Returns the possible count and, unless the two
     sides are equal, the ``pick_witness`` choice among possible vectors
     outside the realized side, or among realized vectors outside the
@@ -257,7 +251,7 @@ def compare_possible(
     values: List[Tuple[LocalClass, ...]] = []
     rules = []  # per class: value -> (slot, charge change), slot totals, base charge
     for idx in classes:
-        counts = _multiset(base[i][1] for i in idx)
+        counts = Counter(base[i][1] for i in idx)  # hashes each value once
         kind = base[idx[0]][0].kind
         still, pairs, paired = [], [], set()
         for v, a in counts.items():
@@ -275,6 +269,7 @@ def compare_possible(
         totals = [a for _, a in still] + [p[3] for p in pairs]
         rules.append((where, totals, sum(a * ch for _, _, a, _, ch in pairs)))
 
+    work = [0]  # residue products so far
     factorial = [1]
     for n in range(1, len(base) + 1):
         factorial.append(factorial[-1] * n)
@@ -306,7 +301,7 @@ def compare_possible(
             for i in range(r + 1):
                 key = (a - i) * ch % m
                 factor[key] = factor.get(key, 0) + n * math.comb(r, i)
-            w, n = (factor if w is None else _convolve(w, factor, m)), 1
+            w, n = (factor if w is None else _convolve(w, factor, m, work)), 1
         return {0: n} if w is None else w
 
     # suffix[k]: the classes from k on, nothing fixed
@@ -314,7 +309,7 @@ def compare_possible(
     one = {0: 1}
     suffix = [one]
     for k in reversed(range(len(classes))):
-        suffix.append(_convolve(weights(k, unfixed[k]), suffix[-1], m))
+        suffix.append(_convolve(weights(k, unfixed[k]), suffix[-1], m, work))
     suffix.reverse()
     possible = suffix[0].get(0, 0)
 
@@ -357,10 +352,10 @@ def compare_possible(
         if c == started:
             started += 1
             opened.append(c)
-        rest = _convolve(done, suffix[started], m)
+        rest = _convolve(done, suffix[started], m, work)
         for k in opened:
             if k != c:
-                rest = _convolve(rest, weights(k, fixed[k]), m)
+                rest = _convolve(rest, weights(k, fixed[k]), m, work)
         vals = values[c]
         for j in sorted(range(len(vals)), key=lambda j: (vals[j] != b, vals[j].sort_key())):
             v = vals[j]
@@ -371,7 +366,7 @@ def compare_possible(
         fixed[c] = fix
         if i == classes[c][-1]:
             opened.remove(c)
-            done = _convolve(done, weights(c, fix), m)
+            done = _convolve(done, weights(c, fix), m, work)
         witness.append((lab, v))
         members = left
     return possible, tuple(witness)

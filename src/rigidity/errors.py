@@ -20,11 +20,11 @@ class MissingRealClassError(RigidityError):
 
 
 class CapacityError(RigidityError):
-    """Work exceeded its fixed limit: the permutation group order in
-    ``arith_equiv``, the possible side that ``rigidity orbit`` prints, the
-    twin places whose flips ``specialize_q`` lists, or the products one
-    convolution of residue vectors multiplies when classification counts
-    the possible side (``brauer.RESIDUE_WORK_LIMIT``)."""
+    """Work exceeded its fixed limit: the permutation group order or the
+    normal subgroups in ``arith_equiv``, the possible side that ``rigidity
+    orbit`` prints, the twin places whose flips ``specialize_q`` lists, or
+    the products the convolutions of residue vectors multiply when one
+    comparison counts the possible side (``brauer.RESIDUE_WORK_LIMIT``)."""
 
 
 class ValidationError(RigidityError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ._util import natural_key
+from ._util import HashedOnce, natural_key
 from .errors import ValidationError
 from .invariants import LocalClass, PlaceKind
 
@@ -31,11 +31,14 @@ class HbarFiber(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class PlaceLabel:
+@dataclass(frozen=True, eq=False)
+class PlaceLabel(HashedOnce):
     id: str
     kind: PlaceKind
     adelic_class: Optional[str] = None
+
+    def __post_init__(self):
+        self._keep_key(self.id, self.kind, self.adelic_class)
 
     def class_key(self) -> str:
         # unlabelled places sit in their own singleton class
@@ -87,6 +90,7 @@ class PlacePerm:
         object.__setattr__(
             self, "moved", tuple(sorted((a, b) for a, b in self.moved if a != b))
         )
+        object.__setattr__(self, "_image", dict(self.moved))  # not part of the value
 
     @staticmethod
     def from_mapping(mapping: Dict[str, str]) -> "PlacePerm":
@@ -103,10 +107,7 @@ class PlacePerm:
         return PlacePerm.from_mapping(mapping)
 
     def apply(self, pid: str) -> str:
-        for a, b in self.moved:
-            if a == pid:
-                return b
-        return pid
+        return self._image.get(pid, pid)
 
     def compose(self, other: "PlacePerm") -> "PlacePerm":
         """self after other: (self * other)(x) = self(other(x))."""

@@ -16,6 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Tuple, Union
 
+from ._util import HashedOnce
 from .errors import ContractError, OutOfScopeError
 
 
@@ -69,8 +70,8 @@ class PlaceKind(str, Enum):
         return self in (PlaceKind.REAL_INNER, PlaceKind.REAL_OUTER)
 
 
-@dataclass(frozen=True)
-class GroupType:
+@dataclass(frozen=True, eq=False)
+class GroupType(HashedOnce):
     """A simple type: family, Cartan-Killing rank, and inner/outer kind."""
 
     family: Family
@@ -91,6 +92,7 @@ class GroupType:
             (f == Family.A and r >= 2) or (f == Family.D and r >= 5) or f == Family.E6
         ):
             raise ValueError(f"no outer forms of type {f.value}{r}")
+        self._keep_key(f, r, self.form_kind)
 
     @property
     def is_outer(self) -> bool:
@@ -125,8 +127,8 @@ def has_symmetry(t: GroupType) -> bool:
 # ---------------------------------------------------------------------------
 # abelian group shapes and their elements
 
-@dataclass(frozen=True)
-class Shape:
+@dataclass(frozen=True, eq=False)
+class Shape(HashedOnce):
     """Trivial, cyclic of order ``modulus``, or Klein (Z/2 x Z/2)."""
 
     kind: str  # "trivial" | "cyclic" | "klein"
@@ -137,6 +139,7 @@ class Shape:
             raise ValueError(f"bad shape kind {self.kind!r}")
         if self.kind == "cyclic" and self.modulus < 2:
             raise ValueError("cyclic shape needs modulus >= 2; use TRIVIAL for order 1")
+        self._keep_key(self.kind, self.modulus)
 
     @property
     def order(self) -> int:
@@ -164,8 +167,8 @@ def cyclic(m: int) -> Shape:
 Value = Union[None, int, Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class LocalClass:
+@dataclass(frozen=True, eq=False)
+class LocalClass(HashedOnce):
     """An element of a local or global invariant group, reduced mod its shape."""
 
     shape: Shape
@@ -183,6 +186,7 @@ class LocalClass:
             if not (isinstance(v, tuple) and len(v) == 2):
                 raise ContractError(f"klein class needs a bit pair, got {v!r}")
             object.__setattr__(self, "value", (v[0] % 2, v[1] % 2))
+        self._keep_key(s, self.value)
 
     @property
     def is_zero(self) -> bool:

@@ -5,14 +5,19 @@ index-two criterion and the Mackey decomposition behind it;
 ``global_sym_act`` is the diagram symmetry on the global dual target,
 which the brute-force flip listings filter by.  The catalog groups are
 parsed from ``fixtures/groups.cat`` afresh on every call, so no two tests
-share a group's caches.
+share a group's caches.  ``run_python`` runs code in a fresh interpreter
+that imports the package under test.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
+import rigidity
 from rigidity.arith_equiv import (
     PermGroup,
     Subgroup,
@@ -26,6 +31,18 @@ from rigidity.errors import ContractError
 from rigidity.invariants import GroupType, LocalClass, center_shape, has_symmetry
 
 CATALOG = Path(__file__).resolve().parent.parent / "fixtures" / "groups.cat"
+
+
+def run_python(args: List[str], hash_seed: Optional[str] = None,
+               stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """``python ARGS`` importing this ``rigidity``, with a fixed string hash
+    seed when one is given; output is captured as bytes."""
+    src = str(Path(rigidity.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run([sys.executable, *args], input=stdin, env=env, capture_output=True)
 
 
 def catalog_groups() -> List[PermGroup]:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from rigidity.brauer import OmegaVector, _flip_rule, _multiset, pick_witness
+from rigidity.brauer import OmegaVector, _flip_rule, pick_witness
 from rigidity.field_model import Coords
 from rigidity.invariants import LocalClass, has_symmetry, sym_act
 
@@ -41,7 +42,7 @@ def recount_compare_possible(
     class_of = {i: k for k, idx in enumerate(classes) for i in idx}
     options: List[List[Tuple[Dict[LocalClass, int], int]]] = []
     for idx in classes:
-        counts = _multiset(base[i][1] for i in idx)
+        counts = Counter(base[i][1] for i in idx)
         kind = base[idx[0]][0].kind
         still, pairs, paired = {}, [], set()
         for v, a in counts.items():
@@ -76,7 +77,7 @@ def recount_compare_possible(
         return ways.get(0, 0)
 
     realized = set(realized)
-    members = [x for x in realized if count([_multiset(x[i][1] for i in idx) for idx in classes])]
+    members = [x for x in realized if count([Counter(x[i][1] for i in idx) for idx in classes])]
     fixed: List[Dict[LocalClass, int]] = [{} for _ in classes]
     possible = count(fixed)
     if possible == len(members):

@@ -1,9 +1,11 @@
+import re
 import time
 
 import pytest
 
 from oracles import catalog_group, catalog_groups, hbar_certificate, mackey_decomposition_holds
 from rigidity.arith_equiv import (
+    NORMAL_SUBGROUP_LIMIT,
     PermGroup,
     Subgroup,
     almost_conjugate,
@@ -15,7 +17,7 @@ from rigidity.arith_equiv import (
     verify_prop_almost_conjugate,
 )
 from rigidity.catalog import fano_group, fano_point_line_stabilizers, wreath_pair
-from rigidity.cli import main
+from rigidity.cli import main, parse_catalog
 from rigidity.errors import CapacityError, ContractError
 
 # every bundled group whose subgroup lattice takes well under a second
@@ -174,6 +176,27 @@ class TestCaps:
                              perm_from_cycles(11, [(0, 1)])], cap=1000)
         with pytest.raises(CapacityError):
             big.order()
+
+    @staticmethod
+    def transpositions(n: int) -> str:
+        """(Z/2)^n as a catalog line: n disjoint transpositions."""
+        return f"Z2^{n} {2 * n} " + ";".join(f"({2 * i + 1} {2 * i + 2})" for i in range(n))
+
+    def test_normal_subgroups_below_the_limit_are_listed(self):
+        (G,) = parse_catalog(self.transpositions(5))
+        assert len(G.normal_subgroups()) == 374 <= NORMAL_SUBGROUP_LIMIT
+
+    def test_equiv_above_the_normal_subgroup_limit_fails_fast(self, tmp_path, capsys):
+        f = tmp_path / "z2_6.cat"
+        f.write_text(self.transpositions(6) + "\n")  # 2,825 subgroups, all normal
+        start = time.perf_counter()
+        assert main(["equiv", str(f)]) == 3
+        assert time.perf_counter() - start < 1.0
+        found = re.fullmatch(rf"Z2\^6: (\d+) normal subgroups exceed the limit "
+                             rf"{NORMAL_SUBGROUP_LIMIT}\n", capsys.readouterr().out)
+        # checked before each join pass, which adds at most one subgroup per
+        # class subgroup: 63 here
+        assert NORMAL_SUBGROUP_LIMIT < int(found[1]) <= NORMAL_SUBGROUP_LIMIT + 63
 
 
 class TestEnumeratorsMatchTheLattice:

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from genfix import rand_q
+from rigidity import brauer
 from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.classifier import (
     CLASSIFICATION_TAGS,
@@ -729,6 +730,21 @@ class TestResidueWork:
         with pytest.raises(CapacityError, match=RESIDUE_WORK_MESSAGE):
             classify(g)
         assert time.perf_counter() - start < 1.0
+
+    def test_the_limit_bounds_the_products_of_one_comparison(self, monkeypatch):
+        done = []  # products of each convolution that ran
+        convolve = brauer._convolve
+
+        def counted(a, b, m, work):
+            out = convolve(a, b, m, work)
+            done.append(len(a) * len(b))
+            return out
+
+        monkeypatch.setattr(brauer, "_convolve", counted)
+        with pytest.raises(CapacityError, match=RESIDUE_WORK_MESSAGE):
+            classify_text(random_twins_over_q(10**6, 24))
+        # a check per convolution let this input do 502,414 products
+        assert RESIDUE_WORK_LIMIT // 2 < sum(done) <= RESIDUE_WORK_LIMIT
 
 
 class TestRationalChecklistLimit:

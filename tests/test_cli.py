@@ -25,6 +25,7 @@ from rigidity.errors import DescriptorParseError
 from rigidity.selftest import FIXTURES
 
 import genfix
+from oracles import run_python
 
 
 class TestParse:
@@ -195,6 +196,12 @@ class TestCommands:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_the_package_runs_as_a_module_without_warnings(self):
+        done = run_python(["-m", "rigidity", "selftest"])
+        assert done.returncode == 0, done.stderr.decode()
+        assert b"all checks passed" in done.stdout
+        assert b"RuntimeWarning" not in done.stderr
 
 
 class TestCatalogParse:

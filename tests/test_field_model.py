@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rigidity._util import NATURAL_KEY_CACHE, natural_key
 from rigidity.errors import ValidationError
 from rigidity.field_model import (
     FieldDescriptor,
@@ -288,3 +289,31 @@ class TestPlacePerm:
         moved = apply_perm(x, PlacePerm.from_cycles([("v5a", "v5b")]))
         lookup = {lab.id: cls.value for lab, cls in moved}
         assert lookup["v5a"] == 3 and lookup["v5b"] == 2
+
+    def test_apply_is_the_identity_off_the_moved_points(self):
+        p = PlacePerm.from_cycles([("v5a", "v5b"), ("v7", "v3", "v11")])
+        assert [p.apply(x) for x in ("v5a", "v5b", "v3", "v11", "v7", "v2")] == \
+            ["v5b", "v5a", "v11", "v7", "v3", "v2"]
+        assert p.moved == tuple(sorted((a, p.apply(a)) for a in ("v3", "v5a", "v5b", "v7", "v11")))
+
+    def test_apply_perm_rejects_targets_outside_the_support(self):
+        labs = gaussian_places()
+        x = coords((labs[0], 1), (labs[1], 2))
+        with pytest.raises(ValidationError, match="moves v5a outside the declared support"):
+            apply_perm(x, PlacePerm.from_cycles([("v5a", "v5b")]))
+
+
+class TestNaturalKeyCache:
+    def test_cache_stays_bounded_over_many_place_ids(self):
+        before = natural_key.cache_info().misses
+        ids = [f"v{i}" for i in range(NATURAL_KEY_CACHE + 200)]
+        f = FieldDescriptor(
+            degree=1, real_places=(PlaceLabel("w", RI),),
+            finite_places=tuple(PlaceLabel(p, FI) for p in reversed(ids)),
+        )
+        assert [p.id for p in f.finite_places] == ids  # v2 < v11 still
+        info = natural_key.cache_info()
+        assert info.maxsize == NATURAL_KEY_CACHE
+        assert info.currsize <= NATURAL_KEY_CACHE
+        # the bound was reached and entries were evicted
+        assert info.misses - before > NATURAL_KEY_CACHE

@@ -1,9 +1,13 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 
-from oracles import global_sym_act
+from oracles import global_sym_act, run_python
 from rigidity.classifier import classify
 from rigidity.cli import parse
 from rigidity.errors import ContractError, OutOfScopeError
+from rigidity.field_model import PlaceLabel
 from rigidity.invariants import (
     KLEIN,
     MEMO_SIZE,
@@ -13,6 +17,7 @@ from rigidity.invariants import (
     GroupType,
     LocalClass,
     PlaceKind,
+    Shape,
     c_local,
     center_shape,
     count_local_forms,
@@ -268,3 +273,56 @@ class TestMemo:
                 center_shape(t("D", 4))
             with pytest.raises(ValueError):
                 cyclic(0)
+
+
+def in_subprocess(code: str, hash_seed: str, stdin: bytes = b"") -> bytes:
+    done = run_python(["-c", code], hash_seed, stdin)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+VALUES = ("(cyclic(5), KLEIN, LocalClass(cyclic(5), 2), LocalClass(KLEIN, (1, 0)), "
+          "GroupType(Family.A, 3, FormKind.OUTER), PlaceLabel('v5a', PlaceKind.FINITE_INNER, 'c5'))")
+IMPORTS = ("import pickle, sys\n"
+           "from rigidity.field_model import PlaceLabel\n"
+           "from rigidity.invariants import *\n")
+
+
+class TestStoredHash:
+    """Shapes, classes, types and place labels take their hash once, when
+    they are built; equal values hash alike however they were built."""
+
+    def test_equal_values_built_by_different_paths_hash_alike(self):
+        z5 = cyclic(5)
+        g = parse("[group]\ntype = 1A\nrank = 4\n[field]\ndegree = 2\ncomplex_places = 1\n"
+                  "galois = true\n[aut]\nconj = (v5a v5b)\n[places]\nv3 = class=c3 omega=7/5\n"
+                  "v5a = class=c5 omega=1/5\nv5b = class=c5 omega=-3/5\n")
+        pairs = [
+            (LocalClass(z5, 7), LocalClass(z5, 2)),
+            (LocalClass(KLEIN, (3, 1)), LocalClass(KLEIN, (1, 1))),
+            (replace(LocalClass(z5, 4), value=-3), LocalClass(z5, 2)),
+            (replace(t("A", 4), form_kind=OUTER), GroupType(A, 4, OUTER)),
+            (Shape("cyclic", 5), z5),
+            (replace(PlaceLabel("v3", FI), adelic_class="c3"), PlaceLabel("v3", FI, "c3")),
+            (g.group_type, GroupType(A, 4)),
+            (g.omega.finite[0], (PlaceLabel("v3", FI, "c3"), LocalClass(z5, 2))),
+            (g.omega.finite[2][1], LocalClass(z5, 2)),
+        ]
+        for built, direct in pairs:
+            assert built == direct
+            assert hash(built) == hash(direct)
+        assert len({LocalClass(z5, v) for v in range(-5, 10)}) == 5
+        assert LocalClass(z5, 1) != LocalClass(cyclic(6), 1) != (cyclic(6), 1)
+        assert PlaceLabel("v3", FI) != PlaceLabel("v3", FO) != ("v3", FO, None)
+
+    def test_a_pickle_hashes_afresh_under_another_hash_seed(self):
+        blob = in_subprocess(IMPORTS + f"sys.stdout.buffer.write(pickle.dumps({VALUES}))", "1")
+        check = IMPORTS + (
+            f"got, fresh = pickle.loads(sys.stdin.buffer.read()), {VALUES}\n"
+            "print(all(a == b and hash(a) == hash(b) for a, b in zip(got, fresh)), len(got))\n"
+        )
+        assert in_subprocess(check, "2", blob).split() == [b"True", b"6"]
+        # the seeds give the strings inside these values different hashes
+        probe = "print(hash('cyclic'), hash('v5a'))"
+        assert in_subprocess(probe, "1") != in_subprocess(probe, "2")
+        assert pickle.loads(pickle.dumps(LocalClass(KLEIN, (1, 0)))) == LocalClass(KLEIN, (1, 0))

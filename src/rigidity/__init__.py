@@ -26,7 +26,6 @@ from .classifier import (
     GroupDescriptor,
     Outcome,
     Verdict,
-    build_witness,
     check_witness,
     classify,
     specialize_q,

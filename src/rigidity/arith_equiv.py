@@ -20,6 +20,7 @@ from .errors import CapacityError, ContractError
 
 Perm = Tuple[int, ...]
 
+# Largest group order ``PermGroup.elements`` enumerates.
 DEFAULT_GROUP_CAP = 10080
 
 # Most normal subgroups one group may list; (Z/2)^n has about 2^(n^2/4).
@@ -53,15 +54,13 @@ def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
 class PermGroup:
     """A finite permutation group with cached element list and classes."""
 
-    def __init__(self, degree: int, generators: Sequence[Perm], name: str = "",
-                 cap: int = DEFAULT_GROUP_CAP):
+    def __init__(self, degree: int, generators: Sequence[Perm], name: str = ""):
         self.degree = degree
         self.name = name
         self.generators = [tuple(g) for g in generators]
         for g in self.generators:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ContractError(f"not a permutation of degree {degree}: {g}")
-        self.cap = cap
         self._elements: Optional[List[Perm]] = None
         self._index: Optional[Dict[Perm, int]] = None
         self._classes: Optional[List[Tuple[Perm, ...]]] = None
@@ -84,9 +83,9 @@ class PermGroup:
                         if h not in elems:
                             elems.add(h)
                             nxt.append(h)
-                            if len(elems) > self.cap:
+                            if len(elems) > DEFAULT_GROUP_CAP:
                                 raise CapacityError(
-                                    f"group order exceeds the cap {self.cap}"
+                                    f"group order exceeds the cap {DEFAULT_GROUP_CAP}"
                                 )
                 frontier = nxt
             self._elements = sorted(elems)

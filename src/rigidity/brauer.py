@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ._util import natural_key
 from .errors import CapacityError, ContractError
@@ -65,7 +65,8 @@ class OmegaVector:
 
     def _check_shape(self, lab: PlaceLabel, cls: LocalClass):
         want = h2_local(self.group_type, lab.kind)
-        if cls.shape != want:
+        # both sides are nearly always the same memoized shape
+        if cls.shape is not want and cls.shape != want:
             raise ContractError(
                 f"place {lab.id}: class shape {cls.shape} but {self.group_type.symbol()} "
                 f"carries {want} at a {lab.kind.value} place"
@@ -142,7 +143,7 @@ class SOmegaOrbit:
     elements: Tuple[Coords, ...]
 
 
-def _flip_subset(omega: OmegaVector, ids: FrozenSet[str]) -> Coords:
+def _flip_subset(omega: OmegaVector, ids: Collection[str]) -> Coords:
     t = omega.group_type
     return tuple(
         (lab, sym_act(t, lab.kind, cls) if lab.id in ids else cls)

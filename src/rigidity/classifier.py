@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._util import natural_key
 from .brauer import (
@@ -213,93 +213,27 @@ def normalize(g: GroupDescriptor) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 # witness construction
 
-def _with_finite(g: GroupDescriptor, fin: Coords) -> GroupDescriptor:
-    return replace(g, omega=OmegaVector(g.group_type, fin, g.omega.real))
+def _twin(g: GroupDescriptor, finite: Optional[Coords] = None,
+          reals: Optional[Mapping[str, LocalClass]] = None,
+          forms: Optional[Collection[str]] = None) -> GroupDescriptor:
+    """``g`` with some of its data replaced: a candidate witness.
 
-
-def _flip_real(cls: LocalClass) -> LocalClass:
-    if cls.shape.kind != "cyclic":
-        raise ContractError("only order 2 real classes can be flipped")
-    return LocalClass(cls.shape, cls.value + 1)
-
-
-def _with_reals(g: GroupDescriptor, new_classes: Dict[str, LocalClass],
-                new_tags: Dict[str, RealFormTag]) -> GroupDescriptor:
-    real = tuple((lab, new_classes.get(lab.id, cls)) for lab, cls in g.omega.real)
-    tags = tuple((w, new_tags.get(w, tag)) for w, tag in g.real_forms)
+    ``finite`` replaces the finite coordinates.  ``reals`` maps real place
+    ids to new classes, each of which brings ``form_for_class``'s canonical
+    form.  ``forms`` names real places that keep their class but trade their
+    form for its ``partner_form``.
+    """
+    t = g.group_type
+    reals = reals or {}
+    tags = {w: form_for_class(t, g.field.place(w).kind, cls) for w, cls in reals.items()}
+    for w in forms or ():
+        tags[w] = partner_form(g.real_tag(w), t, g.field.place(w).kind, g.omega.real_value(w))
+    real = tuple((lab, reals.get(lab.id, cls)) for lab, cls in g.omega.real)
     return replace(
         g,
-        omega=OmegaVector(g.group_type, g.omega.finite, real),
-        real_forms=tags,
+        omega=OmegaVector(t, g.omega.finite if finite is None else finite, real),
+        real_forms=tuple((w, tags.get(w, tag)) for w, tag in g.real_forms),
     )
-
-
-def _witness_partner_swap(g: GroupDescriptor, w: str) -> GroupDescriptor:
-    partner = partner_form(
-        g.real_tag(w), g.group_type, g.field.place(w).kind, g.omega.real_value(w)
-    )
-    return _with_reals(g, {}, {w: partner})
-
-
-def _witness_flip_reals(g: GroupDescriptor, places: Sequence[str]) -> GroupDescriptor:
-    classes, tags = {}, {}
-    for w in places:
-        cls = _flip_real(g.omega.real_value(w))
-        classes[w] = cls
-        tags[w] = form_for_class(g.group_type, g.field.place(w).kind, cls)
-    return _with_reals(g, classes, tags)
-
-
-def _witness_swap_real_classes(g: GroupDescriptor, w1: str, w2: str) -> GroupDescriptor:
-    c1, c2 = g.omega.real_value(w1), g.omega.real_value(w2)
-    classes = {w1: c2, w2: c1}
-    tags = {
-        w1: form_for_class(g.group_type, g.field.place(w1).kind, c2),
-        w2: form_for_class(g.group_type, g.field.place(w2).kind, c1),
-    }
-    return _with_reals(g, classes, tags)
-
-
-def _witness_set_reals(g: GroupDescriptor, values: Dict[str, LocalClass]) -> GroupDescriptor:
-    tags = {
-        w: form_for_class(g.group_type, g.field.place(w).kind, cls)
-        for w, cls in values.items()
-    }
-    return _with_reals(g, values, tags)
-
-
-def _witness_flip_finite(g: GroupDescriptor, places: Sequence[str]) -> GroupDescriptor:
-    return _with_finite(g, _flip_subset(g.omega, frozenset(places)))
-
-
-def _witness_subset_and_real_flip(g: GroupDescriptor, places: Sequence[str], w: str) -> GroupDescriptor:
-    flipped = _witness_flip_finite(g, places)
-    return _witness_flip_reals(flipped, [w])
-
-
-def build_witness(g: GroupDescriptor, kind: str, **params) -> GroupDescriptor:
-    """Build and machine-check a locally isomorphic twin from a failure certificate.
-
-    Kinds: ``orbit`` (``finite=`` replacement coordinate vector),
-    ``flip-reals`` (``places=`` real ids whose classes toggle),
-    ``swap-real-classes`` (``w1=``, ``w2=``), ``subset-real-flip``
-    (``places=`` finite ids to flip plus ``w=`` one real id), and
-    ``partner-swap`` (``w=`` a real place keeping its class but trading
-    its form).  The result is validated, coherent, locally isomorphic to
-    the input, and outside its two-sided automorphism orbit.
-    """
-    builders = {
-        "orbit": lambda: _with_finite(g, params["finite"]),
-        "flip-reals": lambda: _witness_flip_reals(g, params["places"]),
-        "swap-real-classes": lambda: _witness_swap_real_classes(g, params["w1"], params["w2"]),
-        "subset-real-flip": lambda: _witness_subset_and_real_flip(g, params["places"], params["w"]),
-        "partner-swap": lambda: _witness_partner_swap(g, params["w"]),
-    }
-    if kind not in builders:
-        raise ContractError(f"unknown witness kind {kind!r}")
-    witness = builders[kind]()
-    check_witness(g, witness)
-    return witness
 
 
 def _canonical_orbit_value(t: GroupType, lab: PlaceLabel, cls: LocalClass):
@@ -348,13 +282,21 @@ def _two_sided_orbit(g: GroupDescriptor):
 # ---------------------------------------------------------------------------
 # subset sums
 
+# Most table entries ``subset_sum_forbidden`` visits while building its two
+# half tables.  Each half can hold one entry per residue, so the count grows
+# like 2^(n/2) in the n values until the tables fill the modulus.
+SUBSET_SUM_WORK_LIMIT = 2 ** 17
+
+
 def subset_sum_forbidden(values: Sequence[int], modulus: int, targets) -> Optional[List[int]]:
     """Indices of a nonempty subset whose sum mod ``modulus`` lies in ``targets``.
 
     Meet-in-the-middle over the two halves of the value list, each half
-    keeping one smallest index tuple per residue, so the cost is linear in
-    the number of values times the modulus; returns the canonically
-    smallest hit (fewest indices, then lexicographic) or None.
+    keeping one smallest index tuple per residue, so the cost is at most the
+    number of values times the modulus; returns the canonically
+    smallest hit (fewest indices, then lexicographic) or None.  Raises
+    CapacityError once building the halves visits more than
+    ``SUBSET_SUM_WORK_LIMIT`` table entries.
     """
     targets = {x % modulus for x in targets}
     if not targets:
@@ -362,11 +304,22 @@ def subset_sum_forbidden(values: Sequence[int], modulus: int, targets) -> Option
     mid = len(values) // 2
     left = list(enumerate(values[:mid]))
     right = [(i + mid, v) for i, v in enumerate(values[mid:])]
+    work = 0
 
     def sums(items):
-        table: Dict[int, Tuple[int, ...]] = {0: ()}
+        # residue -> smallest nonempty index tuple; the empty tuple stays implicit,
+        # as at residue 0 it would hide every nonempty subset summing to 0
+        nonlocal work
+        table: Dict[int, Tuple[int, ...]] = {}
         for idx, v in items:
-            for s, ids in sorted(table.items()):
+            work += len(table) + 1
+            if work > SUBSET_SUM_WORK_LIMIT:
+                raise CapacityError(
+                    f"{work} subset sum table entries exceed the work limit {SUBSET_SUM_WORK_LIMIT}"
+                )
+            # each visit offers one candidate and the table keeps the smallest,
+            # so the order of the visits cannot change the table
+            for s, ids in [(0, ())] + list(table.items()):
                 ns = (s + v) % modulus
                 cand = ids + (idx,)
                 if ns not in table or (len(cand), cand) < (len(table[ns]), table[ns]):
@@ -374,19 +327,15 @@ def subset_sum_forbidden(values: Sequence[int], modulus: int, targets) -> Option
         return table
 
     lsums, rsums = sums(left), sums(right)
-    best: Optional[Tuple[int, ...]] = None
-    for s_r, ids_r in rsums.items():
+    hits = []
+    for s_r, ids_r in [(0, ())] + list(rsums.items()):
         for tgt in targets:
             need = (tgt - s_r) % modulus
-            ids_l = lsums.get(need)
-            if ids_l is None:
-                continue
-            cand = tuple(sorted(ids_l + ids_r))
-            if not cand:
-                continue
-            if best is None or (len(cand), cand) < (len(best), best):
-                best = cand
-    return list(best) if best is not None else None
+            if need in lsums:
+                hits.append(lsums[need] + ids_r)
+            if need == 0 and ids_r:
+                hits.append(ids_r)
+    return list(min(hits, key=lambda c: (len(c), c))) if hits else None
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +359,7 @@ def _gate_verdict(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
     return _not_rigid(
         g,
         [(tag, detail), (TAG_REAL_GATE, f"form {form} at {w} admits a locally invisible replacement")],
-        _witness_partner_swap(g, w),
+        _twin(g, forms=[w]),
     )
 
 
@@ -433,7 +382,7 @@ def _uniformity_verdict(
     elif not t.is_outer and inner_twin_bound(g.omega, g.field):
         reasons.append((TAG_TWIN_BOUND,
                         f"{len(twins)} twin places force non-rigidity at degree {g.field.degree}"))
-    return _not_rigid(g, reasons, _with_finite(g, report.witness))
+    return _not_rigid(g, reasons, _twin(g, finite=report.witness))
 
 
 def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
@@ -448,20 +397,19 @@ def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
         g,
         [(tag, branch),
          (TAG_PLAIN, f"automorphism orbit has {len(realized)} vectors, adelic orbit {possible}")],
-        _with_finite(g, witness),
+        _twin(g, finite=witness),
     )
 
 
 def _flip_two_same_class(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
-    reals = g.field.real_places
-    by_class: Dict[tuple, list] = {}
-    for p in reals:
-        by_class.setdefault(g.omega.real_value(p.id).sort_key(), []).append(p.id)
-    pair = next(ids[:2] for ids in by_class.values() if len(ids) >= 2)
+    by_class: Dict[LocalClass, list] = {}
+    for lab, cls in g.omega.real:
+        by_class.setdefault(cls, []).append(lab.id)
+    cls, pair = next((cls, ids[:2]) for cls, ids in by_class.items() if len(ids) >= 2)
     return _not_rigid(
         g,
         [(tag, detail), (TAG_MANY_REAL, f"real classes repeat at {pair[0]} and {pair[1]}")],
-        _witness_flip_reals(g, pair),
+        _twin(g, reals=dict.fromkeys(pair, LocalClass(cls.shape, cls.value + 1))),
     )
 
 
@@ -484,7 +432,8 @@ def classify_no_symmetry(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_NO_SYM, "(ii) allows at most one real place"),
                  (TAG_MANY_REAL, f"{len(reals)} real places")],
-                _witness_flip_reals(g, [reals[0].id, reals[1].id]),
+                _twin(g, reals={lab.id: LocalClass(cls.shape, cls.value + 1)
+                               for lab, cls in g.omega.real[:2]}),
             )
         return _uniformity_verdict(g, TAG_NO_SYM, "(ii) at most one real place")
     # type A rank 1
@@ -499,7 +448,7 @@ def classify_no_symmetry(g: GroupDescriptor) -> Verdict:
             return _not_rigid(
                 g,
                 [(TAG_NO_SYM, "(iii) needs an automorphism exchanging the real places")],
-                _witness_swap_real_classes(g, w1, w2),
+                _twin(g, reals={w1: c2, w2: c1}),
             )
         return _uniformity_verdict(g, TAG_NO_SYM, "(iii) two exchanged real places", stabilize=w1)
     return _uniformity_verdict(g, TAG_NO_SYM, "(ii) at most one real place")
@@ -534,13 +483,13 @@ def classify_a(g: GroupDescriptor) -> Verdict:
             return _not_rigid(
                 g,
                 [(TAG_A, "two real places of different split kind can never be exchanged")],
-                _witness_swap_real_classes(g, w1.id, w2.id),
+                _twin(g, reals={w1.id: c2, w2.id: c1}),
             )
         if not any(phi.apply(w1.id) == w2.id for phi in g.symmetry.group()):
             return _not_rigid(
                 g,
                 [(TAG_A, "no automorphism exchanges the two real places")],
-                _witness_swap_real_classes(g, w1.id, w2.id),
+                _twin(g, reals={w1.id: c2, w2.id: c1}),
             )
         stabilize = w1.id
         branch = "(iv) two exchanged real places" if not t.is_outer else "(vi) two exchanged real places"
@@ -556,7 +505,9 @@ def classify_a(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_A, branch),
                  (TAG_SUBSET, f"coordinates at {', '.join(ids)} sum to half the real contribution")],
-                _witness_subset_and_real_flip(g, ids, reals[0].id),
+                _twin(g, finite=_flip_subset(g.omega, ids),
+                      reals={lab.id: LocalClass(cls.shape, cls.value + 1)
+                             for lab, cls in g.omega.real[:1]}),
             )
     return _uniformity_verdict(g, TAG_A, branch, stabilize=stabilize)
 
@@ -575,13 +526,14 @@ def classify_d(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_D, "even rank allows only one real place"),
                  (TAG_MANY_REAL, "two inner-type real places")],
-                _witness_set_reals(g, {w1: zero(shape), w2: zero(shape)}),
+                _twin(g, reals={w1: zero(shape), w2: zero(shape)}),
             )
         return _not_rigid(
             g,
             [(TAG_D, "odd rank allows only one real place"),
              (TAG_MANY_REAL, f"{len(reals)} real places")],
-            _witness_flip_reals(g, [reals[0].id, reals[1].id]),
+            _twin(g, reals={lab.id: LocalClass(cls.shape, cls.value + 1)
+                           for lab, cls in g.omega.real[:2]}),
         )
     twins = inner_twin_places(g.omega)
     r = len(twins)
@@ -595,7 +547,7 @@ def classify_d(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_D, "(i) needs a twin place at exactly one finite place"),
                  (TAG_TWIN_BOUND, f"{r} twin places")],
-                _witness_flip_finite(g, pair),
+                _twin(g, finite=_flip_subset(g.omega, pair)),
             )
         return _plain_verdict(g, TAG_D, "(i) star form, one twin place")
     if rank % 2 == 0:
@@ -605,7 +557,7 @@ def classify_d(g: GroupDescriptor) -> Verdict:
                 [(TAG_D, "(ii) forbids twin places at finite places"),
                  (TAG_OUTER_TWINS if r >= 2 else TAG_TWIN_BOUND,
                   f"twin place at {twins[0].id}")],
-                _witness_flip_finite(g, [twins[0].id]),
+                _twin(g, finite=_flip_subset(g.omega, [twins[0].id])),
             )
         return _plain_verdict(g, TAG_D, "(ii) outer even rank, star form, no twins")
     if not t.is_outer:
@@ -615,7 +567,9 @@ def classify_d(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_D, "(iii) forbids twin places at finite places"),
                  (TAG_SUBSET, f"twin place at {twins[0].id}")],
-                _witness_subset_and_real_flip(g, [twins[0].id], reals[0].id),
+                _twin(g, finite=_flip_subset(g.omega, [twins[0].id]),
+                      reals={lab.id: LocalClass(cls.shape, cls.value + 1)
+                             for lab, cls in g.omega.real[:1]}),
             )
         return _plain_verdict(g, TAG_D, "(iii) Spin(7,3), no twins")
     if r >= 2:
@@ -623,7 +577,7 @@ def classify_d(g: GroupDescriptor) -> Verdict:
             g,
             [(TAG_D, "(iv) allows at most one twin place"),
              (TAG_OUTER_TWINS, f"twin places at {', '.join(l.id for l in twins)}")],
-            _witness_flip_finite(g, [twins[0].id]),
+            _twin(g, finite=_flip_subset(g.omega, [twins[0].id])),
         )
     return _plain_verdict(g, TAG_D, "(iv) outer odd rank, at most one twin")
 
@@ -635,7 +589,7 @@ def classify_e6(g: GroupDescriptor) -> Verdict:
         g,
         [(TAG_E6, "never rigid with a real place"),
          (TAG_REAL_GATE, f"every real form of this type fails the gate, e.g. at {w}")],
-        _witness_partner_swap(g, w),
+        _twin(g, forms=[w]),
     )
 
 

@@ -24,7 +24,7 @@ Descriptor grammar (line oriented, ``#`` starts a comment)::
     w1 = form=SL_R(3)            # omega= required for forms that do not pin their class
 
 Subcommands: ``classify FILE-or-DIR [--json]``, ``orbit FILE``,
-``realforms TYPE RANK [--bound N]``, ``equiv CATALOG``, ``selftest``.
+``realforms TYPE RANK``, ``equiv CATALOG``, ``selftest``.
 Exit codes: 0 rigid or success, 1 not rigid, 2 undetermined, 3 error,
 4 out of scope.
 """
@@ -119,6 +119,9 @@ _TYPE_CODES = {
 
 _SECTIONS = ("group", "field", "aut", "places", "real")
 _FIELD_KEYS = {"degree", "complex_places", "locally_determined", "galois", "hbar_fiber"}
+
+# the parse error that makes ``classify`` answer OutOfScope rather than fail
+D4_OUT_OF_SCOPE = "triality type D4 is out of scope"
 
 
 class _Parser:
@@ -220,7 +223,7 @@ class _Parser:
                 return None
             rank = FIXED_RANKS[family]
         if family == Family.D and rank == 4:
-            self.err(code_line, 1, "triality type D4 is out of scope")
+            self.err(code_line, 1, D4_OUT_OF_SCOPE)
             return None
         try:
             return GroupType(family, rank, kind)
@@ -571,8 +574,7 @@ def _classify_file(path: Path, as_json: bool, out) -> int:
         desc = parse(path)
         verdict = classify(desc)
     except DescriptorParseError as e:
-        scope = any("out of scope" in msg for _, _, msg in e.errors)
-        if scope:
+        if any(msg == D4_OUT_OF_SCOPE for _, _, msg in e.errors):
             verdict = Verdict(Outcome.OUT_OF_SCOPE, [("scope", str(e))])
             print(json.dumps(verdict_to_json(verdict), indent=2) if as_json
                   else render_verdict(verdict), file=out)
@@ -580,7 +582,7 @@ def _classify_file(path: Path, as_json: bool, out) -> int:
         for ln, col, msg in e.errors:
             print(f"{path}:{ln}:{col}: {msg}", file=sys.stderr)
         return 3
-    except RigidityError as e:
+    except (RigidityError, OSError, UnicodeDecodeError) as e:
         print(f"{path}: {e}", file=sys.stderr)
         return 3
     print(json.dumps(verdict_to_json(verdict), indent=2) if as_json
@@ -616,7 +618,7 @@ def cmd_orbit(args, out=None) -> int:
             )
         possible = possible_vectors(desc.omega, desc.field)
         glob, adel = plain_orbits(desc.omega, desc.field, desc.symmetry)
-    except RigidityError as e:
+    except (RigidityError, OSError, UnicodeDecodeError) as e:
         print(f"{args.file}: {e}", file=sys.stderr)
         return 3
 
@@ -644,7 +646,7 @@ def cmd_realforms(args, out=None) -> int:
     family, kind = _TYPE_CODES[code]
     try:
         t = GroupType(family, args.rank, kind)
-        forms = trivial_image_forms(t, bound=args.bound)
+        forms = trivial_image_forms(t)
     except OutOfScopeError as e:
         print(str(e), file=sys.stderr)
         return 4
@@ -730,8 +732,11 @@ def cmd_equiv(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         groups = parse_catalog(Path(args.catalog).read_text(encoding="utf-8"))
-    except (OSError, DescriptorParseError) as e:
+    except DescriptorParseError as e:
         print(str(e), file=sys.stderr)
+        return 3
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"{args.catalog}: {e}", file=sys.stderr)
         return 3
     failures = 0
     for G in groups:
@@ -770,7 +775,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("realforms", help="list the real forms compatible with rigidity")
     p.add_argument("type")
     p.add_argument("rank", type=int)
-    p.add_argument("--bound", type=int, default=100)
     p.set_defaults(func=cmd_realforms)
 
     p = sub.add_parser("equiv", help="run the almost-conjugacy suite over a catalog file")

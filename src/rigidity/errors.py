@@ -22,9 +22,12 @@ class MissingRealClassError(RigidityError):
 class CapacityError(RigidityError):
     """Work exceeded its fixed limit: the permutation group order or the
     normal subgroups in ``arith_equiv``, the possible side that ``rigidity
-    orbit`` prints, the twin places whose flips ``specialize_q`` lists, or
-    the products the convolutions of residue vectors multiply when one
-    comparison counts the possible side (``brauer.RESIDUE_WORK_LIMIT``)."""
+    orbit`` prints, the twin places whose flips ``specialize_q`` lists, the
+    products the convolutions of residue vectors multiply when one
+    comparison counts the possible side (``brauer.RESIDUE_WORK_LIMIT``),
+    the table entries the half-sum subset search visits
+    (``classifier.SUBSET_SUM_WORK_LIMIT``), or the parameter total whose
+    real forms ``trivial_image_forms`` lists."""
 
 
 class ValidationError(RigidityError):

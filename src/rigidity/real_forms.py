@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import ContractError, MissingRealClassError, OutOfScopeError
+from .errors import CapacityError, ContractError, MissingRealClassError, OutOfScopeError
 from .invariants import (
     Family,
     GroupType,
@@ -216,41 +216,38 @@ ACCIDENTAL_ISOMORPHISMS = (
 )
 
 
-def trivial_image_forms(t: GroupType, bound: int = 100) -> List[RealFormTag]:
+# Largest parameter total (the n of SL(n), Spin(n), Sp(2n)) whose forms
+# ``trivial_image_forms`` enumerates.
+FORM_PARAMETER_LIMIT = 100
+
+
+def trivial_image_forms(t: GroupType) -> List[RealFormTag]:
     """All real forms of the given type passing the trivial-image gate.
 
     Enumerates the parameter space of the type (which is finite once the
     rank is fixed) and keeps the forms whose kernel exhausts their
-    cohomology.  ``bound`` caps the parameter total as a safety net.
+    cohomology.  Raises CapacityError above ``FORM_PARAMETER_LIMIT``.
     """
     if t.family == Family.D and t.rank == 4:
         raise OutOfScopeError("triality type D4 is out of scope")
     f, r, outer = t.family, t.rank, t.is_outer
+    total = {Family.A: r + 1, Family.B: 2 * r + 1, Family.C: r, Family.D: 2 * r}.get(f, 0)
+    if total > FORM_PARAMETER_LIMIT:
+        raise CapacityError(f"parameter total {total} exceeds the limit {FORM_PARAMETER_LIMIT}")
     candidates: List[RealFormTag] = []
     if f == Family.A:
-        m = r + 1
-        if m > bound:
-            raise ContractError(f"parameter total {m} exceeds bound {bound}")
         if outer:
-            candidates += [RealFormTag("SU", (m - s, s)) for s in range(m // 2 + 1)]
+            candidates += [RealFormTag("SU", (total - s, s)) for s in range(total // 2 + 1)]
         else:
-            candidates.append(RealFormTag("SL_R", (m,)))
-            if m % 2 == 0:
-                candidates.append(RealFormTag("SL_H", (m // 2,)))
+            candidates.append(RealFormTag("SL_R", (total,)))
+            if total % 2 == 0:
+                candidates.append(RealFormTag("SL_H", (total // 2,)))
     elif f == Family.B:
-        total = 2 * r + 1
-        if total > bound:
-            raise ContractError(f"parameter total {total} exceeds bound {bound}")
         candidates += [RealFormTag("Spin", (total - s, s)) for s in range(total // 2 + 1)]
     elif f == Family.C:
-        if r > bound:
-            raise ContractError(f"parameter total {r} exceeds bound {bound}")
         candidates.append(RealFormTag("Sp_R", (2 * r,)))
         candidates += [RealFormTag("Sp", (r - s, s)) for s in range(r // 2 + 1)]
     elif f == Family.D:
-        total = 2 * r
-        if total > bound:
-            raise ContractError(f"parameter total {total} exceeds bound {bound}")
         for s in range(total // 2 + 1):
             tag = RealFormTag("Spin", (total - s, s))
             if tag.signature()[2] == outer:

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import catalog_group, catalog_groups, hbar_certificate, mackey_decomposition_holds
 from rigidity.arith_equiv import (
+    DEFAULT_GROUP_CAP,
     NORMAL_SUBGROUP_LIMIT,
     PermGroup,
     Subgroup,
@@ -172,10 +173,13 @@ class TestMackey:
 
 class TestCaps:
     def test_group_cap(self):
+        # S11 has 11! elements; the enumeration stops at the cap's first excess
         big = PermGroup(11, [perm_from_cycles(11, [tuple(range(11))]),
-                             perm_from_cycles(11, [(0, 1)])], cap=1000)
-        with pytest.raises(CapacityError):
+                             perm_from_cycles(11, [(0, 1)])])
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"^group order exceeds the cap {DEFAULT_GROUP_CAP}$"):
             big.order()
+        assert time.perf_counter() - start < 1.0
 
     @staticmethod
     def transpositions(n: int) -> str:

@@ -1,18 +1,22 @@
+import itertools
 import random
+import re
 import time
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from genfix import rand_q
-from rigidity import brauer
+from rigidity import brauer, classifier
 from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.classifier import (
     CLASSIFICATION_TAGS,
     Q_CHECKLIST_TWIN_LIMIT,
+    SUBSET_SUM_WORK_LIMIT,
     GroupDescriptor,
     Outcome,
-    build_witness,
     check_witness,
     classify,
     normalize,
@@ -21,11 +25,12 @@ from rigidity.classifier import (
     subset_sum_forbidden,
 )
 from rigidity.cli import parse
-from rigidity.errors import CapacityError, ContractError
+from rigidity.errors import CapacityError, ContractError, ValidationError
 from rigidity.field_model import FieldDescriptor, PlacePerm, PlaceSymmetry
 from rigidity.invariants import (
     Family,
     GroupType,
+    LocalClass,
     c_local,
     center_shape,
     cyclic,
@@ -474,6 +479,34 @@ class TestSubsetSum:
         assert subset_sum_forbidden(values, 8, {1, 7}) is None
         assert subset_sum_forbidden(values + [5], 8, {1, 7}) == [0, 60]
 
+    def test_matches_the_listing_of_every_subset(self):
+        rng = random.Random("subset-sum")
+        for _ in range(300):
+            m = rng.randrange(2, 13)
+            values = [rng.randrange(1, 2 * m) for _ in range(rng.randrange(0, 9))]
+            targets = set(rng.sample(range(m), rng.randrange(0, 3)))
+            hits = [list(c) for k in range(1, len(values) + 1)
+                    for c in itertools.combinations(range(len(values)), k)
+                    if sum(values[i] for i in c) % m in targets]
+            assert subset_sum_forbidden(values, m, targets) == (hits[0] if hits else None)
+
+    def test_thirty_two_values_stay_within_the_work_limit(self):
+        # with no two subsets of a half on one residue, each half of 16 values
+        # visits 1 + 2 + ... + 2^15 = 2^16 - 1 entries
+        rng = random.Random("subset-sum/32")
+        values = [rng.randrange(1, 10**6) for _ in range(32)]
+        assert 2 * (2**16 - 1) <= SUBSET_SUM_WORK_LIMIT
+        subset_sum_forbidden(values, 10**6, {1})
+        with pytest.raises(CapacityError, match=SUBSET_SUM_MESSAGE):
+            subset_sum_forbidden(values + [1, 1], 10**6, {1})
+
+    def test_a_large_input_fails_fast(self):
+        g = parse(random_twins_over_q(10**6 - 1, 40))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=SUBSET_SUM_MESSAGE):
+            classify(g)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestSpecializations:
     def test_split_b3_not_rigid(self):
@@ -584,6 +617,13 @@ class TestVerdictInvariants:
             hits = [tag for tag, _ in v.reasons if tag in CLASSIFICATION_TAGS]
             assert len(hits) == 1
 
+    def test_the_readme_lists_every_reason_tag(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Verdict reason tags", 1)[1].split("\n## ", 1)[0]
+        listed = {tag for line in table.splitlines() if line.startswith("| `")
+                  for tag in re.findall(r"`([^`]+)`", line.split(" | ")[0])}
+        assert listed == {v for k, v in vars(classifier).items() if k.startswith("TAG_")}
+
     def test_not_rigid_witnesses_pass_the_machine_check(self):
         rng = random.Random(59)
         seen = 0
@@ -686,6 +726,7 @@ def random_twins_over_q(rank: int, count: int) -> str:
 
 
 RESIDUE_WORK_MESSAGE = rf"^\d+ residue products exceed the work limit {RESIDUE_WORK_LIMIT}$"
+SUBSET_SUM_MESSAGE = rf"^\d+ subset sum table entries exceed the work limit {SUBSET_SUM_WORK_LIMIT}$"
 
 
 class TestResidueWork:
@@ -778,30 +819,48 @@ class TestGroupEnumeratedOnce:
 
 
 class TestBuildWitness:
+    """The twin each kind of negative branch builds, as ``classify`` emits
+    it, and the refusals of ``check_witness``."""
+
     def test_orbit_kind_reproduces_the_partner_row(self):
         g = parse(FIXTURES["table1_D1"])
         partner = parse(FIXTURES["table1_D2"])
-        w = build_witness(g, "orbit", finite=partner.omega.finite)
+        w = classify(g).witness
         assert w.omega.finite == partner.omega.finite
+        assert w.omega.real == g.omega.real and w.real_forms == g.real_forms
+        check_witness(g, w)
 
     def test_flip_reals_kind_splits_both_quaternionic_places(self):
         g = parse(FIXTURES["quat_sqrt2"])
-        w = build_witness(g, "flip-reals", places=["w1", "w2"])
-        assert all(tag == RealFormTag("SL_R", (2,)) for _, tag in w.real_forms)
+        v = classify(g)
+        assert [tag for tag, _ in v.reasons][-1] == "too-many-real-places"
+        assert all(tag == RealFormTag("SL_R", (2,)) for _, tag in v.witness.real_forms)
+        assert all(cls.value == 0 for _, cls in v.witness.omega.real)
+        check_witness(g, v.witness)
 
     def test_subset_real_flip_kind(self):
         g = parse(A3_SUBSET_HIT)
-        w = build_witness(g, "subset-real-flip", places=["v2"], w="w")
-        assert w.omega.finite_value("v2").value == 3
+        w = classify(g).witness
+        assert [cls.value for _, cls in w.omega.finite] == [3, 1, 2]
         assert w.omega.real_value("w").value == 1
+        assert w.real_forms == (("w", RealFormTag("SL_H", (2,))),)
+        check_witness(g, w)
 
     def test_bad_certificates_rejected(self):
-        from rigidity.errors import RigidityError
-
         g = parse(FIXTURES["table1_D1"])
-        with pytest.raises(ContractError):
-            build_witness(g, "no-such-kind")
-        with pytest.raises(RigidityError):
+        partner = parse(FIXTURES["table1_D2"])
+
+        def with_finite(values):
+            fin = tuple((lab, LocalClass(cls.shape, v))
+                        for (lab, cls), v in zip(g.omega.finite, values))
+            return replace(g, omega=OmegaVector(g.group_type, fin, g.omega.real))
+
+        assert with_finite([1, 2, 2, 1]).omega.finite == partner.omega.finite
+        check_witness(g, with_finite([1, 2, 2, 1]))
+        with pytest.raises(ValidationError, match="incoherent"):
             # changing a single coordinate breaks coherence
-            build_witness(g, "orbit", finite=g.omega.finite[:3]
-                          + (parse(FIXTURES["table1_D2"]).omega.finite[3],))
+            check_witness(g, with_finite([1, 2, 2, 2]))
+        with pytest.raises(ContractError, match="not locally isomorphic"):
+            check_witness(g, with_finite([0, 0, 1, 2]))
+        with pytest.raises(ContractError, match="global orbit"):
+            check_witness(g, with_finite([2, 1, 2, 1]))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from rigidity.classifier import Outcome, classify
 from rigidity.cli import (
+    D4_OUT_OF_SCOPE,
     VERDICT_SCHEMA,
     emit_descriptor,
     main,
@@ -174,6 +175,12 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "Sp(6,R)"
         assert main(["realforms", "1A", "3"]) == 0
         assert capsys.readouterr().out.splitlines() == ["SL(4,R)", "SL(2,H)"]
+
+    def test_realforms_above_the_parameter_limit_exits_3(self, capsys):
+        assert main(["realforms", "C", "101"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parameter total 101 exceeds the limit 100\n"
 
     def test_orbit_output(self, fixtures_dir, capsys):
         assert main(["orbit", str(fixtures_dir / "table3_A4_Qi.grp")]) == 0
@@ -375,3 +382,67 @@ class TestOrbitListingLimit:
         assert count > ORBIT_LISTING_LIMIT
         err = capsys.readouterr().err
         assert f"{count} possible vectors exceed the listing limit {ORBIT_LISTING_LIMIT}" in err
+
+
+class TestUnreadableInputs:
+    """A file that is missing or not UTF-8 is an error (exit 3) reported as
+    ``PATH: MESSAGE`` on stderr, never a traceback or a verdict's exit code."""
+
+    @pytest.mark.parametrize("command", ["classify", "orbit"])
+    def test_missing_descriptor(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.grp"
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: ") and "No such file" in captured.err
+
+    @pytest.mark.parametrize("command", ["classify", "orbit"])
+    def test_descriptor_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.grp"
+        path.write_bytes("# caf\xe9\n".encode("latin-1") + FIXTURES["split_C3_Q"].encode())
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: 'utf-8' codec can't decode")
+
+    def test_a_directory_run_goes_on_past_an_unreadable_file(self, tmp_path, capsys):
+        (tmp_path / "a.grp").write_text(FIXTURES["split_C3_Q"], encoding="utf-8")
+        (tmp_path / "b.grp").write_bytes(b"\xff\xfe[group]\n")
+        (tmp_path / "c.grp").write_text(FIXTURES["table1_D1"], encoding="utf-8")
+        assert main(["classify", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert [l for l in captured.out.splitlines() if l.startswith("==")] == [
+            "== a.grp", "== b.grp", "== c.grp"]
+        assert captured.out.count("verdict:") == 2
+        assert captured.out.rstrip().endswith("w = form=SL_R(3) omega=0")
+        assert captured.err.startswith(f"{tmp_path / 'b.grp'}: 'utf-8' codec can't decode")
+
+    def test_a_directory_run_returns_the_highest_exit_code(self, tmp_path, capsys):
+        (tmp_path / "a.grp").write_text(FIXTURES["table1_D1"], encoding="utf-8")
+        (tmp_path / "b.grp").write_text("[group]\ntype = 1D\nrank = 4\n[field]\ndegree = 1\n")
+        (tmp_path / "c.grp").write_text(FIXTURES["split_C3_Q"], encoding="utf-8")
+        assert main(["classify", str(tmp_path)]) == 4
+        assert capsys.readouterr().out.count("verdict:") == 3
+
+    @pytest.mark.parametrize("name, data", [("absent.cat", None), ("latin1.cat", b"\xe9 2 (1 2)\n")])
+    def test_equiv_on_an_unreadable_catalog(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        assert main(["equiv", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: ")
+
+    def test_only_the_d4_parse_error_means_out_of_scope(self, tmp_path, capsys):
+        path = tmp_path / "words.grp"
+        path.write_text("[group]\ntype = out of scope\n[field]\ndegree = 1\n")
+        assert main(["classify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:2:1: unknown type code 'out of scope'\n"
+        path.write_text("[group]\ntype = 1D\nrank = 4\n[field]\ndegree = 1\n")
+        assert main(["classify", str(path), "--json"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["outcome"] == "OutOfScope"
+        assert payload["reasons"] == [{"tag": "scope", "detail": f"2:1: {D4_OUT_OF_SCOPE}"}]

@@ -1,6 +1,6 @@
 import pytest
 
-from rigidity.errors import ContractError, MissingRealClassError
+from rigidity.errors import CapacityError, ContractError, MissingRealClassError
 from rigidity.invariants import (
     KLEIN,
     Family,
@@ -12,6 +12,7 @@ from rigidity.invariants import (
 )
 from rigidity.real_forms import (
     ACCIDENTAL_ISOMORPHISMS,
+    FORM_PARAMETER_LIMIT,
     RealFormTag,
     RealStats,
     delta,
@@ -152,6 +153,14 @@ class TestTrivialImageForms:
         for t in types:
             got = sorted(trivial_image_forms(t), key=str)
             assert got == closed_form(t), t.symbol()
+
+    @pytest.mark.parametrize("family, fits, exceeds", [
+        (Family.A, 99, 100), (Family.B, 49, 50), (Family.C, 100, 101), (Family.D, 50, 51),
+    ])
+    def test_parameter_totals_above_the_limit_fail_fast(self, family, fits, exceeds):
+        trivial_image_forms(GroupType(family, fits))
+        with pytest.raises(CapacityError, match=f"exceeds the limit {FORM_PARAMETER_LIMIT}$"):
+            trivial_image_forms(GroupType(family, exceeds))
 
 
 class TestRealClass:

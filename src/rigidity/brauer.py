@@ -138,7 +138,6 @@ def _flip_rule(t: GroupType):
 
 @dataclass(frozen=True)
 class SOmegaOrbit:
-    base: OmegaVector
     admissible_subsets: Tuple[FrozenSet[str], ...]
     elements: Tuple[Coords, ...]
 
@@ -176,7 +175,6 @@ def s_omega_orbit(omega: OmegaVector) -> SOmegaOrbit:
     walk(0, [], 0)
     elements = {_flip_subset(omega, ids) for ids in subsets}
     return SOmegaOrbit(
-        base=omega,
         admissible_subsets=tuple(sorted(subsets, key=lambda s: (len(s), sorted(map(natural_key, s))))),
         elements=tuple(sorted(elements, key=coords_key)),
     )
@@ -407,31 +405,29 @@ def weak_uniformity(
     )
 
 
-def possible_vectors(omega: OmegaVector, f: FieldDescriptor) -> Tuple[Coords, ...]:
+def possible_vectors(omega: OmegaVector) -> Tuple[Coords, ...]:
     """The possible side listed by the reference enumerators: every coherent
     flip, then every arrangement within the adelic classes."""
     out: Set[Coords] = set()
     for e in s_omega_orbit(omega).elements:
-        out.update(adelic_orbit(e, f))
+        out.update(adelic_orbit(e))
     return tuple(sorted(out, key=coords_key))
 
 
 def plain_orbits(
-    omega: OmegaVector, f: FieldDescriptor, s: PlaceSymmetry
+    omega: OmegaVector, s: PlaceSymmetry
 ) -> Tuple[Tuple[Coords, ...], Tuple[Coords, ...]]:
     """The one-sided orbit pair: field automorphisms only vs adelic permutations only."""
-    return global_orbit(omega.finite, s), adelic_orbit(omega.finite, f)
+    return global_orbit(omega.finite, s), adelic_orbit(omega.finite)
 
 
-def outer_fast_path(
-    omega: OmegaVector, f: FieldDescriptor, s: PlaceSymmetry
-) -> Optional[bool]:
+def outer_fast_path(omega: OmegaVector, s: PlaceSymmetry) -> Optional[bool]:
     """Weak uniformity for outer types: at most one twin place and matching plain orbits."""
     if not omega.group_type.is_outer:
         return None
     if len(inner_twin_places(omega)) >= 2:
         return False
-    glob, adel = plain_orbits(omega, f, s)
+    glob, adel = plain_orbits(omega, s)
     return set(glob) == set(adel)
 
 

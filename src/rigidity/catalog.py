@@ -1,27 +1,31 @@
-"""The two subgroup pairs the arithmetic equivalence checks are pinned to.
-
-The simple group of order 168 acting on the seven points of the Fano
-plane, where the point and line stabilizers form the standard
-almost-conjugate-but-not-conjugate pair, and the wreath model on six
-points.  The groups the suite runs over are listed in ``fixtures/groups.cat``.
+"""The bundled permutation groups, read from ``fixtures/groups.cat`` as
+package data, and the subgroup pairs the arithmetic equivalence checks are
+pinned to: the point and line stabilizers of the simple group of order 168
+on the Fano plane, the standard almost-conjugate-but-not-conjugate pair, and
+subgroups of the wreath model on six points.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from functools import lru_cache
+from importlib.resources import files
+from typing import Dict, Tuple
 
 from .arith_equiv import PermGroup, Subgroup, perm_from_cycles
+from .cli import parse_catalog
 
 
-def wreath_c2_c3() -> PermGroup:
-    """The transitive wreath model on six points: three sign flips cycled by a 3-cycle."""
-    gens = [
-        perm_from_cycles(6, [(0, 1)]),
-        perm_from_cycles(6, [(2, 3)]),
-        perm_from_cycles(6, [(4, 5)]),
-        perm_from_cycles(6, [(0, 2, 4), (1, 3, 5)]),
-    ]
-    return PermGroup(6, gens, name="C2wrC3")
+@lru_cache(maxsize=1)
+def _catalog_lines() -> Dict[str, str]:
+    """The lines of ``groups.cat`` by group name, read once per process."""
+    text = (files(__package__) / "fixtures" / "groups.cat").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    return {line.split(None, 1)[0]: line for line in lines}
+
+
+def catalog_group(name: str) -> PermGroup:
+    """The ``groups.cat`` group of that name, built afresh from its line."""
+    return parse_catalog(_catalog_lines()[name])[0]
 
 
 def wreath_pair() -> Tuple[PermGroup, Subgroup, Subgroup, Subgroup]:
@@ -31,7 +35,7 @@ def wreath_pair() -> Tuple[PermGroup, Subgroup, Subgroup, Subgroup]:
     normalizing ``U``: the prototype of globally isomorphic quadratic
     extensions with no isomorphism fixing the middle field.
     """
-    G = wreath_c2_c3()
+    G = catalog_group("C2wrC3")
     e = G.identity
     a = perm_from_cycles(6, [(0, 1)])
     b = perm_from_cycles(6, [(2, 3)])
@@ -42,35 +46,11 @@ def wreath_pair() -> Tuple[PermGroup, Subgroup, Subgroup, Subgroup]:
     return G, U, V1, V2
 
 
-def fano_group() -> PermGroup:
-    """The simple group of order 168 on the seven points of the Fano plane.
-
-    Points are the nonzero vectors of a three dimensional binary space,
-    encoded as the integers 1..7 minus one; generators are two invertible
-    linear maps generating the full linear group.
-    """
-    def action(m):
-        # m: 3x3 binary matrix, rows are images of basis vectors
-        out = []
-        for v in range(1, 8):
-            bits = ((v >> 0) & 1, (v >> 1) & 1, (v >> 2) & 1)
-            w = [0, 0, 0]
-            for i in range(3):
-                if bits[i]:
-                    for j in range(3):
-                        w[j] ^= m[i][j]
-            out.append((w[0] | (w[1] << 1) | (w[2] << 2)) - 1)
-        return tuple(out)
-
-    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
-    return PermGroup(7, [action(shear), action(cycle)], name="PSL(3,2)")
-
-
 def fano_point_line_stabilizers() -> Tuple[PermGroup, Subgroup, Subgroup]:
     """Stabilizer of a point and of a line of the Fano plane: the standard
-    almost conjugate, non-conjugate pair."""
-    G = fano_group()
+    almost conjugate, non-conjugate pair.  The catalog numbers the points as
+    the nonzero vectors of a binary 3-space, so points 1, 2, 3 form a line."""
+    G = catalog_group("PSL(3,2)")
     elems = G.elements()
     point = frozenset(g for g in elems if g[0] == 0)
     line = frozenset(g for g in elems if {g[0], g[1], g[2]} == {0, 1, 2})

@@ -63,6 +63,7 @@ from .field_model import (
     PlaceSymmetry,
 )
 from .invariants import (
+    D4_OUT_OF_SCOPE,
     FIXED_RANKS,
     Family,
     FormKind,
@@ -118,10 +119,36 @@ _TYPE_CODES = {
 }
 
 _SECTIONS = ("group", "field", "aut", "places", "real")
-_FIELD_KEYS = {"degree", "complex_places", "locally_determined", "galois", "hbar_fiber"}
 
-# the parse error that makes ``classify`` answer OutOfScope rather than fail
-D4_OUT_OF_SCOPE = "triality type D4 is out of scope"
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# each [field] key with the reader of its value and the message when that fails
+_FIELD_KEYS = {
+    "degree": (int, "degree must be an integer"),
+    "complex_places": (int, "complex_places must be an integer"),
+    "locally_determined": (_flag, "locally_determined must be true or false"),
+    "galois": (_flag, "galois must be true or false"),
+    "hbar_fiber": (HbarFiber, "hbar_fiber must be trivial, nontrivial, or unknown"),
+}
+
+
+def read_cycles(text: str):
+    """The cycles of a permutation in cycle notation, each as its list of words.
+
+    Raises ValueError on a bracket fault; the words are the caller's to check.
+    """
+    rest = text
+    while rest:
+        close = rest.find(")")
+        if not rest.startswith("(") or close < 0:
+            raise ValueError(f"bad cycle notation {text!r}")
+        yield rest[1:close].split()
+        rest = rest[close + 1:].strip()
 
 
 class _Parser:
@@ -167,18 +194,18 @@ class _Parser:
         if gtype is None or fieldinfo is None or self.errors:
             raise DescriptorParseError(self.errors or [(1, 1, "unusable descriptor")])
 
-        finite, fin_omega = self._parse_places(sections["places"], gtype)
-        real, real_omega, tags = self._parse_real(sections["real"], gtype)
-        perms = self._parse_aut(sections["aut"], {p.id for p in finite + real})
+        fin_omega = self._parse_places(sections["places"], gtype)
+        real_omega, tags = self._parse_real(sections["real"], gtype)
+        perms = self._parse_aut(sections["aut"], {lab.id for lab, _ in fin_omega + real_omega})
         if self.errors:
             raise DescriptorParseError(self.errors)
 
         degree, complexes, loc_det, galois, hbar = fieldinfo
         fdesc = FieldDescriptor(
             degree=degree,
-            real_places=tuple(real),
+            real_places=tuple(lab for lab, _ in real_omega),
             complex_place_count=complexes,
-            finite_places=tuple(finite),
+            finite_places=tuple(lab for lab, _ in fin_omega),
             locally_determined=loc_det,
             galois_over_q=galois,
             hbar_fiber=hbar,
@@ -232,52 +259,29 @@ class _Parser:
             return None
 
     def _parse_field(self, entries):
-        degree = None
-        complexes = 0
-        loc_det = None
-        galois = None
-        hbar = None
+        values = {"complex_places": 0}
         for no, key, value in entries:
             if key not in _FIELD_KEYS:
                 self.err(no, 1, f"unknown key {key!r} in [field]")
                 continue
-            if key in ("degree", "complex_places"):
-                try:
-                    n = int(value)
-                except ValueError:
-                    self.err(no, 1, f"{key} must be an integer")
-                    continue
-                if key == "degree":
-                    degree = n
-                else:
-                    complexes = n
-            elif key in ("locally_determined", "galois"):
-                if value not in ("true", "false"):
-                    self.err(no, 1, f"{key} must be true or false")
-                    continue
-                if key == "locally_determined":
-                    loc_det = value == "true"
-                else:
-                    galois = value == "true"
-            else:
-                try:
-                    hbar = HbarFiber(value)
-                except ValueError:
-                    self.err(no, 1, "hbar_fiber must be trivial, nontrivial, or unknown")
-        if degree is None:
+            read, message = _FIELD_KEYS[key]
+            try:
+                values[key] = read(value)
+            except ValueError:
+                self.err(no, 1, message)
+        if "degree" not in values:
             self.err(1, 1, "missing degree in [field]")
             return None
-        if galois is None:
-            galois = degree == 1
+        degree = values["degree"]
+        galois = values.get("galois", degree == 1)
+        loc_det = values.get("locally_determined")
         if loc_det is None:
-            if degree <= 6:
-                loc_det = True  # fields of degree up to six are locally determined
-            else:
+            if degree > 6:
                 self.err(1, 1, "degree above 6: declare locally_determined explicitly")
                 return None
-        if hbar is None:
-            hbar = HbarFiber.TRIVIAL if galois else HbarFiber.UNKNOWN
-        return degree, complexes, loc_det, galois, hbar
+            loc_det = True  # fields of degree up to six are locally determined
+        hbar = values.get("hbar_fiber", HbarFiber.TRIVIAL if galois else HbarFiber.UNKNOWN)
+        return degree, values["complex_places"], loc_det, galois, hbar
 
     def _parse_value(self, no: int, text: str, shape: Shape) -> Optional[LocalClass]:
         text = text.strip()
@@ -325,51 +329,42 @@ class _Parser:
             return zero(shape)
         return LocalClass(shape, v)
 
-    def _parse_places(self, entries, gtype: GroupType):
-        labels: List[PlaceLabel] = []
-        omega = []
+    def _read_entries(self, entries, what: str, allowed):
+        """(line, id, options) of each [places] or [real] entry whose id is new
+        and whose options parse, with ``kind`` split or nonsplit if given."""
         seen = set()
         for no, label, value in entries:
             if label in seen:
-                self.err(no, 1, f"place {label} declared twice")
+                self.err(no, 1, f"{what} {label} declared twice")
                 continue
             seen.add(label)
-            opts = self._parse_opts(no, value, {"class", "kind", "omega"})
+            opts = self._parse_opts(no, value, allowed)
             if opts is None:
                 continue
-            kind_txt = opts.get("kind", "split")
-            if kind_txt not in ("split", "nonsplit"):
+            if opts.get("kind", "split") not in ("split", "nonsplit"):
                 self.err(no, 1, "kind must be split or nonsplit")
                 continue
-            if kind_txt == "nonsplit" and not gtype.is_outer:
+            yield no, label, opts
+
+    def _parse_places(self, entries, gtype: GroupType):
+        omega = []
+        for no, label, opts in self._read_entries(entries, "place", {"class", "kind", "omega"}):
+            outer = opts.get("kind") == "nonsplit"
+            if outer and not gtype.is_outer:
                 self.err(no, 1, f"inner form {gtype.symbol()} has no nonsplit places")
                 continue
-            kind = PlaceKind.FINITE_INNER if kind_txt == "split" else PlaceKind.FINITE_OUTER
-            lab = PlaceLabel(label, kind, opts.get("class"))
+            kind = PlaceKind.FINITE_OUTER if outer else PlaceKind.FINITE_INNER
             shape = h2_local(gtype, kind)
-            if "omega" in opts:
-                cls = self._parse_value(no, opts["omega"], shape)
-                if cls is None:
-                    continue
-            else:
-                cls = zero(shape)
-            labels.append(lab)
-            omega.append((lab, cls))
-        return labels, omega
+            cls = self._parse_value(no, opts["omega"], shape) if "omega" in opts else zero(shape)
+            if cls is None:
+                continue
+            omega.append((PlaceLabel(label, kind, opts.get("class")), cls))
+        return omega
 
     def _parse_real(self, entries, gtype: GroupType):
-        labels: List[PlaceLabel] = []
         omega = []
         tags = []
-        seen = set()
-        for no, label, value in entries:
-            if label in seen:
-                self.err(no, 1, f"real place {label} declared twice")
-                continue
-            seen.add(label)
-            opts = self._parse_opts(no, value, {"form", "omega", "kind"})
-            if opts is None:
-                continue
+        for no, label, opts in self._read_entries(entries, "real place", {"form", "omega", "kind"}):
             if "form" not in opts:
                 self.err(no, 1, f"real place {label} needs a form")
                 continue
@@ -378,16 +373,13 @@ class _Parser:
             if tag is None:
                 continue
             outer = tag.signature()[2]
-            if explicit_kind is not None:
-                want_outer = explicit_kind == "nonsplit"
-                if want_outer != outer:
-                    self.err(no, 1, f"form {tag} contradicts kind={explicit_kind}")
-                    continue
+            if explicit_kind is not None and (explicit_kind == "nonsplit") != outer:
+                self.err(no, 1, f"form {tag} contradicts kind={explicit_kind}")
+                continue
             if outer and not gtype.is_outer:
                 self.err(no, 1, f"inner form {gtype.symbol()} has no outer real form {tag}")
                 continue
             kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
-            lab = PlaceLabel(label, kind)
             shape = h2_local(gtype, kind)
             supplied = None
             if "omega" in opts:
@@ -399,10 +391,9 @@ class _Parser:
             except RigidityError as e:
                 self.err(no, 1, str(e))
                 continue
-            labels.append(lab)
-            omega.append((lab, cls))
+            omega.append((PlaceLabel(label, kind), cls))
             tags.append((label, tag))
-        return labels, omega, tags
+        return omega, tags
 
     def _parse_form(self, no: int, text: str, gtype: GroupType,
                     explicit_kind: Optional[str]) -> Optional[RealFormTag]:
@@ -446,38 +437,22 @@ class _Parser:
     def _parse_aut(self, entries, declared) -> List[PlacePerm]:
         perms = []
         for no, name, value in entries:
-            cycles = []
-            rest = value.strip()
-            if not rest:
+            if not value:
                 self.err(no, 1, f"generator {name} is empty")
                 continue
-            ok = True
-            while rest:
-                if not rest.startswith("("):
-                    self.err(no, 1, f"generator {name}: expected '(' in cycle notation")
-                    ok = False
-                    break
-                close = rest.find(")")
-                if close < 0:
-                    self.err(no, 1, f"generator {name}: unbalanced cycle")
-                    ok = False
-                    break
-                cyc = tuple(rest[1:close].split())
-                if len(cyc) < 2:
-                    self.err(no, 1, f"generator {name}: cycles need at least two labels")
-                    ok = False
-                    break
-                for pid in cyc:
-                    if pid not in declared:
-                        self.err(no, 1, f"generator {name}: undeclared place {pid}")
-                        ok = False
-                cycles.append(cyc)
-                rest = rest[close + 1:].strip()
-            if not ok:
-                continue
+            before = len(self.errors)
             try:
-                perms.append(PlacePerm.from_cycles(cycles))
-            except ValidationError as e:
+                cycles = []
+                for cyc in read_cycles(value):
+                    if len(cyc) < 2:
+                        raise ValueError("cycles need at least two labels")
+                    for pid in cyc:
+                        if pid not in declared:
+                            self.err(no, 1, f"generator {name}: undeclared place {pid}")
+                    cycles.append(tuple(cyc))
+                if len(self.errors) == before:
+                    perms.append(PlacePerm.from_cycles(cycles))
+            except (ValueError, ValidationError) as e:
                 self.err(no, 1, f"generator {name}: {e}")
         return perms
 
@@ -497,11 +472,8 @@ def parse(text_or_path) -> GroupDescriptor:
 # emitting
 
 def _format_form(tag: RealFormTag) -> str:
-    if tag.name in ("SplitForm", "CompactForm", "AnisotropicOther"):
-        return tag.name
-    if tag.params:
-        return f"{tag.name}({','.join(str(p) for p in tag.params)})"
-    return tag.name
+    # the generic tags carry no parameters
+    return f"{tag.name}({','.join(map(str, tag.params))})" if tag.params else tag.name
 
 
 # the last code listed for a type in _TYPE_CODES is the one emitted
@@ -594,11 +566,12 @@ def cmd_classify(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     target = Path(args.file)
     if target.is_dir():
-        code = 0
+        codes = []
         for path in sorted(target.glob("*.grp"), key=lambda p: natural_key(p.name)):
             print(f"== {path.name}", file=out)
-            code = max(code, _classify_file(path, args.json, out))
-        return code
+            codes.append(_classify_file(path, args.json, out))
+        # a file that failed (3) outranks every verdict, OutOfScope (4) included
+        return 3 if 3 in codes else max(codes, default=0)
     return _classify_file(target, args.json, out)
 
 
@@ -616,8 +589,8 @@ def cmd_orbit(args, out=None) -> int:
             raise CapacityError(
                 f"{report.possible} possible vectors exceed the listing limit {ORBIT_LISTING_LIMIT}"
             )
-        possible = possible_vectors(desc.omega, desc.field)
-        glob, adel = plain_orbits(desc.omega, desc.field, desc.symmetry)
+        possible = possible_vectors(desc.omega)
+        glob, adel = plain_orbits(desc.omega, desc.symmetry)
     except (RigidityError, OSError, UnicodeDecodeError) as e:
         print(f"{args.file}: {e}", file=sys.stderr)
         return 3
@@ -703,12 +676,7 @@ def parse_catalog(text: str) -> List[PermGroup]:
 def _catalog_generator(chunk: str, degree: int) -> Tuple[int, ...]:
     """One generator in 1-based cycle notation; ValueError says what is wrong."""
     cycles = []
-    rest = chunk
-    while rest:
-        if not rest.startswith("(") or ")" not in rest:
-            raise ValueError(f"bad cycle notation {chunk!r}")
-        close = rest.index(")")
-        words = rest[1:close].split()
+    for words in read_cycles(chunk):
         if not words:
             raise ValueError(f"empty cycle in {chunk!r}")
         cycle = []
@@ -721,7 +689,6 @@ def _catalog_generator(chunk: str, degree: int) -> Tuple[int, ...]:
                 raise ValueError(f"point {point} outside degree {degree} in {chunk!r}")
             cycle.append(point - 1)
         cycles.append(cycle)
-        rest = rest[close + 1:].strip()
     try:
         return perm_from_cycles(degree, cycles)
     except ContractError:

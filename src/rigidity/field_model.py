@@ -290,7 +290,7 @@ def _orderings(counts: Dict[LocalClass, int]) -> List[Tuple[LocalClass, ...]]:
     return out
 
 
-def adelic_orbit(coords: Coords, f: Optional[FieldDescriptor] = None) -> Tuple[Coords, ...]:
+def adelic_orbit(coords: Coords) -> Tuple[Coords, ...]:
     """All vectors obtained by permuting coordinates within each adelic class.
 
     The values themselves never move between classes: isomorphisms of

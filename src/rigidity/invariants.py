@@ -110,9 +110,13 @@ class GroupType(HashedOnce):
         return GroupType(self.family, self.rank, FormKind.INNER)
 
 
+# also the parse error that makes ``classify`` answer OutOfScope rather than fail
+D4_OUT_OF_SCOPE = "triality type D4 is out of scope"
+
+
 def _check_scope(t: GroupType) -> None:
     if t.family == Family.D and t.rank == 4:
-        raise OutOfScopeError("triality type D4 is out of scope")
+        raise OutOfScopeError(D4_OUT_OF_SCOPE)
 
 
 def has_symmetry(t: GroupType) -> bool:

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import CapacityError, ContractError, MissingRealClassError, OutOfScopeError
+from .errors import CapacityError, ContractError, MissingRealClassError
 from .invariants import (
+    _check_scope,
     Family,
     GroupType,
     LocalClass,
@@ -228,8 +229,7 @@ def trivial_image_forms(t: GroupType) -> List[RealFormTag]:
     rank is fixed) and keeps the forms whose kernel exhausts their
     cohomology.  Raises CapacityError above ``FORM_PARAMETER_LIMIT``.
     """
-    if t.family == Family.D and t.rank == 4:
-        raise OutOfScopeError("triality type D4 is out of scope")
+    _check_scope(t)
     f, r, outer = t.family, t.rank, t.is_outer
     total = {Family.A: r + 1, Family.B: 2 * r + 1, Family.C: r, Family.D: 2 * r}.get(f, 0)
     if total > FORM_PARAMETER_LIMIT:

@@ -45,7 +45,7 @@ def _checks():
 
     t4 = parse(FIXTURES["table4_A5_Qi"])
     r4 = weak_uniformity(t4.omega, t4.field, t4.symmetry)
-    glob, adel = plain_orbits(t4.omega, t4.field, t4.symmetry)
+    glob, adel = plain_orbits(t4.omega, t4.symmetry)
     yield "gaussian rank 5: automorphism orbit 2 inside adelic orbit 4", (
         len(glob) == 2 and len(adel) == 4 and set(glob) < set(adel)
     )

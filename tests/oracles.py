@@ -1,10 +1,11 @@
-"""Reference checks the engine does not need, and the catalog groups by name.
+"""Reference checks the engine does not need, and the catalog groups.
 
 ``hbar_certificate`` and ``mackey_decomposition_holds`` restate the
 index-two criterion and the Mackey decomposition behind it;
 ``global_sym_act`` is the diagram symmetry on the global dual target,
-which the brute-force flip listings filter by.  The catalog groups are
-parsed from ``fixtures/groups.cat`` afresh on every call, so no two tests
+which the brute-force flip listings filter by.  ``catalog_groups``
+parses ``fixtures/groups.cat`` afresh on every call, as
+``rigidity.catalog.catalog_group`` does for one group, so no two tests
 share a group's caches.  ``run_python`` runs code in a fresh interpreter
 that imports the package under test.
 """
@@ -48,11 +49,6 @@ def run_python(args: List[str], hash_seed: Optional[str] = None,
 def catalog_groups() -> List[PermGroup]:
     """Every group of the bundled catalog, in file order, freshly parsed."""
     return parse_catalog(CATALOG.read_text(encoding="utf-8"))
-
-
-def catalog_group(name: str) -> PermGroup:
-    """The bundled catalog group of that name, freshly parsed."""
-    return next(G for G in catalog_groups() if G.name == name)
 
 
 def global_sym_act(t: GroupType, x: LocalClass) -> LocalClass:

@@ -87,7 +87,7 @@ def test_criterion_2_gaussian_tables():
         }
         as_rows = lambda vecs: {tuple((lab.id, cls.value) for lab, cls in v) for v in vecs}
         assert as_rows(report4.lhs) == rows4 and report4.possible == len(rows4)
-        assert as_rows(possible_vectors(four.omega, four.field)) == rows4
+        assert as_rows(possible_vectors(four.omega)) == rows4
         assert report4.holds
         assert classify(four).outcome == Outcome.RIGID
 
@@ -100,8 +100,8 @@ def test_criterion_2_gaussian_tables():
         }
         report5 = weak_uniformity(five.omega, five.field, five.symmetry)
         assert as_rows(report5.lhs) == rows5 and report5.possible == len(rows5)
-        assert as_rows(possible_vectors(five.omega, five.field)) == rows5
-        glob, adel = plain_orbits(five.omega, five.field, five.symmetry)
+        assert as_rows(possible_vectors(five.omega)) == rows5
+        glob, adel = plain_orbits(five.omega, five.symmetry)
         assert len(glob) == 2 and len(adel) == 4 and set(glob) < set(adel)
         # the two-sided sets coincide, so the instance is rigid even though
         # the one-sided orbit comparison is strict

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import catalog_group, catalog_groups, hbar_certificate, mackey_decomposition_holds
+from oracles import catalog_groups, hbar_certificate, mackey_decomposition_holds
 from rigidity.arith_equiv import (
     DEFAULT_GROUP_CAP,
     NORMAL_SUBGROUP_LIMIT,
@@ -17,7 +17,7 @@ from rigidity.arith_equiv import (
     perm_mul,
     verify_prop_almost_conjugate,
 )
-from rigidity.catalog import fano_group, fano_point_line_stabilizers, wreath_pair
+from rigidity.catalog import catalog_group, fano_point_line_stabilizers, wreath_pair
 from rigidity.cli import main, parse_catalog
 from rigidity.errors import CapacityError, ContractError
 
@@ -42,9 +42,17 @@ class TestConjugacyClasses:
         assert len(catalog_group("C4").conjugacy_classes()) == 4
 
     def test_fano_group(self):
-        G = fano_group()
+        G = catalog_group("PSL(3,2)")
         assert G.order() == 168
         assert len(G.conjugacy_classes()) == 6
+
+    def test_catalog_groups_keep_the_generators_of_the_former_builders(self):
+        # the matrix action of a shear and a coordinate cycle on the seven
+        # nonzero vectors of a binary space, and three sign flips cycled by a 3-cycle
+        assert catalog_group("PSL(3,2)").generators == [
+            (2, 1, 0, 3, 6, 5, 4), (1, 3, 5, 0, 2, 4, 6)]
+        assert catalog_group("C2wrC3").generators == [
+            (1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4), (2, 3, 4, 5, 0, 1)]
 
     def test_classes_partition_the_group(self):
         for G in (catalog_group("S4"), catalog_group("D12")):
@@ -228,7 +236,7 @@ class TestEnumeratorsMatchTheLattice:
             raise AssertionError("the subgroup lattice was built")
 
         monkeypatch.setattr(PermGroup, "subgroups", no_lattice)
-        G = fano_group()
+        G = catalog_group("PSL(3,2)")
         whole = frozenset(G.elements())
         assert G.normal_subgroups() == [frozenset([G.identity]), whole]
         # perfect: commutators already generate the whole group, so no

@@ -287,12 +287,12 @@ class TestWeakUniformity:
         assert len(r1.lhs) == len(r2.lhs) and r1.possible == r2.possible
 
 
-def enumerated_comparison(omega, f, realized, flips):
+def enumerated_comparison(omega, realized, flips):
     """The possible count and witness from the reference listing."""
     if flips:
-        possible = set(possible_vectors(omega, f))
+        possible = set(possible_vectors(omega))
     else:
-        possible = set(adelic_orbit(omega.finite, f))
+        possible = set(adelic_orbit(omega.finite))
     realized = set(realized)
     if possible == realized:
         return len(possible), None
@@ -340,12 +340,12 @@ class TestCountingMatchesEnumeration:
                 sym = stabilizer_subgroup(g.symmetry, f, stab) if stab else g.symmetry
                 one_sided = set(global_orbit(om.finite, sym))
                 report = weak_uniformity(om, f, g.symmetry, stabilize_real=stab)
-                want = enumerated_comparison(om, f, report.lhs, True)
+                want = enumerated_comparison(om, report.lhs, True)
                 assert (report.possible, report.witness) == want
                 assert report.holds == (want[1] is None)
                 outcomes.add(report.holds)
                 assert compare_possible(om, one_sided, flips=False) == \
-                    enumerated_comparison(om, f, one_sided, False)
+                    enumerated_comparison(om, one_sided, False)
         if make in (genfix.rand_classed, genfix.rand_paired):
             assert outcomes == {True, False}
 
@@ -363,10 +363,10 @@ class TestCountingMatchesEnumeration:
         for om, f, s in ((twelve, f12, PlaceSymmetry()),
                          (seven.omega, seven.field, seven.symmetry)):
             report = weak_uniformity(om, f, s)
-            assert (report.possible, report.witness) == enumerated_comparison(om, f, report.lhs, True)
+            assert (report.possible, report.witness) == enumerated_comparison(om, report.lhs, True)
             one_sided = set(global_orbit(om.finite, s))
             assert compare_possible(om, one_sided, flips=False) == \
-                enumerated_comparison(om, f, one_sided, False)
+                enumerated_comparison(om, one_sided, False)
 
 
 def class_multisets(coords):
@@ -452,7 +452,7 @@ class TestResidueVectorsMatchTheRecount:
 class TestOuterFastPath:
     def test_inner_type_opts_out(self):
         om = omega_table3()
-        assert outer_fast_path(om, gaussian_field(om), PlaceSymmetry()) is None
+        assert outer_fast_path(om, PlaceSymmetry()) is None
 
     def test_two_twins_force_failure(self):
         t = GroupType(Family.A, 5, FormKind.OUTER)
@@ -462,19 +462,13 @@ class TestOuterFastPath:
             (PlaceLabel("v3", FI, "b"), LocalClass(z6, 5)),
         )
         om = OmegaVector(t, fin)
-        f = FieldDescriptor(degree=2, complex_place_count=1,
-                            finite_places=tuple(l for l, _ in fin),
-                            galois_over_q=True)
-        assert outer_fast_path(om, f, PlaceSymmetry()) is False
+        assert outer_fast_path(om, PlaceSymmetry()) is False
 
     def test_no_twins_with_singleton_classes(self):
         t = GroupType(Family.E6, 6, FormKind.OUTER)
         fin = ((PlaceLabel("v2", PlaceKind.FINITE_OUTER), zero(cyclic(1))),)
         om = OmegaVector(t, fin)
-        f = FieldDescriptor(degree=2, complex_place_count=1,
-                            finite_places=tuple(l for l, _ in fin),
-                            galois_over_q=True)
-        assert outer_fast_path(om, f, PlaceSymmetry()) is True
+        assert outer_fast_path(om, PlaceSymmetry()) is True
 
     def test_agrees_with_weak_uniformity(self):
         rng = random.Random(43)
@@ -491,7 +485,7 @@ class TestOuterFastPath:
                 finite_places=tuple(l for l, _ in om.finite),
                 galois_over_q=True,
             )
-            fast = outer_fast_path(om, f, PlaceSymmetry())
+            fast = outer_fast_path(om, PlaceSymmetry())
             slow = weak_uniformity(om, f, PlaceSymmetry()).holds
             assert fast == slow
 

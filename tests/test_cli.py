@@ -81,6 +81,49 @@ class TestParse:
             parse(bad)
 
 
+_A2_HEAD = "[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 2\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[aut]\ng = (v2 v3\n[places]\nv2 = omega=1\nv3 = omega=2\n[real]\nw = form=SL_R(3)\n",
+     "7:1: generator g: bad cycle notation '(v2 v3'"),
+    ("[aut]\ng = (v2 v3)(v5\n[places]\nv2 = omega=1\nv3 = omega=2\n[real]\nw = form=SL_R(3)\n",
+     "7:1: generator g: bad cycle notation '(v2 v3)(v5'"),
+    ("[aut]\ng = (v2)\n[places]\nv2 = omega=1\n[real]\nw = form=SL_R(3)\n",
+     "7:1: generator g: cycles need at least two labels"),
+    ("[aut]\ng = (v2 v9)\n[places]\nv2 = omega=1\n[real]\nw = form=SL_R(3)\n",
+     "7:1: generator g: undeclared place v9"),
+    ("[places]\nv2 = kind=banana\n[real]\nw = form=SL_R(3)\n",
+     "7:1: kind must be split or nonsplit"),
+    ("[places]\nv2 = omega=1\nv2 = omega=2\n[real]\nw = form=SL_R(3)\n",
+     "8:1: place v2 declared twice"),
+    ("[real]\nw = form=SL_R(3) kind=banana\nw2 = form=SL_R(3)\n",
+     "7:1: kind must be split or nonsplit"),
+    ("[real]\nw = form=SL_R(3)\nw = form=SL_R(3)\n", "8:1: real place w declared twice"),
+    ("[real]\nw = omega=0\nw2 = form=SL_R(3)\n", "7:1: real place w needs a form"),
+    ("[real]\nw = form=SL_R(3) kind=nonsplit\nw2 = form=SL_R(3)\n",
+     "7:1: form SL(3,R) contradicts kind=nonsplit"),
+], ids=["aut-unclosed", "aut-unclosed-second", "aut-one-label", "aut-undeclared",
+        "places-kind", "places-twice", "real-kind", "real-twice", "real-no-form", "real-kind-contradicts"])
+def test_aut_places_and_real_faults_are_positioned(body, message):
+    with pytest.raises(DescriptorParseError) as err:
+        parse(_A2_HEAD + body)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("complex_places = 1.5", "6:1: complex_places must be an integer"),
+    ("galois = yes", "6:1: galois must be true or false"),
+    ("locally_determined = 1", "6:1: locally_determined must be true or false"),
+    ("hbar_fiber = maybe", "6:1: hbar_fiber must be trivial, nontrivial, or unknown"),
+    ("colour = blue", "6:1: unknown key 'colour' in [field]"),
+], ids=["complex_places", "galois", "locally_determined", "hbar_fiber", "unknown"])
+def test_field_faults_are_positioned(line, message):
+    with pytest.raises(DescriptorParseError) as err:
+        parse(_A2_HEAD + line + "\n")
+    assert str(err.value) == message
+
+
 class TestRoundTrip:
     def test_fixture_round_trips(self):
         for name, text in FIXTURES.items():
@@ -170,6 +213,15 @@ class TestCommands:
             captured.err,
         )
 
+    def test_classify_rejects_an_unknown_real_place_kind(self, tmp_path, capsys):
+        f = tmp_path / "banana.grp"
+        f.write_text("[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 1\n"
+                     "[real]\nw = form=SL_R(3) kind=banana\n")
+        assert main(["classify", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{f}:7:1: kind must be split or nonsplit\n"
+
     def test_realforms_output(self, capsys):
         assert main(["realforms", "C", "3"]) == 0
         assert capsys.readouterr().out.strip() == "Sp(6,R)"
@@ -228,6 +280,7 @@ class TestCatalogParse:
         ("X 3 (1 a)", "1:1: bad point 'a' in '(1 a)'"),
         ("X 3 (1 2)(2 3)", "1:1: cycles '(1 2)(2 3)' do not define a permutation"),
         ("X 3 (1 2); ()", "1:1: empty cycle in '()'"),
+        ("X 3 (1 2)(2 3", "1:1: bad cycle notation '(1 2)(2 3'"),
         ("X 0 (1 2)", "1:1: degree 0 outside 1..1000"),
         ("X -1 (1 2)", "1:1: degree -1 outside 1..1000"),
         ("X 1001 (1 2)", "1:1: degree 1001 outside 1..1000"),
@@ -423,6 +476,15 @@ class TestUnreadableInputs:
         (tmp_path / "c.grp").write_text(FIXTURES["split_C3_Q"], encoding="utf-8")
         assert main(["classify", str(tmp_path)]) == 4
         assert capsys.readouterr().out.count("verdict:") == 3
+
+    def test_a_directory_run_with_a_failed_file_exits_3(self, tmp_path, capsys):
+        # an error (3) must not hide behind OutOfScope (4), the larger code
+        (tmp_path / "a.grp").write_bytes(b"\xff\xfe[group]\n")
+        (tmp_path / "b.grp").write_text("[group]\ntype = 1D\nrank = 4\n[field]\ndegree = 1\n")
+        assert main(["classify", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("verdict: OutOfScope") == 1
+        assert captured.err.startswith(f"{tmp_path / 'a.grp'}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("name, data", [("absent.cat", None), ("latin1.cat", b"\xe9 2 (1 2)\n")])
     def test_equiv_on_an_unreadable_catalog(self, tmp_path, capsys, name, data):

@@ -15,7 +15,6 @@ from .brauer import (
     inner_twin_bound,
     inner_twin_places,
     is_coherent,
-    outer_fast_path,
     plain_orbits,
     possible_vectors,
     s_omega_orbit,

@@ -20,7 +20,8 @@ from .errors import CapacityError, ContractError
 
 Perm = Tuple[int, ...]
 
-# Largest group order ``PermGroup.elements`` enumerates.
+# Largest group order ``closure`` enumerates, for catalog groups and field
+# automorphisms alike.
 DEFAULT_GROUP_CAP = 10080
 
 # Most normal subgroups one group may list; (Z/2)^n has about 2^(n^2/4).
@@ -30,6 +31,21 @@ NORMAL_SUBGROUP_LIMIT = 512
 def perm_mul(a: Perm, b: Perm) -> Perm:
     """(a*b)(x) = a(b(x))."""
     return tuple(map(a.__getitem__, b))
+
+
+def closure(generators: Sequence[Perm], identity: Perm) -> List[Perm]:
+    """Every element the generators generate, breadth first from ``identity``;
+    CapacityError once there are more than ``DEFAULT_GROUP_CAP``."""
+    elems, seen = [identity], {identity}
+    for e in elems:  # elems grows while it is read
+        for g in generators:
+            h = perm_mul(g, e)
+            if h not in seen:
+                seen.add(h)
+                elems.append(h)
+                if len(elems) > DEFAULT_GROUP_CAP:
+                    raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
+    return elems
 
 
 def perm_inv(a: Perm) -> Perm:
@@ -73,22 +89,7 @@ class PermGroup:
 
     def elements(self) -> List[Perm]:
         if self._elements is None:
-            elems = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for e in frontier:
-                    for g in self.generators:
-                        h = perm_mul(g, e)
-                        if h not in elems:
-                            elems.add(h)
-                            nxt.append(h)
-                            if len(elems) > DEFAULT_GROUP_CAP:
-                                raise CapacityError(
-                                    f"group order exceeds the cap {DEFAULT_GROUP_CAP}"
-                                )
-                frontier = nxt
-            self._elements = sorted(elems)
+            self._elements = sorted(closure(self.generators, self.identity))
             self._index = {e: i for i, e in enumerate(self._elements)}
         return self._elements
 
@@ -150,8 +151,7 @@ class PermGroup:
                     if cyc <= sub:
                         continue
                     new_gens = gens + (x,)
-                    closure = _mulclose(new_gens, self.identity)
-                    key = frozenset(closure)
+                    key = frozenset(closure(new_gens, self.identity))
                     if key not in known:
                         known[key] = new_gens
                         nxt.append(key)
@@ -230,21 +230,6 @@ def _cyclic(x: Perm, e: Perm) -> List[Perm]:
         out.append(y)
         y = perm_mul(y, x)
     return out
-
-
-def _mulclose(gens: Sequence[Perm], e: Perm) -> List[Perm]:
-    elems = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                h = perm_mul(g, a)
-                if h not in elems:
-                    elems.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(elems)
 
 
 def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm]) -> FrozenSet[Perm]:

@@ -269,8 +269,8 @@ def compare_possible(
         rules.append((where, totals, sum(a * ch for _, _, a, _, ch in pairs)))
 
     work = [0]  # residue products so far
-    factorial = [1]
-    for n in range(1, len(base) + 1):
+    factorial = [1]  # every index is at most the size of one class
+    for n in range(1, max(map(len, classes), default=0) + 1):
         factorial.append(factorial[-1] * n)
 
     @lru_cache(maxsize=None)
@@ -419,16 +419,6 @@ def plain_orbits(
 ) -> Tuple[Tuple[Coords, ...], Tuple[Coords, ...]]:
     """The one-sided orbit pair: field automorphisms only vs adelic permutations only."""
     return global_orbit(omega.finite, s), adelic_orbit(omega.finite)
-
-
-def outer_fast_path(omega: OmegaVector, s: PlaceSymmetry) -> Optional[bool]:
-    """Weak uniformity for outer types: at most one twin place and matching plain orbits."""
-    if not omega.group_type.is_outer:
-        return None
-    if len(inner_twin_places(omega)) >= 2:
-        return False
-    glob, adel = plain_orbits(omega, s)
-    return set(glob) == set(adel)
 
 
 def inner_twin_bound(omega: OmegaVector, f: FieldDescriptor) -> bool:

@@ -20,14 +20,15 @@ class MissingRealClassError(RigidityError):
 
 
 class CapacityError(RigidityError):
-    """Work exceeded its fixed limit: the permutation group order or the
-    normal subgroups in ``arith_equiv``, the possible side that ``rigidity
-    orbit`` prints, the twin places whose flips ``specialize_q`` lists, the
-    products the convolutions of residue vectors multiply when one
-    comparison counts the possible side (``brauer.RESIDUE_WORK_LIMIT``),
-    the table entries the half-sum subset search visits
-    (``classifier.SUBSET_SUM_WORK_LIMIT``), or the parameter total whose
-    real forms ``trivial_image_forms`` lists."""
+    """Work exceeded its fixed limit: the order of a catalog group or of the
+    field automorphism group, which ``arith_equiv.closure`` lists
+    (``DEFAULT_GROUP_CAP``), the normal subgroups in ``arith_equiv``, the
+    possible side that ``rigidity orbit`` prints, the twin places whose
+    flips ``specialize_q`` lists, the products the convolutions of residue
+    vectors multiply when one comparison counts the possible side
+    (``brauer.RESIDUE_WORK_LIMIT``), the table entries the half-sum subset
+    search visits (``classifier.SUBSET_SUM_WORK_LIMIT``), or the parameter
+    total whose real forms ``trivial_image_forms`` lists."""
 
 
 class ValidationError(RigidityError):

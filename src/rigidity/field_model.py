@@ -19,7 +19,8 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._util import HashedOnce, natural_key
-from .errors import ValidationError
+from .arith_equiv import DEFAULT_GROUP_CAP, closure
+from .errors import CapacityError, ValidationError
 from .invariants import LocalClass, PlaceKind
 
 Coords = Tuple[Tuple["PlaceLabel", LocalClass], ...]
@@ -83,14 +84,11 @@ class PlacePerm:
     moved: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        src = [a for a, _ in self.moved]
-        dst = [b for _, b in self.moved]
-        if len(set(src)) != len(src) or sorted(src) != sorted(dst):
+        image = dict(self.moved)
+        if len(image) != len(self.moved) or image.keys() != set(image.values()):
             raise ValidationError([f"not a permutation: {self.moved}"])
-        object.__setattr__(
-            self, "moved", tuple(sorted((a, b) for a, b in self.moved if a != b))
-        )
-        object.__setattr__(self, "_image", dict(self.moved))  # not part of the value
+        object.__setattr__(self, "moved", tuple(sorted((a, b) for a, b in self.moved if a != b)))
+        object.__setattr__(self, "_image", image)  # not part of the value
 
     @staticmethod
     def from_mapping(mapping: Dict[str, str]) -> "PlacePerm":
@@ -108,11 +106,6 @@ class PlacePerm:
 
     def apply(self, pid: str) -> str:
         return self._image.get(pid, pid)
-
-    def compose(self, other: "PlacePerm") -> "PlacePerm":
-        """self after other: (self * other)(x) = self(other(x))."""
-        support = {a for a, _ in self.moved} | {a for a, _ in other.moved}
-        return PlacePerm.from_mapping({x: self.apply(other.apply(x)) for x in support})
 
     def is_identity(self) -> bool:
         return not self.moved
@@ -140,39 +133,36 @@ class PlacePerm:
         return "".join("(" + " ".join(c) + ")" for c in self.cycles())
 
 
-IDENTITY = PlacePerm()
-
-
 @dataclass(frozen=True)
 class PlaceSymmetry:
     """Generators of the square-class-stabilizing field automorphisms, as place permutations."""
 
     generators: Tuple[PlacePerm, ...] = ()
-    # the whole group once enumerated; not part of the value
-    _group: Optional[Tuple[PlacePerm, ...]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # the whole group once enumerated, or passed in by a caller that already
+    # holds it; not part of the value
+    _group: Optional[Tuple[PlacePerm, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # one generator order, however they were declared
         object.__setattr__(self, "generators", tuple(sorted(self.generators, key=lambda p: p.moved)))
 
-    def group(self, cap: int = 100000) -> Tuple[PlacePerm, ...]:
-        """Every element of the generated group, enumerated once and then kept;
-        ValidationError once it has more than ``cap`` elements."""
+    def group(self) -> Tuple[PlacePerm, ...]:
+        """Every element of the generated group, sorted by moved points,
+        enumerated once and then kept.
+
+        The moved places are numbered once, in place order, and the
+        generators' image tuples over those numbers closed by
+        ``arith_equiv.closure``, which raises CapacityError past
+        ``DEFAULT_GROUP_CAP`` elements."""
         if self._group is None:
-            elems, seen = [IDENTITY], {IDENTITY}
-            for e in elems:  # breadth first: elems grows while it is read
-                for g in self.generators:
-                    h = g.compose(e)
-                    if h not in seen:
-                        seen.add(h)
-                        elems.append(h)
-                        if len(elems) > cap:
-                            raise ValidationError([f"symmetry group exceeds cap {cap}"])
-            object.__setattr__(self, "_group", tuple(sorted(elems, key=lambda p: p.moved)))
-        if len(self._group) > cap:
-            raise ValidationError([f"symmetry group exceeds cap {cap}"])
+            points = sorted({a for g in self.generators for a, _ in g.moved}, key=natural_key)
+            number = {p: i for i, p in enumerate(points)}
+            images = [tuple(number[g.apply(p)] for p in points) for g in self.generators]
+            perms = [
+                PlacePerm(tuple((points[i], points[j]) for i, j in enumerate(e) if i != j))
+                for e in closure(images, tuple(range(len(points))))
+            ]
+            object.__setattr__(self, "_group", tuple(sorted(perms, key=lambda p: p.moved)))
         return self._group
 
 
@@ -234,11 +224,15 @@ def validate(f: FieldDescriptor, s: PlaceSymmetry) -> None:
                 issues.append(f"generator {i}: maps {a} outside its adelic class")
     if not issues:
         try:
-            order = len(s.group(cap=max(2 * f.degree, 16)))
-            if f.degree % order != 0:
-                issues.append(f"symmetry group order {order} does not divide degree {f.degree}")
-        except ValidationError:
+            order = len(s.group())
+        except CapacityError:
+            if f.degree >= DEFAULT_GROUP_CAP:  # so large a group may be genuine
+                raise
+            order = None  # more elements than the cap, so than the degree
+        if order is None or order > f.degree:
             issues.append("symmetry group order exceeds the degree bound")
+        elif f.degree % order != 0:
+            issues.append(f"symmetry group order {order} does not divide degree {f.degree}")
     if issues:
         raise ValidationError(issues)
 
@@ -320,5 +314,6 @@ def stabilizer_subgroup(s: PlaceSymmetry, f: FieldDescriptor, fixed: str) -> Pla
     """Subgroup of the generated group fixing one declared real place."""
     if fixed not in {p.id for p in f.real_places}:
         raise ValidationError([f"{fixed} is not a declared real place"])
-    elems = [g for g in s.group() if g.apply(fixed) == fixed]
-    return PlaceSymmetry(tuple(g for g in elems if not g.is_identity()))
+    elems = tuple(g for g in s.group() if g.apply(fixed) == fixed)
+    # the elements are the whole subgroup already, in group() order
+    return PlaceSymmetry(tuple(g for g in elems if not g.is_identity()), _group=elems)

@@ -3,7 +3,10 @@
 ``hbar_certificate`` and ``mackey_decomposition_holds`` restate the
 index-two criterion and the Mackey decomposition behind it;
 ``global_sym_act`` is the diagram symmetry on the global dual target,
-which the brute-force flip listings filter by.  ``catalog_groups``
+which the brute-force flip listings filter by; ``outer_fast_path`` is a
+shortcut for weak uniformity of outer types that ``weak_uniformity``
+must agree with; ``reference_group`` lists a field automorphism group by
+composing place permutations keyed by place id.  ``catalog_groups``
 parses ``fixtures/groups.cat`` afresh on every call, as
 ``rigidity.catalog.catalog_group`` does for one group, so no two tests
 share a group's caches.  ``run_python`` runs code in a fresh interpreter
@@ -16,7 +19,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import rigidity
 from rigidity.arith_equiv import (
@@ -27,8 +30,10 @@ from rigidity.arith_equiv import (
     perm_inv,
     perm_mul,
 )
+from rigidity.brauer import OmegaVector, inner_twin_places, plain_orbits
 from rigidity.cli import parse_catalog
 from rigidity.errors import ContractError
+from rigidity.field_model import PlacePerm, PlaceSymmetry
 from rigidity.invariants import GroupType, LocalClass, center_shape, has_symmetry
 
 CATALOG = Path(__file__).resolve().parent.parent / "fixtures" / "groups.cat"
@@ -111,3 +116,34 @@ def mackey_decomposition_holds(G: PermGroup, N: Subgroup, U: Subgroup) -> bool:
         if induced != rhs:
             return False
     return True
+
+
+def outer_fast_path(omega: OmegaVector, s: PlaceSymmetry) -> Optional[bool]:
+    """Weak uniformity for outer types: at most one twin place and matching plain orbits."""
+    if not omega.group_type.is_outer:
+        return None
+    if len(inner_twin_places(omega)) >= 2:
+        return False
+    glob, adel = plain_orbits(omega, s)
+    return set(glob) == set(adel)
+
+
+def compose(p: PlacePerm, q: PlacePerm) -> PlacePerm:
+    """p after q: (p * q)(x) = p(q(x))."""
+    support = {a for a, _ in p.moved} | {a for a, _ in q.moved}
+    return PlacePerm.from_mapping({x: p.apply(q.apply(x)) for x in support})
+
+
+def reference_group(s: PlaceSymmetry) -> Tuple[PlacePerm, ...]:
+    """The group the generators of ``s`` generate, sorted by moved points:
+    breadth first from the identity, one ``compose`` per generator and known
+    element, with no limit."""
+    identity = PlacePerm()
+    elems, seen = [identity], {identity}
+    for e in elems:  # elems grows while it is read
+        for g in s.generators:
+            h = compose(g, e)
+            if h not in seen:
+                seen.add(h)
+                elems.append(h)
+    return tuple(sorted(elems, key=lambda p: p.moved))

@@ -6,7 +6,7 @@ import pytest
 
 import genfix
 from genfix import rand_symmetric_omega
-from oracles import global_sym_act
+from oracles import global_sym_act, outer_fast_path
 from recount import recount_compare_possible
 from rigidity.brauer import (
     OmegaVector,
@@ -14,7 +14,6 @@ from rigidity.brauer import (
     inner_twin_bound,
     inner_twin_places,
     is_coherent,
-    outer_fast_path,
     pick_witness,
     possible_vectors,
     s_omega_orbit,

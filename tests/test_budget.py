@@ -1,0 +1,154 @@
+"""Budget battery: adversarial inputs either finish within a stated budget
+or raise a ``CapacityError`` that names the constant that stopped them.
+
+The times are generous bounds for a shared 2-vCPU VM; each case measures
+one call in-process.
+"""
+
+import random
+import re
+import time
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import genfix
+from oracles import reference_group
+from rigidity.arith_equiv import DEFAULT_GROUP_CAP
+from rigidity.classifier import Outcome, classify
+from rigidity.cli import parse
+from rigidity.errors import CapacityError
+from rigidity.field_model import PlacePerm, PlaceSymmetry
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def commuting_swaps(k: int) -> str:
+    """Type 1A2 over a totally imaginary Galois field of degree 2^k: k adelic
+    classes {a_i, b_i} valued 1/3 and 2/3, and the k generators (a_i b_i),
+    which generate a group of order 2^k."""
+    lines = ["[group]", "type = 1A", "rank = 2", "", "[field]", f"degree = {2 ** k}",
+             f"complex_places = {2 ** (k - 1)}", "galois = true",
+             "locally_determined = true", "", "[aut]"]
+    lines += [f"g{i} = (a{i} b{i})" for i in range(k)]
+    lines += ["", "[places]"]
+    for i in range(k):
+        lines += [f"a{i} = class=c{i} omega=1/3", f"b{i} = class=c{i} omega=2/3"]
+    return "\n".join(lines) + "\n"
+
+
+def real_swap_with_pairs(pairs: int, degree: int) -> str:
+    """Type 1A1 with real places w1 (SL_R(2)) and w2 (SL_H(1)) swapped by
+    one generator, and ``pairs`` more generators (a_i b_i) on classes
+    valued 1/2 and 0: a group of order 2^(pairs + 1)."""
+    lines = ["[group]", "type = 1A", "rank = 1", "", "[field]", f"degree = {degree}",
+             f"complex_places = {(degree - 2) // 2}", "locally_determined = true", "",
+             "[aut]", "g = (w1 w2)"]
+    lines += [f"g{i} = (a{i} b{i})" for i in range(pairs)]
+    lines += ["", "[places]"]
+    for i in range(pairs):
+        lines += [f"a{i} = class=c{i} omega=1/2", f"b{i} = class=c{i} omega=0"]
+    lines += ["", "[real]", "w1 = form=SL_R(2)", "w2 = form=SL_H(1)"]
+    return "\n".join(lines) + "\n"
+
+
+def singletons_over_q(n: int) -> str:
+    """Type 1A2 over the rationals with n places valued 0, each its own class."""
+    places = "\n".join(f"v{i} = omega=0" for i in range(n))
+    return (f"[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 1\n[places]\n{places}\n"
+            "[real]\nw = form=SL_R(3)\n")
+
+
+def test_the_readme_lists_every_limit():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    # the list that follows "kinds of work are limited", up to its first blank line
+    items = readme.split("kinds of work are limited", 1)[1].split("\n\n")[1]
+    listed = set(re.findall(r"`(\w+\.[A-Z0-9_]+)`", items))
+    constants = {
+        f"{path.stem}.{name}"
+        for path in (REPO / "src" / "rigidity").glob("*.py")
+        for name in re.findall(r"^([A-Z0-9_]+_(?:LIMIT|CAP)) = ",
+                               path.read_text(encoding="utf-8"), re.M)
+    }
+    assert len(constants) >= 8 and constants <= listed
+
+
+class TestAutomorphismGroupLimit:
+    @pytest.mark.parametrize("k", [14, 16, 20])
+    def test_commuting_swaps_past_the_limit_fail_fast(self, k):
+        g = parse(commuting_swaps(k))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"exceeds the cap {DEFAULT_GROUP_CAP}$"):
+            classify(g)
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_stabilizer_of_a_real_place_is_not_enumerated_again(self):
+        g = parse(real_swap_with_pairs(9, 1024))
+        assert len(g.symmetry.group()) == 1024
+        start = time.perf_counter()
+        assert classify(g).outcome == Outcome.RIGID
+        assert time.perf_counter() - start < 1.0
+
+
+class TestFactorialTable:
+    @staticmethod
+    def peak(n: int) -> int:
+        g = parse(singletons_over_q(n))
+        tracemalloc.start()
+        try:
+            assert classify(g).outcome == Outcome.RIGID
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_doubling_the_places_less_than_triples_the_peak(self):
+        # a table of all n factorials grew the peak 3.3-fold from 2,500 to 5,000
+        assert self.peak(5000) < 3 * self.peak(2500)
+
+
+GENERATORS = [
+    genfix.rand_q,
+    genfix.rand_quasisplit_galois,
+    genfix.rand_outer_two_twins,
+    genfix.rand_bound_violator,
+    genfix.rand_two_real_quadratic,
+    genfix.rand_three_reals,
+    genfix.rand_classed,
+    genfix.rand_interleaved,
+    genfix.rand_paired,
+]
+
+
+def moved(elements):
+    return [p.moved for p in elements]
+
+
+class TestGroupAgainstTheReference:
+    @pytest.mark.parametrize("make", GENERATORS, ids=lambda make: make.__name__)
+    def test_generated_descriptors(self, make):
+        rng = random.Random(71)
+        for _ in range(40):
+            s = make(rng).symmetry
+            assert moved(PlaceSymmetry(s.generators).group()) == moved(reference_group(s))
+
+    def test_random_generator_sets_over_up_to_eight_places(self):
+        rng = random.Random(72)
+        compared = 0
+        for _ in range(60):
+            # ids whose place order differs from their string order
+            ids = [f"v{n}" for n in rng.sample(range(1, 30), rng.randint(2, 8))]
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                support = rng.sample(ids, rng.randint(2, len(ids)))
+                gens.append(PlacePerm.from_mapping(dict(zip(support, rng.sample(support, len(support))))))
+            s = PlaceSymmetry(tuple(gens))
+            try:
+                group = s.group()
+            except CapacityError:
+                # only a group on all eight places can pass 7! = 5040 < the limit
+                assert len(ids) == 8
+                continue
+            assert moved(group) == moved(reference_group(s))
+            compared += 1
+        assert compared >= 50

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from rigidity import field_model
 from rigidity._util import NATURAL_KEY_CACHE, natural_key
-from rigidity.errors import ValidationError
+from rigidity.arith_equiv import DEFAULT_GROUP_CAP
+from rigidity.errors import CapacityError, ValidationError
 from rigidity.field_model import (
     FieldDescriptor,
     HbarFiber,
@@ -96,6 +98,26 @@ class TestValidate:
         s = PlaceSymmetry((PlacePerm.from_cycles([("w1", "w2")]),))
         with pytest.raises(ValidationError, match="divide"):
             validate(f, s)
+
+    def test_group_order_above_the_degree_exceeds_the_bound(self):
+        f = FieldDescriptor(
+            degree=2, complex_place_count=1,
+            finite_places=tuple(PlaceLabel(p, FI, "c") for p in "abc"),
+        )
+        s = PlaceSymmetry((PlacePerm.from_cycles([("a", "b", "c")]),))
+        with pytest.raises(ValidationError, match="^symmetry group order exceeds the degree bound$"):
+            validate(f, s)
+
+    def test_a_group_past_the_limit_is_a_capacity_error_only_where_the_degree_allows_it(self):
+        places = tuple(PlaceLabel(p, FI, "c") for p in "abcdefgh")
+        s8 = PlaceSymmetry((PlacePerm.from_cycles([tuple("abcdefgh")]),
+                            PlacePerm.from_cycles([("a", "b")])))
+        below = FieldDescriptor(degree=DEFAULT_GROUP_CAP - 1, finite_places=places)
+        with pytest.raises(ValidationError, match="exceeds the degree bound"):
+            validate(below, s8)
+        at = FieldDescriptor(degree=DEFAULT_GROUP_CAP, finite_places=places)
+        with pytest.raises(CapacityError, match=f"^group order exceeds the cap {DEFAULT_GROUP_CAP}$"):
+            validate(at, s8)
 
     def test_degree_one_constraints(self):
         f = FieldDescriptor(degree=1, real_places=(), complex_place_count=0)
@@ -246,14 +268,13 @@ class TestGroupCache:
 
     def test_group_is_enumerated_once_and_is_not_part_of_the_value(self, monkeypatch):
         calls = []
-        compose = PlacePerm.compose
-        monkeypatch.setattr(PlacePerm, "compose", lambda p, q: calls.append(1) or compose(p, q))
+        closure = field_model.closure
+        monkeypatch.setattr(field_model, "closure", lambda *a: calls.append(1) or closure(*a))
         s = self.klein()
         first = s.group()
-        enumerated = len(calls)
-        assert len(first) == 4 and enumerated > 0
-        assert s.group() is first and s.group(cap=4) is first
-        assert len(calls) == enumerated
+        assert len(first) == 4 and len(calls) == 1
+        assert s.group() is first
+        assert len(calls) == 1
         fresh = self.klein()
         assert fresh == s and hash(fresh) == hash(s) and repr(fresh) == repr(s)
 
@@ -261,11 +282,7 @@ class TestGroupCache:
         a, b = self.klein().generators
         assert PlaceSymmetry((b, a)).generators == (a, b)
 
-    def test_a_known_group_still_checks_the_cap(self):
-        s = self.klein()
-        s.group()
-        with pytest.raises(ValidationError, match="exceeds cap 3"):
-            s.group(cap=3)
+    def test_a_known_group_still_checks_the_degree_bound(self):
         # validate's degree bound holds against a group enumerated earlier
         f = FieldDescriptor(degree=4, complex_place_count=2,
                             finite_places=tuple(PlaceLabel(p, FI, "c") for p in "abcde"))
@@ -277,11 +294,23 @@ class TestGroupCache:
 
 
 class TestPlacePerm:
-    def test_compose_and_inverse_through_cycles(self):
+    def test_a_three_cycle_generates_a_group_of_order_three(self):
         p = PlacePerm.from_cycles([("a", "b", "c")])
-        q = p.compose(p).compose(p)
-        assert q.is_identity()
+        group = PlaceSymmetry((p,)).group()
+        assert len(group) == 3 and group[0].is_identity()
         assert str(p) == "(a b c)"
+
+    @pytest.mark.parametrize("moved", [
+        (("a", "b"), ("a", "c"), ("c", "a")),  # a point with two images
+        (("a", "b"),),  # b has no image
+        (("a", "b"), ("b", "b")),  # b is the image of two points
+    ])
+    def test_a_map_that_is_not_a_permutation_is_rejected(self, moved):
+        with pytest.raises(ValidationError, match="^not a permutation"):
+            PlacePerm(moved)
+
+    def test_fixed_points_are_dropped_from_the_moved_points(self):
+        assert PlacePerm((("c", "c"), ("b", "a"), ("a", "b"))).moved == (("a", "b"), ("b", "a"))
 
     def test_apply_perm_moves_values(self):
         labs = gaussian_places()

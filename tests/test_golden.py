@@ -7,6 +7,7 @@ The expected files under ``tests/golden/`` hold:
 * ``orbit.txt``: ``rigidity orbit`` on every bundled fixture, each under an
   ``== NAME`` header;
 * ``selftest.txt``: ``rigidity selftest``;
+* ``equiv.txt``: ``rigidity equiv fixtures/groups.cat``, which exits 0;
 * ``genfix.txt``: one ``GENERATOR SEED SHA256`` line per verdict JSON of the
   one-argument ``genfix.rand_*`` generators at seeds 0..149.
 
@@ -68,6 +69,12 @@ def selftest_text() -> str:
     return text
 
 
+def equiv_text() -> str:
+    code, text = _run("equiv", str(FIXTURES / "groups.cat"))
+    assert code == 0
+    return text
+
+
 def genfix_text() -> str:
     lines = []
     for make in GENERATORS:
@@ -83,6 +90,7 @@ OUTPUTS = {
     "classify.json.txt": lambda: classify_text("--json"),
     "orbit.txt": orbit_text,
     "selftest.txt": selftest_text,
+    "equiv.txt": equiv_text,
     "genfix.txt": genfix_text,
 }
 
@@ -106,6 +114,10 @@ def test_orbit_on_every_fixture():
 
 def test_selftest():
     _check("selftest.txt")
+
+
+def test_equiv_on_the_bundled_catalog():
+    _check("equiv.txt")
 
 
 def test_generated_verdicts():

@@ -49,7 +49,6 @@ from .field_model import (
     PlaceSymmetry,
     adelic_orbit,
     global_orbit,
-    stabilizer_subgroup,
 )
 from .invariants import (
     Family,

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ._util import natural_key
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, ValidationError
 from .field_model import (
     Coords,
     FieldDescriptor,
@@ -29,7 +29,6 @@ from .field_model import (
     coords_key,
     global_orbit,
     sort_coords,
-    stabilizer_subgroup,
 )
 from .invariants import (
     Family,
@@ -71,18 +70,6 @@ class OmegaVector:
                 f"place {lab.id}: class shape {cls.shape} but {self.group_type.symbol()} "
                 f"carries {want} at a {lab.kind.value} place"
             )
-
-    def finite_value(self, pid: str) -> LocalClass:
-        for lab, cls in self.finite:
-            if lab.id == pid:
-                return cls
-        raise KeyError(pid)
-
-    def real_value(self, pid: str) -> LocalClass:
-        for lab, cls in self.real:
-            if lab.id == pid:
-                return cls
-        raise KeyError(pid)
 
 
 def tate_sum(omega: OmegaVector) -> LocalClass:
@@ -161,7 +148,8 @@ def s_omega_orbit(omega: OmegaVector) -> SOmegaOrbit:
     """
     twins = inner_twin_places(omega)
     charge, m = _flip_rule(omega.group_type)
-    charges = [charge(lab.kind, omega.finite_value(lab.id)) for lab in twins]
+    value = dict(omega.finite)
+    charges = [charge(lab.kind, value[lab]) for lab in twins]
     subsets = []
     def walk(i: int, chosen, acc: int):
         if i == len(twins):
@@ -394,8 +382,10 @@ def weak_uniformity(
     listed.  Holding means every locally invisible variation is globally
     accounted for.
     """
-    sym = stabilizer_subgroup(s, f, stabilize_real) if stabilize_real else s
-    lhs = set(global_orbit(omega.finite, sym)) | set(global_orbit(sigma_flip(omega), sym))
+    if stabilize_real and stabilize_real not in {p.id for p in f.real_places}:
+        raise ValidationError([f"{stabilize_real} is not a declared real place"])
+    lhs = set(global_orbit(omega.finite, s, stabilize_real)) | \
+        set(global_orbit(sigma_flip(omega), s, stabilize_real))
     possible, witness = compare_possible(omega, lhs)
     return WeakUniformityReport(
         holds=witness is None,

@@ -39,6 +39,7 @@ from .field_model import (
     PlaceSymmetry,
     apply_perm,
     global_orbit,
+    position_maps,
 )
 from .field_model import validate as validate_field
 from .invariants import (
@@ -103,12 +104,6 @@ class GroupDescriptor:
             tuple(sorted(self.real_forms, key=lambda e: natural_key(e[0]))),
         )
 
-    def real_tag(self, pid: str) -> RealFormTag:
-        for w, tag in self.real_forms:
-            if w == pid:
-                return tag
-        raise KeyError(pid)
-
 
 @dataclass
 class Verdict:
@@ -148,7 +143,9 @@ def validate_descriptor(g: GroupDescriptor) -> None:
             if p.kind in (PlaceKind.FINITE_OUTER, PlaceKind.REAL_OUTER):
                 issues.append(f"place {p.id}: inner form cannot have non-split places")
     declared_fin = {p.id for p in g.field.finite_places}
-    declared_real = {p.id for p in g.field.real_places}
+    real_kind = {p.id: p.kind for p in g.field.real_places}
+    declared_real = real_kind.keys()
+    real_value = {lab.id: cls for lab, cls in g.omega.real}
     if {lab.id for lab, _ in g.omega.finite} != declared_fin:
         issues.append("finite coordinates must cover exactly the declared finite places")
     if {lab.id for lab, _ in g.omega.real} != declared_real:
@@ -167,16 +164,17 @@ def validate_descriptor(g: GroupDescriptor) -> None:
         if (fam, rank) != (t.family, t.rank):
             issues.append(f"real place {w}: {tag} has type {fam.value}{rank}, group is {t.symbol()}")
             continue
-        place = g.field.place(w)
-        if outer != (place.kind == PlaceKind.REAL_OUTER):
+        if outer != (real_kind[w] == PlaceKind.REAL_OUTER):
             issues.append(
                 f"real place {w}: {tag} is {'outer' if outer else 'inner'} type over the reals "
-                f"but the place is declared {place.kind.value}"
+                f"but the place is declared {real_kind[w].value}"
             )
             continue
+        if w not in real_value:
+            continue  # named already: the real coordinates miss a declared place
         try:
-            real_class(tag, t, supplied=g.omega.real_value(w))
-        except (ContractError, KeyError) as e:
+            real_class(tag, t, supplied=real_value[w])
+        except ContractError as e:
             issues.append(f"real place {w}: {e}")
     if not issues:
         total = tate_sum(g.omega)
@@ -199,12 +197,14 @@ def normalize(g: GroupDescriptor) -> GroupDescriptor:
     if t.family != Family.B or t.rank != 2:
         return g
     c2 = GroupType(Family.C, 2, t.form_kind)
+    # validation has not run yet, so a real place may lack its coordinate
+    real_value = {lab.id: cls for lab, cls in g.omega.real}
     tags = []
     for w, tag in g.real_forms:
         new = _B2_TAG_MAP.get((tag.name, tag.params))
         if new is None:
-            cls = g.omega.real_value(w)
-            new = RealFormTag("Sp_R", (4,)) if cls.is_zero else RealFormTag("Sp", (2, 0))
+            cls = real_value.get(w)
+            new = RealFormTag("Sp", (2, 0)) if cls is not None and not cls.is_zero else RealFormTag("Sp_R", (4,))
         tags.append((w, new))
     omega = OmegaVector(c2, g.omega.finite, g.omega.real)
     return GroupDescriptor(c2, g.field, g.symmetry, omega, tuple(tags))
@@ -224,15 +224,18 @@ def _twin(g: GroupDescriptor, finite: Optional[Coords] = None,
     form for its ``partner_form``.
     """
     t = g.group_type
-    reals = reals or {}
-    tags = {w: form_for_class(t, g.field.place(w).kind, cls) for w, cls in reals.items()}
-    for w in forms or ():
-        tags[w] = partner_form(g.real_tag(w), t, g.field.place(w).kind, g.omega.real_value(w))
+    reals, forms = reals or {}, forms or ()
     real = tuple((lab, reals.get(lab.id, cls)) for lab, cls in g.omega.real)
+    # the real places, their coordinates and their forms share the place order
+    tags = tuple(
+        (w, form_for_class(t, p.kind, cls) if w in reals
+         else partner_form(tag, t, p.kind, cls) if w in forms else tag)
+        for p, (_, cls), (w, tag) in zip(g.field.real_places, real, g.real_forms)
+    )
     return replace(
         g,
         omega=OmegaVector(t, g.omega.finite if finite is None else finite, real),
-        real_forms=tuple((w, tags.get(w, tag)) for w, tag in g.real_forms),
+        real_forms=tags,
     )
 
 
@@ -272,12 +275,12 @@ def _two_sided_orbit(g: GroupDescriptor):
                 tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in g.omega.real),
             )
         )
-    for phi in g.symmetry.group():
-        tag_at = {phi.apply(w): tag for w, tag in g.real_forms}
-        ptags = tuple((w, tag_at[w]) for w, _ in g.real_forms)
+    # the real forms share the place order of the real coordinates
+    real_maps = position_maps(g.omega.real, g.symmetry)
+    for fin_src, real_src in zip(position_maps(g.omega.finite, g.symmetry), real_maps):
+        ptags = apply_perm(g.real_forms, real_src)
         for fin, real in variants:
-            yield (apply_perm(fin, phi), apply_perm(real, phi), ptags)
-
+            yield (apply_perm(fin, fin_src), apply_perm(real, real_src), ptags)
 
 # ---------------------------------------------------------------------------
 # subset sums
@@ -441,10 +444,10 @@ def classify_no_symmetry(g: GroupDescriptor) -> Verdict:
         return _flip_two_same_class(g, TAG_NO_SYM, "(iii) allows at most two real places")
     if len(reals) == 2:
         w1, w2 = reals[0].id, reals[1].id
-        c1, c2 = g.omega.real_value(w1), g.omega.real_value(w2)
+        (_, c1), (_, c2) = g.omega.real
         if c1 == c2:
             return _flip_two_same_class(g, TAG_NO_SYM, "(iii) needs the two real forms to differ")
-        if not any(phi.apply(w1) == w2 for phi in g.symmetry.group()):
+        if (1, 0) not in position_maps(g.omega.real, g.symmetry):
             return _not_rigid(
                 g,
                 [(TAG_NO_SYM, "(iii) needs an automorphism exchanging the real places")],
@@ -476,7 +479,7 @@ def classify_a(g: GroupDescriptor) -> Verdict:
     branch = "(iii) one real place" if not t.is_outer else "(v) one real place"
     if len(reals) == 2:
         w1, w2 = reals[0], reals[1]
-        c1, c2 = g.omega.real_value(w1.id), g.omega.real_value(w2.id)
+        (_, c1), (_, c2) = g.omega.real
         if c1 == c2:
             return _flip_two_same_class(g, TAG_A, "two real places need opposite real classes")
         if w1.kind != w2.kind:
@@ -485,7 +488,7 @@ def classify_a(g: GroupDescriptor) -> Verdict:
                 [(TAG_A, "two real places of different split kind can never be exchanged")],
                 _twin(g, reals={w1.id: c2, w2.id: c1}),
             )
-        if not any(phi.apply(w1.id) == w2.id for phi in g.symmetry.group()):
+        if (1, 0) not in position_maps(g.omega.real, g.symmetry):
             return _not_rigid(
                 g,
                 [(TAG_A, "no automorphism exchanges the two real places")],
@@ -539,9 +542,10 @@ def classify_d(g: GroupDescriptor) -> Verdict:
     r = len(twins)
     if rank % 2 == 0 and not t.is_outer:
         if r != 1:
+            value = dict(g.omega.finite)
             by_val: Dict[tuple, list] = {}
             for lab in twins:
-                by_val.setdefault(g.omega.finite_value(lab.id).sort_key(), []).append(lab.id)
+                by_val.setdefault(value[lab].sort_key(), []).append(lab.id)
             pair = next(ids[:2] for ids in by_val.values() if len(ids) >= 2)
             return _not_rigid(
                 g,
@@ -682,7 +686,7 @@ def specialize_q(g: GroupDescriptor) -> Verdict:
     t = g.group_type
     fam, rank = t.family, t.rank
     w = g.field.real_places[0]
-    tag = g.real_tag(w.id)
+    tag = g.real_forms[0][1]
     twins = len(inner_twin_places(g.omega))
 
     def verdict(ok: bool, detail: str) -> Verdict:

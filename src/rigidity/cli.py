@@ -504,8 +504,9 @@ def emit_descriptor(g: GroupDescriptor) -> str:
             out.append(" ".join(parts))
     if g.field.real_places:
         out += ["", "[real]"]
+        form_at = dict(g.real_forms)
         for lab, cls in g.omega.real:
-            tag = g.real_tag(lab.id)
+            tag = form_at[lab.id]
             parts = [lab.id, "=", f"form={_format_form(tag)}"]
             if tag.name == "AnisotropicOther":
                 parts.append(f"kind={'nonsplit' if lab.kind == PlaceKind.REAL_OUTER else 'split'}")

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._util import HashedOnce, natural_key
-from .arith_equiv import DEFAULT_GROUP_CAP, closure
+from .arith_equiv import DEFAULT_GROUP_CAP, Perm, closure
 from .errors import CapacityError, ValidationError
 from .invariants import LocalClass, PlaceKind
 
@@ -67,12 +67,6 @@ class FieldDescriptor:
             tuple(sorted(self.finite_places, key=lambda p: natural_key(p.id))),
         )
 
-    def place(self, pid: str) -> PlaceLabel:
-        for p in self.finite_places + self.real_places:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
-
     def declared_ids(self) -> Tuple[str, ...]:
         return tuple(p.id for p in self.finite_places + self.real_places)
 
@@ -107,9 +101,6 @@ class PlacePerm:
     def apply(self, pid: str) -> str:
         return self._image.get(pid, pid)
 
-    def is_identity(self) -> bool:
-        return not self.moved
-
     def cycles(self) -> Tuple[Tuple[str, ...], ...]:
         support = sorted({a for a, _ in self.moved}, key=natural_key)
         seen, out = set(), []
@@ -128,41 +119,38 @@ class PlacePerm:
         return tuple(out)
 
     def __str__(self):
-        if self.is_identity():
+        if not self.moved:
             return "()"
         return "".join("(" + " ".join(c) + ")" for c in self.cycles())
 
 
 @dataclass(frozen=True)
 class PlaceSymmetry:
-    """Generators of the square-class-stabilizing field automorphisms, as place permutations."""
+    """Generators of the square-class-stabilizing field automorphisms, as place permutations.
+
+    The places the generators move are numbered once, in place order:
+    ``number`` maps each such place id to its number.  Every later
+    operation addresses places by these numbers and by positions in a
+    coordinate vector, never by id."""
 
     generators: Tuple[PlacePerm, ...] = ()
-    # the whole group once enumerated, or passed in by a caller that already
-    # holds it; not part of the value
-    _group: Optional[Tuple[PlacePerm, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # one generator order, however they were declared
         object.__setattr__(self, "generators", tuple(sorted(self.generators, key=lambda p: p.moved)))
+        # neither the numbering nor the listed group is part of the value
+        points = sorted({a for g in self.generators for a, _ in g.moved}, key=natural_key)
+        object.__setattr__(self, "number", {p: i for i, p in enumerate(points)})
+        object.__setattr__(self, "_group", None)
 
-    def group(self) -> Tuple[PlacePerm, ...]:
-        """Every element of the generated group, sorted by moved points,
-        enumerated once and then kept.
-
-        The moved places are numbered once, in place order, and the
-        generators' image tuples over those numbers closed by
-        ``arith_equiv.closure``, which raises CapacityError past
-        ``DEFAULT_GROUP_CAP`` elements."""
+    def group(self) -> Tuple[Perm, ...]:
+        """Every element of the generated group as an image tuple over the
+        numbered places, in the order ``arith_equiv.closure`` lists them
+        (the identity first); enumerated once and then kept.  Raises
+        CapacityError past ``DEFAULT_GROUP_CAP`` elements."""
         if self._group is None:
-            points = sorted({a for g in self.generators for a, _ in g.moved}, key=natural_key)
-            number = {p: i for i, p in enumerate(points)}
-            images = [tuple(number[g.apply(p)] for p in points) for g in self.generators]
-            perms = [
-                PlacePerm(tuple((points[i], points[j]) for i, j in enumerate(e) if i != j))
-                for e in closure(images, tuple(range(len(points))))
-            ]
-            object.__setattr__(self, "_group", tuple(sorted(perms, key=lambda p: p.moved)))
+            images = [tuple(self.number[g.apply(p)] for p in self.number) for g in self.generators]
+            object.__setattr__(self, "_group", tuple(closure(images, tuple(range(len(self.number))))))
         return self._group
 
 
@@ -249,25 +237,48 @@ def coords_key(coords: Coords):
     return tuple(cls.sort_key() for _, cls in coords)
 
 
-def apply_perm(coords: Coords, perm: PlacePerm) -> Coords:
-    """Push a coordinate vector forward along a place permutation."""
-    ids = {lab.id for lab, _ in coords}
-    pushed = {}
-    for lab, cls in coords:
-        target = perm.apply(lab.id)
-        if target not in ids:
-            raise ValidationError([f"permutation moves {lab.id} outside the declared support"])
-        pushed[target] = cls
-    return tuple((lab, pushed[lab.id]) for lab, _ in coords)
+def position_maps(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> List[Perm]:
+    """Each element of the group (or of the stabilizer of the place
+    ``fixing``) as a map of positions in ``coords``: entry i is the
+    position whose value the element pushes to position i.
+
+    A ValidationError names a place of the vector that a generator moves
+    outside it.  When no generator does so, no element does."""
+    identity = tuple(range(len(coords)))
+    if not s.number:  # the trivial group
+        return [identity]
+    pos = {lab.id: i for i, (lab, _) in enumerate(coords)}
+    for g in s.generators:
+        for a, b in g.moved:
+            if a in pos and b not in pos:
+                raise ValidationError([f"permutation moves {a} outside the declared support"])
+    elements = s.group()
+    if fixing in s.number:
+        i = s.number[fixing]
+        elements = [e for e in elements if e[i] == i]
+    at = {i: pos[p] for p, i in s.number.items() if p in pos}  # number -> position
+    maps = []
+    for e in elements:
+        src = list(identity)
+        for i, k in at.items():
+            src[at[e[i]]] = k
+        maps.append(tuple(src))
+    return maps
+
+
+def apply_perm(pairs: Sequence[tuple], src: Perm) -> tuple:
+    """Push (place, value) pairs forward along a position map of ``position_maps``."""
+    return tuple((place, pairs[j][1]) for (place, _), j in zip(pairs, src))
 
 
 def _canonical(orbit) -> Tuple[Coords, ...]:
     return tuple(sorted(orbit, key=coords_key))
 
 
-def global_orbit(coords: Coords, s: PlaceSymmetry) -> Tuple[Coords, ...]:
-    """Orbit of a coordinate vector under the declared field automorphisms."""
-    return _canonical({apply_perm(coords, phi) for phi in s.group()})
+def global_orbit(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> Tuple[Coords, ...]:
+    """Orbit of a coordinate vector under the declared field automorphisms,
+    or under those fixing the place ``fixing``."""
+    return _canonical({apply_perm(coords, src) for src in position_maps(coords, s, fixing)})
 
 
 def _orderings(counts: Dict[LocalClass, int]) -> List[Tuple[LocalClass, ...]]:
@@ -308,12 +319,3 @@ def adelic_orbit(coords: Coords) -> Tuple[Coords, ...]:
             placed.update(part)
         orbit.append(tuple((lab, placed[lab.id]) for lab, _ in coords))
     return _canonical(orbit)
-
-
-def stabilizer_subgroup(s: PlaceSymmetry, f: FieldDescriptor, fixed: str) -> PlaceSymmetry:
-    """Subgroup of the generated group fixing one declared real place."""
-    if fixed not in {p.id for p in f.real_places}:
-        raise ValidationError([f"{fixed} is not a declared real place"])
-    elems = tuple(g for g in s.group() if g.apply(fixed) == fixed)
-    # the elements are the whole subgroup already, in group() order
-    return PlaceSymmetry(tuple(g for g in elems if not g.is_identity()), _group=elems)

@@ -6,7 +6,10 @@ index-two criterion and the Mackey decomposition behind it;
 which the brute-force flip listings filter by; ``outer_fast_path`` is a
 shortcut for weak uniformity of outer types that ``weak_uniformity``
 must agree with; ``reference_group`` lists a field automorphism group by
-composing place permutations keyed by place id.  ``catalog_groups``
+composing place permutations keyed by place id, ``reference_push`` pushes
+a vector along one of them by place id, and ``reference_global_orbit`` and
+``reference_two_sided_orbit`` are the orbits ``global_orbit`` and
+``classifier._two_sided_orbit`` must agree with.  ``catalog_groups``
 parses ``fixtures/groups.cat`` afresh on every call, as
 ``rigidity.catalog.catalog_group`` does for one group, so no two tests
 share a group's caches.  ``run_python`` runs code in a fresh interpreter
@@ -19,7 +22,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 import rigidity
 from rigidity.arith_equiv import (
@@ -30,11 +33,11 @@ from rigidity.arith_equiv import (
     perm_inv,
     perm_mul,
 )
-from rigidity.brauer import OmegaVector, inner_twin_places, plain_orbits
+from rigidity.brauer import OmegaVector, inner_twin_places, plain_orbits, sigma_flip
 from rigidity.cli import parse_catalog
-from rigidity.errors import ContractError
+from rigidity.errors import ContractError, ValidationError
 from rigidity.field_model import PlacePerm, PlaceSymmetry
-from rigidity.invariants import GroupType, LocalClass, center_shape, has_symmetry
+from rigidity.invariants import GroupType, LocalClass, center_shape, has_symmetry, sym_act
 
 CATALOG = Path(__file__).resolve().parent.parent / "fixtures" / "groups.cat"
 
@@ -147,3 +150,40 @@ def reference_group(s: PlaceSymmetry) -> Tuple[PlacePerm, ...]:
                 seen.add(h)
                 elems.append(h)
     return tuple(sorted(elems, key=lambda p: p.moved))
+
+
+def reference_push(coords, perm: PlacePerm):
+    """Push (place label, value) pairs forward along a place permutation,
+    by place id."""
+    ids = {lab.id for lab, _ in coords}
+    pushed = {}
+    for lab, cls in coords:
+        target = perm.apply(lab.id)
+        if target not in ids:
+            raise ValidationError([f"permutation moves {lab.id} outside the declared support"])
+        pushed[target] = cls
+    return tuple((lab, pushed[lab.id]) for lab, _ in coords)
+
+
+def reference_global_orbit(coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> Set:
+    """The orbit of ``coords`` under the elements of ``reference_group(s)``
+    that fix the place ``fixing``, or under all of them."""
+    return {reference_push(coords, phi) for phi in reference_group(s)
+            if fixing is None or phi.apply(fixing) == fixing}
+
+
+def reference_two_sided_orbit(g) -> Set:
+    """The full data (finite, real, real forms) of ``g`` and of its symmetry
+    flip, pushed along every element of ``reference_group``."""
+    t = g.group_type
+    variants = [(g.omega.finite, g.omega.real)]
+    if has_symmetry(t):
+        variants.append((sigma_flip(g.omega),
+                         tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in g.omega.real)))
+    out = set()
+    for phi in reference_group(g.symmetry):
+        tag_at = {phi.apply(w): tag for w, tag in g.real_forms}
+        tags = tuple((w, tag_at[w]) for w, _ in g.real_forms)
+        for fin, real in variants:
+            out.add((reference_push(fin, phi), reference_push(real, phi), tags))
+    return out

@@ -164,12 +164,13 @@ def test_criterion_3_real_form_gate():
 def _brute_force_orbit(om):
     t = om.group_type
     twins = inner_twin_places(om)
+    value = dict(om.finite)
     out = set()
     for k in range(len(twins) + 1):
         for combo in itertools.combinations(twins, k):
             total = zero(center_shape(t))
             for lab in combo:
-                total = total + c_local(t, lab.kind, om.finite_value(lab.id))
+                total = total + c_local(t, lab.kind, value[lab])
             if global_sym_act(t, total) != total:
                 continue
             ids = {lab.id for lab in combo}

@@ -14,12 +14,18 @@ from pathlib import Path
 import pytest
 
 import genfix
-from oracles import reference_group
+from oracles import (
+    reference_global_orbit,
+    reference_group,
+    reference_two_sided_orbit,
+)
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP
-from rigidity.classifier import Outcome, classify
-from rigidity.cli import parse
+from rigidity.brauer import OmegaVector
+from rigidity.classifier import GroupDescriptor, Outcome, _two_sided_orbit, classify
+from rigidity.cli import emit_descriptor, parse
 from rigidity.errors import CapacityError
-from rigidity.field_model import PlacePerm, PlaceSymmetry
+from rigidity.field_model import FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry, global_orbit
+from rigidity.invariants import Family, GroupType, LocalClass, PlaceKind, cyclic
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -60,6 +66,21 @@ def singletons_over_q(n: int) -> str:
             "[real]\nw = form=SL_R(3)\n")
 
 
+def real_places_1a2(n: int) -> str:
+    """Type 1A2 over a totally real field of degree n, SL_R(3) at each of its n real places."""
+    reals = "\n".join(f"w{i} = form=SL_R(3)" for i in range(n))
+    return (f"[group]\ntype = 1A\nrank = 2\n[field]\ndegree = {n}\n"
+            f"locally_determined = true\n[real]\n{reals}\n")
+
+
+def twins_1d6_over_q(n: int) -> str:
+    """Type 1D6 over the rationals with n places valued (1,0), each a twin
+    place, and the star form at the real place; coherent for odd n."""
+    places = "\n".join(f"v{i} = omega=(1,0)" for i in range(n))
+    return ("[group]\ntype = 1D\nrank = 6\n[field]\ndegree = 1\n"
+            f"[places]\n{places}\n[real]\nw = form=SpinStar(12)\n")
+
+
 def test_the_readme_lists_every_limit():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     # the list that follows "kinds of work are limited", up to its first blank line
@@ -91,6 +112,27 @@ class TestAutomorphismGroupLimit:
         assert time.perf_counter() - start < 1.0
 
 
+class TestLinearInThePlaces:
+    """Classify and emit walk the places in their one order: no place is
+    looked up by id, which made both quadratic in the number of places."""
+
+    def test_twenty_thousand_real_places(self):
+        g = parse(real_places_1a2(20000))
+        start = time.perf_counter()
+        assert classify(g).outcome == Outcome.RIGID
+        emit_descriptor(g)
+        assert time.perf_counter() - start < 3.0
+
+    def test_twenty_thousand_and_one_twin_places(self):
+        g = parse(twins_1d6_over_q(20001))
+        start = time.perf_counter()
+        v = classify(g)
+        assert v.outcome == Outcome.NOT_RIGID
+        emit_descriptor(g)
+        emit_descriptor(v.witness)
+        assert time.perf_counter() - start < 3.0
+
+
 class TestFactorialTable:
     @staticmethod
     def peak(n: int) -> int:
@@ -120,8 +162,40 @@ GENERATORS = [
 ]
 
 
-def moved(elements):
-    return [p.moved for p in elements]
+def numbered_moved(s: PlaceSymmetry):
+    """``s.group()`` mapped back to moved pairs through the numbered places,
+    in the order ``reference_group`` sorts its elements."""
+    ids = list(s.number)
+    return sorted(tuple(sorted((ids[i], ids[j]) for i, j in enumerate(e) if i != j))
+                  for e in s.group())
+
+
+def reference_moved(s: PlaceSymmetry):
+    return [p.moved for p in reference_group(s)]
+
+
+def random_generator_sets():
+    """60 random sets of one to three generators over two to eight places,
+    with ids whose place order differs from their string order."""
+    rng = random.Random(72)
+    for _ in range(60):
+        ids = [f"v{n}" for n in rng.sample(range(1, 30), rng.randint(2, 8))]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(ids, rng.randint(2, len(ids)))
+            gens.append(PlacePerm.from_mapping(dict(zip(support, rng.sample(support, len(support))))))
+        yield ids, PlaceSymmetry(tuple(gens))
+
+
+def listable(ids, s: PlaceSymmetry) -> bool:
+    """Whether ``s.group()`` lists; only a group on all eight places can
+    pass 7! = 5040 < the limit."""
+    try:
+        s.group()
+    except CapacityError:
+        assert len(ids) == 8
+        return False
+    return True
 
 
 class TestGroupAgainstTheReference:
@@ -130,25 +204,46 @@ class TestGroupAgainstTheReference:
         rng = random.Random(71)
         for _ in range(40):
             s = make(rng).symmetry
-            assert moved(PlaceSymmetry(s.generators).group()) == moved(reference_group(s))
+            assert numbered_moved(PlaceSymmetry(s.generators)) == reference_moved(s)
 
     def test_random_generator_sets_over_up_to_eight_places(self):
-        rng = random.Random(72)
         compared = 0
-        for _ in range(60):
-            # ids whose place order differs from their string order
-            ids = [f"v{n}" for n in rng.sample(range(1, 30), rng.randint(2, 8))]
-            gens = []
-            for _ in range(rng.randint(1, 3)):
-                support = rng.sample(ids, rng.randint(2, len(ids)))
-                gens.append(PlacePerm.from_mapping(dict(zip(support, rng.sample(support, len(support))))))
-            s = PlaceSymmetry(tuple(gens))
-            try:
-                group = s.group()
-            except CapacityError:
-                # only a group on all eight places can pass 7! = 5040 < the limit
-                assert len(ids) == 8
+        for ids, s in random_generator_sets():
+            if listable(ids, s):
+                assert numbered_moved(s) == reference_moved(s)
+                compared += 1
+        assert compared >= 50
+
+
+class TestOrbitsAgainstTheReference:
+    """``global_orbit``, with and without ``fixing``, and the two-sided
+    orbit of the witness check against the string-keyed push along every
+    element of ``reference_group``."""
+
+    @pytest.mark.parametrize("make", GENERATORS, ids=lambda make: make.__name__)
+    def test_generated_descriptors(self, make):
+        rng = random.Random(73)
+        for _ in range(40):
+            g = make(rng)
+            for fixing in [None] + [p.id for p in g.field.real_places]:
+                assert set(global_orbit(g.omega.finite, g.symmetry, fixing=fixing)) == \
+                    reference_global_orbit(g.omega.finite, g.symmetry, fixing)
+            assert set(_two_sided_orbit(g)) == reference_two_sided_orbit(g)
+
+    def test_random_generator_sets_over_up_to_eight_places(self):
+        values = random.Random(74)
+        t = GroupType(Family.A, 2)
+        compared = 0
+        for ids, s in random_generator_sets():
+            if not listable(ids, s):
                 continue
-            assert moved(group) == moved(reference_group(s))
+            labels = [PlaceLabel(i, PlaceKind.FINITE_INNER) for i in ids]
+            omega = OmegaVector(t, tuple((lab, LocalClass(cyclic(3), values.randrange(3)))
+                                         for lab in labels))
+            for fixing in [None] + ids:
+                assert set(global_orbit(omega.finite, s, fixing=fixing)) == \
+                    reference_global_orbit(omega.finite, s, fixing)
+            g = GroupDescriptor(t, FieldDescriptor(degree=1, finite_places=tuple(labels)), s, omega)
+            assert set(_two_sided_orbit(g)) == reference_two_sided_orbit(g)
             compared += 1
         assert compared >= 50

@@ -26,11 +26,12 @@ from rigidity.classifier import (
 )
 from rigidity.cli import parse
 from rigidity.errors import CapacityError, ContractError, ValidationError
-from rigidity.field_model import FieldDescriptor, PlaceSymmetry
+from rigidity.field_model import FieldDescriptor, PlaceLabel, PlaceSymmetry
 from rigidity.invariants import (
     Family,
     GroupType,
     LocalClass,
+    PlaceKind,
     c_local,
     center_shape,
     cyclic,
@@ -571,8 +572,22 @@ w = form=Spin(3,2) omega=0
 """
         g = normalize(parse(text))
         assert g.group_type == GroupType(Family.C, 2)
-        assert g.real_tag("w") == RealFormTag("Sp_R", (4,))
+        assert g.real_forms == (("w", RealFormTag("Sp_R", (4,))),)
         assert classify(parse(text)).outcome == Outcome.RIGID
+
+    @pytest.mark.parametrize("check", [classify, specialize_q, specialize_quasisplit])
+    def test_b2_real_form_without_a_coordinate_is_a_validation_error(self, check):
+        # normalize reads the real coordinates before validation has run
+        b2 = GroupType(Family.B, 2)
+        g = GroupDescriptor(
+            b2,
+            FieldDescriptor(degree=1, real_places=(PlaceLabel("w2", PlaceKind.REAL_INNER),)),
+            PlaceSymmetry(),
+            OmegaVector(b2),
+            (("w2", RealFormTag("SplitForm", family=Family.B, rank=2)),),
+        )
+        with pytest.raises(ValidationError, match="real coordinates must cover"):
+            check(g)
 
 
 class TestTwoRealRandomized:
@@ -839,7 +854,7 @@ class TestBuildWitness:
         g = parse(A3_SUBSET_HIT)
         w = classify(g).witness
         assert [cls.value for _, cls in w.omega.finite] == [3, 1, 2]
-        assert w.omega.real_value("w").value == 1
+        assert [(lab.id, cls.value) for lab, cls in w.omega.real] == [("w", 1)]
         assert w.real_forms == (("w", RealFormTag("SL_H", (2,))),)
         check_witness(g, w)
 

@@ -6,6 +6,7 @@ import pytest
 from rigidity import field_model
 from rigidity._util import NATURAL_KEY_CACHE, natural_key
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP
+from rigidity.brauer import OmegaVector, weak_uniformity
 from rigidity.errors import CapacityError, ValidationError
 from rigidity.field_model import (
     FieldDescriptor,
@@ -17,11 +18,11 @@ from rigidity.field_model import (
     apply_perm,
     coords_key,
     global_orbit,
+    position_maps,
     sort_coords,
-    stabilizer_subgroup,
     validate,
 )
-from rigidity.invariants import LocalClass, PlaceKind, cyclic
+from rigidity.invariants import Family, GroupType, LocalClass, PlaceKind, cyclic, h2_local, zero
 
 FI = PlaceKind.FINITE_INNER
 FO = PlaceKind.FINITE_OUTER
@@ -229,35 +230,36 @@ class TestAdelicOrbit:
 
 
 class TestStabilizer:
+    """``global_orbit`` and ``position_maps`` with ``fixing`` act by the
+    elements that fix one place."""
+
     def test_trivial_group(self):
-        f = FieldDescriptor(degree=1, real_places=(PlaceLabel("w", RI),))
-        sub = stabilizer_subgroup(PlaceSymmetry(), f, "w")
-        assert sub.generators == ()
+        w = PlaceLabel("w", RI)
+        x = ((w, LocalClass(Z5, 1)),)
+        assert global_orbit(x, PlaceSymmetry(), fixing="w") == (x,)
+        assert position_maps(x, PlaceSymmetry(), "w") == [(0,)]
 
     def test_swap_has_trivial_stabilizer(self):
-        f = FieldDescriptor(
-            degree=2,
-            real_places=(PlaceLabel("w1", RI), PlaceLabel("w2", RI)),
-        )
+        w1, w2 = PlaceLabel("w1", RI), PlaceLabel("w2", RI)
         s = PlaceSymmetry((PlacePerm.from_cycles([("w1", "w2")]),))
-        sub = stabilizer_subgroup(s, f, "w1")
-        assert sub.generators == ()
+        x = sort_coords([(w1, LocalClass(Z5, 1)), (w2, LocalClass(Z5, 2))])
+        assert len(global_orbit(x, s)) == 2
+        assert global_orbit(x, s, fixing="w1") == (x,)
+        assert position_maps(x, s, "w1") == [(0, 1)]
 
     def test_group_fixing_reals_survives(self):
-        f = FieldDescriptor(
-            degree=4,
-            real_places=(PlaceLabel("w1", RI), PlaceLabel("w2", RI)),
-            complex_place_count=1,
-            finite_places=(PlaceLabel("a", FI, "c"), PlaceLabel("b", FI, "c")),
-        )
+        a, b = PlaceLabel("a", FI, "c"), PlaceLabel("b", FI, "c")
         s = PlaceSymmetry((PlacePerm.from_cycles([("a", "b")]),))
-        sub = stabilizer_subgroup(s, f, "w1")
-        assert len(sub.group()) == 2
+        x = sort_coords([(a, LocalClass(Z5, 1)), (b, LocalClass(Z5, 2))])
+        assert len(position_maps(x, s, "w1")) == 2
+        assert global_orbit(x, s, fixing="w1") == global_orbit(x, s)
 
     def test_undeclared_place_rejected(self):
         f = FieldDescriptor(degree=1, real_places=(PlaceLabel("w", RI),))
-        with pytest.raises(ValidationError):
-            stabilizer_subgroup(PlaceSymmetry(), f, "nope")
+        t = GroupType(Family.A, 1)
+        om = OmegaVector(t, (), ((PlaceLabel("w", RI), zero(h2_local(t, RI))),))
+        with pytest.raises(ValidationError, match="nope is not a declared real place"):
+            weak_uniformity(om, f, PlaceSymmetry(), stabilize_real="nope")
 
 
 class TestGroupCache:
@@ -297,7 +299,7 @@ class TestPlacePerm:
     def test_a_three_cycle_generates_a_group_of_order_three(self):
         p = PlacePerm.from_cycles([("a", "b", "c")])
         group = PlaceSymmetry((p,)).group()
-        assert len(group) == 3 and group[0].is_identity()
+        assert len(group) == 3 and group[0] == (0, 1, 2)
         assert str(p) == "(a b c)"
 
     @pytest.mark.parametrize("moved", [
@@ -315,7 +317,10 @@ class TestPlacePerm:
     def test_apply_perm_moves_values(self):
         labs = gaussian_places()
         x = coords((labs[0], 1), (labs[1], 2), (labs[2], 3), (labs[3], 4))
-        moved = apply_perm(x, PlacePerm.from_cycles([("v5a", "v5b")]))
+        s = PlaceSymmetry((PlacePerm.from_cycles([("v5a", "v5b")]),))
+        identity, swap = position_maps(x, s)
+        assert apply_perm(x, identity) == x
+        moved = apply_perm(x, swap)
         lookup = {lab.id: cls.value for lab, cls in moved}
         assert lookup["v5a"] == 3 and lookup["v5b"] == 2
 
@@ -328,8 +333,11 @@ class TestPlacePerm:
     def test_apply_perm_rejects_targets_outside_the_support(self):
         labs = gaussian_places()
         x = coords((labs[0], 1), (labs[1], 2))
+        s = PlaceSymmetry((PlacePerm.from_cycles([("v5a", "v5b")]),))
         with pytest.raises(ValidationError, match="moves v5a outside the declared support"):
-            apply_perm(x, PlacePerm.from_cycles([("v5a", "v5b")]))
+            position_maps(x, s)
+        with pytest.raises(ValidationError, match="moves v5a outside the declared support"):
+            global_orbit(x, s)
 
 
 class TestNaturalKeyCache:

@@ -232,12 +232,15 @@ def _cyclic(x: Perm, e: Perm) -> List[Perm]:
     return out
 
 
-def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm]) -> FrozenSet[Perm]:
+def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm],
+            within: Optional[FrozenSet[Perm]] = None) -> FrozenSet[Perm]:
     """The subgroup ``sub`` and ``gens`` generate, as the union of the right
     cosets of ``sub`` reached from ``sub`` by ``gens`` (Dimino's algorithm).
 
     The union is closed under the generators it is built with, so ``gens``
-    must include generators of ``sub`` unless they normalize ``sub``.
+    must include generators of ``sub`` unless they normalize ``sub``.  With
+    ``within``, a coset that leaves it raises ContractError: a set that holds
+    ``sub`` and ``gens`` but not all they generate is not closed.
     """
     elems = set(sub)
     reps = [next(iter(sub))]
@@ -248,41 +251,55 @@ def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm]) -> FrozenSet[Perm]:
         for g in gens:
             t = perm_mul(r, g)
             if t not in elems:
-                elems.update([tuple(map(h.__getitem__, t)) for h in sub])  # h * t
+                coset = [tuple(map(h.__getitem__, t)) for h in sub]  # h * t, t among them
+                if within is not None and not within.issuperset(coset):
+                    raise ContractError("subgroup not closed under composition")
+                elems.update(coset)
                 reps.append(t)
     return frozenset(elems)
 
 
-def _generate(elements: Iterable[Perm], e: Perm) -> Tuple[Tuple[Perm, ...], FrozenSet[Perm]]:
+def _generate(elements: Iterable[Perm], e: Perm,
+              ambient: Optional[PermGroup] = None) -> Tuple[Tuple[Perm, ...], FrozenSet[Perm]]:
     """A generating tuple taken from ``elements`` in their order, one element
-    for each that the earlier ones do not generate, and the subgroup generated."""
+    for each that the earlier ones do not generate, and the subgroup generated.
+
+    With ``ambient``, ``elements`` is the frozenset that should be a subgroup
+    of it: each generator must lie in ``ambient`` and everything generated in
+    ``elements``, else ContractError.  Every element either is generated or
+    becomes a generator, so this checks closure in at most |elements| times
+    the number of generators products, and a bad set stops early."""
+    within = elements if ambient is not None else None
     gens: Tuple[Perm, ...] = ()
     sub = frozenset([e])
     for x in elements:
         if x not in sub:
+            if ambient is not None and x not in ambient:
+                raise ContractError("subgroup element outside the ambient group")
             gens += (x,)
-            # a first generator spans its powers, which are cheaper to list than cosets
-            sub = _adjoin(sub, gens) if len(gens) > 1 else frozenset(_cyclic(x, e))
+            if len(gens) > 1:
+                sub = _adjoin(sub, gens, within)
+            else:  # a first generator spans its powers, which are cheaper to list than cosets
+                sub = frozenset(_cyclic(x, e))
+                if within is not None and not within.issuperset(sub):
+                    raise ContractError("subgroup not closed under composition")
     return gens, sub
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its element set; closure is verified at construction."""
+    """A subgroup given by its element set, verified at construction through
+    a generating tuple taken from its members (``_generate``).  The tuple is
+    kept as ``generators``, which is not part of the value."""
 
     group: PermGroup = field(compare=False)
     members: FrozenSet[Perm] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.group.identity not in self.members:
+        e = self.group.identity
+        if e not in self.members:
             raise ContractError("subgroup must contain the identity")
-        mset = self.members
-        for a in mset:
-            if a not in self.group:
-                raise ContractError("subgroup element outside the ambient group")
-            for b in mset:
-                if perm_mul(a, b) not in mset:
-                    raise ContractError("subgroup not closed under composition")
+        object.__setattr__(self, "generators", _generate(self.members, e, self.group)[0])
 
     def order(self) -> int:
         return len(self.members)
@@ -337,8 +354,9 @@ def are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
     target = U2.members
     for g in G.elements():
         gi = perm_inv(g)
-        # conjugation is injective and the orders agree, so landing inside is equality
-        if all(perm_mul(perm_mul(g, u), gi) in target for u in U1.members):
+        # g<X>g^-1 is generated by gXg^-1, so it lies in U2 when they do;
+        # conjugation is injective and the orders agree, so inside is equality
+        if all(perm_mul(perm_mul(g, x), gi) in target for x in U1.generators):
             return True
     return False
 

@@ -28,6 +28,7 @@ from .field_model import (
     adelic_orbit,
     coords_key,
     global_orbit,
+    orbit_set,
     sort_coords,
 )
 from .invariants import (
@@ -384,8 +385,7 @@ def weak_uniformity(
     """
     if stabilize_real and stabilize_real not in {p.id for p in f.real_places}:
         raise ValidationError([f"{stabilize_real} is not a declared real place"])
-    lhs = set(global_orbit(omega.finite, s, stabilize_real)) | \
-        set(global_orbit(sigma_flip(omega), s, stabilize_real))
+    lhs = orbit_set(omega.finite, s, stabilize_real) | orbit_set(sigma_flip(omega), s, stabilize_real)
     possible, witness = compare_possible(omega, lhs)
     return WeakUniformityReport(
         holds=witness is None,

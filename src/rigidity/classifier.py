@@ -38,7 +38,7 @@ from .field_model import (
     PlaceLabel,
     PlaceSymmetry,
     apply_perm,
-    global_orbit,
+    orbit_set,
     position_maps,
 )
 from .field_model import validate as validate_field
@@ -389,7 +389,7 @@ def _uniformity_verdict(
 
 
 def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
-    realized = set(global_orbit(g.omega.finite, g.symmetry))
+    realized = orbit_set(g.omega.finite, g.symmetry)
     possible, witness = compare_possible(g.omega, realized, flips=False)
     if witness is None:
         return Verdict(

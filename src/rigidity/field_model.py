@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ._util import HashedOnce, natural_key
 from .arith_equiv import DEFAULT_GROUP_CAP, Perm, closure
@@ -138,10 +138,11 @@ class PlaceSymmetry:
     def __post_init__(self):
         # one generator order, however they were declared
         object.__setattr__(self, "generators", tuple(sorted(self.generators, key=lambda p: p.moved)))
-        # neither the numbering nor the listed group is part of the value
+        # neither the numbering, the listed group nor its position maps are part of the value
         points = sorted({a for g in self.generators for a, _ in g.moved}, key=natural_key)
         object.__setattr__(self, "number", {p: i for i, p in enumerate(points)})
         object.__setattr__(self, "_group", None)
+        object.__setattr__(self, "_maps", {})  # (place ids, fixing) -> position_maps
 
     def group(self) -> Tuple[Perm, ...]:
         """Every element of the generated group as an image tuple over the
@@ -240,14 +241,23 @@ def coords_key(coords: Coords):
 def position_maps(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> List[Perm]:
     """Each element of the group (or of the stabilizer of the place
     ``fixing``) as a map of positions in ``coords``: entry i is the
-    position whose value the element pushes to position i.
+    position whose value the element pushes to position i.  The maps of one
+    list of places are built once per symmetry object and then shared, so
+    callers must not change the list.
 
     A ValidationError names a place of the vector that a generator moves
     outside it.  When no generator does so, no element does."""
-    identity = tuple(range(len(coords)))
     if not s.number:  # the trivial group
-        return [identity]
-    pos = {lab.id: i for i, (lab, _) in enumerate(coords)}
+        return [tuple(range(len(coords)))]
+    key = (tuple(lab.id for lab, _ in coords), fixing)
+    if key not in s._maps:
+        s._maps[key] = _build_maps(key[0], s, fixing)
+    return s._maps[key]
+
+
+def _build_maps(ids: Tuple[str, ...], s: PlaceSymmetry, fixing: Optional[str]) -> List[Perm]:
+    identity = tuple(range(len(ids)))
+    pos = {p: i for i, p in enumerate(ids)}
     for g in s.generators:
         for a, b in g.moved:
             if a in pos and b not in pos:
@@ -275,10 +285,15 @@ def _canonical(orbit) -> Tuple[Coords, ...]:
     return tuple(sorted(orbit, key=coords_key))
 
 
-def global_orbit(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> Tuple[Coords, ...]:
+def orbit_set(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> Set[Coords]:
     """Orbit of a coordinate vector under the declared field automorphisms,
-    or under those fixing the place ``fixing``."""
-    return _canonical({apply_perm(coords, src) for src in position_maps(coords, s, fixing)})
+    or under those fixing the place ``fixing``, unsorted."""
+    return {apply_perm(coords, src) for src in position_maps(coords, s, fixing)}
+
+
+def global_orbit(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> Tuple[Coords, ...]:
+    """``orbit_set`` in canonical order."""
+    return _canonical(orbit_set(coords, s, fixing))
 
 
 def _orderings(counts: Dict[LocalClass, int]) -> List[Tuple[LocalClass, ...]]:

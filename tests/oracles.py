@@ -9,7 +9,10 @@ must agree with; ``reference_group`` lists a field automorphism group by
 composing place permutations keyed by place id, ``reference_push`` pushes
 a vector along one of them by place id, and ``reference_global_orbit`` and
 ``reference_two_sided_orbit`` are the orbits ``global_orbit`` and
-``classifier._two_sided_orbit`` must agree with.  ``catalog_groups``
+``classifier._two_sided_orbit`` must agree with.
+``reference_subgroup_check`` and ``reference_are_conjugate`` are the
+all-pairs closure check and the all-members conjugacy test that
+``arith_equiv.Subgroup`` and ``are_conjugate`` must agree with.  ``catalog_groups``
 parses ``fixtures/groups.cat`` afresh on every call, as
 ``rigidity.catalog.catalog_group`` does for one group, so no two tests
 share a group's caches.  ``run_python`` runs code in a fresh interpreter
@@ -85,6 +88,30 @@ def hbar_certificate(G: PermGroup, N: Subgroup, pairs) -> bool:
         if almost_conjugate(G, U1, U2) and not are_conjugate(G, U1, U2):
             return False
     return True
+
+
+def reference_subgroup_check(G: PermGroup, members) -> None:
+    """ContractError unless ``members`` holds the identity, lies in ``G``
+    and holds the product of every ordered pair of its elements."""
+    if G.identity not in members:
+        raise ContractError("subgroup must contain the identity")
+    for a in members:
+        if a not in G:
+            raise ContractError("subgroup element outside the ambient group")
+        for b in members:
+            if perm_mul(a, b) not in members:
+                raise ContractError("subgroup not closed under composition")
+
+
+def reference_are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
+    """Whether some element of ``G`` conjugates every member of ``U1`` into ``U2``."""
+    if U1.order() != U2.order():
+        return False
+    for g in G.elements():
+        gi = perm_inv(g)
+        if all(perm_mul(perm_mul(g, u), gi) in U2.members for u in U1.members):
+            return True
+    return False
 
 
 def mackey_decomposition_holds(G: PermGroup, N: Subgroup, U: Subgroup) -> bool:

@@ -2,8 +2,15 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import catalog_groups, hbar_certificate, mackey_decomposition_holds
+from oracles import (
+    catalog_groups,
+    hbar_certificate,
+    mackey_decomposition_holds,
+    reference_are_conjugate,
+    reference_subgroup_check,
+)
 from rigidity.arith_equiv import (
     DEFAULT_GROUP_CAP,
     NORMAL_SUBGROUP_LIMIT,
@@ -11,6 +18,7 @@ from rigidity.arith_equiv import (
     Subgroup,
     almost_conjugate,
     are_conjugate,
+    closure,
     common_normal_index2,
     perm_from_cycles,
     perm_inv,
@@ -23,6 +31,10 @@ from rigidity.errors import CapacityError, ContractError
 
 # every bundled group whose subgroup lattice takes well under a second
 SMALL_CATALOG = [G.name for G in catalog_groups() if G.order() <= 48]
+
+# the groups drawn sets come from: none is the whole symmetric group on its
+# points, so a drawn permutation may fall outside it
+DRAWN_FROM = [G for G in catalog_groups() if G.name in ("C4", "V4", "D8", "A4", "C2wrC3", "S3xS3")]
 
 
 def lattice_normal_subgroups(G):
@@ -275,3 +287,74 @@ class TestBudget:
         G, P, L = fano_point_line_stabilizers()
         assert common_normal_index2(G, P, L) is None
         assert time.perf_counter() - start < 2.0
+
+
+def outcome(check, *args):
+    """None when ``check(*args)`` returns, else its ContractError message."""
+    try:
+        check(*args)
+    except ContractError as e:
+        return str(e)
+    return None
+
+
+def faults(G, members):
+    """Which of the three subgroup conditions ``members`` breaks."""
+    return [name for name, broken in [
+        ("identity", G.identity not in members),
+        ("outside", any(x not in G for x in members)),
+        ("closure", any(perm_mul(a, b) not in members for a in members for b in members)),
+    ] if broken]
+
+
+class TestSubgroupCheckAgainstTheReference:
+    """``Subgroup`` checks a set through a generating tuple taken from it,
+    and ``are_conjugate`` conjugates only that tuple; the all-pairs check
+    and the all-members test of ``oracles`` must give the same answers."""
+
+    @pytest.mark.parametrize("name", SMALL_CATALOG)
+    def test_every_subgroup_of_the_lattice(self, name):
+        G = catalog_group(name)
+        for s in G.subgroups():
+            reference_subgroup_check(G, s)
+            U = Subgroup(G, s)
+            assert all(x in s for x in U.generators)
+            assert frozenset(closure(U.generators, G.identity)) == s
+
+    @pytest.mark.parametrize("name", ["S4", "C2wrC3"])
+    def test_every_pair_of_equal_order(self, name):
+        G = catalog_group(name)
+        subs = [Subgroup(G, s) for s in G.subgroups()]
+        pairs = [(a, b) for a in subs for b in subs if a.order() == b.order()]
+        assert len(pairs) > len(subs)
+        answers = [are_conjugate(G, a, b) for a, b in pairs]
+        assert answers == [reference_are_conjugate(G, a, b) for a, b in pairs]
+        assert len(subs) < sum(answers) < len(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_sets(self, data):
+        G = data.draw(st.sampled_from(DRAWN_FROM))
+        elems = G.elements()
+        # a subgroup generated by up to two elements, then edited: members
+        # dropped (the identity among them, perhaps), elements of G or of the
+        # whole symmetric group added
+        gens = data.draw(st.lists(st.sampled_from(elems), max_size=2))
+        members = set(closure(gens, G.identity))
+        for x in data.draw(st.lists(st.sampled_from(sorted(members)), max_size=2)):
+            members.discard(x)
+        members |= set(data.draw(st.lists(st.sampled_from(elems), max_size=2)))
+        members |= set(data.draw(st.lists(st.permutations(range(G.degree)).map(tuple), max_size=2)))
+        members = frozenset(members)
+        want = outcome(reference_subgroup_check, G, members)
+        got = outcome(Subgroup, G, members)
+        broken = faults(G, members)
+        assert (got is None) == (want is None) == (not broken)
+        if len(broken) == 1:
+            assert got == want
+
+    def test_a_tuple_that_is_no_permutation_is_outside_the_group(self):
+        G = catalog_group("C2")
+        for bad in [(0, 0), (0, 5), (0, 1, 2)]:
+            with pytest.raises(ContractError, match="outside the ambient group"):
+                Subgroup(G, frozenset([G.identity, bad]))

@@ -19,11 +19,12 @@ from oracles import (
     reference_group,
     reference_two_sided_orbit,
 )
-from rigidity.arith_equiv import DEFAULT_GROUP_CAP
+from rigidity import field_model
+from rigidity.arith_equiv import DEFAULT_GROUP_CAP, Subgroup, perm_from_cycles
 from rigidity.brauer import OmegaVector
 from rigidity.classifier import GroupDescriptor, Outcome, _two_sided_orbit, classify
-from rigidity.cli import emit_descriptor, parse
-from rigidity.errors import CapacityError
+from rigidity.cli import emit_descriptor, main, parse, parse_catalog
+from rigidity.errors import CapacityError, ContractError
 from rigidity.field_model import FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry, global_orbit
 from rigidity.invariants import Family, GroupType, LocalClass, PlaceKind, cyclic
 
@@ -112,6 +113,19 @@ class TestAutomorphismGroupLimit:
         assert time.perf_counter() - start < 1.0
 
 
+class TestPositionMapsBuiltOnce:
+    def test_one_build_per_list_of_places_in_one_classify(self, monkeypatch):
+        # weak_uniformity maps the finite vector and its symmetry flip, and the
+        # witness check maps them again along with the real vector; one list of
+        # place ids is one build
+        g = parse(commuting_swaps(13))
+        builds = []
+        build = field_model._build_maps
+        monkeypatch.setattr(field_model, "_build_maps", lambda *a: builds.append(a[0]) or build(*a))
+        assert classify(g).outcome == Outcome.NOT_RIGID
+        assert sorted(builds) == [(), tuple(lab.id for lab, _ in g.omega.finite)]
+
+
 class TestLinearInThePlaces:
     """Classify and emit walk the places in their one order: no place is
     looked up by id, which made both quadratic in the number of places."""
@@ -147,6 +161,39 @@ class TestFactorialTable:
     def test_doubling_the_places_less_than_triples_the_peak(self):
         # a table of all n factorials grew the peak 3.3-fold from 2,500 to 5,000
         assert self.peak(5000) < 3 * self.peak(2500)
+
+
+class TestCatalogGroups:
+    def test_equiv_on_an_elementary_abelian_group_of_order_32(self, tmp_path, capsys):
+        # every one of its 374 subgroups is normal
+        f = tmp_path / "z2_5.cat"
+        f.write_text("Z2^5 10 (1 2);(3 4);(5 6);(7 8);(9 10)\n")
+        start = time.perf_counter()
+        assert main(["equiv", str(f)]) == 0
+        assert time.perf_counter() - start < 6.0
+        assert capsys.readouterr().out == "Z2^5 (order 32): ok\n"
+
+    def test_equiv_on_wreath_products(self, tmp_path, capsys):
+        # C2 wr S4, the hyperoctahedral group of order 384, and C2 wr C2 wr C2,
+        # a Sylow 2-subgroup of S8 with 28 normal subgroups
+        f = tmp_path / "wreath.cat"
+        f.write_text("C2wrS4 8 (1 2);(1 3)(2 4);(1 3 5 7)(2 4 6 8)\n"
+                     "C2wrC2wrC2 8 (1 2);(1 3)(2 4);(1 5)(2 6)(3 7)(4 8)\n")
+        start = time.perf_counter()
+        assert main(["equiv", str(f)]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().out == "C2wrS4 (order 384): ok\nC2wrC2wrC2 (order 128): ok\n"
+
+    def test_a_bad_set_in_a_big_group_stops_early(self):
+        # a transposition and a 7-cycle generate all 5040 elements; the check
+        # stops at the first product outside the set instead of listing them
+        (G,) = parse_catalog("S7 7 (1 2);(1 2 3 4 5 6 7)")
+        members = frozenset([G.identity, perm_from_cycles(7, [(0, 1)]),
+                             perm_from_cycles(7, [tuple(range(7))])])
+        start = time.perf_counter()
+        with pytest.raises(ContractError, match="not closed"):
+            Subgroup(G, members)
+        assert time.perf_counter() - start < 0.1
 
 
 GENERATORS = [

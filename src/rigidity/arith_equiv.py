@@ -20,7 +20,7 @@ from .errors import CapacityError, ContractError
 
 Perm = Tuple[int, ...]
 
-# Largest group order ``closure`` enumerates, for catalog groups and field
+# Largest group order ``generate`` lists, for catalog groups and field
 # automorphisms alike.
 DEFAULT_GROUP_CAP = 10080
 
@@ -33,21 +33,6 @@ def perm_mul(a: Perm, b: Perm) -> Perm:
     return tuple(map(a.__getitem__, b))
 
 
-def closure(generators: Sequence[Perm], identity: Perm) -> List[Perm]:
-    """Every element the generators generate, breadth first from ``identity``;
-    CapacityError once there are more than ``DEFAULT_GROUP_CAP``."""
-    elems, seen = [identity], {identity}
-    for e in elems:  # elems grows while it is read
-        for g in generators:
-            h = perm_mul(g, e)
-            if h not in seen:
-                seen.add(h)
-                elems.append(h)
-                if len(elems) > DEFAULT_GROUP_CAP:
-                    raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
-    return elems
-
-
 def perm_inv(a: Perm) -> Perm:
     out = [0] * len(a)
     for i, j in enumerate(a):
@@ -58,6 +43,8 @@ def perm_inv(a: Perm) -> Perm:
 def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
     out = list(range(degree))
     for cyc in cycles:
+        if not cyc:
+            raise ContractError("empty cycle")
         for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
             if not (0 <= a < degree):
                 raise ContractError(f"point {a} outside degree {degree}")
@@ -89,7 +76,7 @@ class PermGroup:
 
     def elements(self) -> List[Perm]:
         if self._elements is None:
-            self._elements = sorted(closure(self.generators, self.identity))
+            self._elements = sorted(generate(self.generators, self.identity)[1])
             self._index = {e: i for i, e in enumerate(self._elements)}
         return self._elements
 
@@ -128,7 +115,7 @@ class PermGroup:
     def subgroups(self) -> List[FrozenSet[Perm]]:
         """Every subgroup, sorted by order and then by elements: the reference lattice.
 
-        Known subgroups are closed under one extra cyclic subgroup at a time,
+        Known subgroups grow by one cyclic subgroup at a time (``generate``),
         which takes seconds from order 168 on.  Nothing in the package calls
         it; it stays as the oracle the tests compare ``normal_subgroups`` and
         ``index_two_subgroups`` with, and for the bench tracer.
@@ -151,7 +138,7 @@ class PermGroup:
                     if cyc <= sub:
                         continue
                     new_gens = gens + (x,)
-                    key = frozenset(closure(new_gens, self.identity))
+                    key = generate(new_gens, self.identity)[1]
                     if key not in known:
                         known[key] = new_gens
                         nxt.append(key)
@@ -175,7 +162,7 @@ class PermGroup:
             spans: Dict[FrozenSet[Perm], Tuple[Perm, ...]] = {}  # class subgroup -> generators
             for cls in self.conjugacy_classes():
                 if cls[0] != self.identity:
-                    gens, sub = _generate(cls, self.identity)
+                    gens, sub = generate(cls, self.identity)
                     spans.setdefault(sub, gens)
             known = {trivial, *spans}
             frontier = list(spans)
@@ -210,7 +197,7 @@ class PermGroup:
         """
         if len(n) % 2:
             return []
-        _, squares = _generate({perm_mul(x, x) for x in n}, self.identity)
+        _, squares = generate({perm_mul(x, x) for x in n}, self.identity)
         coords = dict.fromkeys(squares, 0)
         bit = 1
         for x in n:
@@ -228,6 +215,8 @@ def _cyclic(x: Perm, e: Perm) -> List[Perm]:
     y = x
     while y != e:
         out.append(y)
+        if len(out) > DEFAULT_GROUP_CAP:
+            raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
         y = perm_mul(y, x)
     return out
 
@@ -240,7 +229,8 @@ def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm],
     The union is closed under the generators it is built with, so ``gens``
     must include generators of ``sub`` unless they normalize ``sub``.  With
     ``within``, a coset that leaves it raises ContractError: a set that holds
-    ``sub`` and ``gens`` but not all they generate is not closed.
+    ``sub`` and ``gens`` but not all they generate is not closed.  A coset
+    that would take the union past ``DEFAULT_GROUP_CAP`` raises CapacityError.
     """
     elems = set(sub)
     reps = [next(iter(sub))]
@@ -254,15 +244,18 @@ def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm],
                 coset = [tuple(map(h.__getitem__, t)) for h in sub]  # h * t, t among them
                 if within is not None and not within.issuperset(coset):
                     raise ContractError("subgroup not closed under composition")
+                if len(elems) + len(coset) > DEFAULT_GROUP_CAP:
+                    raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
                 elems.update(coset)
                 reps.append(t)
     return frozenset(elems)
 
 
-def _generate(elements: Iterable[Perm], e: Perm,
-              ambient: Optional[PermGroup] = None) -> Tuple[Tuple[Perm, ...], FrozenSet[Perm]]:
+def generate(elements: Iterable[Perm], e: Perm,
+             ambient: Optional[PermGroup] = None) -> Tuple[Tuple[Perm, ...], FrozenSet[Perm]]:
     """A generating tuple taken from ``elements`` in their order, one element
-    for each that the earlier ones do not generate, and the subgroup generated.
+    for each that the earlier ones do not generate, and the subgroup generated
+    by Dimino's coset walk; CapacityError past ``DEFAULT_GROUP_CAP`` elements.
 
     With ``ambient``, ``elements`` is the frozenset that should be a subgroup
     of it: each generator must lie in ``ambient`` and everything generated in
@@ -289,7 +282,7 @@ def _generate(elements: Iterable[Perm], e: Perm,
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its element set, verified at construction through
-    a generating tuple taken from its members (``_generate``).  The tuple is
+    a generating tuple taken from its members (``generate``).  The tuple is
     kept as ``generators``, which is not part of the value."""
 
     group: PermGroup = field(compare=False)
@@ -299,7 +292,7 @@ class Subgroup:
         e = self.group.identity
         if e not in self.members:
             raise ContractError("subgroup must contain the identity")
-        object.__setattr__(self, "generators", _generate(self.members, e, self.group)[0])
+        object.__setattr__(self, "generators", generate(self.members, e, self.group)[0])
 
     def order(self) -> int:
         return len(self.members)

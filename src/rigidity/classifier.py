@@ -53,6 +53,7 @@ from .invariants import (
     zero,
 )
 from .real_forms import (
+    GENERIC,
     RealFormTag,
     form_for_class,
     partner_form,
@@ -119,14 +120,14 @@ class Verdict:
 
 _ALLOWED_TAGS = {
     Family.A: {"SL_R", "SL_H", "SU"},
-    Family.B: {"Spin", "SplitForm", "CompactForm", "AnisotropicOther"},
+    Family.B: {"Spin", *GENERIC},
     Family.C: {"Sp_R", "Sp"},
     Family.D: {"Spin", "SpinStar", "AnisotropicOther"},
-    Family.E6: {"SplitForm", "CompactForm", "AnisotropicOther"},
+    Family.E6: set(GENERIC),
     Family.E7: {"E7_split", "E7_quaternionic", "E7_hermitian", "E7_compact"},
-    Family.E8: {"SplitForm", "CompactForm", "AnisotropicOther"},
-    Family.F4: {"SplitForm", "CompactForm", "AnisotropicOther"},
-    Family.G2: {"SplitForm", "CompactForm", "AnisotropicOther"},
+    Family.E8: set(GENERIC),
+    Family.F4: set(GENERIC),
+    Family.G2: set(GENERIC),
 }
 
 
@@ -246,6 +247,9 @@ def _canonical_orbit_value(t: GroupType, lab: PlaceLabel, cls: LocalClass):
 
 def check_witness(g: GroupDescriptor, w: GroupDescriptor) -> None:
     """Machine check of an emitted witness: valid, locally isomorphic, not globally so."""
+    g = normalize(g)
+    if (w.group_type, w.field, w.symmetry) != (g.group_type, g.field, g.symmetry):
+        raise ContractError("witness is not over the input's type, field and automorphisms")
     validate_descriptor(w)
     t = g.group_type
     mine: Dict[str, list] = {}

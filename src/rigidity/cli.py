@@ -74,7 +74,7 @@ from .invariants import (
     h2_local,
     zero,
 )
-from .real_forms import RealFormTag, real_class
+from .real_forms import GENERIC, RealFormTag, real_class
 
 EXIT_BY_OUTCOME = {
     Outcome.RIGID: 0,
@@ -410,7 +410,7 @@ class _Parser:
                 self.err(no, 1, f"bad form parameters in {text!r}")
                 return None
         try:
-            if name in ("SplitForm", "CompactForm", "AnisotropicOther"):
+            if name in GENERIC:
                 outer = name == "AnisotropicOther" and explicit_kind == "nonsplit"
                 return RealFormTag(name, family=gtype.family, rank=gtype.rank, outer=outer)
             return RealFormTag(name, params)

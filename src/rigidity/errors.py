@@ -21,7 +21,7 @@ class MissingRealClassError(RigidityError):
 
 class CapacityError(RigidityError):
     """Work exceeded its fixed limit: the order of a catalog group or of the
-    field automorphism group, which ``arith_equiv.closure`` lists
+    field automorphism group, which ``arith_equiv.generate`` lists
     (``DEFAULT_GROUP_CAP``), the normal subgroups in ``arith_equiv``, the
     possible side that ``rigidity orbit`` prints, the twin places whose
     flips ``specialize_q`` lists, the products the convolutions of residue

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ._util import HashedOnce, natural_key
-from .arith_equiv import DEFAULT_GROUP_CAP, Perm, closure
+from .arith_equiv import DEFAULT_GROUP_CAP, Perm, generate
 from .errors import CapacityError, ValidationError
 from .invariants import LocalClass, PlaceKind
 
@@ -146,12 +146,13 @@ class PlaceSymmetry:
 
     def group(self) -> Tuple[Perm, ...]:
         """Every element of the generated group as an image tuple over the
-        numbered places, in the order ``arith_equiv.closure`` lists them
-        (the identity first); enumerated once and then kept.  Raises
-        CapacityError past ``DEFAULT_GROUP_CAP`` elements."""
+        numbered places, sorted (so the identity first); listed once by
+        ``arith_equiv.generate`` and then kept.  Raises CapacityError past
+        ``DEFAULT_GROUP_CAP`` elements."""
         if self._group is None:
             images = [tuple(self.number[g.apply(p)] for p in self.number) for g in self.generators]
-            object.__setattr__(self, "_group", tuple(closure(images, tuple(range(len(self.number))))))
+            identity = tuple(range(len(self.number)))
+            object.__setattr__(self, "_group", tuple(sorted(generate(images, identity)[1])))
         return self._group
 
 

@@ -12,7 +12,9 @@ a vector along one of them by place id, and ``reference_global_orbit`` and
 ``classifier._two_sided_orbit`` must agree with.
 ``reference_subgroup_check`` and ``reference_are_conjugate`` are the
 all-pairs closure check and the all-members conjugacy test that
-``arith_equiv.Subgroup`` and ``are_conjugate`` must agree with.  ``catalog_groups``
+``arith_equiv.Subgroup`` and ``are_conjugate`` must agree with, and
+``reference_closure`` lists a generated group breadth first, as
+``arith_equiv.generate`` must.  ``catalog_groups``
 parses ``fixtures/groups.cat`` afresh on every call, as
 ``rigidity.catalog.catalog_group`` does for one group, so no two tests
 share a group's caches.  ``run_python`` runs code in a fresh interpreter
@@ -25,10 +27,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import rigidity
 from rigidity.arith_equiv import (
+    DEFAULT_GROUP_CAP,
+    Perm,
     PermGroup,
     Subgroup,
     almost_conjugate,
@@ -38,7 +42,7 @@ from rigidity.arith_equiv import (
 )
 from rigidity.brauer import OmegaVector, inner_twin_places, plain_orbits, sigma_flip
 from rigidity.cli import parse_catalog
-from rigidity.errors import ContractError, ValidationError
+from rigidity.errors import CapacityError, ContractError, ValidationError
 from rigidity.field_model import PlacePerm, PlaceSymmetry
 from rigidity.invariants import GroupType, LocalClass, center_shape, has_symmetry, sym_act
 
@@ -88,6 +92,21 @@ def hbar_certificate(G: PermGroup, N: Subgroup, pairs) -> bool:
         if almost_conjugate(G, U1, U2) and not are_conjugate(G, U1, U2):
             return False
     return True
+
+
+def reference_closure(generators: Sequence[Perm], identity: Perm) -> List[Perm]:
+    """Every element the generators generate, breadth first from ``identity``;
+    CapacityError once there are more than ``DEFAULT_GROUP_CAP``."""
+    elems, seen = [identity], {identity}
+    for e in elems:  # elems grows while it is read
+        for g in generators:
+            h = perm_mul(g, e)
+            if h not in seen:
+                seen.add(h)
+                elems.append(h)
+                if len(elems) > DEFAULT_GROUP_CAP:
+                    raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
+    return elems
 
 
 def reference_subgroup_check(G: PermGroup, members) -> None:

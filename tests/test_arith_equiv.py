@@ -9,6 +9,7 @@ from oracles import (
     hbar_certificate,
     mackey_decomposition_holds,
     reference_are_conjugate,
+    reference_closure,
     reference_subgroup_check,
 )
 from rigidity.arith_equiv import (
@@ -18,8 +19,8 @@ from rigidity.arith_equiv import (
     Subgroup,
     almost_conjugate,
     are_conjugate,
-    closure,
     common_normal_index2,
+    generate,
     perm_from_cycles,
     perm_inv,
     perm_mul,
@@ -319,7 +320,7 @@ class TestSubgroupCheckAgainstTheReference:
             reference_subgroup_check(G, s)
             U = Subgroup(G, s)
             assert all(x in s for x in U.generators)
-            assert frozenset(closure(U.generators, G.identity)) == s
+            assert frozenset(reference_closure(U.generators, G.identity)) == s
 
     @pytest.mark.parametrize("name", ["S4", "C2wrC3"])
     def test_every_pair_of_equal_order(self, name):
@@ -340,7 +341,7 @@ class TestSubgroupCheckAgainstTheReference:
         # dropped (the identity among them, perhaps), elements of G or of the
         # whole symmetric group added
         gens = data.draw(st.lists(st.sampled_from(elems), max_size=2))
-        members = set(closure(gens, G.identity))
+        members = set(reference_closure(gens, G.identity))
         for x in data.draw(st.lists(st.sampled_from(sorted(members)), max_size=2)):
             members.discard(x)
         members |= set(data.draw(st.lists(st.sampled_from(elems), max_size=2)))
@@ -358,3 +359,52 @@ class TestSubgroupCheckAgainstTheReference:
         for bad in [(0, 0), (0, 5), (0, 1, 2)]:
             with pytest.raises(ContractError, match="outside the ambient group"):
                 Subgroup(G, frozenset([G.identity, bad]))
+
+
+def listed(gens, e):
+    """The group ``gens`` generate as ``generate`` lists it and as the
+    breadth-first reference does, or the two CapacityError messages."""
+    try:
+        got = generate(gens, e)
+    except CapacityError as err:
+        got = str(err)
+    try:
+        want = frozenset(reference_closure(gens, e))
+    except CapacityError as err:
+        want = str(err)
+    return got, want
+
+
+class TestGenerateAgainstTheReference:
+    """``generate`` walks cosets (Dimino's algorithm); the breadth-first
+    ``reference_closure`` must list the same group and stop at the same cap."""
+
+    @pytest.mark.parametrize("name", [G.name for G in catalog_groups()])
+    def test_every_catalog_group(self, name):
+        G = catalog_group(name)
+        (gens, members), want = listed(G.generators, G.identity)
+        assert members == want and G.elements() == sorted(want)
+        assert set(gens) <= set(G.generators)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda d: st.lists(st.permutations(range(d)).map(tuple), max_size=3)
+        .map(lambda gens: (d, gens))))
+    def test_drawn_generators(self, drawn):
+        degree, gens = drawn
+        got, want = listed(gens, tuple(range(degree)))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            chosen, members = got
+            assert members == want
+            assert set(chosen) <= set(gens)
+            assert frozenset(reference_closure(chosen, tuple(range(degree)))) == want
+
+
+class TestPermFromCycles:
+    def test_cycles_that_define_no_permutation_are_refused(self):
+        with pytest.raises(ContractError, match="^empty cycle$"):
+            perm_from_cycles(3, [()])
+        with pytest.raises(ContractError, match="^cycles do not define a permutation$"):
+            perm_from_cycles(3, [(0, 1), (1, 2)])

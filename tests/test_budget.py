@@ -20,7 +20,7 @@ from oracles import (
     reference_two_sided_orbit,
 )
 from rigidity import field_model
-from rigidity.arith_equiv import DEFAULT_GROUP_CAP, Subgroup, perm_from_cycles
+from rigidity.arith_equiv import DEFAULT_GROUP_CAP, PermGroup, Subgroup, perm_from_cycles
 from rigidity.brauer import OmegaVector
 from rigidity.classifier import GroupDescriptor, Outcome, _two_sided_orbit, classify
 from rigidity.cli import emit_descriptor, main, parse, parse_catalog
@@ -194,6 +194,17 @@ class TestCatalogGroups:
         with pytest.raises(ContractError, match="not closed"):
             Subgroup(G, members)
         assert time.perf_counter() - start < 0.1
+
+    def test_one_generator_of_order_above_the_cap_stops_at_the_cap(self):
+        # disjoint cycles of lengths 5, 8, 9, 11 and 13: order 51,480 at degree 46;
+        # the powers of the one generator stop at the cap's first excess
+        bounds = [0, 5, 13, 22, 33, 46]
+        cycles = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        G = PermGroup(46, [perm_from_cycles(46, cycles)])
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"^group order exceeds the cap {DEFAULT_GROUP_CAP}$"):
+            G.order()
+        assert time.perf_counter() - start < 0.5
 
 
 GENERATORS = [

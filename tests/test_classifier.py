@@ -823,8 +823,8 @@ class TestGroupEnumeratedOnce:
     def test_not_rigid_classify_enumerates_the_group_once(self, text, monkeypatch):
         g = parse(text)
         calls = []
-        closure = field_model.closure
-        monkeypatch.setattr(field_model, "closure", lambda *a: calls.append(1) or closure(*a))
+        generate = field_model.generate
+        monkeypatch.setattr(field_model, "generate", lambda *a: calls.append(1) or generate(*a))
         v = classify(g)
         assert v.outcome == Outcome.NOT_RIGID
         assert len(calls) == 1
@@ -876,3 +876,14 @@ class TestBuildWitness:
             check_witness(g, with_finite([0, 0, 1, 2]))
         with pytest.raises(ContractError, match="global orbit"):
             check_witness(g, with_finite([2, 1, 2, 1]))
+        # the emitted witness over a field of degree 2 (not Galois, since a
+        # Galois quadratic field with one real place fails validation)
+        w = classify(g).witness
+        other = replace(w.field, degree=2, galois_over_q=False)
+        with pytest.raises(ContractError, match="not over the input's type, field and automorphisms"):
+            check_witness(g, replace(w, field=other))
+        # the emitted witness without the automorphism (w1 w2)
+        quat = parse(FIXTURES["quat_sqrt2"])
+        w = classify(quat).witness
+        with pytest.raises(ContractError, match="not over the input's type, field and automorphisms"):
+            check_witness(quat, replace(w, symmetry=PlaceSymmetry()))

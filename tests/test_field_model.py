@@ -270,8 +270,8 @@ class TestGroupCache:
 
     def test_group_is_enumerated_once_and_is_not_part_of_the_value(self, monkeypatch):
         calls = []
-        closure = field_model.closure
-        monkeypatch.setattr(field_model, "closure", lambda *a: calls.append(1) or closure(*a))
+        generate = field_model.generate
+        monkeypatch.setattr(field_model, "generate", lambda *a: calls.append(1) or generate(*a))
         s = self.klein()
         first = s.group()
         assert len(first) == 4 and len(calls) == 1

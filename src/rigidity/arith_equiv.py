@@ -102,7 +102,7 @@ class PermGroup:
                     nxt = []
                     for x in frontier:
                         for g, gi in pairs:
-                            y = perm_mul(perm_mul(g, x), gi)
+                            y = tuple(map(g.__getitem__, map(x.__getitem__, gi)))  # g x g^-1
                             if y not in orbit:
                                 orbit.add(y)
                                 nxt.append(y)
@@ -115,9 +115,10 @@ class PermGroup:
     def subgroups(self) -> List[FrozenSet[Perm]]:
         """Every subgroup, sorted by order and then by elements: the reference lattice.
 
-        Known subgroups grow by one cyclic subgroup at a time (``generate``),
-        which takes seconds from order 168 on.  Nothing in the package calls
-        it; it stays as the oracle the tests compare ``normal_subgroups`` and
+        Each known subgroup is joined with one cyclic subgroup at a time
+        (``_adjoin`` from its generating tuple), which takes seconds from
+        order 168 on.  Nothing in the package calls it; it stays as the
+        oracle the tests compare ``normal_subgroups`` and
         ``index_two_subgroups`` with, and for the bench tracer.
         """
         if self._subgroups is not None:
@@ -138,7 +139,7 @@ class PermGroup:
                     if cyc <= sub:
                         continue
                     new_gens = gens + (x,)
-                    key = generate(new_gens, self.identity)[1]
+                    key = _adjoin(sub, new_gens)
                     if key not in known:
                         known[key] = new_gens
                         nxt.append(key)
@@ -304,19 +305,29 @@ def _profile(G: PermGroup, U: Subgroup) -> Tuple[int, ...]:
 
 def _induced_character(G: PermGroup, U: Subgroup) -> Tuple[int, ...]:
     """Value on each conjugacy class of the character induced from the trivial
-    one on U, computed as fixed points on the coset space."""
-    cosets = []  # (representative x, coset xU)
-    assigned = set()
+    one on U: the number of left cosets xU that the class representative
+    fixes, computed without the class profile.
+
+    r fixes xU exactly when r lies in its stabilizer xUx^-1, and u -> xux^-1
+    lists that stabilizer once.  So one pass over the cosets, each entered at
+    its first element x in ``G.elements()`` order, adds one to a class for
+    every u in U with xux^-1 its representative: 2|G| products in all, and
+    none per class.
+    """
+    index = {cls[0]: i for i, cls in enumerate(G.conjugacy_classes())}
+    values = [0] * len(index)
+    covered = set()
     for x in G.elements():
-        if x in assigned:
+        if x in covered:
             continue
-        coset = frozenset([perm_mul(x, u) for u in U.members])
-        assigned |= coset
-        cosets.append((x, coset))
-    return tuple(
-        sum(perm_mul(cls[0], x) in coset for x, coset in cosets)
-        for cls in G.conjugacy_classes()
-    )
+        xi = perm_inv(x)
+        for u in U.members:
+            y = tuple(map(x.__getitem__, u))  # x u, a member of xU
+            covered.add(y)
+            i = index.get(tuple(map(y.__getitem__, xi)))  # x u x^-1
+            if i is not None:
+                values[i] += 1
+    return tuple(values)
 
 
 def _signature(G: PermGroup, U: Subgroup) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -334,14 +345,24 @@ def _signatures_agree(sig1, sig2) -> bool:
     return by_profile
 
 
+def _check_inside(G: PermGroup, *subgroups: Subgroup) -> None:
+    """ContractError unless each subgroup lies in ``G``: its generators, and
+    its identity for a trivial one, are elements of ``G``."""
+    for U in subgroups:
+        if G.identity not in U.members or not all(x in G for x in U.generators):
+            raise ContractError("subgroup element outside the ambient group")
+
+
 def almost_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
     """Equal class intersection profiles, cross-checked against induced characters."""
+    _check_inside(G, U1, U2)
     if U1.order() != U2.order():
         return False
     return _signatures_agree(_signature(G, U1), _signature(G, U2))
 
 
 def are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
+    _check_inside(G, U1, U2)
     if U1.order() != U2.order():
         return False
     target = U2.members
@@ -349,13 +370,15 @@ def are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
         gi = perm_inv(g)
         # g<X>g^-1 is generated by gXg^-1, so it lies in U2 when they do;
         # conjugation is injective and the orders agree, so inside is equality
-        if all(perm_mul(perm_mul(g, x), gi) in target for x in U1.generators):
+        if all(tuple(map(g.__getitem__, map(x.__getitem__, gi))) in target
+               for x in U1.generators):
             return True
     return False
 
 
 def common_normal_index2(G: PermGroup, U1: Subgroup, U2: Subgroup) -> Optional[Subgroup]:
     """Some normal subgroup containing both inputs with index two, if one exists."""
+    _check_inside(G, U1, U2)
     want = 2 * U1.order()
     if U2.order() != U1.order():
         return None

@@ -12,9 +12,11 @@ a vector along one of them by place id, and ``reference_global_orbit`` and
 ``classifier._two_sided_orbit`` must agree with.
 ``reference_subgroup_check`` and ``reference_are_conjugate`` are the
 all-pairs closure check and the all-members conjugacy test that
-``arith_equiv.Subgroup`` and ``are_conjugate`` must agree with, and
-``reference_closure`` lists a generated group breadth first, as
-``arith_equiv.generate`` must.  ``catalog_groups``
+``arith_equiv.Subgroup`` and ``are_conjugate`` must agree with,
+``reference_induced_character`` counts fixed cosets by testing every class
+representative against every coset, which ``arith_equiv._induced_character``
+must agree with, and ``reference_closure`` lists a generated group breadth
+first, as ``arith_equiv.generate`` must.  ``catalog_groups``
 parses ``fixtures/groups.cat`` afresh on every call, as
 ``rigidity.catalog.catalog_group`` does for one group, so no two tests
 share a group's caches.  ``run_python`` runs code in a fresh interpreter
@@ -120,6 +122,24 @@ def reference_subgroup_check(G: PermGroup, members) -> None:
         for b in members:
             if perm_mul(a, b) not in members:
                 raise ContractError("subgroup not closed under composition")
+
+
+def reference_induced_character(G: PermGroup, U: Subgroup) -> Tuple[int, ...]:
+    """Value on each conjugacy class of the character induced from the trivial
+    one on U: each left coset xU listed as a set, and for each class
+    representative r the cosets with r x in xU counted."""
+    cosets = []  # (representative x, coset xU)
+    assigned = set()
+    for x in G.elements():
+        if x in assigned:
+            continue
+        coset = frozenset([perm_mul(x, u) for u in U.members])
+        assigned |= coset
+        cosets.append((x, coset))
+    return tuple(
+        sum(perm_mul(cls[0], x) in coset for x, coset in cosets)
+        for cls in G.conjugacy_classes()
+    )
 
 
 def reference_are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:

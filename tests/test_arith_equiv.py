@@ -10,6 +10,7 @@ from oracles import (
     mackey_decomposition_holds,
     reference_are_conjugate,
     reference_closure,
+    reference_induced_character,
     reference_subgroup_check,
 )
 from rigidity.arith_equiv import (
@@ -17,6 +18,7 @@ from rigidity.arith_equiv import (
     NORMAL_SUBGROUP_LIMIT,
     PermGroup,
     Subgroup,
+    _induced_character,
     almost_conjugate,
     are_conjugate,
     common_normal_index2,
@@ -126,6 +128,64 @@ class TestCommonNormalIndex2:
         u = Subgroup(G, half)
         n = common_normal_index2(G, u, u)
         assert n is not None and n.order() == 4
+
+
+class TestSubgroupsOfAnotherGroup:
+    """The queries refuse a subgroup that does not lie in the group they are
+    asked about, and accept one of another group object that does."""
+
+    @pytest.mark.parametrize("query", [almost_conjugate, are_conjugate, common_normal_index2])
+    def test_a_group_of_other_degree_is_refused(self, query):
+        G, H = catalog_group("S4"), catalog_group("S3")
+        whole = Subgroup(H, frozenset(H.elements()))
+        trivial = Subgroup(H, frozenset([H.identity]))
+        inside = Subgroup(G, frozenset([G.identity]))
+        for U1, U2 in [(whole, whole), (trivial, trivial), (inside, whole), (whole, inside)]:
+            with pytest.raises(ContractError, match="^subgroup element outside the ambient group$"):
+                query(G, U1, U2)
+
+    def test_a_subgroup_on_the_same_points_is_accepted(self):
+        G, H = catalog_group("S4"), catalog_group("D8")
+        U = Subgroup(H, frozenset(H.elements()))
+        assert almost_conjugate(G, U, U)
+        assert are_conjugate(G, U, U)
+        assert common_normal_index2(G, U, U) is None  # S4 has no normal subgroup of order 16
+
+
+class TestInducedCharacterAgainstTheReference:
+    """``_induced_character`` counts each coset once through its stabilizer;
+    ``reference_induced_character`` tests every class representative against
+    every coset.  They must agree everywhere."""
+
+    @pytest.mark.parametrize("name", SMALL_CATALOG)
+    def test_every_subgroup_of_the_lattice(self, name):
+        G = catalog_group(name)
+        for s in G.subgroups():
+            U = Subgroup(G, s)
+            assert _induced_character(G, U) == reference_induced_character(G, U)
+
+    def test_fano_group(self):
+        # PSL(3,2) is simple, so its normal subgroups have no subgroup of index
+        # two; the stabilizers have one each, A4, and the classes' cyclic
+        # subgroups have the largest indices
+        G, P, L = fano_point_line_stabilizers()
+        halves = [Subgroup(G, s)
+                  for n in G.normal_subgroups() + [P.members, L.members]
+                  for s in G.index_two_subgroups(n)]
+        assert len(halves) == 2
+        cyclic = [Subgroup(G, generate([c[0]], G.identity)[1]) for c in G.conjugacy_classes()]
+        for U in [P, L, *halves, *cyclic]:
+            assert _induced_character(G, U) == reference_induced_character(G, U)
+        assert _induced_character(G, P) == _induced_character(G, L) == (7, 3, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("name", [G.name for G in catalog_groups()])
+    def test_trivial_subgroup_and_whole_group(self, name):
+        # the regular character, and the trivial one
+        G = catalog_group(name)
+        k = len(G.conjugacy_classes())
+        trivial = Subgroup(G, frozenset([G.identity]))
+        assert _induced_character(G, trivial) == (G.order(),) + (0,) * (k - 1)
+        assert _induced_character(G, Subgroup(G, frozenset(G.elements()))) == (1,) * k
 
 
 class TestVerifyProp:
@@ -239,6 +299,13 @@ class TestEnumeratorsMatchTheLattice:
                 assert G.index_two_subgroups(n) == [
                     s for s in lattice if 2 * len(s) == len(n) and s <= n
                 ]
+
+    @pytest.mark.parametrize("name, size", [
+        ("S3", 6), ("D8", 10), ("Q8", 6), ("A4", 10), ("C2^3", 16), ("D12", 16),
+        ("SL(2,3)", 15), ("S4", 30), ("C2wrC3", 26), ("S3xS3", 60), ("S4xC2", 98),
+    ])
+    def test_lattice_sizes(self, name, size):
+        assert len(catalog_group(name).subgroups()) == size
 
     def test_odd_order_has_no_index_two_subgroup(self):
         G = catalog_group("C3")

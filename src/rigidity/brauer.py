@@ -138,6 +138,11 @@ def _flip_subset(omega: OmegaVector, ids: Collection[str]) -> Coords:
     )
 
 
+# Most twin places whose 2^r flip subsets ``s_omega_orbit`` walks: 14 take about
+# 0.6 s (type 1A3, 2-vCPU Xeon VM, Python 3.11), each further twin about twice that.
+FLIP_WALK_TWIN_LIMIT = 14
+
+
 def s_omega_orbit(omega: OmegaVector) -> SOmegaOrbit:
     """All coherent symmetry flips of the finite coordinates.
 
@@ -145,9 +150,12 @@ def s_omega_orbit(omega: OmegaVector) -> SOmegaOrbit:
     vector globally realizable exactly when the flipped part's dual sum is
     fixed by the global symmetry; the subsets satisfying that condition
     parameterize the orbit.  This walks all 2^r subsets of the r twin
-    places: it is the reference listing, not the decision path.
+    places: it is the reference listing, not the decision path, and above
+    ``FLIP_WALK_TWIN_LIMIT`` twin places it raises CapacityError.
     """
     twins = inner_twin_places(omega)
+    if len(twins) > FLIP_WALK_TWIN_LIMIT:
+        raise CapacityError(f"{len(twins)} twin places exceed the flip walk's limit {FLIP_WALK_TWIN_LIMIT}")
     charge, m = _flip_rule(omega.group_type)
     value = dict(omega.finite)
     charges = [charge(lab.kind, value[lab]) for lab in twins]
@@ -232,12 +240,11 @@ def compare_possible(
     # per class: the values flips keep (v, a places) and the flip pairs.  A
     # twin value v (a places) pairs with its image w: j flips of v and j' of
     # w leave k = a - j + j' places at v, any k from 0 to the pair's total,
-    # and add (a - k) times the charge of v.  Values are indexed still ones
-    # first, then v and w of each pair; each still value and each pair is a
-    # slot whose places membership counts.
+    # and add (a - k) times the charge of v.  Each value has a slot, still
+    # ones first, then v and w of each pair, and a count per slot fixes the
+    # arrangements ``weights`` counts.
     parts: List[Tuple[list, list]] = []
-    values: List[Tuple[LocalClass, ...]] = []
-    rules = []  # per class: value -> (slot, charge change), slot totals, base charge
+    slots: List[Dict[LocalClass, int]] = []  # per class: value -> slot
     for idx in classes:
         counts = Counter(base[i][1] for i in idx)  # hashes each value once
         kind = base[idx[0]][0].kind
@@ -250,17 +257,10 @@ def compare_possible(
                 paired.add(w)
                 pairs.append((v, w, a, a + counts.get(w, 0), charge(kind, v)))
         parts.append((still, pairs))
-        values.append(tuple([v for v, _ in still] + [u for v, w, *_ in pairs for u in (v, w)]))
-        where = {v: (j, 0) for j, (v, _) in enumerate(still)}
-        for j, (v, w, _, _, ch) in enumerate(pairs, len(still)):
-            where[v], where[w] = (j, -ch), (j, 0)
-        totals = [a for _, a in still] + [p[3] for p in pairs]
-        rules.append((where, totals, sum(a * ch for _, _, a, _, ch in pairs)))
+        vals = [v for v, _ in still] + [u for v, w, *_ in pairs for u in (v, w)]
+        slots.append({v: j for j, v in enumerate(vals)})
 
     work = [0]  # residue products so far
-    factorial = [1]  # every index is at most the size of one class
-    for n in range(1, max(map(len, classes), default=0) + 1):
-        factorial.append(factorial[-1] * n)
 
     @lru_cache(maxsize=None)
     def weights(k: int, fix: Tuple[int, ...]) -> Dict[int, int]:
@@ -271,17 +271,17 @@ def compare_possible(
         residue (a - f_v - i) * charge."""
         still, pairs = parts[k]
         s = len(still)
-        n = factorial[len(classes[k]) - sum(fix)]
+        n = math.factorial(len(classes[k]) - sum(fix))
         for (_, a), f in zip(still, fix):
             if f > a:
                 return {}
-            n //= factorial[a - f]
+            n //= math.factorial(a - f)
         open_pairs = []
         for (_, _, a, total, ch), fv, fw in zip(pairs, fix[s::2], fix[s + 1::2]):
             r = total - fv - fw
             if r < 0:
                 return {}
-            n //= factorial[r]
+            n //= math.factorial(r)
             open_pairs.append((r, a - fv, ch))
         w = None  # the first factor carries the multinomial
         for r, a, ch in open_pairs:
@@ -293,7 +293,7 @@ def compare_possible(
         return {0: n} if w is None else w
 
     # suffix[k]: the classes from k on, nothing fixed
-    unfixed = [(0,) * len(vals) for vals in values]
+    unfixed = [(0,) * len(slot) for slot in slots]
     one = {0: 1}
     suffix = [one]
     for k in reversed(range(len(classes))):
@@ -302,21 +302,20 @@ def compare_possible(
     possible = suffix[0].get(0, 0)
 
     def is_possible(x: Coords) -> bool:
-        # every still value and every pair holds its places, and the
-        # charges sum to zero: sum over pairs of a * charge, less the
-        # charge of every place left at v
+        # a class with all its places fixed weighs one arrangement at one
+        # residue, or nothing when no coherent flip puts its values there
         total = 0
-        for idx, (where, totals, charge0) in zip(classes, rules):
-            held = [0] * len(totals)
+        for k, (idx, slot) in enumerate(zip(classes, slots)):
+            held = [0] * len(slot)
             for i in idx:
-                hit = where.get(x[i][1])
-                if hit is None:
+                j = slot.get(x[i][1])
+                if j is None:
                     return False
-                held[hit[0]] += 1
-                total += hit[1]
-            if held != totals:
+                held[j] += 1
+            w = weights(k, tuple(held))
+            if not w:
                 return False
-            total += charge0
+            total += next(iter(w))
         return total % m == 0
 
     realized = set(realized)
@@ -344,7 +343,7 @@ def compare_possible(
         for k in opened:
             if k != c:
                 rest = _convolve(rest, weights(k, fixed[k]), m, work)
-        vals = values[c]
+        vals = list(slots[c])
         for j in sorted(range(len(vals)), key=lambda j: (vals[j] != b, vals[j].sort_key())):
             v = vals[j]
             fix = fixed[c][:j] + (fixed[c][j] + 1,) + fixed[c][j + 1:]

@@ -14,6 +14,7 @@ field) directly; they exist as independent cross-checks of ``classify``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -138,11 +139,17 @@ def validate_descriptor(g: GroupDescriptor) -> None:
         validate_field(g.field, g.symmetry)
     except ValidationError as e:
         issues.extend(e.issues)
-    t = g.group_type
-    if not t.is_outer:
+    if not g.group_type.is_outer:
         for p in g.field.finite_places + g.field.real_places:
             if p.kind in (PlaceKind.FINITE_OUTER, PlaceKind.REAL_OUTER):
                 issues.append(f"place {p.id}: inner form cannot have non-split places")
+    _validate_coordinates(g, issues)
+
+
+def _validate_coordinates(g: GroupDescriptor, issues: List[str]) -> None:
+    """Add the faults of the coordinates, real forms and coherence to those
+    of the type, field and symmetry in ``issues``, and raise if there are any."""
+    t = g.group_type
     declared_fin = {p.id for p in g.field.finite_places}
     real_kind = {p.id: p.kind for p in g.field.real_places}
     declared_real = real_kind.keys()
@@ -240,33 +247,25 @@ def _twin(g: GroupDescriptor, finite: Optional[Coords] = None,
     )
 
 
-def _canonical_orbit_value(t: GroupType, lab: PlaceLabel, cls: LocalClass):
-    other = sym_act(t, lab.kind, cls)
-    return min(cls.sort_key(), other.sort_key())
-
-
 def check_witness(g: GroupDescriptor, w: GroupDescriptor) -> None:
-    """Machine check of an emitted witness: valid, locally isomorphic, not globally so."""
+    """Machine check of an emitted witness: valid, locally isomorphic, not globally so.
+
+    ``g`` is a validated input.  Sharing its type, field and automorphisms
+    pins all the witness's data but the coordinates and real forms, so only those are checked."""
     g = normalize(g)
     if (w.group_type, w.field, w.symmetry) != (g.group_type, g.field, g.symmetry):
         raise ContractError("witness is not over the input's type, field and automorphisms")
-    validate_descriptor(w)
+    _validate_coordinates(w, [])
     t = g.group_type
-    mine: Dict[str, list] = {}
-    theirs: Dict[str, list] = {}
-    for store, desc in ((mine, g), (theirs, w)):
-        for lab, cls in desc.omega.finite:
-            store.setdefault(lab.class_key(), []).append(_canonical_orbit_value(t, lab, cls))
-    if {k: sorted(v) for k, v in mine.items()} != {k: sorted(v) for k, v in theirs.items()}:
+    # per adelic class, each value up to the local symmetry
+    mine, theirs = (Counter((lab.class_key(), min(cls.sort_key(), sym_act(t, lab.kind, cls).sort_key()))
+                            for lab, cls in d.omega.finite) for d in (g, w))
+    if mine != theirs:
         raise ContractError("witness is not locally isomorphic to the input")
-    target = _full_data(w)
+    target = (w.omega.finite, w.omega.real, w.real_forms)
     for e in _two_sided_orbit(g):
         if e == target:
             raise ContractError("witness lies in the global orbit of the input")
-
-
-def _full_data(g: GroupDescriptor):
-    return (g.omega.finite, g.omega.real, g.real_forms)
 
 
 def _two_sided_orbit(g: GroupDescriptor):
@@ -658,21 +657,9 @@ def _nonzero_finite(g: GroupDescriptor) -> List[PlaceLabel]:
     return [lab for lab, cls in g.omega.finite if not cls.is_zero]
 
 
-# Most twin places whose 2^r flip subsets the rational checklist lists: 14
-# take about 0.6 s (type 1A3, 2-vCPU Xeon VM, Python 3.11), each further
-# twin about twice that.
-Q_CHECKLIST_TWIN_LIMIT = 14
-
-
 def _wu_over_q(g: GroupDescriptor) -> bool:
     # over the rationals both permutation actions are trivial, so weak
     # uniformity is just the flip orbit staying within the symmetry pair
-    twins = len(inner_twin_places(g.omega))
-    if twins > Q_CHECKLIST_TWIN_LIMIT:
-        raise CapacityError(
-            f"{twins} twin places exceed the rational checklist's listing limit "
-            f"{Q_CHECKLIST_TWIN_LIMIT}"
-        )
     return len(s_omega_orbit(g.omega).elements) <= 2
 
 
@@ -680,7 +667,7 @@ def specialize_q(g: GroupDescriptor) -> Verdict:
     """The rational-base-field checklist, evaluated literally.
 
     Its weak uniformity branches list the flip orbit, so above
-    ``Q_CHECKLIST_TWIN_LIMIT`` twin places they raise CapacityError."""
+    ``brauer.FLIP_WALK_TWIN_LIMIT`` twin places they raise CapacityError."""
     if g.group_type.family == Family.D and g.group_type.rank == 4:
         return Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, "triality type D4 is not handled")])
     g = normalize(g)

@@ -41,6 +41,7 @@ from ._util import natural_key
 from .arith_equiv import PermGroup, perm_from_cycles, verify_prop_almost_conjugate
 from .brauer import OmegaVector, plain_orbits, possible_vectors, weak_uniformity
 from .classifier import (
+    TAG_SCOPE,
     GroupDescriptor,
     Outcome,
     Verdict,
@@ -548,7 +549,7 @@ def _classify_file(path: Path, as_json: bool, out) -> int:
         verdict = classify(desc)
     except DescriptorParseError as e:
         if any(msg == D4_OUT_OF_SCOPE for _, _, msg in e.errors):
-            verdict = Verdict(Outcome.OUT_OF_SCOPE, [("scope", str(e))])
+            verdict = Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, str(e))])
             print(json.dumps(verdict_to_json(verdict), indent=2) if as_json
                   else render_verdict(verdict), file=out)
             return 4

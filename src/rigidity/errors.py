@@ -24,7 +24,8 @@ class CapacityError(RigidityError):
     field automorphism group, which ``arith_equiv.generate`` lists
     (``DEFAULT_GROUP_CAP``), the normal subgroups in ``arith_equiv``, the
     possible side that ``rigidity orbit`` prints, the twin places whose
-    flips ``specialize_q`` lists, the products the convolutions of residue
+    flip subsets ``brauer.s_omega_orbit`` walks (``FLIP_WALK_TWIN_LIMIT``),
+    the products the convolutions of residue
     vectors multiply when one comparison counts the possible side
     (``brauer.RESIDUE_WORK_LIMIT``), the table entries the half-sum subset
     search visits (``classifier.SUBSET_SUM_WORK_LIMIT``), or the parameter

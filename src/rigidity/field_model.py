@@ -299,16 +299,21 @@ def global_orbit(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None)
 
 def _orderings(counts: Dict[LocalClass, int]) -> List[Tuple[LocalClass, ...]]:
     """Each distinct ordering of a multiset (value -> multiplicity) exactly once,
-    by placing one still unplaced value after another."""
-    if not any(counts.values()):
-        return [()]
+    in lexicographic order of the values' positions in ``counts``, by Knuth's
+    Algorithm L (TAOCP 4A, 7.2.1.2), which steps from one to the next."""
+    vals = list(counts)
+    a = [j for j, v in enumerate(vals) for _ in range(counts[v])]
     out = []
-    for v, n in counts.items():
-        if n:
-            counts[v] = n - 1
-            out += [(v,) + rest for rest in _orderings(counts)]
-            counts[v] = n
-    return out
+    while True:
+        out.append(tuple(map(vals.__getitem__, a)))
+        # j is the last rise: the tail after it is non-increasing, its last ordering
+        j = next((j for j in reversed(range(len(a) - 1)) if a[j] < a[j + 1]), None)
+        if j is None:
+            return out
+        # swap a[j] with the tail's smallest larger value, then sort the tail
+        k = max(k for k in range(j + 1, len(a)) if a[k] > a[j])
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 def adelic_orbit(coords: Coords) -> Tuple[Coords, ...]:

@@ -21,7 +21,7 @@ from oracles import (
 )
 from rigidity import field_model
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP, PermGroup, Subgroup, perm_from_cycles
-from rigidity.brauer import OmegaVector
+from rigidity.brauer import FLIP_WALK_TWIN_LIMIT, OmegaVector
 from rigidity.classifier import GroupDescriptor, Outcome, _two_sided_orbit, classify
 from rigidity.cli import emit_descriptor, main, parse, parse_catalog
 from rigidity.errors import CapacityError, ContractError
@@ -65,6 +65,24 @@ def singletons_over_q(n: int) -> str:
     places = "\n".join(f"v{i} = omega=0" for i in range(n))
     return (f"[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 1\n[places]\n{places}\n"
             "[real]\nw = form=SL_R(3)\n")
+
+
+def one_class_1a2(n: int) -> str:
+    """Type 1A2 over an imaginary quadratic field with one adelic class of n
+    places, all valued 0; it classifies Rigid."""
+    places = "\n".join(f"v{i} = class=c omega=0" for i in range(n))
+    return (f"[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 2\ncomplex_places = 1\n"
+            f"[places]\n{places}\n")
+
+
+def twins_1a999999_over_q(n: int) -> str:
+    """Type 1A999999 over the rationals with n twin places valued 1 and one
+    balancing place: the flips of none or all of them cohere, so the possible
+    side has two vectors."""
+    values = [1] * n + [-n % 10**6]
+    places = "\n".join(f"v{i + 1} = omega={v}/1000000" for i, v in enumerate(values))
+    return ("[group]\ntype = 1A\nrank = 999999\n[field]\ndegree = 1\n"
+            f"[places]\n{places}\n[real]\nw = form=SL_R(1000000)\n")
 
 
 def real_places_1a2(n: int) -> str:
@@ -149,8 +167,8 @@ class TestLinearInThePlaces:
 
 class TestFactorialTable:
     @staticmethod
-    def peak(n: int) -> int:
-        g = parse(singletons_over_q(n))
+    def peak(text: str) -> int:
+        g = parse(text)
         tracemalloc.start()
         try:
             assert classify(g).outcome == Outcome.RIGID
@@ -160,7 +178,40 @@ class TestFactorialTable:
 
     def test_doubling_the_places_less_than_triples_the_peak(self):
         # a table of all n factorials grew the peak 3.3-fold from 2,500 to 5,000
-        assert self.peak(5000) < 3 * self.peak(2500)
+        assert self.peak(singletons_over_q(5000)) < 3 * self.peak(singletons_over_q(2500))
+
+    def test_doubling_one_class_less_than_triples_the_peak(self):
+        # a table of the factorials up to the largest class grew the peak from
+        # 11 MB to 48 MB when one class went from 4,000 to 8,000 places
+        assert self.peak(one_class_1a2(8000)) < 3 * self.peak(one_class_1a2(4000))
+
+
+class TestOrbitCommand:
+    """``rigidity orbit`` lists what classify only counts, so its walks
+    need budgets of their own."""
+
+    def test_twins_above_the_flip_walk_limit_fail_fast(self, tmp_path, capsys):
+        # the possible side has two vectors, far below the listing limit, but
+        # the walk visits every subset of the 25 twin places
+        path = tmp_path / "twins.grp"
+        path.write_text(twins_1a999999_over_q(24))
+        start = time.perf_counter()
+        assert main(["orbit", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"{path}: 25 twin places exceed the flip walk's limit {FLIP_WALK_TWIN_LIMIT}\n"
+        )
+
+    def test_a_class_of_five_thousand_places_lists_without_recursion(self, tmp_path, capsys):
+        # about 0.15 s in-process (2-vCPU Xeon VM, Python 3.11); listing the
+        # orderings of a class recursively, one level per place, raised
+        # RecursionError at 1,500 places
+        path = tmp_path / "one_class.grp"
+        path.write_text(one_class_1a2(5000))
+        start = time.perf_counter()
+        assert main(["orbit", str(path)]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert "possible (flips x adelic) (1):" in capsys.readouterr().out
 
 
 class TestCatalogGroups:

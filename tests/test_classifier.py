@@ -10,10 +10,9 @@ import pytest
 
 from genfix import rand_q
 from rigidity import brauer, classifier, field_model
-from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
+from rigidity.brauer import FLIP_WALK_TWIN_LIMIT, RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.classifier import (
     CLASSIFICATION_TAGS,
-    Q_CHECKLIST_TWIN_LIMIT,
     SUBSET_SUM_WORK_LIMIT,
     GroupDescriptor,
     Outcome,
@@ -811,7 +810,7 @@ class TestRationalChecklistLimit:
             specialize_q(g)
         assert time.perf_counter() - start < 1.0
         assert str(err.value) == (
-            f"24 twin places exceed the rational checklist's listing limit {Q_CHECKLIST_TWIN_LIMIT}"
+            f"24 twin places exceed the flip walk's limit {FLIP_WALK_TWIN_LIMIT}"
         )
 
 
@@ -825,6 +824,20 @@ class TestGroupEnumeratedOnce:
         calls = []
         generate = field_model.generate
         monkeypatch.setattr(field_model, "generate", lambda *a: calls.append(1) or generate(*a))
+        v = classify(g)
+        assert v.outcome == Outcome.NOT_RIGID
+        assert len(calls) == 1
+
+
+class TestValidatedOnce:
+    @pytest.mark.parametrize("name", ["quat_sqrt2", "table1_D1", "cubic31"])
+    def test_not_rigid_classify_validates_the_field_once(self, name, monkeypatch):
+        # the witness shares the input's field and automorphisms, which
+        # classify has validated already
+        g = parse(FIXTURES[name])
+        calls = []
+        validate = classifier.validate_field  # field_model.validate
+        monkeypatch.setattr(classifier, "validate_field", lambda *a: calls.append(1) or validate(*a))
         v = classify(g)
         assert v.outcome == Outcome.NOT_RIGID
         assert len(calls) == 1

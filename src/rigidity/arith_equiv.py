@@ -65,7 +65,7 @@ class PermGroup:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ContractError(f"not a permutation of degree {degree}: {g}")
         self._elements: Optional[List[Perm]] = None
-        self._index: Optional[Dict[Perm, int]] = None
+        self._members: FrozenSet[Perm] = frozenset()
         self._classes: Optional[List[Tuple[Perm, ...]]] = None
         self._subgroups: Optional[List[FrozenSet[Perm]]] = None
         self._normal: Optional[List[FrozenSet[Perm]]] = None
@@ -76,8 +76,8 @@ class PermGroup:
 
     def elements(self) -> List[Perm]:
         if self._elements is None:
-            self._elements = sorted(generate(self.generators, self.identity)[1])
-            self._index = {e: i for i, e in enumerate(self._elements)}
+            self._members = generate(self.generators, self.identity)[1]
+            self._elements = sorted(self._members)
         return self._elements
 
     def order(self) -> int:
@@ -85,7 +85,7 @@ class PermGroup:
 
     def __contains__(self, p: Perm) -> bool:
         self.elements()
-        return p in self._index
+        return p in self._members
 
     def conjugacy_classes(self) -> List[Tuple[Perm, ...]]:
         """Partition of the element list into conjugacy classes, canonically sorted."""

@@ -148,42 +148,39 @@ def validate_descriptor(g: GroupDescriptor) -> None:
 
 def _validate_coordinates(g: GroupDescriptor, issues: List[str]) -> None:
     """Add the faults of the coordinates, real forms and coherence to those
-    of the type, field and symmetry in ``issues``, and raise if there are any."""
+    of the type, field and symmetry in ``issues``, and raise if there are any.
+
+    The coordinates and the real forms must list each declared place once,
+    in place order, since every later step reads them by position."""
     t = g.group_type
-    declared_fin = {p.id for p in g.field.finite_places}
-    real_kind = {p.id: p.kind for p in g.field.real_places}
-    declared_real = real_kind.keys()
-    real_value = {lab.id: cls for lab, cls in g.omega.real}
-    if {lab.id for lab, _ in g.omega.finite} != declared_fin:
+    reals = g.field.real_places
+    before = len(issues)
+    if [lab for lab, _ in g.omega.finite] != [*g.field.finite_places]:
         issues.append("finite coordinates must cover exactly the declared finite places")
-    if {lab.id for lab, _ in g.omega.real} != declared_real:
+    if [lab for lab, _ in g.omega.real] != [*reals]:
         issues.append("real coordinates must cover exactly the declared real places")
-    if {w for w, _ in g.real_forms} != declared_real:
+    if [w for w, _ in g.real_forms] != [p.id for p in reals]:
         issues.append("every declared real place needs exactly one real form")
+    # lists that do not line up are reported alone, without checking their forms
+    aligned = len(issues) == before
     if g.omega.group_type != t:
         issues.append("coordinate vector built for a different group type")
-    for w, tag in g.real_forms:
-        if w not in declared_real:
-            continue
+    for p, (_, cls), (w, tag) in zip(reals, g.omega.real, g.real_forms) if aligned else ():
         fam, rank, outer = tag.signature()
         if tag.name not in _ALLOWED_TAGS[t.family]:
             issues.append(f"real place {w}: {tag} is not a form of family {t.family.value}")
-            continue
-        if (fam, rank) != (t.family, t.rank):
+        elif (fam, rank) != (t.family, t.rank):
             issues.append(f"real place {w}: {tag} has type {fam.value}{rank}, group is {t.symbol()}")
-            continue
-        if outer != (real_kind[w] == PlaceKind.REAL_OUTER):
+        elif outer != (p.kind == PlaceKind.REAL_OUTER):
             issues.append(
                 f"real place {w}: {tag} is {'outer' if outer else 'inner'} type over the reals "
-                f"but the place is declared {real_kind[w].value}"
+                f"but the place is declared {p.kind.value}"
             )
-            continue
-        if w not in real_value:
-            continue  # named already: the real coordinates miss a declared place
-        try:
-            real_class(tag, t, supplied=real_value[w])
-        except ContractError as e:
-            issues.append(f"real place {w}: {e}")
+        else:
+            try:
+                real_class(tag, t, supplied=cls)
+            except ContractError as e:
+                issues.append(f"real place {w}: {e}")
     if not issues:
         total = tate_sum(g.omega)
         if not total.is_zero:
@@ -200,22 +197,32 @@ _B2_TAG_MAP = {
 
 
 def normalize(g: GroupDescriptor) -> GroupDescriptor:
-    """Fold rank 2 of the odd orthogonal family into the symplectic one."""
+    """Fold rank 2 of the odd orthogonal family into the symplectic one.
+
+    ``g`` must be validated: its real forms are read beside its real
+    coordinates, by position, and a generic form folds by its class."""
     t = g.group_type
     if t.family != Family.B or t.rank != 2:
         return g
     c2 = GroupType(Family.C, 2, t.form_kind)
-    # validation has not run yet, so a real place may lack its coordinate
-    real_value = {lab.id: cls for lab, cls in g.omega.real}
-    tags = []
-    for w, tag in g.real_forms:
-        new = _B2_TAG_MAP.get((tag.name, tag.params))
-        if new is None:
-            cls = real_value.get(w)
-            new = RealFormTag("Sp", (2, 0)) if cls is not None and not cls.is_zero else RealFormTag("Sp_R", (4,))
-        tags.append((w, new))
+    tags = tuple(
+        (w, _B2_TAG_MAP.get((tag.name, tag.params))
+         or (RealFormTag("Sp_R", (4,)) if cls.is_zero else RealFormTag("Sp", (2, 0))))
+        for (w, tag), (_, cls) in zip(g.real_forms, g.omega.real)
+    )
     omega = OmegaVector(c2, g.omega.finite, g.omega.real)
-    return GroupDescriptor(c2, g.field, g.symmetry, omega, tuple(tags))
+    return GroupDescriptor(c2, g.field, g.symmetry, omega, tags)
+
+
+def _admit(g: GroupDescriptor):
+    """The first steps of every entry point, in order: the scope test, then
+    validation, then the B2 fold.  Returns the OutOfScope verdict for
+    triality type D4, else ``g`` validated and folded."""
+    t = g.group_type
+    if t.family == Family.D and t.rank == 4:
+        return Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, "triality type D4 is not handled")])
+    validate_descriptor(g)
+    return normalize(g)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +617,10 @@ def _resolved_hbar(f: FieldDescriptor) -> HbarFiber:
 
 
 def classify(g: GroupDescriptor) -> Verdict:
+    g = _admit(g)
+    if isinstance(g, Verdict):
+        return g
     t = g.group_type
-    if t.family == Family.D and t.rank == 4:
-        return Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, "triality type D4 is not handled")])
-    g = normalize(g)
-    t = g.group_type
-    validate_descriptor(g)
     if not g.field.locally_determined:
         return Verdict(
             Outcome.UNDETERMINED,
@@ -668,10 +673,9 @@ def specialize_q(g: GroupDescriptor) -> Verdict:
 
     Its weak uniformity branches list the flip orbit, so above
     ``brauer.FLIP_WALK_TWIN_LIMIT`` twin places they raise CapacityError."""
-    if g.group_type.family == Family.D and g.group_type.rank == 4:
-        return Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, "triality type D4 is not handled")])
-    g = normalize(g)
-    validate_descriptor(g)
+    g = _admit(g)
+    if isinstance(g, Verdict):
+        return g
     if g.field.degree != 1:
         raise ContractError("this checklist only applies over the rationals")
     t = g.group_type
@@ -738,10 +742,9 @@ def is_quasisplit(g: GroupDescriptor) -> bool:
 
 def specialize_quasisplit(g: GroupDescriptor) -> Verdict:
     """The quasi-split checklist for Galois base fields, evaluated literally."""
-    if g.group_type.family == Family.D and g.group_type.rank == 4:
-        return Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, "triality type D4 is not handled")])
-    g = normalize(g)
-    validate_descriptor(g)
+    g = _admit(g)
+    if isinstance(g, Verdict):
+        return g
     if not g.field.galois_over_q:
         raise ContractError("this checklist assumes a Galois base field")
     if not is_quasisplit(g):

@@ -505,9 +505,7 @@ def emit_descriptor(g: GroupDescriptor) -> str:
             out.append(" ".join(parts))
     if g.field.real_places:
         out += ["", "[real]"]
-        form_at = dict(g.real_forms)
-        for lab, cls in g.omega.real:
-            tag = form_at[lab.id]
+        for (lab, cls), (_, tag) in zip(g.omega.real, g.real_forms):
             parts = [lab.id, "=", f"form={_format_form(tag)}"]
             if tag.name == "AnisotropicOther":
                 parts.append(f"kind={'nonsplit' if lab.kind == PlaceKind.REAL_OUTER else 'split'}")
@@ -679,8 +677,6 @@ def _catalog_generator(chunk: str, degree: int) -> Tuple[int, ...]:
     """One generator in 1-based cycle notation; ValueError says what is wrong."""
     cycles = []
     for words in read_cycles(chunk):
-        if not words:
-            raise ValueError(f"empty cycle in {chunk!r}")
         cycle = []
         for word in words:
             try:
@@ -693,8 +689,8 @@ def _catalog_generator(chunk: str, degree: int) -> Tuple[int, ...]:
         cycles.append(cycle)
     try:
         return perm_from_cycles(degree, cycles)
-    except ContractError:
-        raise ValueError(f"cycles {chunk!r} do not define a permutation") from None
+    except ContractError as e:
+        raise ValueError(f"{e} in {chunk!r}") from None
 
 
 def cmd_equiv(args, out=None) -> int:

@@ -145,10 +145,6 @@ class Shape(HashedOnce):
             raise ValueError("cyclic shape needs modulus >= 2; use TRIVIAL for order 1")
         self._keep_key(self.kind, self.modulus)
 
-    @property
-    def order(self) -> int:
-        return {"trivial": 1, "cyclic": self.modulus, "klein": 4}[self.kind]
-
     def __str__(self):
         if self.kind == "trivial":
             return "0"

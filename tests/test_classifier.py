@@ -23,7 +23,7 @@ from rigidity.classifier import (
     specialize_quasisplit,
     subset_sum_forbidden,
 )
-from rigidity.cli import parse
+from rigidity.cli import emit_descriptor, main, parse
 from rigidity.errors import CapacityError, ContractError, ValidationError
 from rigidity.field_model import FieldDescriptor, PlaceLabel, PlaceSymmetry
 from rigidity.invariants import (
@@ -369,6 +369,69 @@ class TestTypeE6:
         assert classify_text(E6_OUTER_REAL_QUADRATIC).outcome == Outcome.NOT_RIGID
 
 
+# inputs of three branches that no fixture and no bench workload reaches
+D6_STAR_ORBIT_MISMATCH = """
+[group]
+type = 1D
+rank = 6
+[field]
+degree = 3
+complex_places = 1
+[places]
+v1 = omega=(1,0)
+v2 = class=c omega=(1,1)
+v3 = class=c omega=(0,0)
+v4 = omega=(1,1)
+[real]
+w = form=SpinStar(12)
+"""
+
+A3_OUTER_REALS_OF_BOTH_KINDS = """
+[group]
+type = 2A
+rank = 3
+[field]
+degree = 2
+hbar_fiber = trivial
+[places]
+v3 = kind=nonsplit omega=1
+[real]
+w1 = form=SL_R(4)
+w2 = form=SU(3,1)
+"""
+
+D5_TWO_REALS = """
+[group]
+type = 1D
+rank = 5
+[field]
+degree = 2
+[real]
+w1 = form=Spin(7,3) omega=1
+w2 = form=Spin(7,3) omega=1
+"""
+
+
+class TestRareBranches:
+    @pytest.mark.parametrize("text, reasons", [
+        (D6_STAR_ORBIT_MISMATCH,
+         [("type-D-classification", "(i) star form, one twin place"),
+          ("orbit-match", "automorphism orbit has 1 vectors, adelic orbit 2")]),
+        (A3_OUTER_REALS_OF_BOTH_KINDS,
+         [("type-A-classification", "two real places of different split kind can never be exchanged")]),
+        (D5_TWO_REALS,
+         [("type-D-classification", "odd rank allows only one real place"),
+          ("too-many-real-places", "2 real places")]),
+    ], ids=["plain-orbit-fails", "a-real-kinds-differ", "d-odd-rank-two-reals"])
+    def test_not_rigid_with_a_sound_witness(self, text, reasons):
+        g = parse(text)
+        v = classify(g)
+        assert v.outcome == Outcome.NOT_RIGID
+        assert v.reasons == reasons
+        check_witness(g, v.witness)
+        assert parse(emit_descriptor(v.witness)) == v.witness
+
+
 class TestTwoRealPlaces:
     BASE = """
 [group]
@@ -576,7 +639,6 @@ w = form=Spin(3,2) omega=0
 
     @pytest.mark.parametrize("check", [classify, specialize_q, specialize_quasisplit])
     def test_b2_real_form_without_a_coordinate_is_a_validation_error(self, check):
-        # normalize reads the real coordinates before validation has run
         b2 = GroupType(Family.B, 2)
         g = GroupDescriptor(
             b2,
@@ -587,6 +649,61 @@ w = form=Spin(3,2) omega=0
         )
         with pytest.raises(ValidationError, match="real coordinates must cover"):
             check(g)
+
+
+def _table3_with_v3_listed_thrice(values):
+    """``table3_A4_Qi`` with two more coordinates at v3, valued 1 and 4 (so
+    still coherent), and the finite values, in place order, replaced by
+    ``values`` if given."""
+    g = parse(FIXTURES["table3_A4_Qi"])
+    (v3, cls), *_ = g.omega.finite
+    fin = OmegaVector(g.group_type, g.omega.finite + ((v3, LocalClass(cls.shape, 1)),
+                                                      (v3, LocalClass(cls.shape, 4)))).finite
+    if values:
+        fin = tuple((lab, LocalClass(c.shape, x)) for (lab, c), x in zip(fin, values))
+    return replace(g, omega=OmegaVector(g.group_type, fin, g.omega.real))
+
+
+class TestPlacesByPosition:
+    """Coordinates and real forms must list each declared place once, in place order."""
+
+    B2_SL3 = "[group]\ntype = B\nrank = 2\n[field]\ndegree = 1\n[real]\nw = form=SL_R(3)\n"
+    FINITE = "^finite coordinates must cover exactly the declared finite places$"
+
+    @pytest.mark.parametrize("check", [classify, specialize_q, specialize_quasisplit])
+    def test_b2_takes_only_family_b_forms(self, check):
+        # validation runs before the fold into C2, which would make any form symplectic
+        with pytest.raises(ValidationError, match=r"^real place w: SL\(3,R\) is not a form of family B$"):
+            check(parse(self.B2_SL3))
+
+    def test_b2_with_a_foreign_form_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "b2.grp"
+        path.write_text(self.B2_SL3, encoding="utf-8")
+        assert main(["classify", str(path)]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_a_place_listed_thrice_is_refused(self):
+        with pytest.raises(ValidationError, match=self.FINITE):
+            classify(_table3_with_v3_listed_thrice(None))
+
+    def test_coordinates_relabelled_into_one_class_are_refused(self):
+        g = parse(FIXTURES["table3_A4_Qi"])
+        fin = tuple((PlaceLabel(lab.id, lab.kind, "c"), cls) for lab, cls in g.omega.finite)
+        with pytest.raises(ValidationError, match=self.FINITE):
+            classify(replace(g, omega=OmegaVector(g.group_type, fin, g.omega.real)))
+
+    def test_a_second_form_at_one_place_is_refused(self):
+        g = parse(FIXTURES["spin73_D5_Q"])
+        g = replace(g, real_forms=g.real_forms + (("w", RealFormTag("Spin", (9, 1))),))
+        with pytest.raises(ValidationError, match="^every declared real place needs exactly one real form$"):
+            classify(g)
+
+    def test_check_witness_refuses_a_twin_with_a_repeated_coordinate(self):
+        # a twin that passes every other check: locally isomorphic to g, outside its orbit
+        g = _table3_with_v3_listed_thrice(None)
+        w = _table3_with_v3_listed_thrice([1, 1, 1, 3, 3, 1])
+        with pytest.raises(ValidationError, match=self.FINITE):
+            check_witness(g, w)
 
 
 class TestTwoRealRandomized:

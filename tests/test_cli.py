@@ -82,6 +82,10 @@ class TestParse:
 
 
 _A2_HEAD = "[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 2\n"
+# a second [group] section overrides the head's type: D6 has Klein local
+# groups, G2 trivial ones
+_TO_D6 = "[group]\ntype = 1D\nrank = 6\n"
+_TO_G2 = "[group]\ntype = G2\n"
 
 
 @pytest.mark.parametrize("body, message", [
@@ -103,8 +107,25 @@ _A2_HEAD = "[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 2\n"
     ("[real]\nw = omega=0\nw2 = form=SL_R(3)\n", "7:1: real place w needs a form"),
     ("[real]\nw = form=SL_R(3) kind=nonsplit\nw2 = form=SL_R(3)\n",
      "7:1: form SL(3,R) contradicts kind=nonsplit"),
+    ("[places]\n= omega=1\n", "7:1: empty key"),
+    ("[aut]\ng =\n[places]\nv2 = omega=1\n", "7:1: generator g is empty"),
+    (_TO_D6 + "[places]\nv2 = omega=1\n", "10:1: expected a bit pair (b1,b2), got '1'"),
+    (_TO_D6 + "[places]\nv2 = omega=(1,0,1)\n", "10:1: expected two components in '(1,0,1)'"),
+    (_TO_D6 + "[places]\nv2 = omega=(1,x)\n", "10:1: bad bit pair '(1,x)'"),
+    ("[places]\nv2 = omega=1/0\n", "7:1: bad fraction '1/0'"),
+    ("[places]\nv2 = omega=1/2\n", "7:1: denominator 2 does not divide the local order 3"),
+    ("[places]\nv2 = omega=x\n", "7:1: bad value 'x'"),
+    (_TO_G2 + "[places]\nv2 = omega=1\n", "9:1: only 0 lies in the trivial group"),
+    (_TO_G2 + "[places]\nv2 = omega=1/2\n", "9:1: value 1/2 does not lie in the trivial group"),
+    ("[real]\nw = form=SL_R(3\n", "7:1: unbalanced parentheses in form 'SL_R(3'"),
+    ("[real]\nw = form=SL_R(x)\n", "7:1: bad form parameters in 'SL_R(x)'"),
+    ("[real]\nw = form=SL_Q(3)\n", "7:1: unknown real form tag 'SL_Q'"),
+    ("[real]\nw = form=SL_R(3) form=SL_R(3)\n", "7:1: option 'form' given twice"),
 ], ids=["aut-unclosed", "aut-unclosed-second", "aut-one-label", "aut-undeclared",
-        "places-kind", "places-twice", "real-kind", "real-twice", "real-no-form", "real-kind-contradicts"])
+        "places-kind", "places-twice", "real-kind", "real-twice", "real-no-form", "real-kind-contradicts",
+        "empty-key", "aut-empty", "places-bit-pair", "places-bit-pair-length", "places-bit-pair-value",
+        "places-fraction", "places-denominator", "places-value", "places-trivial-group", "places-trivial-fraction",
+        "real-form-parentheses", "real-form-parameters", "real-form-tag", "real-option-twice"])
 def test_aut_places_and_real_faults_are_positioned(body, message):
     with pytest.raises(DescriptorParseError) as err:
         parse(_A2_HEAD + body)
@@ -117,7 +138,8 @@ def test_aut_places_and_real_faults_are_positioned(body, message):
     ("locally_determined = 1", "6:1: locally_determined must be true or false"),
     ("hbar_fiber = maybe", "6:1: hbar_fiber must be trivial, nontrivial, or unknown"),
     ("colour = blue", "6:1: unknown key 'colour' in [field]"),
-], ids=["complex_places", "galois", "locally_determined", "hbar_fiber", "unknown"])
+    ("degree = 7", "1:1: degree above 6: declare locally_determined explicitly"),
+], ids=["complex_places", "galois", "locally_determined", "hbar_fiber", "unknown", "degree-above-six"])
 def test_field_faults_are_positioned(line, message):
     with pytest.raises(DescriptorParseError) as err:
         parse(_A2_HEAD + line + "\n")
@@ -222,6 +244,12 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"{f}:7:1: kind must be split or nonsplit\n"
 
+    def test_realforms_exit_codes(self, capsys):
+        assert main(["realforms", "X", "3"]) == 3
+        assert capsys.readouterr().err == "unknown type code 'X'\n"
+        assert main(["realforms", "D", "4"]) == 4
+        assert capsys.readouterr().err == D4_OUT_OF_SCOPE + "\n"
+
     def test_realforms_output(self, capsys):
         assert main(["realforms", "C", "3"]) == 0
         assert capsys.readouterr().out.strip() == "Sp(6,R)"
@@ -278,7 +306,7 @@ class TestCatalogParse:
         ("X 3 (1 5)", "1:1: point 5 outside degree 3 in '(1 5)'"),
         ("X 3 (0 1)", "1:1: point 0 outside degree 3 in '(0 1)'"),
         ("X 3 (1 a)", "1:1: bad point 'a' in '(1 a)'"),
-        ("X 3 (1 2)(2 3)", "1:1: cycles '(1 2)(2 3)' do not define a permutation"),
+        ("X 3 (1 2)(2 3)", "1:1: cycles do not define a permutation in '(1 2)(2 3)'"),
         ("X 3 (1 2); ()", "1:1: empty cycle in '()'"),
         ("X 3 (1 2)(2 3", "1:1: bad cycle notation '(1 2)(2 3'"),
         ("X 0 (1 2)", "1:1: degree 0 outside 1..1000"),

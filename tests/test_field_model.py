@@ -132,6 +132,48 @@ class TestValidate:
         with pytest.raises(ValidationError, match="pairwise"):
             validate(shared, PlaceSymmetry())
 
+    @pytest.mark.parametrize("field, cycles, issues", [
+        (dict(degree=0), [], ["degree must be positive"]),
+        (dict(degree=2, complex_place_count=-1), [], ["complex place count cannot be negative"]),
+        (dict(degree=2, complex_place_count=1, finite_places=(PlaceLabel("a", FI), PlaceLabel("a", FI))),
+         [], ["duplicate place ids"]),
+        (dict(degree=2, complex_place_count=1, finite_places=(PlaceLabel("a", RI),)),
+         [], ["place a: declared finite but kind is real_inner"]),
+        (dict(degree=2, real_places=(PlaceLabel("w", FI),)),
+         [], ["place w: declared real but kind is finite_inner"]),
+        (dict(degree=2, real_places=(PlaceLabel("w", RI, "c"),)),
+         [], ["place w: real places carry no adelic class"]),
+        (dict(degree=2, complex_place_count=2),
+         [], ["degree smaller than the declared infinite places allow"]),
+        (dict(degree=2, complex_place_count=1, galois_over_q=True, hbar_fiber=HbarFiber.NONTRIVIAL),
+         [], ["a Galois base field always has trivial square-class fibers"]),
+        (dict(degree=2, complex_place_count=1, galois_over_q=True, locally_determined=False),
+         [], ["a Galois base field is locally determined"]),
+        (dict(degree=3, real_places=(PlaceLabel("w", RI),), complex_place_count=1, galois_over_q=True),
+         [], ["a Galois field is totally real or totally imaginary"]),
+        (dict(degree=1, real_places=(PlaceLabel("w", RI),), locally_determined=False),
+         [], ["a degree 1 field is locally determined"]),
+        (dict(degree=1, real_places=(PlaceLabel("w", RI),),
+              finite_places=(PlaceLabel("a", FI, "c"), PlaceLabel("b", FI, "d"))),
+         [("a", "b")],
+         ["a degree 1 field has no nontrivial automorphisms", "generator 1: maps a outside its adelic class",
+          "generator 1: maps b outside its adelic class"]),
+        (dict(degree=2, complex_place_count=1, finite_places=(PlaceLabel("a", FI),)),
+         # each moved pair is checked, so a transposition names z twice
+         [("a", "z")], ["generator 1: moves undeclared place z"] * 2),
+        (dict(degree=2, complex_place_count=1,
+              finite_places=(PlaceLabel("a", FI, "c"), PlaceLabel("b", FI, "d"))),
+         [("a", "b")], ["generator 1: maps a outside its adelic class",
+                        "generator 1: maps b outside its adelic class"]),
+    ], ids=["degree", "complex-count", "duplicate-ids", "finite-kind", "real-kind", "real-class",
+            "infinite-places", "galois-fiber", "galois-local", "galois-mixed", "degree-one-local",
+            "degree-one-automorphism", "undeclared", "adelic-class"])
+    def test_each_fault_has_its_message(self, field, cycles, issues):
+        sym = PlaceSymmetry((PlacePerm.from_cycles(cycles),) if cycles else ())
+        with pytest.raises(ValidationError) as err:
+            validate(FieldDescriptor(**field), sym)
+        assert err.value.issues == issues
+
 
 class TestGlobalOrbit:
     def test_trivial_group_fixes_everything(self):

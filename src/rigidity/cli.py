@@ -250,12 +250,9 @@ class _Parser:
                 self.err(code_line, 1, f"type {code} needs an explicit rank")
                 return None
             rank = FIXED_RANKS[family]
-        if family == Family.D and rank == 4:
-            self.err(code_line, 1, D4_OUT_OF_SCOPE)
-            return None
         try:
             return GroupType(family, rank, kind)
-        except ValueError as e:
+        except (ValueError, OutOfScopeError) as e:
             self.err(code_line, 1, str(e))
             return None
 
@@ -271,7 +268,8 @@ class _Parser:
             except ValueError:
                 self.err(no, 1, message)
         if "degree" not in values:
-            self.err(1, 1, "missing degree in [field]")
+            if all(key != "degree" for _, key, _ in entries):
+                self.err(1, 1, "missing degree in [field]")
             return None
         degree = values["degree"]
         galois = values.get("galois", degree == 1)
@@ -546,7 +544,8 @@ def _classify_file(path: Path, as_json: bool, out) -> int:
         desc = parse(path)
         verdict = classify(desc)
     except DescriptorParseError as e:
-        if any(msg == D4_OUT_OF_SCOPE for _, _, msg in e.errors):
+        # OutOfScope only when triality is the file's one fault; any other fault fails it
+        if [msg for _, _, msg in e.errors] == [D4_OUT_OF_SCOPE]:
             verdict = Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, str(e))])
             print(json.dumps(verdict_to_json(verdict), indent=2) if as_json
                   else render_verdict(verdict), file=out)

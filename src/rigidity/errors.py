@@ -8,7 +8,10 @@ class RigidityError(Exception):
 
 
 class OutOfScopeError(RigidityError):
-    """Raised for inputs the engine deliberately does not handle (triality D4)."""
+    """Raised by ``GroupType`` for triality type D4, which the engine
+    deliberately does not handle.  The parser reports it at the type line,
+    and ``rigidity classify`` answers OutOfScope for a file whose only fault
+    it is."""
 
 
 class ContractError(RigidityError):

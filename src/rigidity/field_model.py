@@ -203,15 +203,22 @@ def validate(f: FieldDescriptor, s: PlaceSymmetry) -> None:
     declared = set(ids)
     label_of = {p.id: p for p in f.finite_places + f.real_places}
     for i, g in enumerate(s.generators, start=1):
+        # every moved place is the source of one pair, so an undeclared one is
+        # named once; a cycle is reported at its first step out of a kind or class
+        off_kind, off_class = set(), set()
         for a, b in g.moved:
-            if a not in declared or b not in declared:
-                issues.append(f"generator {i}: moves undeclared place {a if a not in declared else b}")
+            if a not in declared:
+                issues.append(f"generator {i}: moves undeclared place {a}")
+                continue
+            if b not in declared:
                 continue
             pa, pb = label_of[a], label_of[b]
-            if pa.kind != pb.kind:
+            if pa.kind != pb.kind and a not in off_kind:
                 issues.append(f"generator {i}: maps {a} ({pa.kind.value}) to {b} ({pb.kind.value})")
-            if pa.kind.is_finite and pa.class_key() != pb.class_key():
+                off_kind.update(next(c for c in g.cycles() if a in c))
+            if pa.kind.is_finite and pa.class_key() != pb.class_key() and a not in off_class:
                 issues.append(f"generator {i}: maps {a} outside its adelic class")
+                off_class.update(next(c for c in g.cycles() if a in c))
     if not issues:
         try:
             order = len(s.group())

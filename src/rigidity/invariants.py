@@ -86,11 +86,11 @@ class GroupType(HashedOnce):
             raise ValueError(f"type {f.value} needs rank >= 2")
         if f == Family.D and r < 4:
             raise ValueError("type D needs rank >= 4 (and rank 4 is out of scope)")
+        if f == Family.D and r == 4:
+            raise OutOfScopeError(D4_OUT_OF_SCOPE)
         if f in FIXED_RANKS and r != FIXED_RANKS[f]:
             raise ValueError(f"type {f.value} has fixed rank {FIXED_RANKS[f]}")
-        if self.form_kind == FormKind.OUTER and not (
-            (f == Family.A and r >= 2) or (f == Family.D and r >= 5) or f == Family.E6
-        ):
+        if self.form_kind == FormKind.OUTER and not has_symmetry(self):
             raise ValueError(f"no outer forms of type {f.value}{r}")
         self._keep_key(f, r, self.form_kind)
 
@@ -100,7 +100,7 @@ class GroupType(HashedOnce):
 
     def symbol(self) -> str:
         prefix = ""
-        if has_symmetry(self) or (self.family == Family.D and self.rank == 4):
+        if has_symmetry(self):
             prefix = "2" if self.is_outer else "1"
         if self.family in FIXED_RANKS:
             return f"{prefix}{self.family.value}"
@@ -110,13 +110,9 @@ class GroupType(HashedOnce):
         return GroupType(self.family, self.rank, FormKind.INNER)
 
 
-# also the parse error that makes ``classify`` answer OutOfScope rather than fail
+# what ``GroupType`` raises for D4; as a file's only parse error, it makes
+# ``rigidity classify`` answer OutOfScope rather than fail
 D4_OUT_OF_SCOPE = "triality type D4 is out of scope"
-
-
-def _check_scope(t: GroupType) -> None:
-    if t.family == Family.D and t.rank == 4:
-        raise OutOfScopeError(D4_OUT_OF_SCOPE)
 
 
 def has_symmetry(t: GroupType) -> bool:
@@ -248,7 +244,6 @@ def shape_elements(shape: Shape) -> Iterator[LocalClass]:
 @_memo
 def center_shape(t: GroupType) -> Shape:
     """Shape of the global dual target attached to the center of the quasi-split form."""
-    _check_scope(t)
     if not t.is_outer:
         return _inner_finite_shape(t.family, t.rank)
     if t.family == Family.A:
@@ -286,7 +281,6 @@ def h2_local(t: GroupType, kind: PlaceKind) -> Shape:
     of the corresponding inner type, which strictly enlarges the group seen
     at non-split places.
     """
-    _check_scope(t)
     if kind == PlaceKind.COMPLEX:
         return TRIVIAL
     if kind in (PlaceKind.FINITE_OUTER, PlaceKind.REAL_OUTER):
@@ -369,7 +363,6 @@ def count_local_forms(t: GroupType, square_class_count: int) -> int:
     quasi-split-and-twisted forms for every nontrivial square class when
     the type admits outer forms.
     """
-    _check_scope(t)
     if square_class_count < 1:
         raise ContractError("square class count must be positive")
     inner = t.inner_twin()

@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 
 from .errors import CapacityError, ContractError, MissingRealClassError
 from .invariants import (
-    _check_scope,
     Family,
     GroupType,
     LocalClass,
@@ -27,6 +26,19 @@ from .invariants import (
 NAMED = ("SL_R", "SL_H", "SU", "Spin", "SpinStar", "Sp_R", "Sp",
          "E7_split", "E7_quaternionic", "E7_hermitian", "E7_compact")
 GENERIC = ("SplitForm", "CompactForm", "AnisotropicOther")
+
+# the tags that name a real form of each family
+_ALLOWED_TAGS = {
+    Family.A: {"SL_R", "SL_H", "SU"},
+    Family.B: {"Spin", *GENERIC},
+    Family.C: {"Sp_R", "Sp"},
+    Family.D: {"Spin", "SpinStar", "AnisotropicOther"},
+    Family.E6: set(GENERIC),
+    Family.E7: {"E7_split", "E7_quaternionic", "E7_hermitian", "E7_compact"},
+    Family.E8: set(GENERIC),
+    Family.F4: set(GENERIC),
+    Family.G2: set(GENERIC),
+}
 
 
 @dataclass(frozen=True)
@@ -229,7 +241,6 @@ def trivial_image_forms(t: GroupType) -> List[RealFormTag]:
     rank is fixed) and keeps the forms whose kernel exhausts their
     cohomology.  Raises CapacityError above ``FORM_PARAMETER_LIMIT``.
     """
-    _check_scope(t)
     f, r, outer = t.family, t.rank, t.is_outer
     total = {Family.A: r + 1, Family.B: 2 * r + 1, Family.C: r, Family.D: 2 * r}.get(f, 0)
     if total > FORM_PARAMETER_LIMIT:
@@ -276,8 +287,13 @@ def real_class(
     unitary forms, and the even star forms have forced classes.  All other
     forms (general spin forms in particular) carry a caller-supplied class
     that is validated only through the coherence of the whole vector.
+    A form of another family or type raises ContractError.
     """
     fam, rank, outer = tag.signature()
+    if tag.name not in _ALLOWED_TAGS[ambient.family]:
+        raise ContractError(f"{tag} is not a form of family {ambient.family.value}")
+    if (fam, rank) != (ambient.family, ambient.rank):
+        raise ContractError(f"{tag} has type {fam.value}{rank}, group is {ambient.symbol()}")
     kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
     shape = h2_local(ambient, kind)
     if shape.kind == "trivial":

@@ -24,9 +24,10 @@ from rigidity.classifier import (
     subset_sum_forbidden,
 )
 from rigidity.cli import emit_descriptor, main, parse
-from rigidity.errors import CapacityError, ContractError, ValidationError
+from rigidity.errors import CapacityError, ContractError, OutOfScopeError, ValidationError
 from rigidity.field_model import FieldDescriptor, PlaceLabel, PlaceSymmetry
 from rigidity.invariants import (
+    D4_OUT_OF_SCOPE,
     Family,
     GroupType,
     LocalClass,
@@ -268,14 +269,9 @@ class TestDispatcher:
         assert v.outcome == Outcome.NOT_RIGID
 
     def test_out_of_scope(self):
-        d4 = GroupType(Family.D, 4)
-        g = GroupDescriptor(
-            d4,
-            FieldDescriptor(degree=2, complex_place_count=1),
-            PlaceSymmetry(),
-            OmegaVector(d4),
-        )
-        assert classify(g).outcome == Outcome.OUT_OF_SCOPE
+        # no D4 descriptor can be built, so no entry point sees one
+        with pytest.raises(OutOfScopeError, match=f"^{D4_OUT_OF_SCOPE}$"):
+            GroupType(Family.D, 4)
 
     def test_undetermined_paths(self):
         v = classify_text(UNKNOWN_FIBER)
@@ -622,20 +618,25 @@ w = form=SL_R(3)
 
 
 class TestNormalization:
-    def test_b2_folds_into_c2(self):
-        text = """
-[group]
-type = B
-rank = 2
-[field]
-degree = 1
-[real]
-w = form=Spin(3,2) omega=0
-"""
+    @pytest.mark.parametrize("form, value, folded, outcome", [
+        ("Spin(3,2)", 0, RealFormTag("Sp_R", (4,)), Outcome.RIGID),
+        ("Spin(4,1)", 1, RealFormTag("Sp", (1, 1)), Outcome.NOT_RIGID),
+        ("Spin(5,0)", 1, RealFormTag("Sp", (2, 0)), Outcome.NOT_RIGID),
+        ("SplitForm", 0, RealFormTag("Sp_R", (4,)), Outcome.RIGID),
+        ("CompactForm", 0, RealFormTag("Sp_R", (4,)), Outcome.RIGID),
+        ("AnisotropicOther", 0, RealFormTag("Sp_R", (4,)), Outcome.RIGID),
+        ("CompactForm", 1, RealFormTag("Sp", (2, 0)), Outcome.NOT_RIGID),
+        ("AnisotropicOther", 1, RealFormTag("Sp", (2, 0)), Outcome.NOT_RIGID),
+    ])
+    def test_b2_folds_into_c2(self, form, value, folded, outcome):
+        # one finite place of the real place's value keeps the input coherent
+        text = (f"[group]\ntype = B\nrank = 2\n[field]\ndegree = 1\n[places]\nv2 = omega={value}\n"
+                f"[real]\nw = form={form} omega={value}\n")
         g = normalize(parse(text))
         assert g.group_type == GroupType(Family.C, 2)
-        assert g.real_forms == (("w", RealFormTag("Sp_R", (4,))),)
-        assert classify(parse(text)).outcome == Outcome.RIGID
+        assert g.real_forms == (("w", folded),)
+        assert [cls.value for _, cls in g.omega.real] == [value]
+        assert classify(parse(text)).outcome == outcome
 
     @pytest.mark.parametrize("check", [classify, specialize_q, specialize_quasisplit])
     def test_b2_real_form_without_a_coordinate_is_a_validation_error(self, check):
@@ -667,20 +668,34 @@ def _table3_with_v3_listed_thrice(values):
 class TestPlacesByPosition:
     """Coordinates and real forms must list each declared place once, in place order."""
 
-    B2_SL3 = "[group]\ntype = B\nrank = 2\n[field]\ndegree = 1\n[real]\nw = form=SL_R(3)\n"
     FINITE = "^finite coordinates must cover exactly the declared finite places$"
 
     @pytest.mark.parametrize("check", [classify, specialize_q, specialize_quasisplit])
     def test_b2_takes_only_family_b_forms(self, check):
-        # validation runs before the fold into C2, which would make any form symplectic
+        # built in code, past the parser: validation runs before the fold into
+        # C2, which would make any form symplectic
+        b2 = GroupType(Family.B, 2)
+        w = PlaceLabel("w", PlaceKind.REAL_INNER)
+        g = GroupDescriptor(
+            b2,
+            FieldDescriptor(degree=1, real_places=(w,)),
+            PlaceSymmetry(),
+            OmegaVector(b2, (), ((w, LocalClass(cyclic(2), 0)),)),
+            (("w", RealFormTag("SL_R", (3,))),),
+        )
         with pytest.raises(ValidationError, match=r"^real place w: SL\(3,R\) is not a form of family B$"):
-            check(parse(self.B2_SL3))
+            check(g)
 
     def test_b2_with_a_foreign_form_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "b2.grp"
-        path.write_text(self.B2_SL3, encoding="utf-8")
-        assert main(["classify", str(path)]) == 3
-        assert capsys.readouterr().out == ""
+        # the parser reports the foreign form at its line, in B3 as in B2
+        path = tmp_path / "b.grp"
+        for rank in (2, 3):
+            path.write_text(f"[group]\ntype = B\nrank = {rank}\n[field]\ndegree = 1\n"
+                            "[real]\nw = form=SL_R(3)\n", encoding="utf-8")
+            assert main(["classify", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"{path}:7:1: SL(3,R) is not a form of family B\n"
 
     def test_a_place_listed_thrice_is_refused(self):
         with pytest.raises(ValidationError, match=self.FINITE):

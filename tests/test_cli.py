@@ -57,10 +57,11 @@ class TestParse:
             parse("[group]\ntype = 1D\nrank = 4\n[field]\ndegree = 1\n")
 
     def test_error_positions_are_line_numbers(self):
+        # a malformed degree is one error, not also a missing one
         bad = "[group]\ntype = 1A\nrank = 2\n[field]\ndegree = x\n"
         with pytest.raises(DescriptorParseError) as err:
             parse(bad)
-        assert any(line == 5 for line, _, _ in err.value.errors)
+        assert err.value.errors == [(5, 1, "degree must be an integer")]
 
     def test_missing_real_class_demanded(self):
         bad = ("[group]\ntype = 1D\nrank = 5\n[field]\ndegree = 1\n"
@@ -121,11 +122,14 @@ _TO_G2 = "[group]\ntype = G2\n"
     ("[real]\nw = form=SL_R(x)\n", "7:1: bad form parameters in 'SL_R(x)'"),
     ("[real]\nw = form=SL_Q(3)\n", "7:1: unknown real form tag 'SL_Q'"),
     ("[real]\nw = form=SL_R(3) form=SL_R(3)\n", "7:1: option 'form' given twice"),
+    ("[real]\nw = form=Spin(3,2)\n", "7:1: Spin(3,2) is not a form of family A"),
+    ("[real]\nw = form=SL_R(4)\n", "7:1: SL(4,R) has type A3, group is 1A2"),
 ], ids=["aut-unclosed", "aut-unclosed-second", "aut-one-label", "aut-undeclared",
         "places-kind", "places-twice", "real-kind", "real-twice", "real-no-form", "real-kind-contradicts",
         "empty-key", "aut-empty", "places-bit-pair", "places-bit-pair-length", "places-bit-pair-value",
         "places-fraction", "places-denominator", "places-value", "places-trivial-group", "places-trivial-fraction",
-        "real-form-parentheses", "real-form-parameters", "real-form-tag", "real-option-twice"])
+        "real-form-parentheses", "real-form-parameters", "real-form-tag", "real-option-twice",
+        "real-form-family", "real-form-type"])
 def test_aut_places_and_real_faults_are_positioned(body, message):
     with pytest.raises(DescriptorParseError) as err:
         parse(_A2_HEAD + body)
@@ -536,3 +540,9 @@ class TestUnreadableInputs:
         payload = json.loads(capsys.readouterr().out)
         assert payload["outcome"] == "OutOfScope"
         assert payload["reasons"] == [{"tag": "scope", "detail": f"2:1: {D4_OUT_OF_SCOPE}"}]
+        # with another fault, OutOfScope (4) would hide it, so the file fails (3)
+        path.write_text("[group]\ntype = 1D\nrank = 4\n[field]\ndegree = x\n")
+        assert main(["classify", str(path), "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:2:1: {D4_OUT_OF_SCOPE}\n{path}:5:1: degree must be an integer\n"

@@ -156,18 +156,24 @@ class TestValidate:
         (dict(degree=1, real_places=(PlaceLabel("w", RI),),
               finite_places=(PlaceLabel("a", FI, "c"), PlaceLabel("b", FI, "d"))),
          [("a", "b")],
-         ["a degree 1 field has no nontrivial automorphisms", "generator 1: maps a outside its adelic class",
-          "generator 1: maps b outside its adelic class"]),
+         ["a degree 1 field has no nontrivial automorphisms", "generator 1: maps a outside its adelic class"]),
         (dict(degree=2, complex_place_count=1, finite_places=(PlaceLabel("a", FI),)),
-         # each moved pair is checked, so a transposition names z twice
-         [("a", "z")], ["generator 1: moves undeclared place z"] * 2),
+         # each undeclared place is named once, and each cycle reports each fault once
+         [("a", "z")], ["generator 1: moves undeclared place z"]),
         (dict(degree=2, complex_place_count=1,
               finite_places=(PlaceLabel("a", FI, "c"), PlaceLabel("b", FI, "d"))),
-         [("a", "b")], ["generator 1: maps a outside its adelic class",
-                        "generator 1: maps b outside its adelic class"]),
+         [("a", "b")], ["generator 1: maps a outside its adelic class"]),
+        (dict(degree=2, complex_place_count=1,
+              finite_places=(PlaceLabel("a", FI, "c"), PlaceLabel("b", FI, "d"), PlaceLabel("e", FI, "d"))),
+         [("a", "b", "e"), ("y", "z")], ["generator 1: maps a outside its adelic class",
+                                         "generator 1: moves undeclared place y",
+                                         "generator 1: moves undeclared place z"]),
+        (dict(degree=2, finite_places=(PlaceLabel("a", FI),), real_places=(PlaceLabel("w", RI),)),
+         [("a", "w")], ["generator 1: maps a (finite_inner) to w (real_inner)",
+                        "generator 1: maps a outside its adelic class"]),
     ], ids=["degree", "complex-count", "duplicate-ids", "finite-kind", "real-kind", "real-class",
             "infinite-places", "galois-fiber", "galois-local", "galois-mixed", "degree-one-local",
-            "degree-one-automorphism", "undeclared", "adelic-class"])
+            "degree-one-automorphism", "undeclared", "adelic-class", "one-fault-per-cycle", "kind"])
     def test_each_fault_has_its_message(self, field, cycles, issues):
         sym = PlaceSymmetry((PlacePerm.from_cycles(cycles),) if cycles else ())
         with pytest.raises(ValidationError) as err:

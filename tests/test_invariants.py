@@ -9,6 +9,7 @@ from rigidity.cli import parse
 from rigidity.errors import ContractError, OutOfScopeError
 from rigidity.field_model import PlaceLabel
 from rigidity.invariants import (
+    D4_OUT_OF_SCOPE,
     KLEIN,
     MEMO_SIZE,
     TRIVIAL,
@@ -79,14 +80,11 @@ class TestGroupType:
         GroupType(Family.D, 5, OUTER)
         GroupType(Family.E6, 6, OUTER)
 
-    def test_d4_constructible_but_tables_reject(self):
-        d4 = GroupType(Family.D, 4)
-        with pytest.raises(OutOfScopeError):
-            center_shape(d4)
-        with pytest.raises(OutOfScopeError):
-            h2_local(d4, FI)
-        with pytest.raises(OutOfScopeError):
-            count_local_forms(d4, 4)
+    @pytest.mark.parametrize("kind", [INNER, OUTER])
+    def test_d4_is_refused_when_built(self, kind):
+        # so no table meets it
+        with pytest.raises(OutOfScopeError, match=f"^{D4_OUT_OF_SCOPE}$"):
+            GroupType(Family.D, 4, kind)
 
 
 class TestCenterShape:

@@ -125,10 +125,6 @@ def validate_descriptor(g: GroupDescriptor) -> None:
         validate_field(g.field, g.symmetry)
     except ValidationError as e:
         issues.extend(e.issues)
-    if not g.group_type.is_outer:
-        for p in g.field.finite_places + g.field.real_places:
-            if p.kind in (PlaceKind.FINITE_OUTER, PlaceKind.REAL_OUTER):
-                issues.append(f"place {p.id}: inner form cannot have non-split places")
     _validate_coordinates(g, issues)
 
 
@@ -152,15 +148,8 @@ def _validate_coordinates(g: GroupDescriptor, issues: List[str]) -> None:
     if g.omega.group_type != t:
         issues.append("coordinate vector built for a different group type")
     for p, (_, cls), (w, tag) in zip(reals, g.omega.real, g.real_forms) if aligned else ():
-        outer = tag.signature()[2]
-        if outer != (p.kind == PlaceKind.REAL_OUTER):
-            issues.append(
-                f"real place {w}: {tag} is {'outer' if outer else 'inner'} type over the reals "
-                f"but the place is declared {p.kind.value}"
-            )
-            continue
         try:
-            real_class(tag, t, supplied=cls)
+            real_class(tag, t, p.kind, cls)
         except ContractError as e:
             issues.append(f"real place {w}: {e}")
     if not issues:

@@ -161,7 +161,9 @@ class _Parser:
         self.errors.append((line, col, msg))
 
     def parse(self) -> GroupDescriptor:
-        sections: Dict[str, List[Tuple[int, str, str]]] = {s: [] for s in _SECTIONS}
+        # each section's entries as key -> (line, value), in file order; a key
+        # given twice in one section is refused here, at its second line
+        sections: Dict[str, Dict[str, Tuple[int, str]]] = {s: {} for s in _SECTIONS}
         current: Optional[str] = None
         for no, raw in enumerate(self.lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -185,7 +187,10 @@ class _Parser:
             if not key:
                 self.err(no, 1, "empty key")
                 continue
-            sections[current].append((no, key, value))
+            if key in sections[current]:
+                self.err(no, 1, f"key {key!r} given twice in [{current}]")
+                continue
+            sections[current][key] = (no, value)
         if not sections["group"]:
             self.err(1, 1, "missing [group] section")
             raise DescriptorParseError(self.errors)
@@ -228,7 +233,7 @@ class _Parser:
     def _parse_group(self, entries) -> Optional[GroupType]:
         code = rank = None
         code_line = 1
-        for no, key, value in entries:
+        for key, (no, value) in entries.items():
             if key == "type":
                 code, code_line = value, no
             elif key == "rank":
@@ -258,7 +263,7 @@ class _Parser:
 
     def _parse_field(self, entries):
         values = {"complex_places": 0}
-        for no, key, value in entries:
+        for key, (no, value) in entries.items():
             if key not in _FIELD_KEYS:
                 self.err(no, 1, f"unknown key {key!r} in [field]")
                 continue
@@ -268,7 +273,7 @@ class _Parser:
             except ValueError:
                 self.err(no, 1, message)
         if "degree" not in values:
-            if all(key != "degree" for _, key, _ in entries):
+            if "degree" not in entries:
                 self.err(1, 1, "missing degree in [field]")
             return None
         degree = values["degree"]
@@ -328,15 +333,10 @@ class _Parser:
             return zero(shape)
         return LocalClass(shape, v)
 
-    def _read_entries(self, entries, what: str, allowed):
-        """(line, id, options) of each [places] or [real] entry whose id is new
-        and whose options parse, with ``kind`` split or nonsplit if given."""
-        seen = set()
-        for no, label, value in entries:
-            if label in seen:
-                self.err(no, 1, f"{what} {label} declared twice")
-                continue
-            seen.add(label)
+    def _read_entries(self, entries, allowed):
+        """(line, id, options) of each [places] or [real] entry whose options
+        parse, with ``kind`` split or nonsplit if given."""
+        for label, (no, value) in entries.items():
             opts = self._parse_opts(no, value, allowed)
             if opts is None:
                 continue
@@ -347,13 +347,13 @@ class _Parser:
 
     def _parse_places(self, entries, gtype: GroupType):
         omega = []
-        for no, label, opts in self._read_entries(entries, "place", {"class", "kind", "omega"}):
-            outer = opts.get("kind") == "nonsplit"
-            if outer and not gtype.is_outer:
-                self.err(no, 1, f"inner form {gtype.symbol()} has no nonsplit places")
+        for no, label, opts in self._read_entries(entries, {"class", "kind", "omega"}):
+            kind = PlaceKind.FINITE_OUTER if opts.get("kind") == "nonsplit" else PlaceKind.FINITE_INNER
+            try:
+                shape = h2_local(gtype, kind)
+            except ContractError as e:
+                self.err(no, 1, str(e))
                 continue
-            kind = PlaceKind.FINITE_OUTER if outer else PlaceKind.FINITE_INNER
-            shape = h2_local(gtype, kind)
             cls = self._parse_value(no, opts["omega"], shape) if "omega" in opts else zero(shape)
             if cls is None:
                 continue
@@ -363,30 +363,26 @@ class _Parser:
     def _parse_real(self, entries, gtype: GroupType):
         omega = []
         tags = []
-        for no, label, opts in self._read_entries(entries, "real place", {"form", "omega", "kind"}):
+        for no, label, opts in self._read_entries(entries, {"form", "omega", "kind"}):
             if "form" not in opts:
                 self.err(no, 1, f"real place {label} needs a form")
                 continue
-            explicit_kind = opts.get("kind")
-            tag = self._parse_form(no, opts["form"], gtype, explicit_kind)
+            tag = self._parse_form(no, opts["form"], gtype, opts.get("kind"))
             if tag is None:
                 continue
-            outer = tag.signature()[2]
-            if explicit_kind is not None and (explicit_kind == "nonsplit") != outer:
-                self.err(no, 1, f"form {tag} contradicts kind={explicit_kind}")
-                continue
-            if outer and not gtype.is_outer:
-                self.err(no, 1, f"inner form {gtype.symbol()} has no outer real form {tag}")
-                continue
+            outer = opts["kind"] == "nonsplit" if "kind" in opts else tag.signature()[2]
             kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
-            shape = h2_local(gtype, kind)
+            try:
+                shape = h2_local(gtype, kind)
+            except ContractError:
+                shape = None  # real_class below names the form's first misfit
             supplied = None
-            if "omega" in opts:
+            if "omega" in opts and shape is not None:
                 supplied = self._parse_value(no, opts["omega"], shape)
                 if supplied is None:
                     continue
             try:
-                cls = real_class(tag, gtype, supplied)
+                cls = real_class(tag, gtype, kind, supplied)
             except RigidityError as e:
                 self.err(no, 1, str(e))
                 continue
@@ -435,7 +431,7 @@ class _Parser:
 
     def _parse_aut(self, entries, declared) -> List[PlacePerm]:
         perms = []
-        for no, name, value in entries:
+        for name, (no, value) in entries.items():
             if not value:
                 self.err(no, 1, f"generator {name} is empty")
                 continue

@@ -278,23 +278,32 @@ def trivial_image_forms(t: GroupType) -> List[RealFormTag]:
 
 
 def real_class(
-    tag: RealFormTag, ambient: GroupType, supplied: Optional[LocalClass] = None
+    tag: RealFormTag, ambient: GroupType, kind: PlaceKind, supplied: Optional[LocalClass] = None
 ) -> LocalClass:
-    """The local invariant class a real form pins down, when it pins one down.
+    """The local invariant class a real form pins down at a real place of
+    the given kind, when it pins one down.
 
     Split and quasi-split forms sit at the base point; the quaternionic
     linear forms, the compact-type symplectic forms, the even-parameter
     unitary forms, and the even star forms have forced classes.  All other
     forms (general spin forms in particular) carry a caller-supplied class
     that is validated only through the coherence of the whole vector.
-    A form of another family or type raises ContractError.
+
+    This is the one check that a form fits its place.  The first misfit
+    raises ContractError, in this order: another family, another type,
+    the other kind over the reals, a place kind the type lacks
+    (``h2_local``), a class other than the pinned one.
     """
     fam, rank, outer = tag.signature()
     if tag.name not in _ALLOWED_TAGS[ambient.family]:
         raise ContractError(f"{tag} is not a form of family {ambient.family.value}")
     if (fam, rank) != (ambient.family, ambient.rank):
         raise ContractError(f"{tag} has type {fam.value}{rank}, group is {ambient.symbol()}")
-    kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
+    if kind != (PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER):
+        raise ContractError(
+            f"{tag} is {'outer' if outer else 'inner'} type over the reals "
+            f"but the place is declared {kind.value}"
+        )
     shape = h2_local(ambient, kind)
     if shape.kind == "trivial":
         forced: Optional[LocalClass] = zero(shape)

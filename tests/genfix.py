@@ -147,9 +147,9 @@ def _choose_real(rng: random.Random, t: GroupType, pid: str, include_bad: bool):
     tag = rng.choice(options)
     shape = h2_local(t, kind)
     try:
-        cls = real_class(tag, t)
+        cls = real_class(tag, t, kind)
     except MissingRealClassError:
-        cls = real_class(tag, t, rand_value(rng, shape))
+        cls = real_class(tag, t, kind, rand_value(rng, shape))
     return PlaceLabel(pid, kind), tag, cls
 
 

@@ -10,10 +10,12 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity.classifier import Outcome, classify
+from rigidity.classifier import GroupDescriptor, Outcome, classify, validate_descriptor
 from rigidity.cli import (
+    _TYPE_CODES,
     D4_OUT_OF_SCOPE,
     VERDICT_SCHEMA,
+    _format_form,
     emit_descriptor,
     main,
     parse,
@@ -21,8 +23,21 @@ from rigidity.cli import (
     verdict_to_json,
 )
 from rigidity.arith_equiv import PermGroup
-from rigidity.brauer import RESIDUE_WORK_LIMIT
-from rigidity.errors import DescriptorParseError
+from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
+from rigidity.errors import ContractError, DescriptorParseError, ValidationError
+from rigidity.field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlaceSymmetry
+from rigidity.invariants import (
+    TRIVIAL,
+    Family,
+    FormKind,
+    GroupType,
+    PlaceKind,
+    h2_local,
+    has_symmetry,
+    shape_elements,
+    zero,
+)
+from rigidity.real_forms import GENERIC, RealFormTag, form_for_class, real_class, trivial_image_forms
 from rigidity.selftest import FIXTURES
 
 import genfix
@@ -78,15 +93,17 @@ class TestParse:
     def test_nonsplit_place_needs_outer_form(self):
         bad = ("[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 1\n"
                "[places]\nv2 = kind=nonsplit omega=0\n[real]\nw = form=SL_R(3)\n")
-        with pytest.raises(DescriptorParseError, match="nonsplit"):
+        with pytest.raises(DescriptorParseError) as err:
             parse(bad)
+        assert str(err.value) == "7:1: 1A2 is an inner form; it has no outer places"
 
 
-_A2_HEAD = "[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 2\n"
-# a second [group] section overrides the head's type: D6 has Klein local
-# groups, G2 trivial ones
-_TO_D6 = "[group]\ntype = 1D\nrank = 6\n"
-_TO_G2 = "[group]\ntype = G2\n"
+_A2_GROUP = "[group]\ntype = 1A\nrank = 2\n[field]\n"
+_A2_HEAD = _A2_GROUP + "degree = 2\n"
+# the same head over D6, which has Klein local groups, and over G2, which
+# has trivial ones (and no rank line)
+_D6_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = 1D\nrank = 6")
+_G2_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = G2")
 
 
 @pytest.mark.parametrize("body, message", [
@@ -101,23 +118,25 @@ _TO_G2 = "[group]\ntype = G2\n"
     ("[places]\nv2 = kind=banana\n[real]\nw = form=SL_R(3)\n",
      "7:1: kind must be split or nonsplit"),
     ("[places]\nv2 = omega=1\nv2 = omega=2\n[real]\nw = form=SL_R(3)\n",
-     "8:1: place v2 declared twice"),
+     "8:1: key 'v2' given twice in [places]"),
     ("[real]\nw = form=SL_R(3) kind=banana\nw2 = form=SL_R(3)\n",
      "7:1: kind must be split or nonsplit"),
-    ("[real]\nw = form=SL_R(3)\nw = form=SL_R(3)\n", "8:1: real place w declared twice"),
+    ("[real]\nw = form=SL_R(3)\nw = form=SL_R(3)\n", "8:1: key 'w' given twice in [real]"),
     ("[real]\nw = omega=0\nw2 = form=SL_R(3)\n", "7:1: real place w needs a form"),
     ("[real]\nw = form=SL_R(3) kind=nonsplit\nw2 = form=SL_R(3)\n",
-     "7:1: form SL(3,R) contradicts kind=nonsplit"),
+     "7:1: SL(3,R) is inner type over the reals but the place is declared real_outer"),
+    ("[group]\ntype = 2A\nrank = 2\n[field]\ndegree = 1\n[real]\nw = form=SL_R(3) kind=nonsplit\n",
+     "7:1: SL(3,R) is inner type over the reals but the place is declared real_outer"),
     ("[places]\n= omega=1\n", "7:1: empty key"),
     ("[aut]\ng =\n[places]\nv2 = omega=1\n", "7:1: generator g is empty"),
-    (_TO_D6 + "[places]\nv2 = omega=1\n", "10:1: expected a bit pair (b1,b2), got '1'"),
-    (_TO_D6 + "[places]\nv2 = omega=(1,0,1)\n", "10:1: expected two components in '(1,0,1)'"),
-    (_TO_D6 + "[places]\nv2 = omega=(1,x)\n", "10:1: bad bit pair '(1,x)'"),
+    (_D6_HEAD + "[places]\nv2 = omega=1\n", "7:1: expected a bit pair (b1,b2), got '1'"),
+    (_D6_HEAD + "[places]\nv2 = omega=(1,0,1)\n", "7:1: expected two components in '(1,0,1)'"),
+    (_D6_HEAD + "[places]\nv2 = omega=(1,x)\n", "7:1: bad bit pair '(1,x)'"),
     ("[places]\nv2 = omega=1/0\n", "7:1: bad fraction '1/0'"),
     ("[places]\nv2 = omega=1/2\n", "7:1: denominator 2 does not divide the local order 3"),
     ("[places]\nv2 = omega=x\n", "7:1: bad value 'x'"),
-    (_TO_G2 + "[places]\nv2 = omega=1\n", "9:1: only 0 lies in the trivial group"),
-    (_TO_G2 + "[places]\nv2 = omega=1/2\n", "9:1: value 1/2 does not lie in the trivial group"),
+    (_G2_HEAD + "[places]\nv2 = omega=1\n", "6:1: only 0 lies in the trivial group"),
+    (_G2_HEAD + "[places]\nv2 = omega=1/2\n", "6:1: value 1/2 does not lie in the trivial group"),
     ("[real]\nw = form=SL_R(3\n", "7:1: unbalanced parentheses in form 'SL_R(3'"),
     ("[real]\nw = form=SL_R(x)\n", "7:1: bad form parameters in 'SL_R(x)'"),
     ("[real]\nw = form=SL_Q(3)\n", "7:1: unknown real form tag 'SL_Q'"),
@@ -126,28 +145,53 @@ _TO_G2 = "[group]\ntype = G2\n"
     ("[real]\nw = form=SL_R(4)\n", "7:1: SL(4,R) has type A3, group is 1A2"),
 ], ids=["aut-unclosed", "aut-unclosed-second", "aut-one-label", "aut-undeclared",
         "places-kind", "places-twice", "real-kind", "real-twice", "real-no-form", "real-kind-contradicts",
+        "real-kind-contradicts-outer-type",
         "empty-key", "aut-empty", "places-bit-pair", "places-bit-pair-length", "places-bit-pair-value",
         "places-fraction", "places-denominator", "places-value", "places-trivial-group", "places-trivial-fraction",
         "real-form-parentheses", "real-form-parameters", "real-form-tag", "real-option-twice",
         "real-form-family", "real-form-type"])
 def test_aut_places_and_real_faults_are_positioned(body, message):
+    # a body that starts with [group] brings its own head
     with pytest.raises(DescriptorParseError) as err:
-        parse(_A2_HEAD + body)
+        parse(body if body.startswith("[group]") else _A2_HEAD + body)
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("line, message", [
-    ("complex_places = 1.5", "6:1: complex_places must be an integer"),
-    ("galois = yes", "6:1: galois must be true or false"),
-    ("locally_determined = 1", "6:1: locally_determined must be true or false"),
-    ("hbar_fiber = maybe", "6:1: hbar_fiber must be trivial, nontrivial, or unknown"),
-    ("colour = blue", "6:1: unknown key 'colour' in [field]"),
+@pytest.mark.parametrize("lines, message", [
+    ("degree = 2\ncomplex_places = 1.5", "6:1: complex_places must be an integer"),
+    ("degree = 2\ngalois = yes", "6:1: galois must be true or false"),
+    ("degree = 2\nlocally_determined = 1", "6:1: locally_determined must be true or false"),
+    ("degree = 2\nhbar_fiber = maybe", "6:1: hbar_fiber must be trivial, nontrivial, or unknown"),
+    ("degree = 2\ncolour = blue", "6:1: unknown key 'colour' in [field]"),
     ("degree = 7", "1:1: degree above 6: declare locally_determined explicitly"),
 ], ids=["complex_places", "galois", "locally_determined", "hbar_fiber", "unknown", "degree-above-six"])
-def test_field_faults_are_positioned(line, message):
+def test_field_faults_are_positioned(lines, message):
     with pytest.raises(DescriptorParseError) as err:
-        parse(_A2_HEAD + line + "\n")
+        parse(_A2_GROUP + lines + "\n")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[group]\ntype = 1A\ntype = 2A\nrank = 2\n[field]\ndegree = 1\n",
+     (3, 1, "key 'type' given twice in [group]")),
+    ("[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 1\n[group]\nrank = 3\n",
+     (7, 1, "key 'rank' given twice in [group]")),
+    (FIXTURES["split_C3_Q"].replace("degree = 1\n", "degree = 1\ndegree = 2\n"),
+     (7, 1, "key 'degree' given twice in [field]")),
+    (_A2_HEAD + "galois = true\ngalois = false\n", (7, 1, "key 'galois' given twice in [field]")),
+    (_A2_HEAD + "complex_places = 1\n[aut]\ng = (v2 v3)\ng = (v2 v3)\n"
+     "[places]\nv2 = omega=1/3\nv3 = omega=1/3\n", (9, 1, "key 'g' given twice in [aut]")),
+    (_A2_HEAD + "[places]\nv2 = omega=1\n[real]\nw = form=SL_R(3)\n[places]\nv2 = omega=2\n",
+     (11, 1, "key 'v2' given twice in [places]")),
+    (_A2_HEAD + "[real]\nw = form=SL_R(3)\nw2 = form=SL_R(3)\nw = form=SL_R(3)\n",
+     (9, 1, "key 'w' given twice in [real]")),
+], ids=["type", "rank", "degree", "galois", "aut", "places", "real"])
+def test_a_key_given_twice_in_a_section_is_refused_at_its_second_line(text, error):
+    # before this was refused, a second type, rank, degree or galois line
+    # replaced the first, and [aut] took a generator name twice
+    with pytest.raises(DescriptorParseError) as err:
+        parse(text)
+    assert err.value.errors == [error]
 
 
 class TestRoundTrip:
@@ -419,11 +463,124 @@ def test_parse_raises_only_parse_errors(text):
     assert parse(emit_descriptor(g)) == g
 
 
-@pytest.mark.parametrize("form", ["form=SU(2,2) omega=0", "form=AnisotropicOther kind=nonsplit"])
-def test_inner_type_with_an_outer_real_form_is_a_parse_error(form):
-    text = f"[group]\ntype = 1A\nrank = 3\n[field]\ndegree = 1\n[real]\nw = {form}\n"
-    with pytest.raises(DescriptorParseError, match=r"7:1: inner form 1A3 has no outer real form"):
+@pytest.mark.parametrize("group, form, message", [
+    ("1A\nrank = 3", "form=SU(2,2) omega=0", "7:1: 1A3 is an inner form; it has no outer places"),
+    ("1A\nrank = 3", "form=AnisotropicOther kind=nonsplit",
+     "7:1: AnisotropicOther[A3] is not a form of family A"),
+    ("1A\nrank = 2", "form=SU(2,1)", "7:1: 1A2 is an inner form; it has no outer places"),
+    # the form's family is its first misfit, whether omega= is given or not
+    ("B\nrank = 3", "form=SU(2,1)", "7:1: SU(2,1) is not a form of family B"),
+    ("B\nrank = 3", "form=SU(2,1) omega=0", "7:1: SU(2,1) is not a form of family B"),
+], ids=["1A3-SU", "1A3-AnisotropicOther", "1A2-SU", "B3-SU", "B3-SU-omega"])
+def test_inner_type_with_an_outer_real_form_is_a_parse_error(group, form, message):
+    text = f"[group]\ntype = {group}\n[field]\ndegree = 1\n[real]\nw = {form}\n"
+    with pytest.raises(DescriptorParseError) as err:
         parse(text)
+    assert str(err.value) == message
+
+
+# one rank for each of the twelve type codes
+_ONE_RANK = {"1A": 3, "2A": 3, "B": 3, "C": 3, "1D": 6, "2D": 6, "1E6": 6, "2E6": 6,
+             "E7": 7, "E8": 8, "F4": 4, "G2": 2}
+
+
+def _by_text(text):
+    """The messages refusing a file, without their line:col: prefix, or the
+    descriptor it parses to when it parses and validates."""
+    try:
+        g = parse(text)
+        validate_descriptor(g)
+    except DescriptorParseError as e:
+        return [msg for _, _, msg in e.errors]
+    except ValidationError as e:
+        return e.issues
+    return g
+
+
+def _by_objects(t, finite=(), real=(), forms=()):
+    """The same for a degree-1 descriptor built in code, without the
+    ``real place w:`` prefix of validation."""
+    try:
+        fdesc = FieldDescriptor(degree=1, real_places=tuple(lab for lab, _ in real),
+                                finite_places=tuple(lab for lab, _ in finite),
+                                galois_over_q=True, hbar_fiber=HbarFiber.TRIVIAL)
+        g = GroupDescriptor(t, fdesc, PlaceSymmetry(), OmegaVector(t, finite, real), forms)
+        validate_descriptor(g)
+    except ContractError as e:
+        return [str(e)]
+    except ValidationError as e:
+        return [issue.removeprefix("real place w: ") for issue in e.issues]
+    return g
+
+
+def _forms_to_try(t):
+    """Forms of the type and its twins, keyed by their text: those passing the
+    trivial-image gate, those realizing each real class, and foreign ones."""
+    twins = [t.inner_twin()]
+    if has_symmetry(t):
+        twins.append(GroupType(t.family, t.rank, FormKind.OUTER))
+    forms = [tag for u in twins for tag in trivial_image_forms(u)]
+    for u in twins:
+        for kind in (PlaceKind.REAL_INNER, PlaceKind.REAL_OUTER) if u.is_outer else (PlaceKind.REAL_INNER,):
+            forms += [form_for_class(u, kind, cls) for cls in shape_elements(h2_local(u, kind))]
+    if t.family == Family.A:
+        forms.append(RealFormTag("Spin", (5, 0)))
+    else:
+        forms += [RealFormTag("SL_R", (3,)), RealFormTag("SU", (2, 1))]
+    return {_format_form(tag): tag for tag in forms}
+
+
+def test_place_kind_faults_get_one_answer_from_a_file_and_from_objects():
+    """A finite place split or nonsplit, and a real place carrying a form
+    with or without kind=, give the same verdict through the parser as
+    through objects built in code: both accept the same descriptor, or both
+    refuse it with the same text.  Where the type lacks the real place's
+    kind, no object can be built, and the file names real_class's first
+    misfit."""
+    accepted = refused = stopped = 0
+    for code, rank in _ONE_RANK.items():
+        family, form_kind = _TYPE_CODES[code]
+        t = GroupType(family, rank, form_kind)
+        head = f"[group]\ntype = {code}\nrank = {rank}\n[field]\ndegree = 1\n"
+        for option in ("split", "nonsplit"):
+            kind = PlaceKind.FINITE_OUTER if option == "nonsplit" else PlaceKind.FINITE_INNER
+            try:
+                cls = zero(h2_local(t, kind))
+            except ContractError:
+                cls = zero(TRIVIAL)  # OmegaVector refuses the place before it reads the class
+            want = _by_objects(t, finite=((PlaceLabel("v2", kind), cls),))
+            assert _by_text(head + f"[places]\nv2 = kind={option}\n") == want, (code, option)
+            accepted += isinstance(want, GroupDescriptor)
+            refused += isinstance(want, list)
+        for text_form, tag in _forms_to_try(t).items():
+            for option in (None, "split", "nonsplit"):
+                if tag.name in GENERIC:  # the file's kind= sets the generic form's kind
+                    tag = RealFormTag(tag.name, family=family, rank=rank,
+                                      outer=tag.name == "AnisotropicOther" and option == "nonsplit")
+                outer = tag.signature()[2] if option is None else option == "nonsplit"
+                kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
+                try:
+                    cls = zero(h2_local(t, kind))
+                except ContractError:
+                    cls = None
+                entry = f"w = form={text_form}" + (f" kind={option}" if option else "") + f" omega={0 if cls is None else cls}"
+                got = _by_text(head + "[real]\n" + entry + "\n")
+                if cls is None:
+                    # no coordinate of this kind can be built, so objects stop
+                    # at OmegaVector, as the finite places above show; the file
+                    # names the form's first misfit in real_class's order
+                    with pytest.raises(ContractError) as owner:
+                        real_class(tag, t, kind)
+                    assert got == [str(owner.value)], (code, entry)
+                    stopped += 1
+                    continue
+                want = _by_objects(t, real=((PlaceLabel("w", kind), cls),), forms=(("w", tag),))
+                assert got == want, (code, entry)
+                accepted += isinstance(want, GroupDescriptor)
+                refused += isinstance(want, list)
+    print(f"{accepted + refused + stopped} place-kind cases: {accepted} accepted by both routes, "
+          f"{refused} refused by both with one text, {stopped} at a real place kind the type lacks")
+    assert (accepted, refused, stopped) == (40, 90, 47)
 
 
 class TestOrbitListingLimit:

@@ -267,8 +267,6 @@ class TestMemo:
                 c_local(t("A", 2), FI, wrong)
             with pytest.raises(ContractError):
                 h2_local(t("A", 2), FO)
-            with pytest.raises(OutOfScopeError):
-                center_shape(t("D", 4))
             with pytest.raises(ValueError):
                 cyclic(0)
 

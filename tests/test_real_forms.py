@@ -7,6 +7,7 @@ from rigidity.invariants import (
     FormKind,
     GroupType,
     LocalClass,
+    PlaceKind,
     cyclic,
     zero,
 )
@@ -163,39 +164,63 @@ class TestTrivialImageForms:
             trivial_image_forms(GroupType(family, exceeds))
 
 
+RI, RO = PlaceKind.REAL_INNER, PlaceKind.REAL_OUTER
+
+
 class TestRealClass:
     def test_dictionary(self):
         a3 = GroupType(Family.A, 3)
-        assert real_class(RealFormTag("SL_R", (4,)), a3) == zero(cyclic(2))
-        assert real_class(RealFormTag("SL_H", (2,)), a3) == LocalClass(cyclic(2), 1)
+        assert real_class(RealFormTag("SL_R", (4,)), a3, RI) == zero(cyclic(2))
+        assert real_class(RealFormTag("SL_H", (2,)), a3, RI) == LocalClass(cyclic(2), 1)
         d6 = GroupType(Family.D, 6)
-        assert real_class(RealFormTag("SpinStar", (12,)), d6) == LocalClass(KLEIN, (1, 0))
+        assert real_class(RealFormTag("SpinStar", (12,)), d6, RI) == LocalClass(KLEIN, (1, 0))
         a3o = GroupType(Family.A, 3, FormKind.OUTER)
-        assert real_class(RealFormTag("SU", (3, 1)), a3o) == LocalClass(cyclic(2), 1)
-        assert real_class(RealFormTag("SU", (2, 2)), a3o) == zero(cyclic(2))
+        assert real_class(RealFormTag("SU", (3, 1)), a3o, RO) == LocalClass(cyclic(2), 1)
+        assert real_class(RealFormTag("SU", (2, 2)), a3o, RO) == zero(cyclic(2))
         c3 = GroupType(Family.C, 3)
-        assert real_class(RealFormTag("Sp_R", (6,)), c3) == zero(cyclic(2))
-        assert real_class(RealFormTag("Sp", (2, 1)), c3) == LocalClass(cyclic(2), 1)
+        assert real_class(RealFormTag("Sp_R", (6,)), c3, RI) == zero(cyclic(2))
+        assert real_class(RealFormTag("Sp", (2, 1)), c3, RI) == LocalClass(cyclic(2), 1)
 
     def test_split_spin_forms_pinned_to_base_point(self):
         b3 = GroupType(Family.B, 3)
-        assert real_class(RealFormTag("Spin", (4, 3)), b3).is_zero
+        assert real_class(RealFormTag("Spin", (4, 3)), b3, RI).is_zero
         d6 = GroupType(Family.D, 6)
-        assert real_class(RealFormTag("Spin", (6, 6)), d6).is_zero
+        assert real_class(RealFormTag("Spin", (6, 6)), d6, RI).is_zero
 
     def test_pass_through_demands_a_value(self):
         d5 = GroupType(Family.D, 5)
         with pytest.raises(MissingRealClassError):
-            real_class(RealFormTag("Spin", (7, 3)), d5)
-        got = real_class(RealFormTag("Spin", (7, 3)), d5, LocalClass(cyclic(2), 1))
+            real_class(RealFormTag("Spin", (7, 3)), d5, RI)
+        got = real_class(RealFormTag("Spin", (7, 3)), d5, RI, LocalClass(cyclic(2), 1))
         assert got == LocalClass(cyclic(2), 1)
 
     def test_forced_value_conflicts_rejected(self):
         a3 = GroupType(Family.A, 3)
-        with pytest.raises(ContractError):
-            real_class(RealFormTag("SL_H", (2,)), a3, zero(cyclic(2)))
+        with pytest.raises(ContractError, match=r"^SL\(2,H\) pins its real class to 1, got 0$"):
+            real_class(RealFormTag("SL_H", (2,)), a3, RI, zero(cyclic(2)))
 
     def test_trivial_shapes_need_nothing(self):
         e6 = GroupType(Family.E6, 6)
-        cls = real_class(RealFormTag("SplitForm", family=Family.E6, rank=6), e6)
+        cls = real_class(RealFormTag("SplitForm", family=Family.E6, rank=6), e6, RI)
         assert cls.is_zero
+
+    @pytest.mark.parametrize("form, t, kind, message", [
+        # family before the place kind the type lacks
+        (RealFormTag("SU", (2, 1)), GroupType(Family.B, 3), RO, "SU(2,1) is not a form of family B"),
+        # type before the form's kind over the reals
+        (RealFormTag("SL_R", (4,)), GroupType(Family.A, 2), RO, "SL(4,R) has type A3, group is 1A2"),
+        # the form's kind over the reals before the place kind the type lacks
+        (RealFormTag("SL_R", (3,)), GroupType(Family.A, 2), RO,
+         "SL(3,R) is inner type over the reals but the place is declared real_outer"),
+        (RealFormTag("SU", (2, 1)), GroupType(Family.A, 2, FormKind.OUTER), RI,
+         "SU(2,1) is outer type over the reals but the place is declared real_inner"),
+        (RealFormTag("SL_R", (4,)), GroupType(Family.A, 3), PlaceKind.FINITE_INNER,
+         "SL(4,R) is inner type over the reals but the place is declared finite_inner"),
+        # then the place kind the type lacks, which h2_local refuses
+        (RealFormTag("SU", (2, 1)), GroupType(Family.A, 2), RO,
+         "1A2 is an inner form; it has no outer places"),
+    ])
+    def test_first_misfit_is_reported(self, form, t, kind, message):
+        with pytest.raises(ContractError) as err:
+            real_class(form, t, kind)
+        assert str(err.value) == message

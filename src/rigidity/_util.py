@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import re
+from _weakref import _remove_dead_weakref  # the atomic removal WeakValueDictionary uses
+from dataclasses import fields
 from functools import lru_cache
+from weakref import ref
 
 _DIGITS = re.compile(r"(\d+)")
 
@@ -19,9 +22,10 @@ def natural_key(s: str):
 
 
 class HashedOnce:
-    """Base of ``eq=False`` frozen dataclasses whose ``__post_init__`` keeps
-    the init field values once, by ``_keep_key``, for equality, the hash and
-    pickles; a pickle holds no hash, as string hashes differ by process."""
+    """Base of ``eq=False`` frozen dataclasses (place labels, built once per
+    parse and then shared) whose ``__post_init__`` keeps the init field values
+    once, by ``_keep_key``, for equality, the hash and pickles; a pickle holds
+    no hash, as string hashes differ by process."""
 
     def _keep_key(self, *key) -> None:
         object.__setattr__(self, "_key", key)
@@ -37,3 +41,32 @@ class HashedOnce:
 
     def __reduce__(self):
         return type(self), self._key
+
+
+class _Pooling(type):
+    def __call__(cls, *args, **kwargs):
+        key = cls._reduce(*args, **kwargs)
+        pool, entry = cls._pool, cls._pool.get(key)
+        obj = entry and entry()
+        if obj is None:
+            new = super().__call__(*key)
+            # the bound remover outlives module teardown; one setdefault publishes,
+            # and a dead entry still awaiting its callback is removed, then retried
+            mine = ref(new, lambda _, remove=_remove_dead_weakref: remove(pool, key))
+            while (obj := pool.setdefault(key, mine)()) is None:
+                _remove_dead_weakref(pool, key)
+        return obj
+
+
+class Interned(metaclass=_Pooling):
+    """Base of hash-consed ``eq=False`` frozen dataclasses: a call gets the
+    one live object with the field values the class's ``_reduce`` checks and
+    returns, built only on a miss, so equality and the hash are ``object``'s.
+    The pool's weak references remove themselves; pickles, copies and
+    ``replace`` call the class.  (Filliatre and Conchon, ML Workshop 2006.)"""
+
+    def __init_subclass__(cls):
+        cls._pool = {}
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))

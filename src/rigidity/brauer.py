@@ -65,8 +65,7 @@ class OmegaVector:
 
     def _check_shape(self, lab: PlaceLabel, cls: LocalClass):
         want = h2_local(self.group_type, lab.kind)
-        # both sides are nearly always the same memoized shape
-        if cls.shape is not want and cls.shape != want:
+        if cls.shape is not want:
             raise ContractError(
                 f"place {lab.id}: class shape {cls.shape} but {self.group_type.symbol()} "
                 f"carries {want} at a {lab.kind.value} place"
@@ -362,7 +361,7 @@ def compare_possible(
 @dataclass(frozen=True)
 class WeakUniformityReport:
     holds: bool
-    lhs: Tuple[Coords, ...]
+    lhs: FrozenSet[Coords]  # unsorted
     possible: int
     witness: Optional[Coords]
 
@@ -388,7 +387,7 @@ def weak_uniformity(
     possible, witness = compare_possible(omega, lhs)
     return WeakUniformityReport(
         holds=witness is None,
-        lhs=tuple(sorted(lhs, key=coords_key)),
+        lhs=frozenset(lhs),
         possible=possible,
         witness=witness,
     )

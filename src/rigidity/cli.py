@@ -62,6 +62,7 @@ from .field_model import (
     PlaceLabel,
     PlacePerm,
     PlaceSymmetry,
+    coords_key,
 )
 from .invariants import (
     D4_OUT_OF_SCOPE,
@@ -595,7 +596,7 @@ def cmd_orbit(args, out=None) -> int:
         for vec in vectors:
             print("  " + "  ".join(f"{lab.id}:{cls}" for lab, cls in vec), file=out)
 
-    show("realized (two-sided, automorphisms)", report.lhs)
+    show("realized (two-sided, automorphisms)", sorted(report.lhs, key=coords_key))
     show("possible (flips x adelic)", possible)
     print(f"weak uniformity: {'holds' if report.holds else 'fails'}", file=out)
     show("automorphism orbit", glob)

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Tuple, Union
 
-from ._util import HashedOnce
+from ._util import Interned
 from .errors import ContractError, OutOfScopeError
 
 
@@ -71,28 +71,28 @@ class PlaceKind(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class GroupType(HashedOnce):
+class GroupType(Interned):
     """A simple type: family, Cartan-Killing rank, and inner/outer kind."""
 
     family: Family
     rank: int
-    form_kind: FormKind = FormKind.INNER
+    form_kind: FormKind
 
-    def __post_init__(self):
-        f, r = self.family, self.rank
-        if f == Family.A and r < 1:
+    @staticmethod
+    def _reduce(family: Family, rank: int, form_kind: FormKind = FormKind.INNER):
+        if family == Family.A and rank < 1:
             raise ValueError("type A needs rank >= 1")
-        if f in (Family.B, Family.C) and r < 2:
-            raise ValueError(f"type {f.value} needs rank >= 2")
-        if f == Family.D and r < 4:
+        if family in (Family.B, Family.C) and rank < 2:
+            raise ValueError(f"type {family.value} needs rank >= 2")
+        if family == Family.D and rank < 4:
             raise ValueError("type D needs rank >= 4 (and rank 4 is out of scope)")
-        if f == Family.D and r == 4:
+        if family == Family.D and rank == 4:
             raise OutOfScopeError(D4_OUT_OF_SCOPE)
-        if f in FIXED_RANKS and r != FIXED_RANKS[f]:
-            raise ValueError(f"type {f.value} has fixed rank {FIXED_RANKS[f]}")
-        if self.form_kind == FormKind.OUTER and not has_symmetry(self):
-            raise ValueError(f"no outer forms of type {f.value}{r}")
-        self._keep_key(f, r, self.form_kind)
+        if family in FIXED_RANKS and rank != FIXED_RANKS[family]:
+            raise ValueError(f"type {family.value} has fixed rank {FIXED_RANKS[family]}")
+        if form_kind == FormKind.OUTER and not has_symmetry(GroupType(family, rank)):
+            raise ValueError(f"no outer forms of type {family.value}{rank}")
+        return family, rank, form_kind
 
     @property
     def is_outer(self) -> bool:
@@ -128,18 +128,19 @@ def has_symmetry(t: GroupType) -> bool:
 # abelian group shapes and their elements
 
 @dataclass(frozen=True, eq=False)
-class Shape(HashedOnce):
+class Shape(Interned):
     """Trivial, cyclic of order ``modulus``, or Klein (Z/2 x Z/2)."""
 
     kind: str  # "trivial" | "cyclic" | "klein"
-    modulus: int = 1
+    modulus: int
 
-    def __post_init__(self):
-        if self.kind not in ("trivial", "cyclic", "klein"):
-            raise ValueError(f"bad shape kind {self.kind!r}")
-        if self.kind == "cyclic" and self.modulus < 2:
+    @staticmethod
+    def _reduce(kind: str, modulus: int = 1):
+        if kind not in ("trivial", "cyclic", "klein"):
+            raise ValueError(f"bad shape kind {kind!r}")
+        if kind == "cyclic" and modulus < 2:
             raise ValueError("cyclic shape needs modulus >= 2; use TRIVIAL for order 1")
-        self._keep_key(self.kind, self.modulus)
+        return kind, modulus
 
     def __str__(self):
         if self.kind == "trivial":
@@ -164,25 +165,23 @@ Value = Union[None, int, Tuple[int, int]]
 
 
 @dataclass(frozen=True, eq=False)
-class LocalClass(HashedOnce):
+class LocalClass(Interned):
     """An element of a local or global invariant group, reduced mod its shape."""
 
     shape: Shape
-    value: Value = None
+    value: Value
 
-    def __post_init__(self):
-        s, v = self.shape, self.value
-        if s.kind == "trivial":
-            object.__setattr__(self, "value", None)
-        elif s.kind == "cyclic":
-            if not isinstance(v, int):
-                raise ContractError(f"cyclic class needs an integer value, got {v!r}")
-            object.__setattr__(self, "value", v % s.modulus)
-        else:
-            if not (isinstance(v, tuple) and len(v) == 2):
-                raise ContractError(f"klein class needs a bit pair, got {v!r}")
-            object.__setattr__(self, "value", (v[0] % 2, v[1] % 2))
-        self._keep_key(s, self.value)
+    @staticmethod
+    def _reduce(shape: Shape, value: Value = None):
+        if shape.kind == "trivial":
+            return shape, None
+        if shape.kind == "cyclic":
+            if not isinstance(value, int):
+                raise ContractError(f"cyclic class needs an integer value, got {value!r}")
+            return shape, value % shape.modulus
+        if not (isinstance(value, tuple) and len(value) == 2):
+            raise ContractError(f"klein class needs a bit pair, got {value!r}")
+        return shape, (value[0] % 2, value[1] % 2)
 
     @property
     def is_zero(self) -> bool:

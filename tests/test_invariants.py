@@ -1,7 +1,13 @@
+import copy
+import gc
 import pickle
+import sys
+import threading
+import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import global_sym_act, run_python
 from rigidity.classifier import classify
@@ -253,6 +259,18 @@ class TestMemo:
             assert info.currsize <= MEMO_SIZE
             # the bound was reached and entries were evicted
             assert info.misses - before[f.__name__] > MEMO_SIZE
+        # values built and dropped leave their pools with them
+        big = cyclic(10**6)
+        for v in range(10 * MEMO_SIZE):
+            LocalClass(big, v), Shape("cyclic", 10**6 + v), GroupType(A, 10**6 + v)
+        gc.collect()
+        # what stays pooled is what the memo tables keep alive, plus a few
+        # constants: per entry, c_local holds two classes, a type and two
+        # shapes, sym_act two classes, a type and a shape, center_shape and
+        # h2_local a type and a shape, cyclic a shape.  An unbounded pool
+        # would still hold the 10 * MEMO_SIZE values just dropped.
+        for cls, per_entry in ((LocalClass, 4), (GroupType, 4), (Shape, 6)):
+            assert len(cls._pool) <= per_entry * MEMO_SIZE + 100, cls.__name__
 
     def test_errors_are_raised_after_a_cached_success(self):
         x = LocalClass(cyclic(3), 1)
@@ -277,6 +295,7 @@ def in_subprocess(code: str, hash_seed: str, stdin: bytes = b"") -> bytes:
     return done.stdout
 
 
+POOLED = (GroupType, Shape, LocalClass)
 VALUES = ("(cyclic(5), KLEIN, LocalClass(cyclic(5), 2), LocalClass(KLEIN, (1, 0)), "
           "GroupType(Family.A, 3, FormKind.OUTER), PlaceLabel('v5a', PlaceKind.FINITE_INNER, 'c5'))")
 IMPORTS = ("import pickle, sys\n"
@@ -285,8 +304,10 @@ IMPORTS = ("import pickle, sys\n"
 
 
 class TestStoredHash:
-    """Shapes, classes, types and place labels take their hash once, when
-    they are built; equal values hash alike however they were built."""
+    """Shapes, classes and types are hash-consed: each value is one object,
+    however it was built (parsed, by ``replace``, unpickled, copied), so it
+    compares and hashes by identity.  Place labels take their hash once,
+    when they are built, and equal labels hash alike."""
 
     def test_equal_values_built_by_different_paths_hash_alike(self):
         z5 = cyclic(5)
@@ -302,23 +323,124 @@ class TestStoredHash:
             (replace(PlaceLabel("v3", FI), adelic_class="c3"), PlaceLabel("v3", FI, "c3")),
             (g.group_type, GroupType(A, 4)),
             (g.omega.finite[0], (PlaceLabel("v3", FI, "c3"), LocalClass(z5, 2))),
+            (g.omega.finite[0][1], LocalClass(z5, 2)),
             (g.omega.finite[2][1], LocalClass(z5, 2)),
         ]
         for built, direct in pairs:
             assert built == direct
             assert hash(built) == hash(direct)
+            if isinstance(direct, POOLED):
+                assert built is direct
+        for value in (z5, KLEIN, LocalClass(z5, 2), LocalClass(KLEIN, (1, 0)), GroupType(A, 3, OUTER)):
+            assert pickle.loads(pickle.dumps(value)) is value
+            assert copy.copy(value) is value
+            assert copy.deepcopy(value) is value
         assert len({LocalClass(z5, v) for v in range(-5, 10)}) == 5
         assert LocalClass(z5, 1) != LocalClass(cyclic(6), 1) != (cyclic(6), 1)
         assert PlaceLabel("v3", FI) != PlaceLabel("v3", FO) != ("v3", FO, None)
+        label = PlaceLabel("v3", FI, "c3")
+        assert copy.deepcopy(label) == label and pickle.loads(pickle.dumps(label)) == label
 
     def test_a_pickle_hashes_afresh_under_another_hash_seed(self):
         blob = in_subprocess(IMPORTS + f"sys.stdout.buffer.write(pickle.dumps({VALUES}))", "1")
         check = IMPORTS + (
             f"got, fresh = pickle.loads(sys.stdin.buffer.read()), {VALUES}\n"
-            "print(all(a == b and hash(a) == hash(b) for a, b in zip(got, fresh)), len(got))\n"
+            "print(all(a == b and hash(a) == hash(b) for a, b in zip(got, fresh)), len(got),\n"
+            "      all(a is b for a, b in zip(got[:5], fresh[:5])))\n"
         )
-        assert in_subprocess(check, "2", blob).split() == [b"True", b"6"]
+        # the first five values are pooled, the last is a place label
+        assert in_subprocess(check, "2", blob).split() == [b"True", b"6", b"True"]
         # the seeds give the strings inside these values different hashes
         probe = "print(hash('cyclic'), hash('v5a'))"
         assert in_subprocess(probe, "1") != in_subprocess(probe, "2")
         assert pickle.loads(pickle.dumps(LocalClass(KLEIN, (1, 0)))) == LocalClass(KLEIN, (1, 0))
+
+
+def reduced_class(shape, value):
+    """The field tuple a class reduces to, by the rule equality once compared."""
+    if shape.kind == "trivial":
+        return shape.kind, shape.modulus, None
+    if shape.kind == "cyclic":
+        return shape.kind, shape.modulus, value % shape.modulus
+    return shape.kind, shape.modulus, (value[0] % 2, value[1] % 2)
+
+
+shapes = st.one_of(st.just(TRIVIAL), st.just(KLEIN), st.integers(2, 40).map(cyclic))
+raw_values = st.one_of(st.integers(-100, 100), st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+
+
+def raw_value_for(shape):
+    if shape.kind == "klein":
+        return st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    return st.integers(-100, 100) if shape.kind == "cyclic" else st.none() | raw_values
+
+
+def valid_type(key):
+    try:
+        GroupType(*key)
+    except (ValueError, OutOfScopeError):
+        return False
+    return True
+
+
+type_keys = st.tuples(st.sampled_from(list(Family)), st.integers(1, 12) | st.integers(1, 10**9),
+                      st.sampled_from([INNER, OUTER])).filter(valid_type)
+
+
+class TestPoolDifferential:
+    """Identity against the old rule, equal reduced field tuples."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_a_class_is_one_object_exactly_when_its_reduced_fields_agree(self, data):
+        s1, s2 = data.draw(shapes), data.draw(shapes)
+        a, b, c = data.draw(raw_value_for(s1)), data.draw(raw_value_for(s1)), data.draw(raw_value_for(s2))
+        x = LocalClass(s1, a)
+        for y, key in ((LocalClass(s1, b), reduced_class(s1, b)), (LocalClass(s2, c), reduced_class(s2, c))):
+            assert (x is y) == (x == y) == (reduced_class(s1, a) == key)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(type_keys, type_keys)
+    def test_a_type_is_one_object_exactly_when_its_fields_agree(self, k1, k2):
+        x, y = GroupType(*k1), GroupType(*k2)
+        assert (x is y) == (x == y) == (k1 == k2)
+        assert GroupType(*k1) is x and replace(y, form_kind=k2[2]) is y
+
+
+class TestPool:
+    def test_threads_building_the_same_values_get_the_same_objects(self):
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def build(n):
+            start.wait(timeout=30)
+            shapes = [Shape("cyclic", 10**7 + v) for v in range(1000)]
+            results[n] = [(s, LocalClass(s, 1), GroupType(A, 10**7 + v)) for v, s in enumerate(shapes)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to meet the race
+        try:
+            threads = [threading.Thread(target=build, args=(n,)) for n in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        first = results[0]
+        assert all(len(r) == 1000 for r in results)
+        for other in results[1:]:
+            assert all(a is b for row, orow in zip(first, other) for a, b in zip(row, orow))
+
+    def test_a_dead_entry_awaiting_its_callback_is_replaced(self):
+        class Gone:
+            pass
+
+        shape = Shape("cyclic", 10**8 + 1)
+        gone = Gone()
+        LocalClass._pool[(shape, 5)] = weakref.ref(gone)
+        del gone
+        x = LocalClass(shape, 5)
+        assert x.value == 5 and LocalClass._pool[(shape, 5)]() is x
+        assert LocalClass(shape, 10**8 + 6) is x

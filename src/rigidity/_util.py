@@ -21,28 +21,6 @@ def natural_key(s: str):
     return tuple(int(tok) if tok.isdigit() else tok for tok in _DIGITS.split(s)), s
 
 
-class HashedOnce:
-    """Base of ``eq=False`` frozen dataclasses (place labels, built once per
-    parse and then shared) whose ``__post_init__`` keeps the init field values
-    once, by ``_keep_key``, for equality, the hash and pickles; a pickle holds
-    no hash, as string hashes differ by process."""
-
-    def _keep_key(self, *key) -> None:
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return type(self), self._key
-
-
 class _Pooling(type):
     def __call__(cls, *args, **kwargs):
         key = cls._reduce(*args, **kwargs)

@@ -208,9 +208,10 @@ def _convolve(a: Dict[int, int], b: Dict[int, int], m: int, work: List[int]) -> 
 
 
 def compare_possible(
-    omega: OmegaVector, realized: Iterable[Coords], flips: bool = True
+    omega: OmegaVector, realized: Iterable[tuple], flips: bool = True
 ) -> Tuple[int, Optional[Coords]]:
-    """Compare realized vectors with the adelically possible ones by counting.
+    """Compare realized vectors (``orbit_set`` value tuples) with the
+    adelically possible ones by counting.
 
     The possible vectors are the coherent flips of the finite coordinates
     (only the coordinates themselves when ``flips`` is off), permuted
@@ -307,7 +308,7 @@ def compare_possible(
         for k, (idx, slot) in enumerate(zip(classes, slots)):
             held = [0] * len(slot)
             for i in idx:
-                j = slot.get(x[i][1])
+                j = slot.get(x[i])
                 if j is None:
                     return False
                 held[j] += 1
@@ -322,7 +323,8 @@ def compare_possible(
     if possible == len(members):
         if len(members) == len(realized):
             return possible, None
-        return possible, pick_witness(realized.difference(members), base)
+        labels = [lab for lab, _ in base]
+        return possible, pick_witness((tuple(zip(labels, x)) for x in realized.difference(members)), base)
     # rebuild the pick_witness minimum place by place: keep the first value,
     # in pick_witness order, that leaves a possible vector outside the
     # realized side.  The classes not started yet contribute a suffix
@@ -346,7 +348,7 @@ def compare_possible(
         for j in sorted(range(len(vals)), key=lambda j: (vals[j] != b, vals[j].sort_key())):
             v = vals[j]
             fix = fixed[c][:j] + (fixed[c][j] + 1,) + fixed[c][j + 1:]
-            left = [x for x in members if x[i][1] == v]
+            left = [x for x in members if x[i] == v]
             if len(vals) == 1 or sum(n * rest.get(-r % m, 0) for r, n in weights(c, fix).items()) > len(left):
                 break
         fixed[c] = fix
@@ -361,7 +363,7 @@ def compare_possible(
 @dataclass(frozen=True)
 class WeakUniformityReport:
     holds: bool
-    lhs: FrozenSet[Coords]  # unsorted
+    lhs: FrozenSet[tuple]  # unsorted value tuples, as ``orbit_set`` gives them
     possible: int
     witness: Optional[Coords]
 
@@ -383,7 +385,7 @@ def weak_uniformity(
     """
     if stabilize_real and stabilize_real not in {p.id for p in f.real_places}:
         raise ValidationError([f"{stabilize_real} is not a declared real place"])
-    lhs = orbit_set(omega.finite, s, stabilize_real) | orbit_set(sigma_flip(omega), s, stabilize_real)
+    lhs = orbit_set([omega.finite, sigma_flip(omega)], s, stabilize_real)
     possible, witness = compare_possible(omega, lhs)
     return WeakUniformityReport(
         holds=witness is None,

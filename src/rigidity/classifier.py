@@ -38,9 +38,7 @@ from .field_model import (
     HbarFiber,
     PlaceLabel,
     PlaceSymmetry,
-    apply_perm,
     orbit_set,
-    position_maps,
 )
 from .field_model import validate as validate_field
 from .invariants import (
@@ -237,28 +235,24 @@ def check_witness(g: GroupDescriptor, w: GroupDescriptor) -> None:
                             for lab, cls in d.omega.finite) for d in (g, w))
     if mine != theirs:
         raise ContractError("witness is not locally isomorphic to the input")
-    target = (w.omega.finite, w.omega.real, w.real_forms)
-    for e in _two_sided_orbit(g):
-        if e == target:
-            raise ContractError("witness lies in the global orbit of the input")
+    target = tuple(v for _, v in _joint(w.omega.finite, w.omega.real, w.real_forms))
+    if target in _two_sided_orbit(g):
+        raise ContractError("witness lies in the global orbit of the input")
+
+
+def _joint(finite: Coords, real: Coords, forms) -> Coords:
+    """The finite coordinates, then (class, form) at each real place, in place order."""
+    return finite + tuple((lab, (cls, tag)) for (lab, cls), (_, tag) in zip(real, forms))
 
 
 def _two_sided_orbit(g: GroupDescriptor):
+    """The joint vectors of ``g`` and its symmetry flip under the automorphisms, as value tuples."""
     t = g.group_type
-    variants = [(g.omega.finite, g.omega.real)]
+    starts = [_joint(g.omega.finite, g.omega.real, g.real_forms)]
     if has_symmetry(t):
-        variants.append(
-            (
-                sigma_flip(g.omega),
-                tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in g.omega.real),
-            )
-        )
-    # the real forms share the place order of the real coordinates
-    real_maps = position_maps(g.omega.real, g.symmetry)
-    for fin_src, real_src in zip(position_maps(g.omega.finite, g.symmetry), real_maps):
-        ptags = apply_perm(g.real_forms, real_src)
-        for fin, real in variants:
-            yield (apply_perm(fin, fin_src), apply_perm(real, real_src), ptags)
+        real = tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in g.omega.real)
+        starts.append(_joint(sigma_flip(g.omega), real, g.real_forms))
+    return orbit_set(starts, g.symmetry)
 
 # ---------------------------------------------------------------------------
 # subset sums
@@ -367,7 +361,7 @@ def _uniformity_verdict(
 
 
 def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
-    realized = orbit_set(g.omega.finite, g.symmetry)
+    realized = orbit_set([g.omega.finite], g.symmetry)
     possible, witness = compare_possible(g.omega, realized, flips=False)
     if witness is None:
         return Verdict(
@@ -425,7 +419,7 @@ def classify_no_symmetry(g: GroupDescriptor) -> Verdict:
         (_, c1), (_, c2) = g.omega.real
         if c1 == c2:
             return _flip_two_same_class(g, TAG_NO_SYM, "(iii) needs the two real forms to differ")
-        if (1, 0) not in position_maps(g.omega.real, g.symmetry):
+        if len(orbit_set([g.omega.real], g.symmetry)) != 2:  # the classes differ, so a swap moves them
             return _not_rigid(
                 g,
                 [(TAG_NO_SYM, "(iii) needs an automorphism exchanging the real places")],
@@ -466,7 +460,7 @@ def classify_a(g: GroupDescriptor) -> Verdict:
                 [(TAG_A, "two real places of different split kind can never be exchanged")],
                 _twin(g, reals={w1.id: c2, w2.id: c1}),
             )
-        if (1, 0) not in position_maps(g.omega.real, g.symmetry):
+        if len(orbit_set([g.omega.real], g.symmetry)) != 2:  # the classes differ, so a swap moves them
             return _not_rigid(
                 g,
                 [(TAG_A, "no automorphism exchanges the two real places")],

@@ -596,7 +596,8 @@ def cmd_orbit(args, out=None) -> int:
         for vec in vectors:
             print("  " + "  ".join(f"{lab.id}:{cls}" for lab, cls in vec), file=out)
 
-    show("realized (two-sided, automorphisms)", sorted(report.lhs, key=coords_key))
+    realized = (tuple(zip(desc.field.finite_places, values)) for values in report.lhs)
+    show("realized (two-sided, automorphisms)", sorted(realized, key=coords_key))
     show("possible (flips x adelic)", possible)
     print(f"weak uniformity: {'holds' if report.holds else 'fails'}", file=out)
     show("automorphism orbit", glob)

@@ -25,11 +25,12 @@ class MissingRealClassError(RigidityError):
 class CapacityError(RigidityError):
     """Work exceeded its fixed limit: the order of a catalog group or of the
     field automorphism group, which ``arith_equiv.generate`` lists
-    (``DEFAULT_GROUP_CAP``), the normal subgroups in ``arith_equiv``, the
-    possible side that ``rigidity orbit`` prints, the twin places whose
-    flip subsets ``brauer.s_omega_orbit`` walks (``FLIP_WALK_TWIN_LIMIT``),
-    the products the convolutions of residue
-    vectors multiply when one comparison counts the possible side
+    (``DEFAULT_GROUP_CAP``; orbits walk the generators, so only
+    ``field_model.validate`` lists the latter, for its order), the normal
+    subgroups in ``arith_equiv``, the possible side that ``rigidity orbit``
+    prints, the twin places whose flip subsets ``brauer.s_omega_orbit``
+    walks (``FLIP_WALK_TWIN_LIMIT``), the products the convolutions of
+    residue vectors multiply when one comparison counts the possible side
     (``brauer.RESIDUE_WORK_LIMIT``), the table entries the half-sum subset
     search visits (``classifier.SUBSET_SUM_WORK_LIMIT``), or the parameter
     total whose real forms ``trivial_image_forms`` lists."""

@@ -16,9 +16,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ._util import HashedOnce, natural_key
+from ._util import Interned, natural_key
 from .arith_equiv import DEFAULT_GROUP_CAP, Perm, generate
 from .errors import CapacityError, ValidationError
 from .invariants import LocalClass, PlaceKind
@@ -33,13 +34,14 @@ class HbarFiber(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class PlaceLabel(HashedOnce):
+class PlaceLabel(Interned):
     id: str
     kind: PlaceKind
-    adelic_class: Optional[str] = None
+    adelic_class: Optional[str]
 
-    def __post_init__(self):
-        self._keep_key(self.id, self.kind, self.adelic_class)
+    @staticmethod
+    def _reduce(id: str, kind: PlaceKind, adelic_class: Optional[str] = None):
+        return id, kind, adelic_class
 
     def class_key(self) -> str:
         # unlabelled places sit in their own singleton class
@@ -128,21 +130,20 @@ class PlacePerm:
 class PlaceSymmetry:
     """Generators of the square-class-stabilizing field automorphisms, as place permutations.
 
-    The places the generators move are numbered once, in place order:
-    ``number`` maps each such place id to its number.  Every later
-    operation addresses places by these numbers and by positions in a
-    coordinate vector, never by id."""
+    Orbits are walked over the generators (``orbit_set``); only ``validate``
+    lists the whole group, by ``group``, to read its order.  The places the
+    generators move are numbered once, in place order: ``number`` maps each
+    such place id to its number."""
 
     generators: Tuple[PlacePerm, ...] = ()
 
     def __post_init__(self):
         # one generator order, however they were declared
         object.__setattr__(self, "generators", tuple(sorted(self.generators, key=lambda p: p.moved)))
-        # neither the numbering, the listed group nor its position maps are part of the value
+        # neither the numbering nor the listed group is part of the value
         points = sorted({a for g in self.generators for a, _ in g.moved}, key=natural_key)
         object.__setattr__(self, "number", {p: i for i, p in enumerate(points)})
         object.__setattr__(self, "_group", None)
-        object.__setattr__(self, "_maps", {})  # (place ids, fixing) -> position_maps
 
     def group(self) -> Tuple[Perm, ...]:
         """Every element of the generated group as an image tuple over the
@@ -246,62 +247,57 @@ def coords_key(coords: Coords):
     return tuple(cls.sort_key() for _, cls in coords)
 
 
-def position_maps(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> List[Perm]:
-    """Each element of the group (or of the stabilizer of the place
-    ``fixing``) as a map of positions in ``coords``: entry i is the
-    position whose value the element pushes to position i.  The maps of one
-    list of places are built once per symmetry object and then shared, so
-    callers must not change the list.
-
-    A ValidationError names a place of the vector that a generator moves
-    outside it.  When no generator does so, no element does."""
-    if not s.number:  # the trivial group
-        return [tuple(range(len(coords)))]
-    key = (tuple(lab.id for lab, _ in coords), fixing)
-    if key not in s._maps:
-        s._maps[key] = _build_maps(key[0], s, fixing)
-    return s._maps[key]
+def apply_perm(values: tuple, step) -> tuple:
+    """One step of the orbit walk: ``step`` is the ``itemgetter`` of a generator's
+    position map, whose entry i is the position whose value it pushes to i."""
+    return step(values)
 
 
-def _build_maps(ids: Tuple[str, ...], s: PlaceSymmetry, fixing: Optional[str]) -> List[Perm]:
-    identity = tuple(range(len(ids)))
-    pos = {p: i for i, p in enumerate(ids)}
+def orbit_set(starts: Sequence[Coords], s: PlaceSymmetry, fixing: Optional[str] = None) -> Set[tuple]:
+    """The union of the orbits of vectors over one list of places under the
+    field automorphisms, or under those fixing the place ``fixing``, as
+    tuples of values in place order, unsorted.  The walk applies each
+    generator's position map to each vector found (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 4.1): |orbit| times |generators|
+    steps.  With ``fixing`` each vector carries a mark at the image of that
+    place, and the vectors whose mark came back are kept: the pairs (gx, gw)
+    form one orbit, so those make the stabilizer's orbit.  A ValidationError
+    names a place of the list that a generator moves outside it."""
+    pos = {lab.id: i for i, (lab, _) in enumerate(starts[0])}
+    n = len(pos)
+    marks = [] if fixing is None else [fixing]  # then each place the generators move it to
+    for p in marks:  # marks grows while it is read
+        marks += [q for q in dict.fromkeys(g.apply(p) for g in s.generators) if q not in marks]
+    at = {p: n + j for j, p in enumerate(marks)}  # place -> position of its mark
+    steps = []
     for g in s.generators:
+        src = list(range(n + len(marks)))
         for a, b in g.moved:
-            if a in pos and b not in pos:
-                raise ValidationError([f"permutation moves {a} outside the declared support"])
-    elements = s.group()
-    if fixing in s.number:
-        i = s.number[fixing]
-        elements = [e for e in elements if e[i] == i]
-    at = {i: pos[p] for p, i in s.number.items() if p in pos}  # number -> position
-    maps = []
-    for e in elements:
-        src = list(identity)
-        for i, k in at.items():
-            src[at[e[i]]] = k
-        maps.append(tuple(src))
-    return maps
-
-
-def apply_perm(pairs: Sequence[tuple], src: Perm) -> tuple:
-    """Push (place, value) pairs forward along a position map of ``position_maps``."""
-    return tuple((place, pairs[j][1]) for (place, _), j in zip(pairs, src))
-
-
-def _canonical(orbit) -> Tuple[Coords, ...]:
-    return tuple(sorted(orbit, key=coords_key))
-
-
-def orbit_set(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> Set[Coords]:
-    """Orbit of a coordinate vector under the declared field automorphisms,
-    or under those fixing the place ``fixing``, unsorted."""
-    return {apply_perm(coords, src) for src in position_maps(coords, s, fixing)}
+            if a in pos:
+                if b not in pos:
+                    raise ValidationError([f"permutation moves {a} outside the declared support"])
+                src[pos[b]] = pos[a]
+            if a in at:
+                src[at[b]] = at[a]
+        # one index would make itemgetter return a bare value; a generator
+        # that stays in a list of at most one position fixes it
+        steps.append(itemgetter(*src) if len(src) > 1 else tuple)
+    seen = {tuple(cls for _, cls in x) + tuple(p == fixing for p in marks) for x in starts}
+    todo = list(seen)
+    for values in todo:  # todo grows while it is read
+        for step in steps:
+            image = apply_perm(values, step)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return {x[:n] for x in seen if x[n]} if marks else seen
 
 
 def global_orbit(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None) -> Tuple[Coords, ...]:
-    """``orbit_set`` in canonical order."""
-    return _canonical(orbit_set(coords, s, fixing))
+    """The orbit of ``coords`` by ``orbit_set``, as coordinate vectors in canonical order."""
+    labels = [lab for lab, _ in coords]
+    orbit = [tuple(zip(labels, values)) for values in orbit_set([coords], s, fixing)]
+    return tuple(sorted(orbit, key=coords_key))
 
 
 def _orderings(counts: Dict[LocalClass, int]) -> List[Tuple[LocalClass, ...]]:
@@ -346,4 +342,4 @@ def adelic_orbit(coords: Coords) -> Tuple[Coords, ...]:
         for part in combo:
             placed.update(part)
         orbit.append(tuple((lab, placed[lab.id]) for lab, _ in coords))
-    return _canonical(orbit)
+    return tuple(sorted(orbit, key=coords_key))

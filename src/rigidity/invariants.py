@@ -315,25 +315,20 @@ def c_local(t: GroupType, kind: PlaceKind, x: LocalClass) -> LocalClass:
             return LocalClass(target, x.value)
         # real place of an inner form
         if f == Family.A:  # odd rank only; even rank has trivial real source
-            if source.kind == "trivial":
-                return zero(target)
             return LocalClass(target, x.value * ((r + 1) // 2))
         if f == Family.D and r % 2 == 1:
             return LocalClass(target, 2 * x.value)
         return LocalClass(target, x.value)  # B, C, E7, even D: identity
     # outer form
     if kind in (PlaceKind.FINITE_OUTER, PlaceKind.REAL_OUTER):
-        if source.kind == "trivial":
-            return zero(target)
         return LocalClass(target, x.value)
     # split place of an outer form: collapse the inner group onto the small target
     if f == Family.A:
         return LocalClass(target, x.value % 2)
-    if f == Family.D and r % 2 == 0:
+    # outer type D: outer E6 has a trivial center, so it returned above
+    if r % 2 == 0:
         return LocalClass(target, x.value[0] + x.value[1])
-    if f == Family.D:
-        return LocalClass(target, x.value % 2)
-    return zero(target)  # outer E6 split places; trivial target anyway
+    return LocalClass(target, x.value % 2)
 
 
 @_memo

@@ -174,7 +174,7 @@ class TestSOmegaOrbit:
         assert is_coherent(om)
         listed = s_omega_orbit(om).elements
         assert len(listed) > 3
-        assert compare_possible(om, set(listed))[0] == len(listed)
+        assert compare_possible(om, as_values(listed))[0] == len(listed)
 
     def test_elements_keep_the_dual_sum(self):
         rng = random.Random(37)
@@ -286,6 +286,17 @@ class TestWeakUniformity:
         assert len(r1.lhs) == len(r2.lhs) and r1.possible == r2.possible
 
 
+def as_values(vectors):
+    """Coordinate vectors as the value tuples ``compare_possible`` reads."""
+    return {tuple(cls for _, cls in v) for v in vectors}
+
+
+def as_coords(omega, lhs):
+    """``orbit_set`` value tuples as coordinate vectors at the finite places."""
+    labels = [lab for lab, _ in omega.finite]
+    return {tuple(zip(labels, v)) for v in lhs}
+
+
 def enumerated_comparison(omega, realized, flips):
     """The possible count and witness from the reference listing."""
     if flips:
@@ -338,11 +349,11 @@ class TestCountingMatchesEnumeration:
             for stab in [None] + [p.id for p in f.real_places[:1]]:
                 one_sided = set(global_orbit(om.finite, g.symmetry, fixing=stab))
                 report = weak_uniformity(om, f, g.symmetry, stabilize_real=stab)
-                want = enumerated_comparison(om, report.lhs, True)
+                want = enumerated_comparison(om, as_coords(om, report.lhs), True)
                 assert (report.possible, report.witness) == want
                 assert report.holds == (want[1] is None)
                 outcomes.add(report.holds)
-                assert compare_possible(om, one_sided, flips=False) == \
+                assert compare_possible(om, as_values(one_sided), flips=False) == \
                     enumerated_comparison(om, one_sided, False)
         if make in (genfix.rand_classed, genfix.rand_paired):
             assert outcomes == {True, False}
@@ -361,9 +372,9 @@ class TestCountingMatchesEnumeration:
         for om, f, s in ((twelve, f12, PlaceSymmetry()),
                          (seven.omega, seven.field, seven.symmetry)):
             report = weak_uniformity(om, f, s)
-            assert (report.possible, report.witness) == enumerated_comparison(om, report.lhs, True)
+            assert (report.possible, report.witness) == enumerated_comparison(om, as_coords(om, report.lhs), True)
             one_sided = set(global_orbit(om.finite, s))
-            assert compare_possible(om, one_sided, flips=False) == \
+            assert compare_possible(om, as_values(one_sided), flips=False) == \
                 enumerated_comparison(om, one_sided, False)
 
 
@@ -404,7 +415,7 @@ class TestResidueVectorsMatchTheRecount:
                 two_sided = one_sided | set(global_orbit(sigma_flip(om), g.symmetry, fixing=stab))
                 for realized in (one_sided, two_sided):
                     for flips in (True, False):
-                        got = compare_possible(om, realized, flips)
+                        got = compare_possible(om, as_values(realized), flips)
                         assert got == recount_compare_possible(om, realized, flips)
                         witnesses += got[1] is not None
         if make in (genfix.rand_classed, genfix.rand_interleaved, genfix.rand_paired):
@@ -421,7 +432,7 @@ class TestResidueVectorsMatchTheRecount:
             runs = [k for i, k in enumerate(keys) if i == 0 or keys[i - 1] != k]
             assert len(runs) > len(set(keys))
             realized = set(global_orbit(g.omega.finite, g.symmetry))
-            possible, witness = compare_possible(g.omega, realized, flips=False)
+            possible, witness = compare_possible(g.omega, as_values(realized), flips=False)
             if possible > len(realized):
                 rebuilt += 1
                 assert witness not in realized

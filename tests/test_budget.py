@@ -21,11 +21,13 @@ from oracles import (
 )
 from rigidity import field_model
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP, PermGroup, Subgroup, perm_from_cycles
-from rigidity.brauer import FLIP_WALK_TWIN_LIMIT, OmegaVector
+from rigidity.brauer import FLIP_WALK_TWIN_LIMIT, OmegaVector, sigma_flip
 from rigidity.classifier import GroupDescriptor, Outcome, _two_sided_orbit, classify
 from rigidity.cli import emit_descriptor, main, parse, parse_catalog
 from rigidity.errors import CapacityError, ContractError
-from rigidity.field_model import FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry, global_orbit
+from rigidity.field_model import (
+    FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry, global_orbit, orbit_set,
+)
 from rigidity.invariants import Family, GroupType, LocalClass, PlaceKind, cyclic
 
 REPO = Path(__file__).resolve().parent.parent
@@ -131,17 +133,16 @@ class TestAutomorphismGroupLimit:
         assert time.perf_counter() - start < 1.0
 
 
-class TestPositionMapsBuiltOnce:
-    def test_one_build_per_list_of_places_in_one_classify(self, monkeypatch):
-        # weak_uniformity maps the finite vector and its symmetry flip, and the
-        # witness check maps them again along with the real vector; one list of
-        # place ids is one build
-        g = parse(commuting_swaps(13))
-        builds = []
-        build = field_model._build_maps
-        monkeypatch.setattr(field_model, "_build_maps", lambda *a: builds.append(a[0]) or build(*a))
-        assert classify(g).outcome == Outcome.NOT_RIGID
-        assert sorted(builds) == [(), tuple(lab.id for lab, _ in g.omega.finite)]
+class TestOrbitWalk:
+    def test_the_walk_steps_once_per_orbit_vector_and_generator(self, monkeypatch):
+        # with every place valued 0 the orbit is one vector, though the group
+        # has 8,192 elements; one step per generator from that vector finds it
+        g = parse(commuting_swaps(13).replace("=1/3", "=0").replace("=2/3", "=0"))
+        steps = []
+        step = field_model.apply_perm
+        monkeypatch.setattr(field_model, "apply_perm", lambda *a: steps.append(1) or step(*a))
+        assert classify(g).outcome == Outcome.RIGID
+        assert 0 < len(steps) <= 2 * 13
 
 
 class TestLinearInThePlaces:
@@ -324,10 +325,22 @@ class TestGroupAgainstTheReference:
         assert compared >= 50
 
 
+def value_tuple(coords):
+    """A coordinate vector as the value tuple ``orbit_set`` returns."""
+    return tuple(cls for _, cls in coords)
+
+
+def joint_values(reference):
+    """``reference_two_sided_orbit``'s (finite, real, forms) triples as the
+    joint value tuples of ``_two_sided_orbit``."""
+    return {value_tuple(fin) + tuple((cls, tag) for (_, cls), (_, tag) in zip(real, tags))
+            for fin, real, tags in reference}
+
+
 class TestOrbitsAgainstTheReference:
-    """``global_orbit``, with and without ``fixing``, and the two-sided
-    orbit of the witness check against the string-keyed push along every
-    element of ``reference_group``."""
+    """``global_orbit`` and ``orbit_set``, with and without ``fixing`` and
+    from one or several starts, and the two-sided orbit of the witness check
+    against the string-keyed push along every element of ``reference_group``."""
 
     @pytest.mark.parametrize("make", GENERATORS, ids=lambda make: make.__name__)
     def test_generated_descriptors(self, make):
@@ -337,7 +350,7 @@ class TestOrbitsAgainstTheReference:
             for fixing in [None] + [p.id for p in g.field.real_places]:
                 assert set(global_orbit(g.omega.finite, g.symmetry, fixing=fixing)) == \
                     reference_global_orbit(g.omega.finite, g.symmetry, fixing)
-            assert set(_two_sided_orbit(g)) == reference_two_sided_orbit(g)
+            assert _two_sided_orbit(g) == joint_values(reference_two_sided_orbit(g))
 
     def test_random_generator_sets_over_up_to_eight_places(self):
         values = random.Random(74)
@@ -353,6 +366,20 @@ class TestOrbitsAgainstTheReference:
                 assert set(global_orbit(omega.finite, s, fixing=fixing)) == \
                     reference_global_orbit(omega.finite, s, fixing)
             g = GroupDescriptor(t, FieldDescriptor(degree=1, finite_places=tuple(labels)), s, omega)
-            assert set(_two_sided_orbit(g)) == reference_two_sided_orbit(g)
+            assert _two_sided_orbit(g) == joint_values(reference_two_sided_orbit(g))
+            starts = [omega.finite, sigma_flip(omega)]
+            for fixing in [None] + ids:
+                assert orbit_set(starts, s, fixing) == \
+                    {value_tuple(y) for x in starts for y in reference_global_orbit(x, s, fixing)}
             compared += 1
         assert compared >= 50
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_fixing_each_real_place_of_a_real_swap(self, k):
+        g = parse(real_swap_with_pairs(k, 2 ** (k + 1)))
+        om, s = g.omega, g.symmetry
+        vectors = [om.finite, om.real, om.finite + om.real]
+        for fixing in [None] + [p.id for p in g.field.real_places]:
+            for x in vectors:
+                assert orbit_set([x], s, fixing) == \
+                    {value_tuple(y) for y in reference_global_orbit(x, s, fixing)}

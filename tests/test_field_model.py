@@ -15,10 +15,9 @@ from rigidity.field_model import (
     PlacePerm,
     PlaceSymmetry,
     adelic_orbit,
-    apply_perm,
     coords_key,
     global_orbit,
-    position_maps,
+    orbit_set,
     sort_coords,
     validate,
 )
@@ -278,14 +277,14 @@ class TestAdelicOrbit:
 
 
 class TestStabilizer:
-    """``global_orbit`` and ``position_maps`` with ``fixing`` act by the
+    """``global_orbit`` and ``orbit_set`` with ``fixing`` act by the
     elements that fix one place."""
 
     def test_trivial_group(self):
         w = PlaceLabel("w", RI)
         x = ((w, LocalClass(Z5, 1)),)
         assert global_orbit(x, PlaceSymmetry(), fixing="w") == (x,)
-        assert position_maps(x, PlaceSymmetry(), "w") == [(0,)]
+        assert orbit_set([x], PlaceSymmetry(), "w") == {(LocalClass(Z5, 1),)}
 
     def test_swap_has_trivial_stabilizer(self):
         w1, w2 = PlaceLabel("w1", RI), PlaceLabel("w2", RI)
@@ -293,13 +292,13 @@ class TestStabilizer:
         x = sort_coords([(w1, LocalClass(Z5, 1)), (w2, LocalClass(Z5, 2))])
         assert len(global_orbit(x, s)) == 2
         assert global_orbit(x, s, fixing="w1") == (x,)
-        assert position_maps(x, s, "w1") == [(0, 1)]
+        assert orbit_set([x], s, "w1") == {(LocalClass(Z5, 1), LocalClass(Z5, 2))}
 
     def test_group_fixing_reals_survives(self):
         a, b = PlaceLabel("a", FI, "c"), PlaceLabel("b", FI, "c")
         s = PlaceSymmetry((PlacePerm.from_cycles([("a", "b")]),))
         x = sort_coords([(a, LocalClass(Z5, 1)), (b, LocalClass(Z5, 2))])
-        assert len(position_maps(x, s, "w1")) == 2
+        assert len(orbit_set([x], s, "w1")) == 2
         assert global_orbit(x, s, fixing="w1") == global_orbit(x, s)
 
     def test_undeclared_place_rejected(self):
@@ -366,10 +365,11 @@ class TestPlacePerm:
         labs = gaussian_places()
         x = coords((labs[0], 1), (labs[1], 2), (labs[2], 3), (labs[3], 4))
         s = PlaceSymmetry((PlacePerm.from_cycles([("v5a", "v5b")]),))
-        identity, swap = position_maps(x, s)
-        assert apply_perm(x, identity) == x
-        moved = apply_perm(x, swap)
-        lookup = {lab.id: cls.value for lab, cls in moved}
+        values = tuple(cls for _, cls in x)
+        orbit = orbit_set([x], s)  # one apply_perm step per vector and generator
+        assert values in orbit
+        (moved,) = orbit - {values}
+        lookup = {lab.id: cls.value for (lab, _), cls in zip(x, moved)}
         assert lookup["v5a"] == 3 and lookup["v5b"] == 2
 
     def test_apply_is_the_identity_off_the_moved_points(self):
@@ -383,7 +383,7 @@ class TestPlacePerm:
         x = coords((labs[0], 1), (labs[1], 2))
         s = PlaceSymmetry((PlacePerm.from_cycles([("v5a", "v5b")]),))
         with pytest.raises(ValidationError, match="moves v5a outside the declared support"):
-            position_maps(x, s)
+            orbit_set([x], s)
         with pytest.raises(ValidationError, match="moves v5a outside the declared support"):
             global_orbit(x, s)
 

@@ -73,6 +73,7 @@ from .invariants import (
     LocalClass,
     PlaceKind,
     Shape,
+    _memo,
     h2_local,
     zero,
 )
@@ -153,6 +154,128 @@ def read_cycles(text: str):
         rest = rest[close + 1:].strip()
 
 
+def _parse_opts(value: str, allowed):
+    """The options of an entry value, with ``kind`` split or nonsplit if
+    given, or the message refusing them."""
+    opts: Dict[str, str] = {}
+    for token in value.split():
+        k, eq, v = token.partition("=")
+        if not eq:
+            return f"expected key=value, got {token!r}"
+        if k not in allowed:
+            return f"unknown option {k!r}"
+        if k in opts:
+            return f"option {k!r} given twice"
+        opts[k] = v
+    if opts.get("kind", "split") not in ("split", "nonsplit"):
+        return "kind must be split or nonsplit"
+    return opts
+
+
+def _parse_value(text: str, shape: Shape):
+    """The class an ``omega=`` value names in ``shape``, or the message refusing it."""
+    if shape.kind == "klein":
+        if not (text.startswith("(") and text.endswith(")")):
+            return f"expected a bit pair (b1,b2), got {text!r}"
+        parts = text[1:-1].split(",")
+        if len(parts) != 2:
+            return f"expected two components in {text!r}"
+        try:
+            return LocalClass(shape, (int(parts[0]), int(parts[1])))
+        except ValueError:
+            return f"bad bit pair {text!r}"
+    if "/" in text:
+        num, den = text.split("/", 1)
+        try:
+            a, m = int(num), int(den)
+        except ValueError:
+            return f"bad fraction {text!r}"
+        if m <= 0:
+            return f"bad fraction {text!r}"
+        if shape.kind == "trivial":
+            return zero(shape) if a % m == 0 else f"value {text} does not lie in the trivial group"
+        if shape.modulus % m != 0:
+            return f"denominator {m} does not divide the local order {shape.modulus}"
+        return LocalClass(shape, a * (shape.modulus // m))
+    try:
+        v = int(text)
+    except ValueError:
+        return f"bad value {text!r}"
+    if shape.kind == "trivial":
+        return zero(shape) if v == 0 else "only 0 lies in the trivial group"
+    return LocalClass(shape, v)
+
+
+def _parse_form(text: str, gtype: GroupType, explicit_kind: Optional[str]):
+    """The real form a ``form=`` value names, or the message refusing it."""
+    name, params = text, ()
+    if "(" in text:
+        if not text.endswith(")"):
+            return f"unbalanced parentheses in form {text!r}"
+        name, inner = text[:-1].split("(", 1)
+        try:
+            params = tuple(int(p) for p in inner.split(","))
+        except ValueError:
+            return f"bad form parameters in {text!r}"
+    try:
+        if name in GENERIC:
+            outer = name == "AnisotropicOther" and explicit_kind == "nonsplit"
+            return RealFormTag(name, family=gtype.family, rank=gtype.rank, outer=outer)
+        return RealFormTag(name, params)
+    except ValueError as e:
+        return str(e)
+
+
+# A [places] or [real] entry value is read by a pure function of its text and
+# the group type, memoized across descriptors: a class of k places with one
+# value is k entries of one text.
+@_memo
+def _read_place(value: str, gtype: GroupType):
+    """(kind, adelic class, class) of a [places] entry value, or the message refusing it."""
+    opts = _parse_opts(value, {"class", "kind", "omega"})
+    if isinstance(opts, str):
+        return opts
+    kind = PlaceKind.FINITE_OUTER if opts.get("kind") == "nonsplit" else PlaceKind.FINITE_INNER
+    try:
+        shape = h2_local(gtype, kind)
+    except ContractError as e:
+        return str(e)
+    cls = _parse_value(opts["omega"], shape) if "omega" in opts else zero(shape)
+    return cls if isinstance(cls, str) else (kind, opts.get("class"), cls)
+
+
+@_memo
+def _read_real(value: str, gtype: GroupType):
+    """(kind, form, class) of a [real] entry value, or the message refusing
+    it; None when it names no form, which the caller refuses by the place's name."""
+    opts = _parse_opts(value, {"form", "kind", "omega"})
+    if isinstance(opts, str):
+        return opts
+    if "form" not in opts:
+        return None
+    tag = _parse_form(opts["form"], gtype, opts.get("kind"))
+    if isinstance(tag, str):
+        return tag
+    outer = opts["kind"] == "nonsplit" if "kind" in opts else tag.signature()[2]
+    kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
+    try:
+        shape = h2_local(gtype, kind)
+    except ContractError:
+        shape = None  # real_class below names the form's first misfit
+    supplied = _parse_value(opts["omega"], shape) if "omega" in opts and shape is not None else None
+    if isinstance(supplied, str):
+        return supplied
+    try:
+        return kind, tag, real_class(tag, gtype, kind, supplied)
+    except RigidityError as e:
+        return str(e)
+
+
+# the memo keeps the labels it hands out alive, so a label that recurs from
+# file to file is not pooled afresh each time
+_place_label = _memo(PlaceLabel)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.errors: List[Tuple[int, int, str]] = []
@@ -167,10 +290,10 @@ class _Parser:
         sections: Dict[str, Dict[str, Tuple[int, str]]] = {s: {} for s in _SECTIONS}
         current: Optional[str] = None
         for no, raw in enumerate(self.lines, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = raw.partition("#")[0].strip()
             if not line:
                 continue
-            if line.startswith("[") and line.endswith("]"):
+            if line[0] == "[" and line[-1] == "]":
                 name = line[1:-1].strip()
                 if name not in _SECTIONS:
                     self.err(no, 1, f"unknown section [{name}]")
@@ -181,17 +304,20 @@ class _Parser:
             if current is None:
                 self.err(no, 1, "entry outside any section")
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            if not eq:
                 self.err(no, 1, "expected 'key = value'")
                 continue
-            key, value = (part.strip() for part in line.split("=", 1))
+            # the line is stripped, so only the key's end and the value's start hold spaces
+            key = key.rstrip()
             if not key:
                 self.err(no, 1, "empty key")
                 continue
-            if key in sections[current]:
+            entries = sections[current]
+            if key in entries:
                 self.err(no, 1, f"key {key!r} given twice in [{current}]")
                 continue
-            sections[current][key] = (no, value)
+            entries[key] = (no, value.lstrip())
         if not sections["group"]:
             self.err(1, 1, "missing [group] section")
             raise DescriptorParseError(self.errors)
@@ -201,8 +327,22 @@ class _Parser:
         if gtype is None or fieldinfo is None or self.errors:
             raise DescriptorParseError(self.errors or [(1, 1, "unusable descriptor")])
 
-        fin_omega = self._parse_places(sections["places"], gtype)
-        real_omega, tags = self._parse_real(sections["real"], gtype)
+        fin_omega, real_omega, tags = [], [], []
+        for label, (no, value) in sections["places"].items():
+            read = _read_place(value, gtype)
+            if isinstance(read, str):
+                self.err(no, 1, read)
+            else:
+                kind, adelic_class, cls = read
+                fin_omega.append((_place_label(label, kind, adelic_class), cls))
+        for label, (no, value) in sections["real"].items():
+            read = _read_real(value, gtype)
+            if read is None or isinstance(read, str):
+                self.err(no, 1, read or f"real place {label} needs a form")
+            else:
+                kind, tag, cls = read
+                real_omega.append((_place_label(label, kind, None), cls))
+                tags.append((label, tag))
         perms = self._parse_aut(sections["aut"], {lab.id for lab, _ in fin_omega + real_omega})
         if self.errors:
             raise DescriptorParseError(self.errors)
@@ -287,148 +427,6 @@ class _Parser:
             loc_det = True  # fields of degree up to six are locally determined
         hbar = values.get("hbar_fiber", HbarFiber.TRIVIAL if galois else HbarFiber.UNKNOWN)
         return degree, values["complex_places"], loc_det, galois, hbar
-
-    def _parse_value(self, no: int, text: str, shape: Shape) -> Optional[LocalClass]:
-        text = text.strip()
-        if shape.kind == "klein":
-            if not (text.startswith("(") and text.endswith(")")):
-                self.err(no, 1, f"expected a bit pair (b1,b2), got {text!r}")
-                return None
-            parts = text[1:-1].split(",")
-            if len(parts) != 2:
-                self.err(no, 1, f"expected two components in {text!r}")
-                return None
-            try:
-                return LocalClass(shape, (int(parts[0]), int(parts[1])))
-            except ValueError:
-                self.err(no, 1, f"bad bit pair {text!r}")
-                return None
-        if "/" in text:
-            num, den = text.split("/", 1)
-            try:
-                a, m = int(num), int(den)
-            except ValueError:
-                self.err(no, 1, f"bad fraction {text!r}")
-                return None
-            if m <= 0:
-                self.err(no, 1, f"bad fraction {text!r}")
-                return None
-            if shape.kind == "trivial":
-                if a % m != 0:
-                    self.err(no, 1, f"value {text} does not lie in the trivial group")
-                    return None
-                return zero(shape)
-            if shape.modulus % m != 0:
-                self.err(no, 1, f"denominator {m} does not divide the local order {shape.modulus}")
-                return None
-            return LocalClass(shape, a * (shape.modulus // m))
-        try:
-            v = int(text)
-        except ValueError:
-            self.err(no, 1, f"bad value {text!r}")
-            return None
-        if shape.kind == "trivial":
-            if v != 0:
-                self.err(no, 1, "only 0 lies in the trivial group")
-                return None
-            return zero(shape)
-        return LocalClass(shape, v)
-
-    def _read_entries(self, entries, allowed):
-        """(line, id, options) of each [places] or [real] entry whose options
-        parse, with ``kind`` split or nonsplit if given."""
-        for label, (no, value) in entries.items():
-            opts = self._parse_opts(no, value, allowed)
-            if opts is None:
-                continue
-            if opts.get("kind", "split") not in ("split", "nonsplit"):
-                self.err(no, 1, "kind must be split or nonsplit")
-                continue
-            yield no, label, opts
-
-    def _parse_places(self, entries, gtype: GroupType):
-        omega = []
-        for no, label, opts in self._read_entries(entries, {"class", "kind", "omega"}):
-            kind = PlaceKind.FINITE_OUTER if opts.get("kind") == "nonsplit" else PlaceKind.FINITE_INNER
-            try:
-                shape = h2_local(gtype, kind)
-            except ContractError as e:
-                self.err(no, 1, str(e))
-                continue
-            cls = self._parse_value(no, opts["omega"], shape) if "omega" in opts else zero(shape)
-            if cls is None:
-                continue
-            omega.append((PlaceLabel(label, kind, opts.get("class")), cls))
-        return omega
-
-    def _parse_real(self, entries, gtype: GroupType):
-        omega = []
-        tags = []
-        for no, label, opts in self._read_entries(entries, {"form", "omega", "kind"}):
-            if "form" not in opts:
-                self.err(no, 1, f"real place {label} needs a form")
-                continue
-            tag = self._parse_form(no, opts["form"], gtype, opts.get("kind"))
-            if tag is None:
-                continue
-            outer = opts["kind"] == "nonsplit" if "kind" in opts else tag.signature()[2]
-            kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
-            try:
-                shape = h2_local(gtype, kind)
-            except ContractError:
-                shape = None  # real_class below names the form's first misfit
-            supplied = None
-            if "omega" in opts and shape is not None:
-                supplied = self._parse_value(no, opts["omega"], shape)
-                if supplied is None:
-                    continue
-            try:
-                cls = real_class(tag, gtype, kind, supplied)
-            except RigidityError as e:
-                self.err(no, 1, str(e))
-                continue
-            omega.append((PlaceLabel(label, kind), cls))
-            tags.append((label, tag))
-        return omega, tags
-
-    def _parse_form(self, no: int, text: str, gtype: GroupType,
-                    explicit_kind: Optional[str]) -> Optional[RealFormTag]:
-        text = text.strip()
-        name, params = text, ()
-        if "(" in text:
-            if not text.endswith(")"):
-                self.err(no, 1, f"unbalanced parentheses in form {text!r}")
-                return None
-            name, inner = text[:-1].split("(", 1)
-            try:
-                params = tuple(int(p) for p in inner.split(","))
-            except ValueError:
-                self.err(no, 1, f"bad form parameters in {text!r}")
-                return None
-        try:
-            if name in GENERIC:
-                outer = name == "AnisotropicOther" and explicit_kind == "nonsplit"
-                return RealFormTag(name, family=gtype.family, rank=gtype.rank, outer=outer)
-            return RealFormTag(name, params)
-        except ValueError as e:
-            self.err(no, 1, str(e))
-            return None
-
-    def _parse_opts(self, no: int, value: str, allowed) -> Optional[Dict[str, str]]:
-        opts: Dict[str, str] = {}
-        for token in value.split():
-            if "=" not in token:
-                self.err(no, 1, f"expected key=value, got {token!r}")
-                return None
-            k, v = token.split("=", 1)
-            if k not in allowed:
-                self.err(no, 1, f"unknown option {k!r}")
-                return None
-            if k in opts:
-                self.err(no, 1, f"option {k!r} given twice")
-                return None
-            opts[k] = v
-        return opts
 
     def _parse_aut(self, entries, declared) -> List[PlacePerm]:
         perms = []

@@ -64,6 +64,8 @@ class RealFormTag:
                     "Sp_R": 1, "Sp": 2}.get(self.name, 0)
         if len(self.params) != n_params:
             raise ValueError(f"{self.name} takes {n_params} parameter(s)")
+        if any(p < 0 for p in self.params):
+            raise ValueError(f"{self.name} takes nonnegative parameters")
         if self.name in ("SU", "Spin", "Sp") and self.params[0] < self.params[1]:
             object.__setattr__(self, "params", (self.params[1], self.params[0]))
         if self.name in ("Sp_R", "SpinStar") and self.params[0] % 2 != 0:

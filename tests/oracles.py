@@ -10,6 +10,8 @@ composing place permutations keyed by place id, ``reference_push`` pushes
 a vector along one of them by place id, and ``reference_global_orbit`` and
 ``reference_two_sided_orbit`` are the orbits ``global_orbit`` and
 ``classifier._two_sided_orbit`` must agree with.
+``ReferenceParser`` (``reference_parse``) reads a descriptor line by line
+with no memo, as ``rigidity.cli.parse`` must.
 ``reference_subgroup_check`` and ``reference_are_conjugate`` are the
 all-pairs closure check and the all-members conjugacy test that
 ``arith_equiv.Subgroup`` and ``are_conjugate`` must agree with,
@@ -29,7 +31,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import rigidity
 from rigidity.arith_equiv import (
@@ -43,10 +45,30 @@ from rigidity.arith_equiv import (
     perm_mul,
 )
 from rigidity.brauer import OmegaVector, inner_twin_places, plain_orbits, sigma_flip
-from rigidity.cli import parse_catalog
-from rigidity.errors import CapacityError, ContractError, ValidationError
-from rigidity.field_model import PlacePerm, PlaceSymmetry
-from rigidity.invariants import GroupType, LocalClass, center_shape, has_symmetry, sym_act
+from rigidity.classifier import GroupDescriptor
+from rigidity.cli import _FIELD_KEYS, _SECTIONS, _TYPE_CODES, parse_catalog, read_cycles
+from rigidity.errors import (
+    CapacityError,
+    ContractError,
+    DescriptorParseError,
+    OutOfScopeError,
+    RigidityError,
+    ValidationError,
+)
+from rigidity.field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlacePerm, PlaceSymmetry
+from rigidity.invariants import (
+    FIXED_RANKS,
+    GroupType,
+    LocalClass,
+    PlaceKind,
+    Shape,
+    center_shape,
+    has_symmetry,
+    h2_local,
+    sym_act,
+    zero,
+)
+from rigidity.real_forms import GENERIC, RealFormTag, real_class
 
 CATALOG = Path(__file__).resolve().parent.parent / "fixtures" / "groups.cat"
 
@@ -253,3 +275,314 @@ def reference_two_sided_orbit(g) -> Set:
         for fin, real in variants:
             out.add((reference_push(fin, phi), reference_push(real, phi), tags))
     return out
+
+
+class ReferenceParser:
+    """The descriptor parser as it read each line before entry values were
+    memoized: every entry value is split, stripped and read afresh, and each
+    reader reports its own faults through ``err``.  ``rigidity.cli.parse``
+    must return what ``reference_parse`` returns, or raise the same
+    positioned errors."""
+
+    def __init__(self, text: str):
+        self.errors: List[Tuple[int, int, str]] = []
+        self.lines = text.splitlines()
+
+    def err(self, line: int, col: int, msg: str):
+        self.errors.append((line, col, msg))
+
+    def parse(self) -> GroupDescriptor:
+        # each section's entries as key -> (line, value), in file order; a key
+        # given twice in one section is refused here, at its second line
+        sections: Dict[str, Dict[str, Tuple[int, str]]] = {s: {} for s in _SECTIONS}
+        current: Optional[str] = None
+        for no, raw in enumerate(self.lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                name = line[1:-1].strip()
+                if name not in _SECTIONS:
+                    self.err(no, 1, f"unknown section [{name}]")
+                    current = None
+                else:
+                    current = name
+                continue
+            if current is None:
+                self.err(no, 1, "entry outside any section")
+                continue
+            if "=" not in line:
+                self.err(no, 1, "expected 'key = value'")
+                continue
+            key, value = (part.strip() for part in line.split("=", 1))
+            if not key:
+                self.err(no, 1, "empty key")
+                continue
+            if key in sections[current]:
+                self.err(no, 1, f"key {key!r} given twice in [{current}]")
+                continue
+            sections[current][key] = (no, value)
+        if not sections["group"]:
+            self.err(1, 1, "missing [group] section")
+            raise DescriptorParseError(self.errors)
+
+        gtype = self._parse_group(sections["group"])
+        fieldinfo = self._parse_field(sections["field"])
+        if gtype is None or fieldinfo is None or self.errors:
+            raise DescriptorParseError(self.errors or [(1, 1, "unusable descriptor")])
+
+        fin_omega = self._parse_places(sections["places"], gtype)
+        real_omega, tags = self._parse_real(sections["real"], gtype)
+        perms = self._parse_aut(sections["aut"], {lab.id for lab, _ in fin_omega + real_omega})
+        if self.errors:
+            raise DescriptorParseError(self.errors)
+
+        degree, complexes, loc_det, galois, hbar = fieldinfo
+        fdesc = FieldDescriptor(
+            degree=degree,
+            real_places=tuple(lab for lab, _ in real_omega),
+            complex_place_count=complexes,
+            finite_places=tuple(lab for lab, _ in fin_omega),
+            locally_determined=loc_det,
+            galois_over_q=galois,
+            hbar_fiber=hbar,
+        )
+        try:
+            omega = OmegaVector(gtype, tuple(fin_omega), tuple(real_omega))
+            desc = GroupDescriptor(
+                group_type=gtype,
+                field=fdesc,
+                symmetry=PlaceSymmetry(tuple(perms)),
+                omega=omega,
+                real_forms=tuple(tags),
+            )
+        except RigidityError as e:
+            self.err(1, 1, str(e))
+            raise DescriptorParseError(self.errors)
+        return desc
+
+    def _parse_group(self, entries) -> Optional[GroupType]:
+        code = rank = None
+        code_line = 1
+        for key, (no, value) in entries.items():
+            if key == "type":
+                code, code_line = value, no
+            elif key == "rank":
+                try:
+                    rank = int(value)
+                except ValueError:
+                    self.err(no, 1, f"rank must be an integer, got {value!r}")
+            else:
+                self.err(no, 1, f"unknown key {key!r} in [group]")
+        if code is None:
+            self.err(1, 1, "missing type in [group]")
+            return None
+        if code not in _TYPE_CODES:
+            self.err(code_line, 1, f"unknown type code {code!r}")
+            return None
+        family, kind = _TYPE_CODES[code]
+        if rank is None:
+            if family not in FIXED_RANKS:
+                self.err(code_line, 1, f"type {code} needs an explicit rank")
+                return None
+            rank = FIXED_RANKS[family]
+        try:
+            return GroupType(family, rank, kind)
+        except (ValueError, OutOfScopeError) as e:
+            self.err(code_line, 1, str(e))
+            return None
+
+    def _parse_field(self, entries):
+        values = {"complex_places": 0}
+        for key, (no, value) in entries.items():
+            if key not in _FIELD_KEYS:
+                self.err(no, 1, f"unknown key {key!r} in [field]")
+                continue
+            read, message = _FIELD_KEYS[key]
+            try:
+                values[key] = read(value)
+            except ValueError:
+                self.err(no, 1, message)
+        if "degree" not in values:
+            if "degree" not in entries:
+                self.err(1, 1, "missing degree in [field]")
+            return None
+        degree = values["degree"]
+        galois = values.get("galois", degree == 1)
+        loc_det = values.get("locally_determined")
+        if loc_det is None:
+            if degree > 6:
+                self.err(1, 1, "degree above 6: declare locally_determined explicitly")
+                return None
+            loc_det = True  # fields of degree up to six are locally determined
+        hbar = values.get("hbar_fiber", HbarFiber.TRIVIAL if galois else HbarFiber.UNKNOWN)
+        return degree, values["complex_places"], loc_det, galois, hbar
+
+    def _parse_value(self, no: int, text: str, shape: Shape) -> Optional[LocalClass]:
+        text = text.strip()
+        if shape.kind == "klein":
+            if not (text.startswith("(") and text.endswith(")")):
+                self.err(no, 1, f"expected a bit pair (b1,b2), got {text!r}")
+                return None
+            parts = text[1:-1].split(",")
+            if len(parts) != 2:
+                self.err(no, 1, f"expected two components in {text!r}")
+                return None
+            try:
+                return LocalClass(shape, (int(parts[0]), int(parts[1])))
+            except ValueError:
+                self.err(no, 1, f"bad bit pair {text!r}")
+                return None
+        if "/" in text:
+            num, den = text.split("/", 1)
+            try:
+                a, m = int(num), int(den)
+            except ValueError:
+                self.err(no, 1, f"bad fraction {text!r}")
+                return None
+            if m <= 0:
+                self.err(no, 1, f"bad fraction {text!r}")
+                return None
+            if shape.kind == "trivial":
+                if a % m != 0:
+                    self.err(no, 1, f"value {text} does not lie in the trivial group")
+                    return None
+                return zero(shape)
+            if shape.modulus % m != 0:
+                self.err(no, 1, f"denominator {m} does not divide the local order {shape.modulus}")
+                return None
+            return LocalClass(shape, a * (shape.modulus // m))
+        try:
+            v = int(text)
+        except ValueError:
+            self.err(no, 1, f"bad value {text!r}")
+            return None
+        if shape.kind == "trivial":
+            if v != 0:
+                self.err(no, 1, "only 0 lies in the trivial group")
+                return None
+            return zero(shape)
+        return LocalClass(shape, v)
+
+    def _read_entries(self, entries, allowed):
+        """(line, id, options) of each [places] or [real] entry whose options
+        parse, with ``kind`` split or nonsplit if given."""
+        for label, (no, value) in entries.items():
+            opts = self._parse_opts(no, value, allowed)
+            if opts is None:
+                continue
+            if opts.get("kind", "split") not in ("split", "nonsplit"):
+                self.err(no, 1, "kind must be split or nonsplit")
+                continue
+            yield no, label, opts
+
+    def _parse_places(self, entries, gtype: GroupType):
+        omega = []
+        for no, label, opts in self._read_entries(entries, {"class", "kind", "omega"}):
+            kind = PlaceKind.FINITE_OUTER if opts.get("kind") == "nonsplit" else PlaceKind.FINITE_INNER
+            try:
+                shape = h2_local(gtype, kind)
+            except ContractError as e:
+                self.err(no, 1, str(e))
+                continue
+            cls = self._parse_value(no, opts["omega"], shape) if "omega" in opts else zero(shape)
+            if cls is None:
+                continue
+            omega.append((PlaceLabel(label, kind, opts.get("class")), cls))
+        return omega
+
+    def _parse_real(self, entries, gtype: GroupType):
+        omega = []
+        tags = []
+        for no, label, opts in self._read_entries(entries, {"form", "omega", "kind"}):
+            if "form" not in opts:
+                self.err(no, 1, f"real place {label} needs a form")
+                continue
+            tag = self._parse_form(no, opts["form"], gtype, opts.get("kind"))
+            if tag is None:
+                continue
+            outer = opts["kind"] == "nonsplit" if "kind" in opts else tag.signature()[2]
+            kind = PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER
+            try:
+                shape = h2_local(gtype, kind)
+            except ContractError:
+                shape = None  # real_class below names the form's first misfit
+            supplied = None
+            if "omega" in opts and shape is not None:
+                supplied = self._parse_value(no, opts["omega"], shape)
+                if supplied is None:
+                    continue
+            try:
+                cls = real_class(tag, gtype, kind, supplied)
+            except RigidityError as e:
+                self.err(no, 1, str(e))
+                continue
+            omega.append((PlaceLabel(label, kind), cls))
+            tags.append((label, tag))
+        return omega, tags
+
+    def _parse_form(self, no: int, text: str, gtype: GroupType,
+                    explicit_kind: Optional[str]) -> Optional[RealFormTag]:
+        text = text.strip()
+        name, params = text, ()
+        if "(" in text:
+            if not text.endswith(")"):
+                self.err(no, 1, f"unbalanced parentheses in form {text!r}")
+                return None
+            name, inner = text[:-1].split("(", 1)
+            try:
+                params = tuple(int(p) for p in inner.split(","))
+            except ValueError:
+                self.err(no, 1, f"bad form parameters in {text!r}")
+                return None
+        try:
+            if name in GENERIC:
+                outer = name == "AnisotropicOther" and explicit_kind == "nonsplit"
+                return RealFormTag(name, family=gtype.family, rank=gtype.rank, outer=outer)
+            return RealFormTag(name, params)
+        except ValueError as e:
+            self.err(no, 1, str(e))
+            return None
+
+    def _parse_opts(self, no: int, value: str, allowed) -> Optional[Dict[str, str]]:
+        opts: Dict[str, str] = {}
+        for token in value.split():
+            if "=" not in token:
+                self.err(no, 1, f"expected key=value, got {token!r}")
+                return None
+            k, v = token.split("=", 1)
+            if k not in allowed:
+                self.err(no, 1, f"unknown option {k!r}")
+                return None
+            if k in opts:
+                self.err(no, 1, f"option {k!r} given twice")
+                return None
+            opts[k] = v
+        return opts
+
+    def _parse_aut(self, entries, declared) -> List[PlacePerm]:
+        perms = []
+        for name, (no, value) in entries.items():
+            if not value:
+                self.err(no, 1, f"generator {name} is empty")
+                continue
+            before = len(self.errors)
+            try:
+                cycles = []
+                for cyc in read_cycles(value):
+                    if len(cyc) < 2:
+                        raise ValueError("cycles need at least two labels")
+                    for pid in cyc:
+                        if pid not in declared:
+                            self.err(no, 1, f"generator {name}: undeclared place {pid}")
+                    cycles.append(tuple(cyc))
+                if len(self.errors) == before:
+                    perms.append(PlacePerm.from_cycles(cycles))
+            except (ValueError, ValidationError) as e:
+                self.err(no, 1, f"generator {name}: {e}")
+        return perms
+
+
+def reference_parse(text: str) -> GroupDescriptor:
+    """A descriptor from text by ``ReferenceParser``."""
+    return ReferenceParser(text).parse()

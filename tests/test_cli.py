@@ -16,6 +16,9 @@ from rigidity.cli import (
     D4_OUT_OF_SCOPE,
     VERDICT_SCHEMA,
     _format_form,
+    _place_label,
+    _read_place,
+    _read_real,
     emit_descriptor,
     main,
     parse,
@@ -27,6 +30,7 @@ from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.errors import ContractError, DescriptorParseError, ValidationError
 from rigidity.field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlaceSymmetry
 from rigidity.invariants import (
+    MEMO_SIZE,
     TRIVIAL,
     Family,
     FormKind,
@@ -41,7 +45,7 @@ from rigidity.real_forms import GENERIC, RealFormTag, form_for_class, real_class
 from rigidity.selftest import FIXTURES
 
 import genfix
-from oracles import run_python
+from oracles import reference_parse, run_python
 
 
 class TestParse:
@@ -90,6 +94,10 @@ class TestParse:
         g = parse(text)
         assert [cls.value for _, cls in g.omega.finite] == [2, 2]
 
+    def test_a_fraction_that_is_whole_lies_in_the_trivial_group(self):
+        g = parse(_E8_HEAD + "[places]\nv2 = omega=2/2\n")
+        assert [cls for _, cls in g.omega.finite] == [zero(TRIVIAL)]
+
     def test_nonsplit_place_needs_outer_form(self):
         bad = ("[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 1\n"
                "[places]\nv2 = kind=nonsplit omega=0\n[real]\nw = form=SL_R(3)\n")
@@ -104,6 +112,7 @@ _A2_HEAD = _A2_GROUP + "degree = 2\n"
 # has trivial ones (and no rank line)
 _D6_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = 1D\nrank = 6")
 _G2_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = G2")
+_E8_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = E8")
 
 
 @pytest.mark.parametrize("body, message", [
@@ -137,9 +146,17 @@ _G2_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = G2")
     ("[places]\nv2 = omega=x\n", "7:1: bad value 'x'"),
     (_G2_HEAD + "[places]\nv2 = omega=1\n", "6:1: only 0 lies in the trivial group"),
     (_G2_HEAD + "[places]\nv2 = omega=1/2\n", "6:1: value 1/2 does not lie in the trivial group"),
+    (_E8_HEAD + "[places]\nv2 = omega=1/2\n", "6:1: value 1/2 does not lie in the trivial group"),
     ("[real]\nw = form=SL_R(3\n", "7:1: unbalanced parentheses in form 'SL_R(3'"),
     ("[real]\nw = form=SL_R(x)\n", "7:1: bad form parameters in 'SL_R(x)'"),
     ("[real]\nw = form=SL_Q(3)\n", "7:1: unknown real form tag 'SL_Q'"),
+    ("[real]\nw = form=Spin(7)\n", "7:1: Spin takes 2 parameter(s)"),
+    ("[real]\nw = form=Sp_R(3)\n", "7:1: Sp_R takes an even parameter"),
+    ("[real]\nw = form=SpinStar(5)\n", "7:1: SpinStar takes an even parameter"),
+    ("[group]\ntype = 2A\nrank = 2\n[field]\ndegree = 1\n[real]\nw = form=SU(4,-1)\n",
+     "7:1: SU takes nonnegative parameters"),
+    ("[group]\ntype = C\nrank = 3\n[field]\ndegree = 1\n[places]\nv2 = omega=1\n[real]\nw = form=Sp(4,-1)\n",
+     "9:1: Sp takes nonnegative parameters"),
     ("[real]\nw = form=SL_R(3) form=SL_R(3)\n", "7:1: option 'form' given twice"),
     ("[real]\nw = form=Spin(3,2)\n", "7:1: Spin(3,2) is not a form of family A"),
     ("[real]\nw = form=SL_R(4)\n", "7:1: SL(4,R) has type A3, group is 1A2"),
@@ -148,7 +165,10 @@ _G2_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = G2")
         "real-kind-contradicts-outer-type",
         "empty-key", "aut-empty", "places-bit-pair", "places-bit-pair-length", "places-bit-pair-value",
         "places-fraction", "places-denominator", "places-value", "places-trivial-group", "places-trivial-fraction",
-        "real-form-parentheses", "real-form-parameters", "real-form-tag", "real-option-twice",
+        "places-trivial-fraction-E8",
+        "real-form-parentheses", "real-form-parameters", "real-form-tag", "real-form-parameter-count",
+        "real-form-odd-Sp_R", "real-form-odd-SpinStar", "real-form-negative-SU", "real-form-negative-Sp",
+        "real-option-twice",
         "real-form-family", "real-form-type"])
 def test_aut_places_and_real_faults_are_positioned(body, message):
     # a body that starts with [group] brings its own head
@@ -461,6 +481,62 @@ def test_parse_raises_only_parse_errors(text):
     except DescriptorParseError:
         return
     assert parse(emit_descriptor(g)) == g
+
+
+def _outcome(read, text):
+    """The descriptor a parser reads from a text, or the (line, col, message)
+    list it refuses the text with."""
+    try:
+        return read(text)
+    except DescriptorParseError as e:
+        return e.errors
+
+
+class TestAgainstTheReferenceParser:
+    """``parse`` reads each distinct entry text once per process, and
+    ``oracles.reference_parse`` reads every entry afresh: both give the same
+    descriptor, or the same errors at the same lines."""
+
+    def test_fixtures(self):
+        for name, text in FIXTURES.items():
+            assert _outcome(parse, text) == _outcome(reference_parse, text), name
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(mutated_descriptors())
+    def test_mutated_descriptors(self, text):
+        assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("make", _FUZZ_GENERATORS + [genfix.rand_bound_violator, genfix.rand_paired],
+                             ids=lambda make: make.__name__)
+    def test_generated_descriptors(self, make):
+        for seed in range(30):
+            text = emit_descriptor(make(random.Random(seed)))
+            assert _outcome(parse, text) == _outcome(reference_parse, text), seed
+
+    def test_the_same_bad_entry_is_refused_at_each_of_its_lines(self):
+        # the memo keeps the message, not the position
+        text = _A2_HEAD + "[places]\nv2 = omega=x\nv3 = omega=x\n[real]\nw = omega=0\nw2 = omega=0\n"
+        for _ in range(2):
+            with pytest.raises(DescriptorParseError) as err:
+                parse(text)
+            assert err.value.errors == [(7, 1, "bad value 'x'"), (8, 1, "bad value 'x'"),
+                                        (10, 1, "real place w needs a form"),
+                                        (11, 1, "real place w2 needs a form")]
+
+    def test_the_memos_keep_memo_size_entries(self):
+        for read in (_read_place, _read_real, _place_label):
+            assert read.cache_info().maxsize == MEMO_SIZE
+
+    def test_an_entry_read_from_the_memo_builds_what_a_fresh_read_builds(self):
+        text = FIXTURES["komatsu_2A2"]
+        _read_place.cache_clear()
+        _read_real.cache_clear()
+        fresh = parse(text)
+        misses = _read_place.cache_info().misses + _read_real.cache_info().misses
+        again = parse(text)
+        assert _read_place.cache_info().misses + _read_real.cache_info().misses == misses
+        assert _read_place.cache_info().hits + _read_real.cache_info().hits > 0
+        assert fresh == again == reference_parse(text)
 
 
 @pytest.mark.parametrize("group, form, message", [

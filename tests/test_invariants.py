@@ -146,6 +146,31 @@ class TestH2Local:
         assert h2_local(t("2A", 3), RO) == cyclic(2)
         assert h2_local(t("E6", 6), RI) == TRIVIAL
 
+    # type D by rank, as the paper tabulates it: (finite inner, real inner)
+    # for 1D and 2D alike, then (finite outer, real outer) for 2D.  The rows
+    # run past rank 8, the first rank at which a parity test and a test
+    # mod 3 disagree in the real outer column
+    _D_ROWS = {
+        5: (cyclic(4), cyclic(2), cyclic(2), cyclic(2)),
+        6: (KLEIN, KLEIN, cyclic(2), TRIVIAL),
+        7: (cyclic(4), cyclic(2), cyclic(2), cyclic(2)),
+        8: (KLEIN, KLEIN, cyclic(2), TRIVIAL),
+        9: (cyclic(4), cyclic(2), cyclic(2), cyclic(2)),
+        10: (KLEIN, KLEIN, cyclic(2), TRIVIAL),
+        11: (cyclic(4), cyclic(2), cyclic(2), cyclic(2)),
+        12: (KLEIN, KLEIN, cyclic(2), TRIVIAL),
+    }
+
+    @pytest.mark.parametrize("rank", sorted(_D_ROWS))
+    def test_type_d_at_every_place_kind(self, rank):
+        fi, ri, fo, ro = self._D_ROWS[rank]
+        for gt in (t("D", rank), t("2D", rank)):
+            assert (h2_local(gt, FI), h2_local(gt, RI), h2_local(gt, PlaceKind.COMPLEX)) == (fi, ri, TRIVIAL)
+        assert (h2_local(t("2D", rank), FO), h2_local(t("2D", rank), RO)) == (fo, ro)
+        for kind in (FO, RO):
+            with pytest.raises(ContractError, match=f"^1D{rank} is an inner form; it has no outer places$"):
+                h2_local(t("D", rank), kind)
+
 
 class TestCLocal:
     def test_examples(self):
@@ -267,9 +292,11 @@ class TestMemo:
         # what stays pooled is what the memo tables keep alive, plus a few
         # constants: per entry, c_local holds two classes, a type and two
         # shapes, sym_act two classes, a type and a shape, center_shape and
-        # h2_local a type and a shape, cyclic a shape.  An unbounded pool
-        # would still hold the 10 * MEMO_SIZE values just dropped.
-        for cls, per_entry in ((LocalClass, 4), (GroupType, 4), (Shape, 6)):
+        # h2_local a type and a shape, cyclic a shape, and each of the
+        # parser's two entry memos a type, a class and its shape.  An
+        # unbounded pool would still hold the 10 * MEMO_SIZE values just
+        # dropped.
+        for cls, per_entry in ((LocalClass, 6), (GroupType, 6), (Shape, 8)):
             assert len(cls._pool) <= per_entry * MEMO_SIZE + 100, cls.__name__
 
     def test_errors_are_raised_after_a_cached_success(self):

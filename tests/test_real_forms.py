@@ -37,6 +37,21 @@ class TestDelta:
                 assert delta(r, s) == delta(s, r)
 
 
+class TestRealFormTag:
+    @pytest.mark.parametrize("name, params", [
+        ("SL_R", (-3,)), ("SL_H", (-1,)), ("SU", (4, -1)), ("SU", (-1, 4)), ("Spin", (8, -1)),
+        ("SpinStar", (-4,)), ("Sp_R", (-2,)), ("Sp", (4, -1)), ("Sp", (-1, 4)),
+    ])
+    def test_a_negative_parameter_is_refused(self, name, params):
+        # before, SU(4,-1) and Sp(4,-1) passed as forms of type A2 and C3
+        with pytest.raises(ValueError, match=f"^{name} takes nonnegative parameters$"):
+            RealFormTag(name, params)
+
+    def test_a_zero_parameter_is_kept(self):
+        assert RealFormTag("SU", (0, 4)).params == (4, 0)
+        assert RealFormTag("Spin", (5, 0)).signature() == (Family.B, 2, False)
+
+
 class TestRealStats:
     def test_spin_7_3(self):
         st = real_stats(RealFormTag("Spin", (7, 3)))

@@ -275,6 +275,10 @@ def _read_real(value: str, gtype: GroupType):
 # file to file is not pooled afresh each time
 _place_label = _memo(PlaceLabel)
 
+# an entry whose label and value together run longer is read afresh, so each
+# memo holds at most MEMO_SIZE texts of this length, whatever a caller parses
+_MEMO_TEXT = 128
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -329,19 +333,21 @@ class _Parser:
 
         fin_omega, real_omega, tags = [], [], []
         for label, (no, value) in sections["places"].items():
-            read = _read_place(value, gtype)
+            memo = len(label) + len(value) <= _MEMO_TEXT
+            read = (_read_place if memo else _read_place.__wrapped__)(value, gtype)
             if isinstance(read, str):
                 self.err(no, 1, read)
             else:
                 kind, adelic_class, cls = read
-                fin_omega.append((_place_label(label, kind, adelic_class), cls))
+                fin_omega.append(((_place_label if memo else PlaceLabel)(label, kind, adelic_class), cls))
         for label, (no, value) in sections["real"].items():
-            read = _read_real(value, gtype)
+            memo = len(label) + len(value) <= _MEMO_TEXT
+            read = (_read_real if memo else _read_real.__wrapped__)(value, gtype)
             if read is None or isinstance(read, str):
                 self.err(no, 1, read or f"real place {label} needs a form")
             else:
                 kind, tag, cls = read
-                real_omega.append((_place_label(label, kind, None), cls))
+                real_omega.append(((_place_label if memo else PlaceLabel)(label, kind, None), cls))
                 tags.append((label, tag))
         perms = self._parse_aut(sections["aut"], {lab.id for lab, _ in fin_omega + real_omega})
         if self.errors:

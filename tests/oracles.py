@@ -46,18 +46,16 @@ from rigidity.arith_equiv import (
 )
 from rigidity.brauer import OmegaVector, inner_twin_places, plain_orbits, sigma_flip
 from rigidity.classifier import GroupDescriptor
-from rigidity.cli import _FIELD_KEYS, _SECTIONS, _TYPE_CODES, parse_catalog, read_cycles
+from rigidity.cli import _SECTIONS, _Parser, parse_catalog
 from rigidity.errors import (
     CapacityError,
     ContractError,
     DescriptorParseError,
-    OutOfScopeError,
     RigidityError,
     ValidationError,
 )
-from rigidity.field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlacePerm, PlaceSymmetry
+from rigidity.field_model import FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry
 from rigidity.invariants import (
-    FIXED_RANKS,
     GroupType,
     LocalClass,
     PlaceKind,
@@ -277,19 +275,13 @@ def reference_two_sided_orbit(g) -> Set:
     return out
 
 
-class ReferenceParser:
+class ReferenceParser(_Parser):
     """The descriptor parser as it read each line before entry values were
     memoized: every entry value is split, stripped and read afresh, and each
-    reader reports its own faults through ``err``.  ``rigidity.cli.parse``
-    must return what ``reference_parse`` returns, or raise the same
-    positioned errors."""
-
-    def __init__(self, text: str):
-        self.errors: List[Tuple[int, int, str]] = []
-        self.lines = text.splitlines()
-
-    def err(self, line: int, col: int, msg: str):
-        self.errors.append((line, col, msg))
+    reader reports its own faults through ``err``.  The ``[group]``,
+    ``[field]`` and ``[aut]`` readers, which the memo left alone, are
+    ``cli._Parser``'s.  ``rigidity.cli.parse`` must return what
+    ``reference_parse`` returns, or raise the same positioned errors."""
 
     def parse(self) -> GroupDescriptor:
         # each section's entries as key -> (line, value), in file order; a key
@@ -360,63 +352,6 @@ class ReferenceParser:
             self.err(1, 1, str(e))
             raise DescriptorParseError(self.errors)
         return desc
-
-    def _parse_group(self, entries) -> Optional[GroupType]:
-        code = rank = None
-        code_line = 1
-        for key, (no, value) in entries.items():
-            if key == "type":
-                code, code_line = value, no
-            elif key == "rank":
-                try:
-                    rank = int(value)
-                except ValueError:
-                    self.err(no, 1, f"rank must be an integer, got {value!r}")
-            else:
-                self.err(no, 1, f"unknown key {key!r} in [group]")
-        if code is None:
-            self.err(1, 1, "missing type in [group]")
-            return None
-        if code not in _TYPE_CODES:
-            self.err(code_line, 1, f"unknown type code {code!r}")
-            return None
-        family, kind = _TYPE_CODES[code]
-        if rank is None:
-            if family not in FIXED_RANKS:
-                self.err(code_line, 1, f"type {code} needs an explicit rank")
-                return None
-            rank = FIXED_RANKS[family]
-        try:
-            return GroupType(family, rank, kind)
-        except (ValueError, OutOfScopeError) as e:
-            self.err(code_line, 1, str(e))
-            return None
-
-    def _parse_field(self, entries):
-        values = {"complex_places": 0}
-        for key, (no, value) in entries.items():
-            if key not in _FIELD_KEYS:
-                self.err(no, 1, f"unknown key {key!r} in [field]")
-                continue
-            read, message = _FIELD_KEYS[key]
-            try:
-                values[key] = read(value)
-            except ValueError:
-                self.err(no, 1, message)
-        if "degree" not in values:
-            if "degree" not in entries:
-                self.err(1, 1, "missing degree in [field]")
-            return None
-        degree = values["degree"]
-        galois = values.get("galois", degree == 1)
-        loc_det = values.get("locally_determined")
-        if loc_det is None:
-            if degree > 6:
-                self.err(1, 1, "degree above 6: declare locally_determined explicitly")
-                return None
-            loc_det = True  # fields of degree up to six are locally determined
-        hbar = values.get("hbar_fiber", HbarFiber.TRIVIAL if galois else HbarFiber.UNKNOWN)
-        return degree, values["complex_places"], loc_det, galois, hbar
 
     def _parse_value(self, no: int, text: str, shape: Shape) -> Optional[LocalClass]:
         text = text.strip()
@@ -559,28 +494,6 @@ class ReferenceParser:
                 return None
             opts[k] = v
         return opts
-
-    def _parse_aut(self, entries, declared) -> List[PlacePerm]:
-        perms = []
-        for name, (no, value) in entries.items():
-            if not value:
-                self.err(no, 1, f"generator {name} is empty")
-                continue
-            before = len(self.errors)
-            try:
-                cycles = []
-                for cyc in read_cycles(value):
-                    if len(cyc) < 2:
-                        raise ValueError("cycles need at least two labels")
-                    for pid in cyc:
-                        if pid not in declared:
-                            self.err(no, 1, f"generator {name}: undeclared place {pid}")
-                    cycles.append(tuple(cyc))
-                if len(self.errors) == before:
-                    perms.append(PlacePerm.from_cycles(cycles))
-            except (ValueError, ValidationError) as e:
-                self.err(no, 1, f"generator {name}: {e}")
-        return perms
 
 
 def reference_parse(text: str) -> GroupDescriptor:

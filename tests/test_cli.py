@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from rigidity.classifier import GroupDescriptor, Outcome, classify, validate_descriptor
 from rigidity.cli import (
+    _MEMO_TEXT,
     _TYPE_CODES,
     D4_OUT_OF_SCOPE,
     VERDICT_SCHEMA,
@@ -526,6 +527,20 @@ class TestAgainstTheReferenceParser:
     def test_the_memos_keep_memo_size_entries(self):
         for read in (_read_place, _read_real, _place_label):
             assert read.cache_info().maxsize == MEMO_SIZE
+
+    def test_a_long_entry_is_read_afresh_and_not_kept(self):
+        # the memos bound their texts' length too: an entry past _MEMO_TEXT
+        # characters reads as the reference reads it, at each of its lines
+        n = _MEMO_TEXT
+        good = (_A2_HEAD + f"[places]\nv2 = class={'c' * n} omega=1/3\nv3 = omega={'1' * n}\n"
+                f"v{'4' * n} = omega=2/3\n[real]\nw = form={'SL_R(3)':<{n}} omega=0\n")
+        bad = _A2_HEAD + f"[places]\nv2 = omega={'x' * n}\nv3 = omega={'x' * n}\n"
+        memos = (_read_place, _read_real, _place_label)
+        before = [m.cache_info() for m in memos]
+        for text in (good, bad, good):
+            assert _outcome(parse, text) == _outcome(reference_parse, text)
+        assert [m.cache_info() for m in memos] == before
+        assert _outcome(parse, bad) == [(7, 1, f"bad value {'x' * n!r}"), (8, 1, f"bad value {'x' * n!r}")]
 
     def test_an_entry_read_from_the_memo_builds_what_a_fresh_read_builds(self):
         text = FIXTURES["komatsu_2A2"]

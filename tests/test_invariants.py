@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import global_sym_act, run_python
 from rigidity.classifier import classify
-from rigidity.cli import parse
+from rigidity.cli import _read_place, _read_real, parse
 from rigidity.errors import ContractError, OutOfScopeError
 from rigidity.field_model import PlaceLabel
 from rigidity.invariants import (
@@ -270,7 +270,7 @@ class TestMemo:
     TABLES = (cyclic, center_shape, h2_local, c_local, sym_act)
 
     def test_caches_stay_bounded_over_many_ranks(self):
-        before = {f.__name__: f.cache_info().misses for f in self.TABLES}
+        before = {f.__name__: f.cache_info().misses for f in self.TABLES + (_read_place, _read_real)}
         outcomes = set()
         for r in range(1, MEMO_SIZE + 200):
             n = r + 1
@@ -292,12 +292,16 @@ class TestMemo:
         # what stays pooled is what the memo tables keep alive, plus a few
         # constants: per entry, c_local holds two classes, a type and two
         # shapes, sym_act two classes, a type and a shape, center_shape and
-        # h2_local a type and a shape, cyclic a shape, and each of the
-        # parser's two entry memos a type, a class and its shape.  An
-        # unbounded pool would still hold the 10 * MEMO_SIZE values just
-        # dropped.
-        for cls, per_entry in ((LocalClass, 6), (GroupType, 6), (Shape, 8)):
+        # h2_local a type and a shape, cyclic a shape.  An unbounded pool
+        # would still hold the 10 * MEMO_SIZE values just dropped.
+        for cls, per_entry in ((LocalClass, 4), (GroupType, 4), (Shape, 6)):
             assert len(cls._pool) <= per_entry * MEMO_SIZE + 100, cls.__name__
+        # the parser's entry memos, which keep types and classes alive too,
+        # are bounded and were filled past their bound
+        for read in (_read_place, _read_real):
+            info = read.cache_info()
+            assert info.currsize == MEMO_SIZE
+            assert info.misses - before[read.__name__] > MEMO_SIZE
 
     def test_errors_are_raised_after_a_cached_success(self):
         x = LocalClass(cyclic(3), 1)

@@ -9,12 +9,22 @@ criterion: almost conjugate subgroups sitting with index two in a common
 normal subgroup are in fact conjugate, which is the group-theoretic engine
 certifying that quadratic extensions of a Galois base field cannot be
 locally-but-not-globally interchangeable.
+
+A group is listed once, as sorted tuples of degree points (``generate``,
+Dimino's coset walk, which the field automorphism groups use too).  From
+then on the checks run on element numbers in ``_Index``: element i is the
+i-th of the sorted list, each generator has its right, left and
+conjugation tables of |G| numbers, any other right factor gets a column of
+|G| numbers when first used, and subgroups are frozensets of numbers.  The
+public functions take and return tuples and convert at the boundary.
+``PermGroup.subgroups`` stays on tuples, as the reference lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, ContractError
 
@@ -65,7 +75,7 @@ class PermGroup:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ContractError(f"not a permutation of degree {degree}: {g}")
         self._elements: Optional[List[Perm]] = None
-        self._members: FrozenSet[Perm] = frozenset()
+        self._index: Optional[_Index] = None
         self._classes: Optional[List[Tuple[Perm, ...]]] = None
         self._subgroups: Optional[List[FrozenSet[Perm]]] = None
         self._normal: Optional[List[FrozenSet[Perm]]] = None
@@ -75,41 +85,29 @@ class PermGroup:
         return tuple(range(self.degree))
 
     def elements(self) -> List[Perm]:
+        """The sorted element list; listing it also builds the index layer."""
         if self._elements is None:
-            self._members = generate(self.generators, self.identity)[1]
-            self._elements = sorted(self._members)
+            self._elements = sorted(generate(self.generators, self.identity)[1])
+            self._index = _Index(self._elements, self.generators)
         return self._elements
+
+    @property
+    def _kernel(self) -> "_Index":
+        if self._index is None:
+            self.elements()
+        return self._index
 
     def order(self) -> int:
         return len(self.elements())
 
     def __contains__(self, p: Perm) -> bool:
-        self.elements()
-        return p in self._members
+        return p in self._kernel.pos
 
     def conjugacy_classes(self) -> List[Tuple[Perm, ...]]:
         """Partition of the element list into conjugacy classes, canonically sorted."""
         if self._classes is None:
-            assigned = set()
-            classes = []
-            pairs = [(g, perm_inv(g)) for g in self.generators]
-            for rep in self.elements():  # sorted, so each rep is its class's least element
-                if rep in assigned:
-                    continue
-                orbit = {rep}
-                frontier = [rep]
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for g, gi in pairs:
-                            y = tuple(map(g.__getitem__, map(x.__getitem__, gi)))  # g x g^-1
-                            if y not in orbit:
-                                orbit.add(y)
-                                nxt.append(y)
-                    frontier = nxt
-                assigned |= orbit
-                classes.append(tuple(sorted(orbit)))
-            self._classes = sorted(classes, key=lambda c: (len(c), c[0]))
+            elems = self.elements()
+            self._classes = [tuple(map(elems.__getitem__, c)) for c in self._kernel.classes()]
         return self._classes
 
     def subgroups(self) -> List[FrozenSet[Perm]]:
@@ -117,9 +115,10 @@ class PermGroup:
 
         Each known subgroup is joined with one cyclic subgroup at a time
         (``_adjoin`` from its generating tuple), which takes seconds from
-        order 168 on.  Nothing in the package calls it; it stays as the
-        oracle the tests compare ``normal_subgroups`` and
-        ``index_two_subgroups`` with, and for the bench tracer.
+        order 168 on.  Nothing in the package calls it.  It stays on tuples,
+        apart from the index layer, as the independent oracle the tests
+        compare ``normal_subgroups`` and ``index_two_subgroups`` with, and
+        for the bench tracer.
         """
         if self._subgroups is not None:
             return self._subgroups
@@ -148,7 +147,246 @@ class PermGroup:
         return self._subgroups
 
     def normal_subgroups(self) -> List[FrozenSet[Perm]]:
-        """Every normal subgroup, in the order of ``subgroups()``.
+        """Every normal subgroup, in the order of ``subgroups()``
+        (``_Index.normal_subgroups``); CapacityError past
+        ``NORMAL_SUBGROUP_LIMIT``."""
+        if self._normal is None:
+            self.conjugacy_classes()
+            k = self._kernel
+            self._normal = [k.perms(n) for n in k.normal_subgroups()]
+        return self._normal
+
+    def index_two_subgroups(self, n: FrozenSet[Perm]) -> List[FrozenSet[Perm]]:
+        """The subgroups of index two in the subgroup ``n``, in the order of
+        ``subgroups()`` (``_Index.halves``)."""
+        k = self._kernel
+        return [k.perms(h) for h in k.halves(k.numbers(n))]
+
+
+def _cyclic(x: Perm, e: Perm) -> List[Perm]:
+    out = [e]
+    y = x
+    while y != e:
+        out.append(y)
+        if len(out) > DEFAULT_GROUP_CAP:
+            raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
+        y = perm_mul(y, x)
+    return out
+
+
+def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm]) -> FrozenSet[Perm]:
+    """The subgroup ``sub`` and ``gens`` generate, as the union of the right
+    cosets of ``sub`` reached from ``sub`` by ``gens`` (Dimino's algorithm).
+
+    The union is closed under the generators it is built with, so ``gens``
+    must include generators of ``sub`` unless they normalize ``sub``.  A
+    coset that would take the union past ``DEFAULT_GROUP_CAP`` raises
+    CapacityError.
+    """
+    elems = set(sub)
+    reps = [next(iter(sub))]
+    i = 0
+    while i < len(reps):
+        r = reps[i]
+        i += 1
+        for g in gens:
+            t = perm_mul(r, g)
+            if t not in elems:
+                coset = [tuple(map(h.__getitem__, t)) for h in sub]  # h * t, t among them
+                if len(elems) + len(coset) > DEFAULT_GROUP_CAP:
+                    raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
+                elems.update(coset)
+                reps.append(t)
+    return frozenset(elems)
+
+
+def generate(elements: Iterable[Perm], e: Perm) -> Tuple[Tuple[Perm, ...], FrozenSet[Perm]]:
+    """A generating tuple taken from ``elements`` in their order, one element
+    for each that the earlier ones do not generate, and the subgroup generated
+    by Dimino's coset walk; CapacityError past ``DEFAULT_GROUP_CAP`` elements.
+    This lists a group from its generators; once listed, a ``PermGroup``
+    works on element numbers (``_Index``)."""
+    gens: Tuple[Perm, ...] = ()
+    sub = frozenset([e])
+    for x in elements:
+        if x not in sub:
+            gens += (x,)
+            if len(gens) > 1:
+                sub = _adjoin(sub, gens)
+            else:  # a first generator spans its powers, which are cheaper to list than cosets
+                sub = frozenset(_cyclic(x, e))
+    return gens, sub
+
+
+Members = FrozenSet[int]
+
+
+def _times(s: Perm) -> Callable[[Perm], Perm]:
+    """x -> xs in one call; below two points the identity is the only permutation."""
+    return itemgetter(*s) if len(s) > 1 else (lambda x: x)
+
+
+def _spanning_tree(tables: Sequence[List[int]], n: int) -> List[Tuple[int, int, int]]:
+    """(y, x, k) with y = tables[k][x], once for each of the n elements y but
+    the identity 0, breadth first from it, so each x comes before it is used."""
+    seen = bytearray(n)
+    seen[0] = 1
+    order, tree = [0], []
+    for x in order:  # order grows while it is read
+        for k, table in enumerate(tables):
+            y = table[x]
+            if not seen[y]:
+                seen[y] = 1
+                order.append(y)
+                tree.append((y, x, k))
+    return tree
+
+
+def _along(tree: List[Tuple[int, int, int]], tables: Sequence[List[int]], a: int) -> List[int]:
+    """f with f(0) = a and f(y) = tables[k][f(x)] on every edge (y, x, k) of
+    ``tree``: the map that commutes with every table and takes 0 to a."""
+    f = [a] * (len(tree) + 1)
+    for y, x, k in tree:
+        f[y] = tables[k][f[x]]
+    return f
+
+
+class _Index:
+    """A listed group, worked on by element number.
+
+    Element i is ``elements[i]``.  The list is sorted, so index order is
+    element order, every sorted output comes out as it would on tuples, and
+    the identity, the least permutation, is 0.  Each generator s has three
+    tables of |G| numbers: x -> xs (its column), x -> sx and x -> sxs^-1.
+    Any other right factor x gets a column y -> yx when first used, filled
+    along a spanning tree of left multiplications by the generators, since
+    (sy)x = s(yx); no product table of |G|^2 entries is ever built.
+    Subgroups are frozensets of numbers.  A subgroup of a listed group is
+    never larger than the group, so nothing here checks the group cap.
+    """
+
+    def __init__(self, elements: List[Perm], generators: Sequence[Perm]):
+        self.elements = elements
+        self.pos: Dict[Perm, int] = {x: i for i, x in enumerate(elements)}
+        distinct = list(dict.fromkeys(generators))
+        gens = [self.pos[s] for s in distinct]
+        # x -> xs: with the squares, the only products of tuples
+        rights = [list(map(self.pos.__getitem__, map(_times(s), elements))) for s in distinct]
+        self.columns: Dict[int, List[int]] = dict(zip(gens, rights))
+        # x -> sx along a tree of right multiplications, since s(yt) = (sy)t
+        right_tree = _spanning_tree(rights, len(elements))
+        self.lefts = [_along(right_tree, rights, s) for s in gens]
+        # x -> sxs^-1: sx, then times s^-1, the inverse of x -> xs
+        self.conjs = []
+        for left, right in zip(self.lefts, rights):
+            back = sorted(range(len(elements)), key=right.__getitem__)
+            self.conjs.append(list(map(back.__getitem__, left)))
+        # the spanning tree of left multiplications that columns and
+        # conjugators are walked along
+        self.tree = _spanning_tree(self.lefts, len(elements))
+        self._classes: Optional[List[List[int]]] = None
+        self._normal: Optional[List[Members]] = None
+        self._squares: Optional[List[int]] = None
+
+    def numbers(self, perms: Iterable[Perm]) -> Members:
+        """The element numbers of ``perms``; ContractError if one is not in the group."""
+        try:
+            return frozenset(map(self.pos.__getitem__, perms))
+        except KeyError:
+            raise ContractError("subgroup element outside the ambient group") from None
+
+    def perms(self, members: Members) -> FrozenSet[Perm]:
+        return frozenset(map(self.elements.__getitem__, members))
+
+    def column(self, x: int) -> List[int]:
+        """y -> yx, kept once built: along the tree of left multiplications,
+        since (sy)x = s(yx)."""
+        col = self.columns.get(x)
+        if col is None:
+            col = self.columns[x] = _along(self.tree, self.lefts, x)
+        return col
+
+    def squares(self) -> List[int]:
+        """x -> xx."""
+        if self._squares is None:
+            self._squares = [self.pos[_times(x)(x)] for x in self.elements]
+        return self._squares
+
+    def classes(self) -> List[List[int]]:
+        """The conjugacy classes, orbits under the conjugation tables, each
+        sorted and listed by (size, least element)."""
+        if self._classes is None:
+            n = len(self.elements)
+            seen = bytearray(n)
+            classes = []
+            for rep in range(n):
+                if seen[rep]:
+                    continue
+                seen[rep] = 1
+                orbit = [rep]
+                for x in orbit:  # orbit grows while it is read
+                    for conj in self.conjs:
+                        y = conj[x]
+                        if not seen[y]:
+                            seen[y] = 1
+                            orbit.append(y)
+                classes.append(sorted(orbit))
+            classes.sort(key=lambda c: (len(c), c[0]))
+            self.class_of = [0] * n
+            for i, c in enumerate(classes):
+                for x in c:
+                    self.class_of[x] = i
+            self.rep_class = {c[0]: i for i, c in enumerate(classes)}
+            self._classes = classes
+        return self._classes
+
+    def adjoin(self, sub: Members, gens: Sequence[int], within: Optional[Members] = None) -> Members:
+        """The subgroup ``sub`` and ``gens`` generate (Dimino's algorithm, as
+        ``_adjoin``): each new right coset is the image of one found before
+        under a generator's column.  With ``within``, a coset that leaves it
+        raises ContractError."""
+        cols = [self.column(g) for g in gens]
+        elems = set(sub)
+        cosets = [list(sub)]
+        for coset in cosets:  # cosets grows while it is read
+            for col in cols:
+                if col[coset[0]] not in elems:
+                    new = list(map(col.__getitem__, coset))
+                    if within is not None and not within.issuperset(new):
+                        raise ContractError("subgroup not closed under composition")
+                    elems.update(new)
+                    cosets.append(new)
+        return frozenset(elems)
+
+    def span(self, xs: Iterable[int], within: Optional[Members] = None) -> Tuple[Tuple[int, ...], Members]:
+        """A generating tuple taken from ``xs`` in their order, one element for
+        each that the earlier ones do not generate, and the subgroup generated.
+
+        With ``within``, the set that ``xs`` lists and that should be a
+        subgroup: everything generated must lie in it, else ContractError.
+        Every element either is generated or becomes a generator, so this
+        checks closure in at most |within| times the number of generators
+        lookups, and a set that is not closed stops early."""
+        gens: Tuple[int, ...] = ()
+        sub = frozenset([0])
+        for x in xs:
+            if x not in sub:
+                gens += (x,)
+                if len(gens) > 1:
+                    sub = self.adjoin(sub, gens, within)
+                    continue
+                # a first generator spans its powers, cheaper to list than cosets
+                col, powers = self.column(x), [0]
+                while x:
+                    powers.append(x)
+                    x = col[x]
+                if within is not None and not within.issuperset(powers):
+                    raise ContractError("subgroup not closed under composition")
+                sub = frozenset(powers)
+        return gens, sub
+
+    def normal_subgroups(self) -> List[Members]:
+        """Every normal subgroup, sorted by order and then by elements.
 
         The subgroup a conjugacy class generates is normal, and every normal
         subgroup is a join of such class subgroups.  Starting from the class
@@ -159,11 +397,11 @@ class PermGroup:
         ``CapacityError`` once more than ``NORMAL_SUBGROUP_LIMIT`` are known.
         """
         if self._normal is None:
-            trivial = frozenset([self.identity])
-            spans: Dict[FrozenSet[Perm], Tuple[Perm, ...]] = {}  # class subgroup -> generators
-            for cls in self.conjugacy_classes():
-                if cls[0] != self.identity:
-                    gens, sub = generate(cls, self.identity)
+            trivial = frozenset([0])
+            spans: Dict[Members, Tuple[int, ...]] = {}  # class subgroup -> generators
+            for cls in self.classes():
+                if cls[0] != 0:
+                    gens, sub = self.span(cls)
                     spans.setdefault(sub, gens)
             known = {trivial, *spans}
             frontier = list(spans)
@@ -178,7 +416,7 @@ class PermGroup:
                         # n is normal, so it holds the class subgroup iff it holds gens[0]
                         if gens[0] in n or n <= sub:
                             continue
-                        join = _adjoin(n, gens)
+                        join = self.adjoin(n, gens)
                         if join not in known:
                             known.add(join)
                             nxt.append(join)
@@ -186,8 +424,8 @@ class PermGroup:
             self._normal = sorted(known, key=lambda s: (len(s), sorted(s)))
         return self._normal
 
-    def index_two_subgroups(self, n: FrozenSet[Perm]) -> List[FrozenSet[Perm]]:
-        """The subgroups of index two in the subgroup ``n``, in the order of ``subgroups()``.
+    def halves(self, n: Members) -> List[Members]:
+        """The subgroups of index two in the subgroup ``n``, sorted by elements.
 
         Each contains every square, so they are the preimages of the
         hyperplanes of the elementary abelian quotient of ``n`` by the
@@ -198,140 +436,116 @@ class PermGroup:
         """
         if len(n) % 2:
             return []
-        _, squares = generate({perm_mul(x, x) for x in n}, self.identity)
-        coords = dict.fromkeys(squares, 0)
+        squares = self.squares()
+        _, sub = self.span(sorted({squares[x] for x in n}))
+        coords = dict.fromkeys(sub, 0)
         bit = 1
         for x in n:
             if x not in coords:
                 # the known part is a subgroup holding the squares, so normal in n
-                coords.update([(perm_mul(y, x), c | bit) for y, c in coords.items()])
+                col = self.column(x)
+                coords.update([(col[y], c | bit) for y, c in coords.items()])
                 bit <<= 1
         halves = [frozenset(x for x, c in coords.items() if not (c & f).bit_count() % 2)
                   for f in range(1, bit)]
         return sorted(halves, key=sorted)
 
+    def profile(self, members: Members) -> Tuple[int, ...]:
+        """How many members each conjugacy class holds."""
+        counts = [0] * len(self.classes())
+        class_of = self.class_of
+        for x in members:
+            counts[class_of[x]] += 1
+        return tuple(counts)
 
-def _cyclic(x: Perm, e: Perm) -> List[Perm]:
-    out = [e]
-    y = x
-    while y != e:
-        out.append(y)
-        if len(out) > DEFAULT_GROUP_CAP:
-            raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
-        y = perm_mul(y, x)
-    return out
+    def induced(self, members: Members) -> Tuple[int, ...]:
+        """Value on each conjugacy class of the character induced from the
+        trivial one on U = ``members``: the number of left cosets xU that the
+        class representative fixes, computed without the class profile.
 
+        r fixes xU exactly when r lies in its stabilizer xUx^-1.  The walk
+        starts at U, its own stabilizer, and reaches every left coset from one
+        found before: s(xU) by the table x -> sx, and its stabilizer
+        s(xUx^-1)s^-1 by the table x -> sxs^-1.  Each coset adds one to the
+        class of every representative its stabilizer holds: about 3|G|
+        lookups in all, and none per class.
+        """
+        self.classes()
+        rep_class = self.rep_class
+        is_rep = rep_class.__contains__
+        steps = list(zip(self.lefts, self.conjs))
+        values = [0] * len(rep_class)
+        seen = set(members)
+        walk = [(list(members), list(members))]  # (coset, its stabilizer)
+        while walk:
+            coset, stab = walk.pop()
+            for r in filter(is_rep, stab):
+                values[rep_class[r]] += 1
+            x = coset[0]
+            for left, conj in steps:
+                if left[x] not in seen:
+                    new = list(map(left.__getitem__, coset))
+                    seen.update(new)
+                    walk.append((new, list(map(conj.__getitem__, stab))))
+        return tuple(values)
 
-def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm],
-            within: Optional[FrozenSet[Perm]] = None) -> FrozenSet[Perm]:
-    """The subgroup ``sub`` and ``gens`` generate, as the union of the right
-    cosets of ``sub`` reached from ``sub`` by ``gens`` (Dimino's algorithm).
+    def conjugates_into(self, xs: Sequence[int], target: Members) -> bool:
+        """Whether some g conjugates every element of ``xs`` into ``target``.
 
-    The union is closed under the generators it is built with, so ``gens``
-    must include generators of ``sub`` unless they normalize ``sub``.  With
-    ``within``, a coset that leaves it raises ContractError: a set that holds
-    ``sub`` and ``gens`` but not all they generate is not closed.  A coset
-    that would take the union past ``DEFAULT_GROUP_CAP`` raises CapacityError.
-    """
-    elems = set(sub)
-    reps = [next(iter(sub))]
-    i = 0
-    while i < len(reps):
-        r = reps[i]
-        i += 1
-        for g in gens:
-            t = perm_mul(r, g)
-            if t not in elems:
-                coset = [tuple(map(h.__getitem__, t)) for h in sub]  # h * t, t among them
-                if within is not None and not within.issuperset(coset):
-                    raise ContractError("subgroup not closed under composition")
-                if len(elems) + len(coset) > DEFAULT_GROUP_CAP:
-                    raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
-                elems.update(coset)
-                reps.append(t)
-    return frozenset(elems)
-
-
-def generate(elements: Iterable[Perm], e: Perm,
-             ambient: Optional[PermGroup] = None) -> Tuple[Tuple[Perm, ...], FrozenSet[Perm]]:
-    """A generating tuple taken from ``elements`` in their order, one element
-    for each that the earlier ones do not generate, and the subgroup generated
-    by Dimino's coset walk; CapacityError past ``DEFAULT_GROUP_CAP`` elements.
-
-    With ``ambient``, ``elements`` is the frozenset that should be a subgroup
-    of it: each generator must lie in ``ambient`` and everything generated in
-    ``elements``, else ContractError.  Every element either is generated or
-    becomes a generator, so this checks closure in at most |elements| times
-    the number of generators products, and a bad set stops early."""
-    within = elements if ambient is not None else None
-    gens: Tuple[Perm, ...] = ()
-    sub = frozenset([e])
-    for x in elements:
-        if x not in sub:
-            if ambient is not None and x not in ambient:
-                raise ContractError("subgroup element outside the ambient group")
-            gens += (x,)
-            if len(gens) > 1:
-                sub = _adjoin(sub, gens, within)
-            else:  # a first generator spans its powers, which are cheaper to list than cosets
-                sub = frozenset(_cyclic(x, e))
-                if within is not None and not within.issuperset(sub):
-                    raise ContractError("subgroup not closed under composition")
-    return gens, sub
+        The walk follows the spanning tree: if y = sx then y's conjugates of
+        ``xs`` are x's conjugates conjugated once more by s, one table lookup
+        each."""
+        if target.issuperset(xs):
+            return True
+        images: List[Optional[List[int]]] = [None] * len(self.elements)
+        images[0] = list(xs)
+        conjs = self.conjs
+        for y, x, k in self.tree:
+            image = list(map(conjs[k].__getitem__, images[x]))
+            if target.issuperset(image):
+                return True
+            images[y] = image
+        return False
 
 
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its element set, verified at construction through
-    a generating tuple taken from its members (``generate``).  The tuple is
-    kept as ``generators``, which is not part of the value."""
+    a generating tuple taken from its members in element order
+    (``_Index.span``).  The tuple is kept as ``generators``, which is not part
+    of the value."""
 
     group: PermGroup = field(compare=False)
     members: FrozenSet[Perm] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        e = self.group.identity
-        if e not in self.members:
+        if self.group.identity not in self.members:
             raise ContractError("subgroup must contain the identity")
-        object.__setattr__(self, "generators", generate(self.members, e, self.group)[0])
+        k = self.group._kernel
+        numbers = k.numbers(self.members)
+        gens, _ = k.span(sorted(numbers), numbers)
+        object.__setattr__(self, "generators", tuple(map(k.elements.__getitem__, gens)))
+        object.__setattr__(self, "_numbers", (numbers, gens))
 
     def order(self) -> int:
         return len(self.members)
 
 
-def _profile(G: PermGroup, U: Subgroup) -> Tuple[int, ...]:
-    return tuple(len(U.members.intersection(c)) for c in G.conjugacy_classes())
+def _numbered(G: PermGroup, U: Subgroup) -> Tuple[Members, Tuple[int, ...]]:
+    """U's members and generators as element numbers of ``G``; ContractError
+    unless U lies in ``G``."""
+    if U.group is G:
+        return U._numbers
+    k = G._kernel
+    members = k.numbers(U.members)
+    return members, tuple(map(k.pos.__getitem__, U.generators))
 
 
-def _induced_character(G: PermGroup, U: Subgroup) -> Tuple[int, ...]:
-    """Value on each conjugacy class of the character induced from the trivial
-    one on U: the number of left cosets xU that the class representative
-    fixes, computed without the class profile.
-
-    r fixes xU exactly when r lies in its stabilizer xUx^-1, and u -> xux^-1
-    lists that stabilizer once.  So one pass over the cosets, each entered at
-    its first element x in ``G.elements()`` order, adds one to a class for
-    every u in U with xux^-1 its representative: 2|G| products in all, and
-    none per class.
-    """
-    index = {cls[0]: i for i, cls in enumerate(G.conjugacy_classes())}
-    values = [0] * len(index)
-    covered = set()
-    for x in G.elements():
-        if x in covered:
-            continue
-        xi = perm_inv(x)
-        for u in U.members:
-            y = tuple(map(x.__getitem__, u))  # x u, a member of xU
-            covered.add(y)
-            i = index.get(tuple(map(y.__getitem__, xi)))  # x u x^-1
-            if i is not None:
-                values[i] += 1
-    return tuple(values)
-
-
-def _signature(G: PermGroup, U: Subgroup) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    return _profile(G, U), _induced_character(G, U)
+def _signature(G: PermGroup, members: Members) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Class profile and induced character."""
+    G.conjugacy_classes()
+    k = G._kernel
+    return k.profile(members), k.induced(members)
 
 
 def _signatures_agree(sig1, sig2) -> bool:
@@ -345,46 +559,37 @@ def _signatures_agree(sig1, sig2) -> bool:
     return by_profile
 
 
-def _check_inside(G: PermGroup, *subgroups: Subgroup) -> None:
-    """ContractError unless each subgroup lies in ``G``: its generators, and
-    its identity for a trivial one, are elements of ``G``."""
-    for U in subgroups:
-        if G.identity not in U.members or not all(x in G for x in U.generators):
-            raise ContractError("subgroup element outside the ambient group")
-
-
 def almost_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
     """Equal class intersection profiles, cross-checked against induced characters."""
-    _check_inside(G, U1, U2)
-    if U1.order() != U2.order():
+    a, _ = _numbered(G, U1)
+    b, _ = _numbered(G, U2)
+    if len(a) != len(b):
         return False
-    return _signatures_agree(_signature(G, U1), _signature(G, U2))
+    return _signatures_agree(_signature(G, a), _signature(G, b))
 
 
 def are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
-    _check_inside(G, U1, U2)
-    if U1.order() != U2.order():
+    """Whether some element of ``G`` conjugates U1 onto U2.  g<X>g^-1 is
+    generated by gXg^-1, so it lies in U2 when they do; conjugation is
+    injective and the orders agree, so inside is equality.  Only U1's
+    generators are conjugated (``_Index.conjugates_into``)."""
+    a, gens = _numbered(G, U1)
+    b, _ = _numbered(G, U2)
+    if len(a) != len(b):
         return False
-    target = U2.members
-    for g in G.elements():
-        gi = perm_inv(g)
-        # g<X>g^-1 is generated by gXg^-1, so it lies in U2 when they do;
-        # conjugation is injective and the orders agree, so inside is equality
-        if all(tuple(map(g.__getitem__, map(x.__getitem__, gi))) in target
-               for x in U1.generators):
-            return True
-    return False
+    return G._kernel.conjugates_into(gens, b)
 
 
 def common_normal_index2(G: PermGroup, U1: Subgroup, U2: Subgroup) -> Optional[Subgroup]:
     """Some normal subgroup containing both inputs with index two, if one exists."""
-    _check_inside(G, U1, U2)
-    want = 2 * U1.order()
-    if U2.order() != U1.order():
+    a, _ = _numbered(G, U1)
+    b, _ = _numbered(G, U2)
+    if len(a) != len(b):
         return None
-    for n in G.normal_subgroups():
-        if len(n) == want and U1.members <= n and U2.members <= n:
-            return Subgroup(G, n)
+    normal = G.normal_subgroups()
+    for n, members in zip(G._kernel.normal_subgroups(), normal):
+        if len(n) == 2 * len(a) and a <= n and b <= n:
+            return Subgroup(G, members)
     return None
 
 
@@ -392,26 +597,30 @@ def verify_prop_almost_conjugate(G: PermGroup):
     """Scan every index-two pair inside every normal subgroup.
 
     The normal subgroups and their index-two subgroups come from
-    ``normal_subgroups`` and ``index_two_subgroups``, not from the subgroup
-    lattice.  The class profile and induced character of each index-two
-    subgroup are computed once; every pair still compares both, raising
+    ``normal_subgroups`` and ``_Index.halves``, not from the subgroup
+    lattice.  Each index-two subgroup is checked to be closed, as
+    ``Subgroup`` checks a set, and its class profile and induced character
+    are computed once; every pair still compares both, raising
     ``ContractError`` when they disagree, and only almost conjugate pairs
-    are tested for conjugacy.
+    are tested for conjugacy, as ``Subgroup`` objects.
 
     Returns (True, None) when almost conjugate implies conjugate throughout,
     otherwise (False, counterexample pair).  No counterexample should ever
     exist; the scan is the verification.
     """
-    for n in G.normal_subgroups():
-        halves = G.index_two_subgroups(n)
+    G.normal_subgroups()
+    k = G._kernel
+    for n in k.normal_subgroups():
+        halves = k.halves(n)
         if len(halves) < 2:
             continue
-        inside = [Subgroup(G, s) for s in halves]
-        signatures = [_signature(G, u) for u in inside]
-        for i, u1 in enumerate(inside):
-            for j in range(i + 1, len(inside)):
-                u2 = inside[j]
-                if _signatures_agree(signatures[i], signatures[j]) and not are_conjugate(G, u1, u2):
-                    return False, (u1, u2)
+        for h in halves:
+            k.span(sorted(h), h)
+        signatures = [_signature(G, h) for h in halves]
+        pairs = [(i, j) for i in range(len(halves)) for j in range(i + 1, len(halves))
+                 if _signatures_agree(signatures[i], signatures[j])]
+        inside = {i: Subgroup(G, k.perms(halves[i])) for i in {i for pair in pairs for i in pair}}
+        for i, j in pairs:
+            if not are_conjugate(G, inside[i], inside[j]):
+                return False, (inside[i], inside[j])
     return True, None
-

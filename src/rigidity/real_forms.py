@@ -66,6 +66,12 @@ class RealFormTag:
             raise ValueError(f"{self.name} takes {n_params} parameter(s)")
         if any(p < 0 for p in self.params):
             raise ValueError(f"{self.name} takes nonnegative parameters")
+        # SL(0) and a form of total 0 have no group; their signatures would
+        # give a negative rank
+        if self.name in ("SL_R", "SL_H") and self.params[0] < 1:
+            raise ValueError(f"{self.name} takes a parameter of at least 1")
+        if self.name in ("SU", "Spin", "Sp") and sum(self.params) < 1:
+            raise ValueError(f"{self.name} takes parameters of positive total")
         if self.name in ("SU", "Spin", "Sp") and self.params[0] < self.params[1]:
             object.__setattr__(self, "params", (self.params[1], self.params[0]))
         if self.name in ("Sp_R", "SpinStar") and self.params[0] % 2 != 0:

@@ -16,9 +16,14 @@ with no memo, as ``rigidity.cli.parse`` must.
 all-pairs closure check and the all-members conjugacy test that
 ``arith_equiv.Subgroup`` and ``are_conjugate`` must agree with,
 ``reference_induced_character`` counts fixed cosets by testing every class
-representative against every coset, which ``arith_equiv._induced_character``
-must agree with, and ``reference_closure`` lists a generated group breadth
-first, as ``arith_equiv.generate`` must.  ``catalog_groups``
+representative against every coset, which the induced character of
+``arith_equiv`` must agree with, and ``reference_closure`` lists a generated group breadth
+first, as ``arith_equiv.generate`` must.  ``reference_classes``,
+``reference_normal_subgroups``, ``reference_index_two_subgroups``,
+``stabilizer_induced_character``, ``generator_are_conjugate`` and
+``reference_verify`` compute on tuples of degree points what
+``arith_equiv`` computes on element numbers, by the same algorithms, and
+must agree with it everywhere.  ``catalog_groups``
 parses ``fixtures/groups.cat`` afresh on every call, as
 ``rigidity.catalog.catalog_group`` does for one group, so no two tests
 share a group's caches.  ``run_python`` runs code in a fresh interpreter
@@ -31,16 +36,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import rigidity
 from rigidity.arith_equiv import (
     DEFAULT_GROUP_CAP,
+    NORMAL_SUBGROUP_LIMIT,
     Perm,
     PermGroup,
     Subgroup,
+    _adjoin,
     almost_conjugate,
     are_conjugate,
+    generate,
     perm_inv,
     perm_mul,
 )
@@ -171,6 +179,140 @@ def reference_are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
         if all(perm_mul(perm_mul(g, u), gi) in U2.members for u in U1.members):
             return True
     return False
+
+
+def reference_classes(G: PermGroup) -> List[Tuple[Perm, ...]]:
+    """The conjugacy classes as orbits of tuples under conjugation by the
+    generators, each sorted, listed by (size, least element)."""
+    assigned = set()
+    classes = []
+    pairs = [(g, perm_inv(g)) for g in G.generators]
+    for rep in G.elements():  # sorted, so each rep is its class's least element
+        if rep in assigned:
+            continue
+        orbit = {rep}
+        frontier = [rep]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g, gi in pairs:
+                    y = perm_mul(perm_mul(g, x), gi)
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        assigned |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return sorted(classes, key=lambda c: (len(c), c[0]))
+
+
+def reference_normal_subgroups(G: PermGroup) -> List[FrozenSet[Perm]]:
+    """The normal subgroups as joins of the subgroups the classes generate,
+    on tuples, with CapacityError past ``NORMAL_SUBGROUP_LIMIT`` at the same
+    point of the closure as ``PermGroup.normal_subgroups``."""
+    trivial = frozenset([G.identity])
+    spans: Dict[FrozenSet[Perm], Tuple[Perm, ...]] = {}
+    for cls in reference_classes(G):
+        if cls[0] != G.identity:
+            gens, sub = generate(cls, G.identity)
+            spans.setdefault(sub, gens)
+    known = {trivial, *spans}
+    frontier = list(spans)
+    while frontier:
+        nxt = []
+        for n in frontier:
+            if len(known) > NORMAL_SUBGROUP_LIMIT:
+                raise CapacityError(
+                    f"{len(known)} normal subgroups exceed the limit {NORMAL_SUBGROUP_LIMIT}"
+                )
+            for sub, gens in spans.items():
+                if gens[0] in n or n <= sub:
+                    continue
+                join = _adjoin(n, gens)
+                if join not in known:
+                    known.add(join)
+                    nxt.append(join)
+        frontier = nxt
+    return sorted(known, key=lambda s: (len(s), sorted(s)))
+
+
+def reference_index_two_subgroups(G: PermGroup, n: FrozenSet[Perm]) -> List[FrozenSet[Perm]]:
+    """The index-two subgroups of ``n`` as hyperplane preimages of its
+    quotient by the squares, on tuples, sorted by elements."""
+    if len(n) % 2:
+        return []
+    _, squares = generate({perm_mul(x, x) for x in n}, G.identity)
+    coords = dict.fromkeys(squares, 0)
+    bit = 1
+    for x in n:
+        if x not in coords:
+            coords.update([(perm_mul(y, x), c | bit) for y, c in coords.items()])
+            bit <<= 1
+    halves = [frozenset(x for x, c in coords.items() if not (c & f).bit_count() % 2)
+              for f in range(1, bit)]
+    return sorted(halves, key=sorted)
+
+
+def reference_profile(classes, members: FrozenSet[Perm]) -> Tuple[int, ...]:
+    """How many of ``members`` each of ``classes`` (``reference_classes``) holds."""
+    return tuple(len(members.intersection(c)) for c in classes)
+
+
+def stabilizer_induced_character(G: PermGroup, classes,
+                                 members: FrozenSet[Perm]) -> Tuple[int, ...]:
+    """The induced character on tuples, counted through coset stabilizers:
+    each left coset xU entered at its first element x, and one added to a
+    class of ``classes`` for every u in U with xux^-1 its representative."""
+    index = {cls[0]: i for i, cls in enumerate(classes)}
+    values = [0] * len(index)
+    covered = set()
+    for x in G.elements():
+        if x in covered:
+            continue
+        xi = perm_inv(x)
+        for u in members:
+            y = perm_mul(x, u)
+            covered.add(y)
+            i = index.get(perm_mul(y, xi))
+            if i is not None:
+                values[i] += 1
+    return tuple(values)
+
+
+def generator_are_conjugate(G: PermGroup, members1: FrozenSet[Perm],
+                            members2: FrozenSet[Perm]) -> bool:
+    """Whether some element of ``G``, in element order, conjugates a
+    generating tuple of ``members1`` (``generate`` on its sorted members)
+    into ``members2``."""
+    if len(members1) != len(members2):
+        return False
+    gens, _ = generate(sorted(members1), G.identity)
+    for g in G.elements():
+        gi = perm_inv(g)
+        if all(perm_mul(perm_mul(g, x), gi) in members2 for x in gens):
+            return True
+    return False
+
+
+def reference_verify(G: PermGroup):
+    """``verify_prop_almost_conjugate`` on tuples: every pair of index-two
+    subgroups of every normal subgroup whose class profiles and induced
+    characters agree must be conjugate.  Returns (True, None) or (False,
+    (members1, members2)) for the first pair that is not; ContractError
+    when profile and character disagree on a pair."""
+    classes = reference_classes(G)
+    for n in reference_normal_subgroups(G):
+        halves = reference_index_two_subgroups(G, n)
+        signatures = [(reference_profile(classes, h), stabilizer_induced_character(G, classes, h))
+                      for h in halves]
+        for i, h1 in enumerate(halves):
+            for j in range(i + 1, len(halves)):
+                by_profile = signatures[i][0] == signatures[j][0]
+                if by_profile != (signatures[i][1] == signatures[j][1]):
+                    raise ContractError("class profiles and induced characters disagree")
+                if by_profile and not generator_are_conjugate(G, h1, halves[j]):
+                    return False, (h1, halves[j])
+    return True, None
 
 
 def mackey_decomposition_holds(G: PermGroup, N: Subgroup, U: Subgroup) -> bool:

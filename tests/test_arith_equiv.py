@@ -1,24 +1,33 @@
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
     catalog_groups,
+    generator_are_conjugate,
     hbar_certificate,
     mackey_decomposition_holds,
     reference_are_conjugate,
+    reference_classes,
     reference_closure,
+    reference_index_two_subgroups,
     reference_induced_character,
+    reference_normal_subgroups,
+    reference_profile,
     reference_subgroup_check,
+    reference_verify,
+    stabilizer_induced_character,
 )
 from rigidity.arith_equiv import (
     DEFAULT_GROUP_CAP,
     NORMAL_SUBGROUP_LIMIT,
     PermGroup,
     Subgroup,
-    _induced_character,
+    _numbered,
+    _signature,
     almost_conjugate,
     are_conjugate,
     common_normal_index2,
@@ -47,6 +56,11 @@ def lattice_normal_subgroups(G):
         if all(frozenset(perm_mul(perm_mul(g, x), perm_inv(g)) for x in s) == s
                for g in G.generators)
     ]
+
+
+def induced_character(G, U):
+    """The induced character as ``almost_conjugate`` computes it."""
+    return _signature(G, _numbered(G, U)[0])[1]
 
 
 class TestConjugacyClasses:
@@ -153,7 +167,7 @@ class TestSubgroupsOfAnotherGroup:
 
 
 class TestInducedCharacterAgainstTheReference:
-    """``_induced_character`` counts each coset once through its stabilizer;
+    """``induced_character`` counts each coset once through its stabilizer;
     ``reference_induced_character`` tests every class representative against
     every coset.  They must agree everywhere."""
 
@@ -162,7 +176,7 @@ class TestInducedCharacterAgainstTheReference:
         G = catalog_group(name)
         for s in G.subgroups():
             U = Subgroup(G, s)
-            assert _induced_character(G, U) == reference_induced_character(G, U)
+            assert induced_character(G, U) == reference_induced_character(G, U)
 
     def test_fano_group(self):
         # PSL(3,2) is simple, so its normal subgroups have no subgroup of index
@@ -175,8 +189,8 @@ class TestInducedCharacterAgainstTheReference:
         assert len(halves) == 2
         cyclic = [Subgroup(G, generate([c[0]], G.identity)[1]) for c in G.conjugacy_classes()]
         for U in [P, L, *halves, *cyclic]:
-            assert _induced_character(G, U) == reference_induced_character(G, U)
-        assert _induced_character(G, P) == _induced_character(G, L) == (7, 3, 0, 0, 1, 1)
+            assert induced_character(G, U) == reference_induced_character(G, U)
+        assert induced_character(G, P) == induced_character(G, L) == (7, 3, 0, 0, 1, 1)
 
     @pytest.mark.parametrize("name", [G.name for G in catalog_groups()])
     def test_trivial_subgroup_and_whole_group(self, name):
@@ -184,8 +198,8 @@ class TestInducedCharacterAgainstTheReference:
         G = catalog_group(name)
         k = len(G.conjugacy_classes())
         trivial = Subgroup(G, frozenset([G.identity]))
-        assert _induced_character(G, trivial) == (G.order(),) + (0,) * (k - 1)
-        assert _induced_character(G, Subgroup(G, frozenset(G.elements()))) == (1,) * k
+        assert induced_character(G, trivial) == (G.order(),) + (0,) * (k - 1)
+        assert induced_character(G, Subgroup(G, frozenset(G.elements()))) == (1,) * k
 
 
 class TestVerifyProp:
@@ -368,6 +382,77 @@ class TestBudget:
         G, P, L = fano_point_line_stabilizers()
         assert common_normal_index2(G, P, L) is None
         assert time.perf_counter() - start < 2.0
+
+    def test_verify_on_the_symmetric_group_of_degree_seven(self):
+        # order 5,040, listed with its index layer: about 0.05-0.1 s in-process
+        # and a tracemalloc peak of about 5.5 MiB (0.13-0.23 s and 4.5 MiB on
+        # tuples; 2-vCPU Xeon VM, Python 3.11).  A product table of |G|^2
+        # numbers alone takes about 200 MB
+        line = "S7 7 (1 2);(1 2 3 4 5 6 7)"
+        (G,) = parse_catalog(line)
+        start = time.perf_counter()
+        assert verify_prop_almost_conjugate(G) == (True, None)
+        assert time.perf_counter() - start < 0.5
+        (G,) = parse_catalog(line)
+        tracemalloc.start()
+        try:
+            assert verify_prop_almost_conjugate(G) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+
+# the wreath product of S4 by C2 on 8 points, of order 1,152
+S4_WR_C2 = "S4wrC2 8 (1 2);(1 2 3 4);(1 5)(2 6)(3 7)(4 8)"
+
+
+def agrees_with_the_tuple_references(G):
+    """Classes, normal subgroups, index-two subgroups, both signatures of
+    each, conjugacy of every pair of them and the verification itself, on
+    element numbers and by the same algorithms on tuples (``oracles``)."""
+    classes = reference_classes(G)
+    assert G.conjugacy_classes() == classes
+    normal = reference_normal_subgroups(G)
+    assert G.normal_subgroups() == normal
+    for n in normal:
+        halves = reference_index_two_subgroups(G, n)
+        assert G.index_two_subgroups(n) == halves
+        inside = [Subgroup(G, h) for h in halves]
+        profiles = [reference_profile(classes, h) for h in halves]
+        for U, profile in zip(inside, profiles):
+            assert _signature(G, _numbered(G, U)[0]) == (
+                profile, stabilizer_induced_character(G, classes, U.members))
+        for i, U1 in enumerate(inside):
+            for j in range(i + 1, len(inside)):
+                # conjugate subgroups meet each class alike
+                want = (profiles[i] == profiles[j]
+                        and generator_are_conjugate(G, U1.members, halves[j]))
+                assert are_conjugate(G, U1, inside[j]) == want
+    ok, pair = verify_prop_almost_conjugate(G)
+    assert (ok, pair and (pair[0].members, pair[1].members)) == reference_verify(G)
+    assert ok
+
+
+class TestIndexLayerAgainstTheTupleReferences:
+    """The index layer must give what the same algorithms give on tuples."""
+
+    @pytest.mark.parametrize("name", [G.name for G in catalog_groups()])
+    def test_every_catalog_group(self, name):
+        agrees_with_the_tuple_references(catalog_group(name))
+
+    @pytest.mark.parametrize("line", [TestCaps.transpositions(5), S4_WR_C2])
+    def test_groups_with_many_normal_or_index_two_subgroups(self, line):
+        (G,) = parse_catalog(line)
+        agrees_with_the_tuple_references(G)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda d: st.lists(st.permutations(range(d)).map(tuple), max_size=3)
+        .map(lambda gens: (d, gens))))
+    def test_drawn_generators(self, drawn):
+        degree, gens = drawn
+        agrees_with_the_tuple_references(PermGroup(degree, gens))
 
 
 def outcome(check, *args):

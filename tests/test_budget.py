@@ -217,12 +217,15 @@ class TestOrbitCommand:
 
 class TestCatalogGroups:
     def test_equiv_on_an_elementary_abelian_group_of_order_32(self, tmp_path, capsys):
-        # every one of its 374 subgroups is normal
+        # every one of its 374 subgroups is normal, and each has 2^d - 1
+        # index-two subgroups for a quotient by the squares of rank d; about
+        # 0.16 s in-process on element numbers (0.4-0.46 s on tuples; 2-vCPU
+        # Xeon VM, Python 3.11)
         f = tmp_path / "z2_5.cat"
         f.write_text("Z2^5 10 (1 2);(3 4);(5 6);(7 8);(9 10)\n")
         start = time.perf_counter()
         assert main(["equiv", str(f)]) == 0
-        assert time.perf_counter() - start < 6.0
+        assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out == "Z2^5 (order 32): ok\n"
 
     def test_equiv_on_wreath_products(self, tmp_path, capsys):

@@ -158,6 +158,11 @@ _E8_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = E8")
      "7:1: SU takes nonnegative parameters"),
     ("[group]\ntype = C\nrank = 3\n[field]\ndegree = 1\n[places]\nv2 = omega=1\n[real]\nw = form=Sp(4,-1)\n",
      "9:1: Sp takes nonnegative parameters"),
+    ("[real]\nw = form=SL_R(0)\n", "7:1: SL_R takes a parameter of at least 1"),
+    ("[real]\nw = form=SL_H(0)\n", "7:1: SL_H takes a parameter of at least 1"),
+    ("[real]\nw = form=SU(0,0)\n", "7:1: SU takes parameters of positive total"),
+    ("[real]\nw = form=Spin(0,0)\n", "7:1: Spin takes parameters of positive total"),
+    ("[real]\nw = form=Sp(0,0)\n", "7:1: Sp takes parameters of positive total"),
     ("[real]\nw = form=SL_R(3) form=SL_R(3)\n", "7:1: option 'form' given twice"),
     ("[real]\nw = form=Spin(3,2)\n", "7:1: Spin(3,2) is not a form of family A"),
     ("[real]\nw = form=SL_R(4)\n", "7:1: SL(4,R) has type A3, group is 1A2"),
@@ -169,7 +174,8 @@ _E8_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = E8")
         "places-trivial-fraction-E8",
         "real-form-parentheses", "real-form-parameters", "real-form-tag", "real-form-parameter-count",
         "real-form-odd-Sp_R", "real-form-odd-SpinStar", "real-form-negative-SU", "real-form-negative-Sp",
-        "real-option-twice",
+        "real-form-zero-SL_R", "real-form-zero-SL_H", "real-form-zero-SU", "real-form-zero-Spin",
+        "real-form-zero-Sp", "real-option-twice",
         "real-form-family", "real-form-type"])
 def test_aut_places_and_real_faults_are_positioned(body, message):
     # a body that starts with [group] brings its own head

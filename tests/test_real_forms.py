@@ -47,6 +47,16 @@ class TestRealFormTag:
         with pytest.raises(ValueError, match=f"^{name} takes nonnegative parameters$"):
             RealFormTag(name, params)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("SL_R", (0,), "a parameter of at least 1"), ("SL_H", (0,), "a parameter of at least 1"),
+        ("SU", (0, 0), "parameters of positive total"), ("Spin", (0, 0), "parameters of positive total"),
+        ("Sp", (0, 0), "parameters of positive total"),
+    ])
+    def test_a_form_with_no_group_is_refused(self, name, params, message):
+        # before, SL_R(0) passed as a form of type A-1
+        with pytest.raises(ValueError, match=f"^{name} takes {message}$"):
+            RealFormTag(name, params)
+
     def test_a_zero_parameter_is_kept(self):
         assert RealFormTag("SU", (0, 4)).params == (4, 0)
         assert RealFormTag("Spin", (5, 0)).signature() == (Family.B, 2, False)

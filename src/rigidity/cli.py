@@ -705,7 +705,8 @@ def cmd_equiv(args, out=None) -> int:
         print(f"{args.catalog}: {e}", file=sys.stderr)
         return 3
     failures = 0
-    for G in groups:
+    for i, G in enumerate(groups):
+        groups[i] = None  # a group and its tables are freed once its line is out
         try:
             ok, pair = verify_prop_almost_conjugate(G)
         except CapacityError as e:

@@ -116,9 +116,9 @@ class PermGroup:
         Each known subgroup is joined with one cyclic subgroup at a time
         (``_adjoin`` from its generating tuple), which takes seconds from
         order 168 on.  Nothing in the package calls it.  It stays on tuples,
-        apart from the index layer, as the independent oracle the tests
-        compare ``normal_subgroups`` and ``index_two_subgroups`` with, and
-        for the bench tracer.
+        off the index layer, as the independent oracle the tests compare
+        ``normal_subgroups`` and ``index_two_subgroups`` with, and for the
+        bench tracer.
         """
         if self._subgroups is not None:
             return self._subgroups
@@ -151,7 +151,7 @@ class PermGroup:
         (``_Index.normal_subgroups``); CapacityError past
         ``NORMAL_SUBGROUP_LIMIT``."""
         if self._normal is None:
-            self.conjugacy_classes()
+            self.conjugacy_classes()  # first, so the classes are timed on their own
             k = self._kernel
             self._normal = [k.perms(n) for n in k.normal_subgroups()]
         return self._normal

@@ -14,8 +14,9 @@ A group is listed once, as sorted tuples of degree points (``generate``,
 Dimino's coset walk, which the field automorphism groups use too).  From
 then on the checks run on element numbers in ``_Index``: element i is the
 i-th of the sorted list, each generator has its right, left and
-conjugation tables of |G| numbers, any other right factor gets a column of
-|G| numbers when first used, and subgroups are frozensets of numbers.  The
+conjugation tables of |G| numbers, the generators of the class subgroups
+get columns of |G| numbers up to a bound, other right factors multiply by
+tuple products, and subgroups are frozensets of numbers.  The
 public functions take and return tuples and convert at the boundary.
 ``PermGroup.subgroups`` stays on tuples, as the reference lattice.
 """
@@ -23,6 +24,7 @@ public functions take and return tuples and convert at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -36,6 +38,10 @@ DEFAULT_GROUP_CAP = 10080
 
 # Most normal subgroups one group may list; (Z/2)^n has about 2^(n^2/4).
 NORMAL_SUBGROUP_LIMIT = 512
+
+# Most numbers the kept columns of a group's non-generators hold, 8 MiB of
+# list slots, so no group gets near its |G|^2 product table.
+KEPT_COLUMN_ENTRIES = 1 << 20
 
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
@@ -258,11 +264,14 @@ class _Index:
     element order, every sorted output comes out as it would on tuples, and
     the identity, the least permutation, is 0.  Each generator s has three
     tables of |G| numbers: x -> xs (its column), x -> sx and x -> sxs^-1.
-    Any other right factor x gets a column y -> yx when first used, filled
-    along a spanning tree of left multiplications by the generators, since
-    (sy)x = s(yx); no product table of |G|^2 entries is ever built.
-    Subgroups are frozensets of numbers.  A subgroup of a listed group is
-    never larger than the group, so nothing here checks the group cap.
+    The generators of the class subgroups, which every join of normal
+    subgroups reuses, get columns y -> yx as well, filled along a spanning
+    tree of left multiplications by the generators, since (sy)x = s(yx); the
+    columns kept hold at most ``KEPT_COLUMN_ENTRIES`` numbers, so no product
+    table of |G|^2 entries is ever built.  Any other right factor multiplies
+    by one tuple product for each element.  Subgroups are frozensets of
+    numbers.  A subgroup of a listed group is never larger than the group,
+    so nothing here checks the group cap.
     """
 
     def __init__(self, elements: List[Perm], generators: Sequence[Perm]):
@@ -270,9 +279,10 @@ class _Index:
         self.pos: Dict[Perm, int] = {x: i for i, x in enumerate(elements)}
         distinct = list(dict.fromkeys(generators))
         gens = [self.pos[s] for s in distinct]
-        # x -> xs: with the squares, the only products of tuples
+        # x -> xs
         rights = [list(map(self.pos.__getitem__, map(_times(s), elements))) for s in distinct]
         self.columns: Dict[int, List[int]] = dict(zip(gens, rights))
+        self._room = KEPT_COLUMN_ENTRIES
         # x -> sx along a tree of right multiplications, since s(yt) = (sy)t
         right_tree = _spanning_tree(rights, len(elements))
         self.lefts = [_along(right_tree, rights, s) for s in gens]
@@ -298,13 +308,19 @@ class _Index:
     def perms(self, members: Members) -> FrozenSet[Perm]:
         return frozenset(map(self.elements.__getitem__, members))
 
-    def column(self, x: int) -> List[int]:
-        """y -> yx, kept once built: along the tree of left multiplications,
-        since (sy)x = s(yx)."""
+    def right(self, x: int, keep: bool = False) -> Callable[[int], int]:
+        """y -> yx.  A kept column is looked up.  With ``keep``, while there is
+        room, x's column is built along the tree of left multiplications,
+        since (sy)x = s(yx), and kept.  Otherwise each product is one tuple
+        product."""
         col = self.columns.get(x)
-        if col is None:
+        if col is None and keep and self._room >= len(self.elements):
             col = self.columns[x] = _along(self.tree, self.lefts, x)
-        return col
+            self._room -= len(col)
+        if col is not None:
+            return col.__getitem__
+        times, elements, pos = _times(self.elements[x]), self.elements, self.pos
+        return lambda y: pos[times(elements[y])]
 
     def squares(self) -> List[int]:
         """x -> xx."""
@@ -340,18 +356,26 @@ class _Index:
             self._classes = classes
         return self._classes
 
-    def adjoin(self, sub: Members, gens: Sequence[int], within: Optional[Members] = None) -> Members:
-        """The subgroup ``sub`` and ``gens`` generate (Dimino's algorithm, as
-        ``_adjoin``): each new right coset is the image of one found before
-        under a generator's column.  With ``within``, a coset that leaves it
-        raises ContractError."""
-        cols = [self.column(g) for g in gens]
+    def powers(self, x: int) -> List[int]:
+        """x^0, x^1, ... up to the last power before the identity."""
+        step, out = self.right(x), [0]
+        while x:
+            out.append(x)
+            x = step(x)
+        return out
+
+    def adjoin(self, sub: Members, steps: Sequence[Callable[[int], int]],
+               within: Optional[Members] = None) -> Members:
+        """The subgroup ``sub`` and the generators with right multiplications
+        ``steps`` (``right``) generate (Dimino's algorithm, as ``_adjoin``):
+        each new right coset is the image of one found before under a step.
+        With ``within``, a coset that leaves it raises ContractError."""
         elems = set(sub)
         cosets = [list(sub)]
         for coset in cosets:  # cosets grows while it is read
-            for col in cols:
-                if col[coset[0]] not in elems:
-                    new = list(map(col.__getitem__, coset))
+            for step in steps:
+                if step(coset[0]) not in elems:
+                    new = list(map(step, coset))
                     if within is not None and not within.issuperset(new):
                         raise ContractError("subgroup not closed under composition")
                     elems.update(new)
@@ -368,18 +392,17 @@ class _Index:
         checks closure in at most |within| times the number of generators
         lookups, and a set that is not closed stops early."""
         gens: Tuple[int, ...] = ()
+        steps: List[Callable[[int], int]] = []
         sub = frozenset([0])
         for x in xs:
             if x not in sub:
                 gens += (x,)
+                steps.append(self.right(x))
                 if len(gens) > 1:
-                    sub = self.adjoin(sub, gens, within)
+                    sub = self.adjoin(sub, steps, within)
                     continue
                 # a first generator spans its powers, cheaper to list than cosets
-                col, powers = self.column(x), [0]
-                while x:
-                    powers.append(x)
-                    x = col[x]
+                powers = self.powers(x)
                 if within is not None and not within.issuperset(powers):
                     raise ContractError("subgroup not closed under composition")
                 sub = frozenset(powers)
@@ -393,16 +416,25 @@ class _Index:
         subgroups, each normal subgroup found is joined with every class
         subgroup that neither contains it nor lies in it.  It is normal, so
         the join is the union of its cosets that the class subgroup's
-        generating tuple reaches.  Before each join pass it raises
+        generating tuple reaches.  A class of the powers x^k, with k prime to
+        the order of x, of a class spanned before generates the same subgroup
+        and is not spanned again.  Before each join pass it raises
         ``CapacityError`` once more than ``NORMAL_SUBGROUP_LIMIT`` are known.
         """
         if self._normal is None:
             trivial = frozenset([0])
             spans: Dict[Members, Tuple[int, ...]] = {}  # class subgroup -> generators
-            for cls in self.classes():
-                if cls[0] != 0:
-                    gens, sub = self.span(cls)
-                    spans.setdefault(sub, gens)
+            classes = self.classes()
+            same = bytearray(len(classes))  # classes that generate a subgroup spanned before
+            for i, cls in enumerate(classes):
+                if cls[0] == 0 or same[i]:
+                    continue
+                gens, sub = self.span(cls)
+                spans.setdefault(sub, gens)
+                powers = self.powers(cls[0])
+                for k in range(2, len(powers)):
+                    if gcd(k, len(powers)) == 1:
+                        same[self.class_of[powers[k]]] = 1
             known = {trivial, *spans}
             frontier = list(spans)
             while frontier:
@@ -416,7 +448,7 @@ class _Index:
                         # n is normal, so it holds the class subgroup iff it holds gens[0]
                         if gens[0] in n or n <= sub:
                             continue
-                        join = self.adjoin(n, gens)
+                        join = self.adjoin(n, [self.right(g, keep=True) for g in gens])
                         if join not in known:
                             known.add(join)
                             nxt.append(join)
@@ -443,8 +475,8 @@ class _Index:
         for x in n:
             if x not in coords:
                 # the known part is a subgroup holding the squares, so normal in n
-                col = self.column(x)
-                coords.update([(col[y], c | bit) for y, c in coords.items()])
+                step = self.right(x)
+                coords.update([(step(y), c | bit) for y, c in coords.items()])
                 bit <<= 1
         halves = [frozenset(x for x, c in coords.items() if not (c & f).bit_count() % 2)
                   for f in range(1, bit)]
@@ -598,11 +630,11 @@ def verify_prop_almost_conjugate(G: PermGroup):
 
     The normal subgroups and their index-two subgroups come from
     ``normal_subgroups`` and ``_Index.halves``, not from the subgroup
-    lattice.  Each index-two subgroup is checked to be closed, as
-    ``Subgroup`` checks a set, and its class profile and induced character
-    are computed once; every pair still compares both, raising
-    ``ContractError`` when they disagree, and only almost conjugate pairs
-    are tested for conjugacy, as ``Subgroup`` objects.
+    lattice.  Each index-two subgroup becomes a ``Subgroup``, which checks
+    that it is closed, and its class profile and induced character are
+    computed once; every pair still compares both, raising ``ContractError``
+    when they disagree, and only almost conjugate pairs are tested for
+    conjugacy.
 
     Returns (True, None) when almost conjugate implies conjugate throughout,
     otherwise (False, counterexample pair).  No counterexample should ever
@@ -614,13 +646,11 @@ def verify_prop_almost_conjugate(G: PermGroup):
         halves = k.halves(n)
         if len(halves) < 2:
             continue
-        for h in halves:
-            k.span(sorted(h), h)
+        inside = [Subgroup(G, k.perms(h)) for h in halves]
         signatures = [_signature(G, h) for h in halves]
-        pairs = [(i, j) for i in range(len(halves)) for j in range(i + 1, len(halves))
-                 if _signatures_agree(signatures[i], signatures[j])]
-        inside = {i: Subgroup(G, k.perms(halves[i])) for i in {i for pair in pairs for i in pair}}
-        for i, j in pairs:
-            if not are_conjugate(G, inside[i], inside[j]):
-                return False, (inside[i], inside[j])
+        for i, u1 in enumerate(inside):
+            for j in range(i + 1, len(inside)):
+                u2 = inside[j]
+                if _signatures_agree(signatures[i], signatures[j]) and not are_conjugate(G, u1, u2):
+                    return False, (u1, u2)
     return True, None

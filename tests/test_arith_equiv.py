@@ -21,6 +21,7 @@ from oracles import (
     reference_verify,
     stabilizer_induced_character,
 )
+from rigidity import arith_equiv
 from rigidity.arith_equiv import (
     DEFAULT_GROUP_CAP,
     NORMAL_SUBGROUP_LIMIT,
@@ -402,6 +403,28 @@ class TestBudget:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
+    def test_verify_on_a_cyclic_group_of_order_5040(self):
+        # C16 x C9 x C5 x C7 on 37 points: every class is one element, and
+        # columns kept for each would take about 200 MB.  About 0.6 s
+        # in-process and a tracemalloc peak of about 10 MiB (2-vCPU Xeon VM,
+        # Python 3.11)
+        line = "C5040 37 " + ";".join(
+            "(" + " ".join(map(str, range(a, b + 1))) + ")"
+            for a, b in [(1, 16), (17, 25), (26, 30), (31, 37)])
+        (G,) = parse_catalog(line)
+        start = time.perf_counter()
+        assert verify_prop_almost_conjugate(G) == (True, None)
+        assert time.perf_counter() - start < 3.0
+        assert len(G.normal_subgroups()) == 60  # one for each divisor of 5,040
+        (G,) = parse_catalog(line)
+        tracemalloc.start()
+        try:
+            assert verify_prop_almost_conjugate(G) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
 
 # the wreath product of S4 by C2 on 8 points, of order 1,152
 S4_WR_C2 = "S4wrC2 8 (1 2);(1 2 3 4);(1 5)(2 6)(3 7)(4 8)"
@@ -445,6 +468,14 @@ class TestIndexLayerAgainstTheTupleReferences:
     def test_groups_with_many_normal_or_index_two_subgroups(self, line):
         (G,) = parse_catalog(line)
         agrees_with_the_tuple_references(G)
+
+    @pytest.mark.parametrize("name", ["S4xC2", "S3xS3", "C2wrC3"])
+    def test_with_room_for_two_kept_columns(self, name, monkeypatch):
+        # past the room, right factors multiply by tuple products
+        monkeypatch.setattr(arith_equiv, "KEPT_COLUMN_ENTRIES", 2 * catalog_group(name).order())
+        G = catalog_group(name)
+        agrees_with_the_tuple_references(G)
+        assert len(G._kernel.columns) <= len(set(G.generators)) + 2
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.integers(1, 7).flatmap(

@@ -386,7 +386,7 @@ class TestBudget:
 
     def test_verify_on_the_symmetric_group_of_degree_seven(self):
         # order 5,040, listed with its index layer: about 0.05-0.1 s in-process
-        # and a tracemalloc peak of about 5.5 MiB (0.13-0.23 s and 4.5 MiB on
+        # and a tracemalloc peak of about 3.6 MiB (0.13-0.23 s and 4.5 MiB on
         # tuples; 2-vCPU Xeon VM, Python 3.11).  A product table of |G|^2
         # numbers alone takes about 200 MB
         line = "S7 7 (1 2);(1 2 3 4 5 6 7)"

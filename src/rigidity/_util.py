@@ -10,11 +10,15 @@ from weakref import ref
 
 _DIGITS = re.compile(r"(\d+)")
 
-# Place ids whose sort keys are kept; ids repeat across descriptors.
-NATURAL_KEY_CACHE = 1024
+# Entries kept by each memoized pure function: place ids, whose sort keys
+# repeat across descriptors, and the tables of ``invariants``, whose ranks
+# (and so moduli and classes) are unbounded input; a descriptor touches a
+# handful of entries.
+MEMO_SIZE = 1024
+_memo = lru_cache(maxsize=MEMO_SIZE)
 
 
-@lru_cache(maxsize=NATURAL_KEY_CACHE)
+@_memo
 def natural_key(s: str):
     """Sort key that orders embedded integers numerically ('v2' < 'v11'); the
     string itself breaks ties ('v01' < 'v1'), so the order is total."""

@@ -10,14 +10,17 @@ normal subgroup are in fact conjugate, which is the group-theoretic engine
 certifying that quadratic extensions of a Galois base field cannot be
 locally-but-not-globally interchangeable.
 
-A group is listed once, as sorted tuples of degree points (``generate``,
-Dimino's coset walk, which the field automorphism groups use too).  From
-then on the checks run on element numbers in ``_Index``: element i is the
-i-th of the sorted list, each generator has its right, left and
-conjugation tables of |G| numbers, the generators of the class subgroups
-get columns of |G| numbers up to a bound, other right factors multiply by
-tuple products, and subgroups are frozensets of numbers.  The
-public functions take and return tuples and convert at the boundary.
+A group is listed once, as sorted tuples of degree points, and from then on
+the checks run on element numbers in ``_Index``: element i is the i-th of
+the sorted list, each generator has its right, left and conjugation tables
+of |G| numbers, the generators of the class subgroups get columns of |G|
+numbers up to a bound, other right factors multiply by tuple products, and
+subgroups are frozensets of numbers.  One coset walk (Dimino's algorithm,
+``_adjoin``, from a generating tuple ``generate`` takes greedily) lists
+the group and spans its subgroups alike, as ``_powers`` lists the powers of
+one element: each takes a generator as its right multiplication y -> yx,
+``_times(x)`` on tuples and ``_Index.right(x)`` on numbers.  The public
+functions take and return tuples and convert at the boundary.
 ``PermGroup.subgroups`` stays on tuples, as the reference lattice.
 """
 
@@ -57,16 +60,19 @@ def perm_inv(a: Perm) -> Perm:
 
 
 def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
+    """The product of disjoint cycles; a point that occurs twice is refused."""
     out = list(range(degree))
+    seen = set()
     for cyc in cycles:
         if not cyc:
             raise ContractError("empty cycle")
         for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
             if not (0 <= a < degree):
                 raise ContractError(f"point {a} outside degree {degree}")
+            if a in seen:
+                raise ContractError("cycles do not define a permutation")
+            seen.add(a)
             out[a] = b
-    if sorted(out) != list(range(degree)):
-        raise ContractError("cycles do not define a permutation")
     return tuple(out)
 
 
@@ -128,12 +134,11 @@ class PermGroup:
         """
         if self._subgroups is not None:
             return self._subgroups
-        elems = self.elements()
+        e = self.identity
         cyclics: Dict[FrozenSet[Perm], Perm] = {}
-        for x in elems:
-            c = frozenset(_cyclic(x, self.identity))
-            cyclics.setdefault(c, x)
-        trivial = frozenset([self.identity])
+        for x in self.elements():
+            cyclics.setdefault(frozenset(_powers(x, _times(x), e)), x)
+        trivial = frozenset([e])
         known = {trivial: ()}  # subgroup -> generating tuple
         frontier = [trivial]
         while frontier:
@@ -144,7 +149,7 @@ class PermGroup:
                     if cyc <= sub:
                         continue
                     new_gens = gens + (x,)
-                    key = _adjoin(sub, new_gens)
+                    key = _adjoin(sub, list(map(_times, new_gens)))
                     if key not in known:
                         known[key] = new_gens
                         nxt.append(key)
@@ -169,67 +174,76 @@ class PermGroup:
         return [k.perms(h) for h in k.halves(k.numbers(n))]
 
 
-def _cyclic(x: Perm, e: Perm) -> List[Perm]:
+def _times(s: Perm) -> Callable[[Perm], Perm]:
+    """x -> xs in one call; below two points the identity is the only permutation."""
+    return itemgetter(*s) if len(s) > 1 else (lambda x: x)
+
+
+def _powers(x, step: Callable, e) -> list:
+    """e, x, x^2, ... up to the last power before e, where ``step`` is
+    y -> yx.  Only elements of a listed group come here, so their order is
+    within the cap; ``generate`` checks the cap on each power of an element
+    it is given, as a coset of the trivial subgroup."""
     out = [e]
-    y = x
-    while y != e:
-        out.append(y)
-        if len(out) > DEFAULT_GROUP_CAP:
-            raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
-        y = perm_mul(y, x)
+    while x != e:
+        out.append(x)
+        x = step(x)
     return out
 
 
-def _adjoin(sub: FrozenSet[Perm], gens: Sequence[Perm]) -> FrozenSet[Perm]:
-    """The subgroup ``sub`` and ``gens`` generate, as the union of the right
-    cosets of ``sub`` reached from ``sub`` by ``gens`` (Dimino's algorithm).
+def _adjoin(sub: FrozenSet, steps: Sequence[Callable], within: Optional[FrozenSet] = None) -> FrozenSet:
+    """The subgroup ``sub`` and the generators whose right multiplications
+    y -> yx are ``steps`` generate, as the union of the right cosets of
+    ``sub`` they reach (Dimino's algorithm): each new coset is the image
+    ``map(step, coset)`` of one found before.
 
-    The union is closed under the generators it is built with, so ``gens``
+    The union is closed under the generators it is built with, so ``steps``
     must include generators of ``sub`` unless they normalize ``sub``.  A
     coset that would take the union past ``DEFAULT_GROUP_CAP`` raises
-    CapacityError.
+    CapacityError; with ``within``, one that leaves it raises ContractError.
     """
     elems = set(sub)
-    reps = [next(iter(sub))]
-    i = 0
-    while i < len(reps):
-        r = reps[i]
-        i += 1
-        for g in gens:
-            t = perm_mul(r, g)
-            if t not in elems:
-                coset = [tuple(map(h.__getitem__, t)) for h in sub]  # h * t, t among them
-                if len(elems) + len(coset) > DEFAULT_GROUP_CAP:
+    cosets = [list(sub)]
+    room = DEFAULT_GROUP_CAP - len(sub)  # a larger union has no room for one more coset
+    for coset in cosets:  # cosets grows while it is read
+        for step in steps:
+            if step(coset[0]) not in elems:
+                if len(elems) > room:
                     raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
-                elems.update(coset)
-                reps.append(t)
+                new = list(map(step, coset))
+                if within is not None and not within.issuperset(new):
+                    raise ContractError("subgroup not closed under composition")
+                elems.update(new)
+                cosets.append(new)
     return frozenset(elems)
 
 
-def generate(elements: Iterable[Perm], e: Perm) -> Tuple[Tuple[Perm, ...], FrozenSet[Perm]]:
-    """A generating tuple taken from ``elements`` in their order, one element
-    for each that the earlier ones do not generate, and the subgroup generated
-    by Dimino's coset walk; CapacityError past ``DEFAULT_GROUP_CAP`` elements.
-    This lists a group from its generators; once listed, a ``PermGroup``
-    works on element numbers (``_Index``)."""
-    gens: Tuple[Perm, ...] = ()
+def generate(xs: Iterable, e, times: Callable = _times,
+             within: Optional[FrozenSet] = None) -> Tuple[tuple, FrozenSet]:
+    """A generating tuple taken from ``xs`` in their order, one element for
+    each that the earlier ones do not generate, and the subgroup generated
+    (``_adjoin``); CapacityError past ``DEFAULT_GROUP_CAP`` elements.
+
+    ``times(x)`` is the step y -> yx: ``_times`` lists a group of tuples
+    from its generators, and a listed group's ``_Index.right`` spans its
+    subgroups on element numbers.  With ``within``, the set that ``xs``
+    lists and that should be a subgroup: everything generated must lie in
+    it, else ContractError.  Every element either is generated or becomes
+    a generator, so this checks closure in at most |within| times the
+    number of generators lookups, and a set that is not closed stops early.
+    """
+    gens: tuple = ()
+    steps: List[Callable] = []
     sub = frozenset([e])
-    for x in elements:
+    for x in xs:
         if x not in sub:
             gens += (x,)
-            if len(gens) > 1:
-                sub = _adjoin(sub, gens)
-            else:  # a first generator spans its powers, which are cheaper to list than cosets
-                sub = frozenset(_cyclic(x, e))
+            steps.append(times(x))
+            sub = _adjoin(sub, steps, within)
     return gens, sub
 
 
 Members = FrozenSet[int]
-
-
-def _times(s: Perm) -> Callable[[Perm], Perm]:
-    """x -> xs in one call; below two points the identity is the only permutation."""
-    return itemgetter(*s) if len(s) > 1 else (lambda x: x)
 
 
 def _spanning_tree(tables: Sequence[List[int]], n: int) -> List[Tuple[int, int, int]]:
@@ -270,8 +284,8 @@ class _Index:
     columns kept hold at most ``KEPT_COLUMN_ENTRIES`` numbers, so no product
     table of |G|^2 entries is ever built.  Any other right factor multiplies
     by one tuple product for each element.  Subgroups are frozensets of
-    numbers.  A subgroup of a listed group is never larger than the group,
-    so nothing here checks the group cap.
+    numbers, spanned by the coset walk that lists the group (``generate``,
+    ``_adjoin``), with ``right`` as its step.
     """
 
     def __init__(self, elements: List[Perm], generators: Sequence[Perm]):
@@ -356,58 +370,6 @@ class _Index:
             self._classes = classes
         return self._classes
 
-    def powers(self, x: int) -> List[int]:
-        """x^0, x^1, ... up to the last power before the identity."""
-        step, out = self.right(x), [0]
-        while x:
-            out.append(x)
-            x = step(x)
-        return out
-
-    def adjoin(self, sub: Members, steps: Sequence[Callable[[int], int]],
-               within: Optional[Members] = None) -> Members:
-        """The subgroup ``sub`` and the generators with right multiplications
-        ``steps`` (``right``) generate (Dimino's algorithm, as ``_adjoin``):
-        each new right coset is the image of one found before under a step.
-        With ``within``, a coset that leaves it raises ContractError."""
-        elems = set(sub)
-        cosets = [list(sub)]
-        for coset in cosets:  # cosets grows while it is read
-            for step in steps:
-                if step(coset[0]) not in elems:
-                    new = list(map(step, coset))
-                    if within is not None and not within.issuperset(new):
-                        raise ContractError("subgroup not closed under composition")
-                    elems.update(new)
-                    cosets.append(new)
-        return frozenset(elems)
-
-    def span(self, xs: Iterable[int], within: Optional[Members] = None) -> Tuple[Tuple[int, ...], Members]:
-        """A generating tuple taken from ``xs`` in their order, one element for
-        each that the earlier ones do not generate, and the subgroup generated.
-
-        With ``within``, the set that ``xs`` lists and that should be a
-        subgroup: everything generated must lie in it, else ContractError.
-        Every element either is generated or becomes a generator, so this
-        checks closure in at most |within| times the number of generators
-        lookups, and a set that is not closed stops early."""
-        gens: Tuple[int, ...] = ()
-        steps: List[Callable[[int], int]] = []
-        sub = frozenset([0])
-        for x in xs:
-            if x not in sub:
-                gens += (x,)
-                steps.append(self.right(x))
-                if len(gens) > 1:
-                    sub = self.adjoin(sub, steps, within)
-                    continue
-                # a first generator spans its powers, cheaper to list than cosets
-                powers = self.powers(x)
-                if within is not None and not within.issuperset(powers):
-                    raise ContractError("subgroup not closed under composition")
-                sub = frozenset(powers)
-        return gens, sub
-
     def normal_subgroups(self) -> List[Members]:
         """Every normal subgroup, sorted by order and then by elements.
 
@@ -429,9 +391,9 @@ class _Index:
             for i, cls in enumerate(classes):
                 if cls[0] == 0 or same[i]:
                     continue
-                gens, sub = self.span(cls)
+                gens, sub = generate(cls, 0, self.right)
                 spans.setdefault(sub, gens)
-                powers = self.powers(cls[0])
+                powers = _powers(cls[0], self.right(cls[0]), 0)
                 for k in range(2, len(powers)):
                     if gcd(k, len(powers)) == 1:
                         same[self.class_of[powers[k]]] = 1
@@ -448,7 +410,7 @@ class _Index:
                         # n is normal, so it holds the class subgroup iff it holds gens[0]
                         if gens[0] in n or n <= sub:
                             continue
-                        join = self.adjoin(n, [self.right(g, keep=True) for g in gens])
+                        join = _adjoin(n, [self.right(g, keep=True) for g in gens])
                         if join not in known:
                             known.add(join)
                             nxt.append(join)
@@ -469,7 +431,7 @@ class _Index:
         if len(n) % 2:
             return []
         squares = self.squares()
-        _, sub = self.span(sorted({squares[x] for x in n}))
+        _, sub = generate(sorted({squares[x] for x in n}), 0, self.right)
         coords = dict.fromkeys(sub, 0)
         bit = 1
         for x in n:
@@ -543,9 +505,9 @@ class _Index:
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its element set, verified at construction through
-    a generating tuple taken from its members in element order
-    (``_Index.span``).  The tuple is kept as ``generators``, which is not part
-    of the value."""
+    a generating tuple taken from its members in element order (``generate``
+    on element numbers).  The tuple is kept as ``generators``, which is not
+    part of the value."""
 
     group: PermGroup = field(compare=False)
     members: FrozenSet[Perm] = field(default_factory=frozenset)
@@ -555,7 +517,7 @@ class Subgroup:
             raise ContractError("subgroup must contain the identity")
         k = self.group._kernel
         numbers = k.numbers(self.members)
-        gens, _ = k.span(sorted(numbers), numbers)
+        gens, _ = generate(sorted(numbers), 0, k.right, numbers)
         object.__setattr__(self, "generators", tuple(map(k.elements.__getitem__, gens)))
         object.__setattr__(self, "_numbers", (numbers, gens))
 

@@ -37,7 +37,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ._util import natural_key
+from ._util import _memo, natural_key
 from .arith_equiv import PermGroup, perm_from_cycles, verify_prop_almost_conjugate
 from .brauer import OmegaVector, plain_orbits, possible_vectors, weak_uniformity
 from .classifier import (
@@ -73,7 +73,6 @@ from .invariants import (
     LocalClass,
     PlaceKind,
     Shape,
-    _memo,
     h2_local,
     zero,
 )

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, Tuple, Union
 
-from ._util import Interned
+from ._util import Interned, _memo
 from .errors import ContractError, OutOfScopeError
 
 
@@ -33,12 +32,6 @@ class Family(str, Enum):
 
 
 FIXED_RANKS = {Family.E6: 6, Family.E7: 7, Family.E8: 8, Family.F4: 4, Family.G2: 2}
-
-# Entries kept by each memoized table below.  The tables are pure, but
-# ranks (and so moduli and classes) are unbounded input, so the caches are
-# bounded; a descriptor touches a handful of entries.
-MEMO_SIZE = 1024
-_memo = lru_cache(maxsize=MEMO_SIZE)
 
 
 class FormKind(str, Enum):

@@ -430,7 +430,6 @@ def form_for_class(
             return RealFormTag("Spin", (rank + 1, rank - 1))
         if rank % 2 == 1:
             return RealFormTag("SpinStar", (2 * rank,))
-        return RealFormTag("AnisotropicOther", family=fam, rank=rank, outer=True)
     outer = kind == PlaceKind.REAL_OUTER
     if cls.is_zero and not outer:
         return RealFormTag("SplitForm", family=fam, rank=rank)

@@ -46,6 +46,7 @@ from rigidity.arith_equiv import (
     PermGroup,
     Subgroup,
     _adjoin,
+    _times,
     almost_conjugate,
     are_conjugate,
     generate,
@@ -228,7 +229,7 @@ def reference_normal_subgroups(G: PermGroup) -> List[FrozenSet[Perm]]:
             for sub, gens in spans.items():
                 if gens[0] in n or n <= sub:
                     continue
-                join = _adjoin(n, gens)
+                join = _adjoin(n, list(map(_times, gens)))
                 if join not in known:
                     known.add(join)
                     nxt.append(join)

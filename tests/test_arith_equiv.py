@@ -283,12 +283,27 @@ class TestCaps:
                           perm_from_cycles(9, [(7, 8)])])
         assert G.order() == DEFAULT_GROUP_CAP == 10080
 
+    def test_a_coset_that_would_take_the_union_past_the_cap_is_refused(self):
+        # S7 x C2 x C2 on 11 points: the last generator's one new coset would
+        # take the union from the cap to twice the cap
+        G = PermGroup(11, [perm_from_cycles(11, [tuple(range(7))]), perm_from_cycles(11, [(0, 1)]),
+                           perm_from_cycles(11, [(7, 8)]), perm_from_cycles(11, [(9, 10)])])
+        with pytest.raises(CapacityError, match=f"^group order exceeds the cap {DEFAULT_GROUP_CAP}$"):
+            G.order()
+
     def test_one_element_of_order_exactly_the_cap_lists_its_powers(self):
         # cycles of lengths 32, 9, 5 and 7: order lcm = 10080, one generator
         bounds = [0, 32, 41, 46, 53]
         x = perm_from_cycles(53, [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])])
         (gens, members) = generate([x], tuple(range(53)))
         assert gens == (x,) and len(members) == DEFAULT_GROUP_CAP == 10080
+
+    def test_one_element_of_order_past_the_cap_is_refused(self):
+        # cycles of lengths 11, 13 and 71: order 10,153
+        bounds = [0, 11, 24, 95]
+        x = perm_from_cycles(95, [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])])
+        with pytest.raises(CapacityError, match=f"^group order exceeds the cap {DEFAULT_GROUP_CAP}$"):
+            generate([x], tuple(range(95)))
 
     @staticmethod
     def transpositions(n: int) -> str:
@@ -604,3 +619,7 @@ class TestPermFromCycles:
             perm_from_cycles(3, [()])
         with pytest.raises(ContractError, match="^cycles do not define a permutation$"):
             perm_from_cycles(3, [(0, 1), (1, 2)])
+        # the notation's cycles are disjoint, even where a product of the
+        # cycles permutes: (0 1)(0 1) is the identity
+        with pytest.raises(ContractError, match="^cycles do not define a permutation$"):
+            perm_from_cycles(3, [(0, 1), (0, 1)])

@@ -209,6 +209,18 @@ w1 = form=CompactForm
 w2 = form=CompactForm
 """
 
+E6_OUTER_ANISOTROPIC = """
+[group]
+type = 2E6
+[field]
+degree = 2
+complex_places = 0
+galois = true
+[real]
+w1 = form=AnisotropicOther kind=nonsplit
+w2 = form=AnisotropicOther kind=nonsplit
+"""
+
 E6_GAUSSIAN = """
 [group]
 type = 1E6
@@ -363,6 +375,14 @@ class TestTypeE6:
 
     def test_outer_real_quadratic_never_rigid(self):
         assert classify_text(E6_OUTER_REAL_QUADRATIC).outcome == Outcome.NOT_RIGID
+
+    def test_an_outer_anisotropic_form_trades_for_the_compact_one(self):
+        # the form at w1 is its own canonical form, so the witness takes its partner
+        v = classify_text(E6_OUTER_ANISOTROPIC)
+        assert v.outcome == Outcome.NOT_RIGID
+        forms = dict(v.witness.real_forms)
+        assert forms["w1"] == RealFormTag("CompactForm", family=Family.E6, rank=6)
+        assert forms["w2"] == RealFormTag("AnisotropicOther", family=Family.E6, rank=6, outer=True)
 
 
 # inputs of three branches that no fixture and no bench workload reaches

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rigidity._util import MEMO_SIZE
 from rigidity.classifier import GroupDescriptor, Outcome, classify, validate_descriptor
 from rigidity.cli import (
     _MEMO_TEXT,
@@ -31,7 +32,6 @@ from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.errors import ContractError, DescriptorParseError, ValidationError
 from rigidity.field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlaceSymmetry
 from rigidity.invariants import (
-    MEMO_SIZE,
     TRIVIAL,
     Family,
     FormKind,
@@ -382,6 +382,9 @@ class TestCatalogParse:
         ("X 3 (0 1)", "1:1: point 0 outside degree 3 in '(0 1)'"),
         ("X 3 (1 a)", "1:1: bad point 'a' in '(1 a)'"),
         ("X 3 (1 2)(2 3)", "1:1: cycles do not define a permutation in '(1 2)(2 3)'"),
+        # a product of cycles that repeat a point may still be a permutation
+        ("X 2 (1 2)(1 2)", "1:1: cycles do not define a permutation in '(1 2)(1 2)'"),
+        ("X 3 (1 2 3)(2 3 1)", "1:1: cycles do not define a permutation in '(1 2 3)(2 3 1)'"),
         ("X 3 (1 2); ()", "1:1: empty cycle in '()'"),
         ("X 3 (1 2)(2 3", "1:1: bad cycle notation '(1 2)(2 3'"),
         ("X 0 (1 2)", "1:1: degree 0 outside 1..1000"),

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rigidity import field_model
-from rigidity._util import NATURAL_KEY_CACHE, natural_key
+from rigidity._util import MEMO_SIZE, natural_key
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP
 from rigidity.brauer import OmegaVector, weak_uniformity
 from rigidity.errors import CapacityError, ValidationError
@@ -391,14 +391,14 @@ class TestPlacePerm:
 class TestNaturalKeyCache:
     def test_cache_stays_bounded_over_many_place_ids(self):
         before = natural_key.cache_info().misses
-        ids = [f"v{i}" for i in range(NATURAL_KEY_CACHE + 200)]
+        ids = [f"v{i}" for i in range(MEMO_SIZE + 200)]
         f = FieldDescriptor(
             degree=1, real_places=(PlaceLabel("w", RI),),
             finite_places=tuple(PlaceLabel(p, FI) for p in reversed(ids)),
         )
         assert [p.id for p in f.finite_places] == ids  # v2 < v11 still
         info = natural_key.cache_info()
-        assert info.maxsize == NATURAL_KEY_CACHE
-        assert info.currsize <= NATURAL_KEY_CACHE
+        assert info.maxsize == MEMO_SIZE
+        assert info.currsize <= MEMO_SIZE
         # the bound was reached and entries were evicted
-        assert info.misses - before > NATURAL_KEY_CACHE
+        assert info.misses - before > MEMO_SIZE

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import global_sym_act, run_python
+from rigidity._util import MEMO_SIZE
 from rigidity.classifier import classify
 from rigidity.cli import _read_place, _read_real, parse
 from rigidity.errors import ContractError, OutOfScopeError
@@ -17,7 +18,6 @@ from rigidity.field_model import PlaceLabel
 from rigidity.invariants import (
     D4_OUT_OF_SCOPE,
     KLEIN,
-    MEMO_SIZE,
     TRIVIAL,
     Family,
     FormKind,

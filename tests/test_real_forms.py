@@ -17,6 +17,7 @@ from rigidity.real_forms import (
     RealFormTag,
     RealStats,
     delta,
+    form_for_class,
     q_image_trivial,
     real_class,
     real_stats,
@@ -249,3 +250,12 @@ class TestRealClass:
         with pytest.raises(ContractError) as err:
             real_class(form, t, kind)
         assert str(err.value) == message
+
+
+class TestFormForClass:
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_inner_linear_groups_of_even_rank_are_split(self, rank):
+        # an odd n has no SL(n/2,H), and the real class of SL(n,R) is the only one
+        t = GroupType(Family.A, rank)
+        split = RealFormTag("SL_R", (rank + 1,))
+        assert form_for_class(t, RI, real_class(split, t, RI)) == split

@@ -9,7 +9,13 @@ The expected files under ``tests/golden/`` hold:
 * ``selftest.txt``: ``rigidity selftest``;
 * ``equiv.txt``: ``rigidity equiv fixtures/groups.cat``, which exits 0;
 * ``genfix.txt``: one ``GENERATOR SEED SHA256`` line per verdict JSON of the
-  one-argument ``genfix.rand_*`` generators at seeds 0..149.
+  one-argument ``genfix.rand_*`` generators at seeds 0..149;
+* ``forms.txt``: one line per named real form tag and parameter tuple with
+  entries 0..8 that ``RealFormTag`` accepts, giving its ``str``, its
+  ``signature()``, its ``real_stats`` orders and, for each type of its
+  family and rank and each real place kind, the class ``real_class`` pins
+  with no class supplied or the error it raises; then
+  ``rigidity realforms CODE RANK`` for every type code at ranks 1..8.
 
 A change that means to alter any of these outputs rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -18,13 +24,16 @@ A change that means to alter any of these outputs rewrites the files with
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 from pathlib import Path
 
 import genfix
 from rigidity.classifier import classify
-from rigidity.cli import main, verdict_to_json
+from rigidity.cli import _TYPE_CODES, main, verdict_to_json
+from rigidity.invariants import FormKind, GroupType, PlaceKind
+from rigidity.real_forms import NAMED, RealFormTag, real_class, real_stats
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -85,6 +94,49 @@ def genfix_text() -> str:
     return "".join(lines)
 
 
+def _outcome(make):
+    """``make()``, or the name and message of what it raises."""
+    try:
+        return make()
+    except Exception as e:  # noqa: BLE001 - the error is the pinned outcome
+        return f"{type(e).__name__}: {e}"
+
+
+def _form_line(name, params) -> str:
+    tag = RealFormTag(name, params)
+    fam, rank, outer = tag.signature()
+    st = real_stats(tag)
+    parts = [f"{name} {params}: {tag}",
+             f"signature {fam.value} {rank} {'outer' if outer else 'inner'}",
+             f"stats {st.h1_size} {st.z_h1_size} {st.pi0_size} {st.kernel_size}"]
+    for form_kind in FormKind:
+        t = _outcome(lambda: GroupType(fam, rank, form_kind))
+        if isinstance(t, str):
+            parts.append(f"{form_kind.value} {t}")
+            continue
+        for kind in (PlaceKind.REAL_INNER, PlaceKind.REAL_OUTER):
+            parts.append(f"{t.symbol()} {kind.value} {_outcome(lambda: real_class(tag, t, kind))}")
+    return "; ".join(parts) + "\n"
+
+
+def forms_text() -> str:
+    lines = []
+    for name in NAMED:
+        # a wrong parameter count is refused like any other bad tuple
+        for n_params in range(3):
+            for params in itertools.product(range(9), repeat=n_params):
+                if not isinstance(_outcome(lambda: RealFormTag(name, params)), str):
+                    lines.append(_form_line(name, params))
+    for code in _TYPE_CODES:
+        for rank in range(1, 9):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                exit_code = main(["realforms", code, str(rank)])
+            lines.append(f"== realforms {code} {rank}: exit {exit_code}\n{out.getvalue()}")
+            lines.extend(f"stderr: {line}\n" for line in err.getvalue().splitlines())
+    return "".join(lines)
+
+
 OUTPUTS = {
     "classify.txt": classify_text,
     "classify.json.txt": lambda: classify_text("--json"),
@@ -92,6 +144,7 @@ OUTPUTS = {
     "selftest.txt": selftest_text,
     "equiv.txt": equiv_text,
     "genfix.txt": genfix_text,
+    "forms.txt": forms_text,
 }
 
 
@@ -122,6 +175,10 @@ def test_equiv_on_the_bundled_catalog():
 
 def test_generated_verdicts():
     _check("genfix.txt")
+
+
+def test_named_real_forms():
+    _check("forms.txt")
 
 
 if __name__ == "__main__":

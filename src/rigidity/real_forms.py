@@ -1,17 +1,18 @@
 """Real forms and their Galois cohomology bookkeeping.
 
-For each simply connected real form the tables here give the size of its
-first cohomology set, the size of the first cohomology of its center,
-the component count of its adjoint group, and the derived kernel order of
-the map into adjoint cohomology.  The single bit the classifier consumes
-is whether that map has trivial image: real places whose form fails this
-gate always admit a locally invisible replacement.
+Each named simply connected real form has one row in ``_FORMS``: its
+printed name, its type, the size of its first cohomology set, the size of
+the first cohomology of its center, the component count of its adjoint
+group, and the class it pins at a real place.  The kernel order of the map
+into adjoint cohomology derives from those.  The single bit the classifier
+consumes is whether that map has trivial image: real places whose form
+fails this gate always admit a locally invisible replacement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import CapacityError, ContractError, MissingRealClassError
 from .invariants import (
@@ -19,13 +20,93 @@ from .invariants import (
     GroupType,
     LocalClass,
     PlaceKind,
+    Value,
     h2_local,
     zero,
 )
 
-NAMED = ("SL_R", "SL_H", "SU", "Spin", "SpinStar", "Sp_R", "Sp",
-         "E7_split", "E7_quaternionic", "E7_hermitian", "E7_compact")
+DELTA_TABLE = (
+    (3, 2, 2, 2),
+    (2, 1, 1, 0),
+    (2, 1, 0, 0),
+    (2, 0, 0, 0),
+)
+
+
+def delta(r: int, s: int) -> int:
+    if r < 0 or s < 0:
+        raise ContractError("delta takes nonnegative arguments")
+    return DELTA_TABLE[r % 4][s % 4]
+
+
+def _spin_signature(r: int, s: int) -> Tuple[Family, int, bool]:
+    if (r + s) % 2 == 1:
+        return Family.B, (r + s - 1) // 2, False
+    m = (r + s) // 2
+    return Family.D, m, r % 2 != m % 2
+
+
+def _su_stats(r: int, s: int) -> Tuple[int, int, int]:
+    return r // 2 + s // 2 + 1, 2 if (r + s) % 2 == 0 else 1, 2 if r == s else 1
+
+
+def _spin_stats(r: int, s: int) -> Tuple[int, int, int]:
+    z = 2 if (r + s) % 4 else 4 if r % 2 == 0 else 1
+    if r * s == 0 or (r % 2 == 1 and s % 2 == 1 and r != s):
+        pi0 = 1
+    else:
+        pi0 = 4 if r == s and r % 2 == 0 else 2
+    return (r + s) // 4 + delta(r, s), z, pi0
+
+
+def _su_pin(r: int, s: int) -> Value:
+    return ((r - s) // 2) % 2 if (r + s) % 2 == 0 else 0
+
+
+def _spin_pin(r: int, s: int) -> Value:
+    if abs(r - s) <= 2:
+        return 0  # split and quasi-split spin forms sit at the base point
+    if (r, s) in ((4, 1), (5, 0)):
+        return 1  # accidental isomorphisms with compact-type symplectic forms
+    return None
+
+
+def _spin_star_pin(n: int) -> Value:
+    return (1, 0) if (n // 2) % 2 == 0 else None
+
+
+class _Form(NamedTuple):
+    """A named real form; an entry that varies is a function of the parameters."""
+
+    pattern: str  # the printed name, one ``{}`` per parameter
+    signature: object  # (family, rank, outer over the reals)
+    stats: object  # (|H^1|, |H^1 of the center|, adjoint components)
+    pin: object  # the class value pinned at a real place (0 is the base point), or None
+
+
+_FORMS = {
+    "SL_R": _Form("SL({},R)", lambda n: (Family.A, n - 1, False),
+                  lambda n: (1, 2, 2) if n % 2 == 0 else (1, 1, 1), 0),
+    "SL_H": _Form("SL({},H)", lambda n: (Family.A, 2 * n - 1, False), (2, 2, 1), 1),
+    "SU": _Form("SU({},{})", lambda r, s: (Family.A, r + s - 1, True), _su_stats, _su_pin),
+    "Spin": _Form("Spin({},{})", _spin_signature, _spin_stats, _spin_pin),
+    "SpinStar": _Form("Spin*({})", lambda n: (Family.D, n // 2, n // 2 % 2 == 1),
+                      lambda n: (2, 4, 2) if n // 2 % 2 == 0 else (2, 2, 1), _spin_star_pin),
+    "Sp_R": _Form("Sp({},R)", lambda n: (Family.C, n // 2, False), (1, 2, 2), 0),
+    "Sp": _Form("Sp({},{})", lambda r, s: (Family.C, r + s, False),
+                lambda r, s: (r + s + 1, 2, 2), 1),
+    "E7_split": _Form("E7 split", (Family.E7, 7, False), (2, 2, 2), 0),
+    "E7_quaternionic": _Form("E7 quaternionic", (Family.E7, 7, False), (4, 2, 1), 1),
+    "E7_hermitian": _Form("E7 hermitian", (Family.E7, 7, False), (2, 2, 2), 0),
+    "E7_compact": _Form("E7 compact", (Family.E7, 7, False), (4, 2, 1), 1),
+}
+NAMED = tuple(_FORMS)
 GENERIC = ("SplitForm", "CompactForm", "AnisotropicOther")
+
+
+def _entry(entry, params: Tuple[int, ...]):
+    return entry(*params) if callable(entry) else entry
+
 
 # the tags that name a real form of each family
 _ALLOWED_TAGS = {
@@ -60,8 +141,7 @@ class RealFormTag:
     def __post_init__(self):
         if self.name not in NAMED + GENERIC:
             raise ValueError(f"unknown real form tag {self.name!r}")
-        n_params = {"SL_R": 1, "SL_H": 1, "SU": 2, "Spin": 2, "SpinStar": 1,
-                    "Sp_R": 1, "Sp": 2}.get(self.name, 0)
+        n_params = _FORMS[self.name].pattern.count("{}") if self.name in _FORMS else 0
         if len(self.params) != n_params:
             raise ValueError(f"{self.name} takes {n_params} parameter(s)")
         if any(p < 0 for p in self.params):
@@ -81,32 +161,11 @@ class RealFormTag:
 
     def signature(self) -> Tuple[Family, int, bool]:
         """(family, rank, outer at the real place) of the form."""
-        n = self.name
-        p = self.params
-        if n == "SL_R":
-            return Family.A, p[0] - 1, False
-        if n == "SL_H":
-            return Family.A, 2 * p[0] - 1, False
-        if n == "SU":
-            return Family.A, p[0] + p[1] - 1, True
-        if n == "Spin":
-            total = p[0] + p[1]
-            if total % 2 == 1:
-                return Family.B, (total - 1) // 2, False
-            m = total // 2
-            return Family.D, m, p[0] % 2 != m % 2
-        if n == "SpinStar":
-            m = p[0] // 2
-            return Family.D, m, m % 2 == 1
-        if n == "Sp_R":
-            return Family.C, p[0] // 2, False
-        if n == "Sp":
-            return Family.C, p[0] + p[1], False
-        if n.startswith("E7"):
-            return Family.E7, 7, False
-        if n == "SplitForm":
+        if self.name in _FORMS:
+            return _entry(_FORMS[self.name].signature, self.params)
+        if self.name == "SplitForm":
             return self.family, self.rank, False
-        if n == "CompactForm":
+        if self.name == "CompactForm":
             outer = (
                 (self.family == Family.A and self.rank >= 2)
                 or (self.family == Family.D and self.rank % 2 == 1)
@@ -116,22 +175,8 @@ class RealFormTag:
         return self.family, self.rank, self.outer
 
     def __str__(self):
-        if self.name == "SL_R":
-            return f"SL({self.params[0]},R)"
-        if self.name == "SL_H":
-            return f"SL({self.params[0]},H)"
-        if self.name == "SU":
-            return f"SU({self.params[0]},{self.params[1]})"
-        if self.name == "Spin":
-            return f"Spin({self.params[0]},{self.params[1]})"
-        if self.name == "SpinStar":
-            return f"Spin*({self.params[0]})"
-        if self.name == "Sp_R":
-            return f"Sp({self.params[0]},R)"
-        if self.name == "Sp":
-            return f"Sp({self.params[0]},{self.params[1]})"
-        if self.name.startswith("E7"):
-            return f"E7 {self.name[3:]}"
+        if self.name in _FORMS:
+            return _FORMS[self.name].pattern.format(*self.params)
         fam = f"{self.family.value}{'' if self.family.value[0] in 'EFG' else self.rank}"
         return f"{self.name}[{fam}]"
 
@@ -152,79 +197,20 @@ class RealStats:
             raise ContractError("kernel larger than the whole cohomology set")
 
 
-DELTA_TABLE = (
-    (3, 2, 2, 2),
-    (2, 1, 1, 0),
-    (2, 1, 0, 0),
-    (2, 0, 0, 0),
-)
-
-
-def delta(r: int, s: int) -> int:
-    if r < 0 or s < 0:
-        raise ContractError("delta takes nonnegative arguments")
-    return DELTA_TABLE[r % 4][s % 4]
-
-
 def real_stats(tag: RealFormTag) -> RealStats:
     """Cohomology orders of a named real form; generic tags are not tabulated."""
-    n, p = tag.name, tag.params
-
-    def stats(h1, z, pi0):
+    if tag.name in _FORMS:
+        h1, z, pi0 = _entry(_FORMS[tag.name].stats, tag.params)
         return RealStats(h1, z, pi0, z // pi0)
-
-    if n == "SL_R":
-        m = p[0]
-        two = 2 if m % 2 == 0 else 1
-        return stats(1, two, two)
-    if n == "SL_H":
-        return stats(2, 2, 1)
-    if n == "SU":
-        r, s = p
-        z = 2 if (r + s) % 2 == 0 else 1
-        pi0 = 2 if r == s else 1
-        return stats(r // 2 + s // 2 + 1, z, pi0)
-    if n == "Spin":
-        r, s = p
-        if (r + s) % 4 == 0:
-            z = 4 if r % 2 == 0 else 1
-        else:
-            z = 2
-        if r * s == 0 or (r % 2 == 1 and s % 2 == 1 and r != s):
-            pi0 = 1
-        elif r == s and r % 2 == 0:
-            pi0 = 4
-        else:
-            pi0 = 2
-        return stats((r + s) // 4 + delta(r, s), z, pi0)
-    if n == "SpinStar":
-        half = p[0] // 2
-        if half % 2 == 0:
-            return stats(2, 4, 2)
-        return stats(2, 2, 1)
-    if n == "Sp_R":
-        return stats(1, 2, 2)
-    if n == "Sp":
-        r, s = p
-        return stats(r + s + 1, 2, 2)
-    if n == "E7_split":
-        return stats(2, 2, 2)
-    if n == "E7_quaternionic":
-        return stats(4, 2, 1)
-    if n == "E7_hermitian":
-        return stats(2, 2, 2)
-    if n == "E7_compact":
-        return stats(4, 2, 1)
     raise ContractError(f"no tabulated cohomology data for {tag}")
 
 
 def q_image_trivial(tag: RealFormTag) -> bool:
     """Whether the whole first cohomology of the form maps to the adjoint base point."""
-    fam = tag.signature()[0]
-    if fam in (Family.E6, Family.E8, Family.F4, Family.G2):
-        return False  # adjoint cohomology equals the form's own and is never trivial
     if tag.name in GENERIC:
-        return False  # generic tags stand for forms outside the gate by construction
+        # outside the gate by construction; the only tags of E6, E8, F4 and G2,
+        # whose adjoint cohomology equals the form's own and is never trivial
+        return False
     st = real_stats(tag)
     return st.kernel_size == st.h1_size
 
@@ -275,13 +261,8 @@ def trivial_image_forms(t: GroupType) -> List[RealFormTag]:
         if star.signature()[2] == outer:
             candidates.append(star)
     elif f == Family.E7:
-        candidates += [RealFormTag(n) for n in
-                       ("E7_split", "E7_quaternionic", "E7_hermitian", "E7_compact")]
-    else:
-        candidates += [
-            RealFormTag("SplitForm", family=f, rank=r),
-            RealFormTag("CompactForm", family=f, rank=r),
-        ]
+        candidates += [RealFormTag(n) for n in NAMED if n.startswith("E7")]
+    # E6, E8, F4 and G2 have only generic tags, and none of those passes
     return [tag for tag in candidates if q_image_trivial(tag)]
 
 
@@ -308,39 +289,17 @@ def real_class(
     if (fam, rank) != (ambient.family, ambient.rank):
         raise ContractError(f"{tag} has type {fam.value}{rank}, group is {ambient.symbol()}")
     if kind != (PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER):
-        raise ContractError(
-            f"{tag} is {'outer' if outer else 'inner'} type over the reals "
-            f"but the place is declared {kind.value}"
-        )
+        raise ContractError(f"{tag} is {'outer' if outer else 'inner'} type over the reals "
+                            f"but the place is declared {kind.value}")
     shape = h2_local(ambient, kind)
-    if shape.kind == "trivial":
-        forced: Optional[LocalClass] = zero(shape)
-    elif tag.name in ("SL_R", "Sp_R", "E7_split", "E7_hermitian", "SplitForm"):
-        forced = zero(shape)
-    elif tag.name == "SL_H":
-        forced = LocalClass(shape, 1)
-    elif tag.name == "Sp":
-        forced = LocalClass(shape, 1)
-    elif tag.name in ("E7_quaternionic", "E7_compact"):
-        forced = LocalClass(shape, 1)
-    elif tag.name == "SU":
-        r, s = tag.params
-        forced = LocalClass(shape, ((r - s) // 2) % 2) if (r + s) % 2 == 0 else zero(shape)
-    elif tag.name == "SpinStar" and (tag.params[0] // 2) % 2 == 0:
-        forced = LocalClass(shape, (1, 0))
-    elif tag.name == "Spin" and abs(tag.params[0] - tag.params[1]) <= 2:
-        # split and quasi-split spin forms sit at the base point
-        forced = zero(shape)
-    elif tag.name == "Spin" and tag.params in ((4, 1), (5, 0)):
-        # accidental isomorphisms with compact-type symplectic forms
-        forced = LocalClass(shape, 1)
+    if shape.kind == "trivial" or tag.name == "SplitForm":
+        pin: Value = 0
     else:
-        forced = None
+        pin = _entry(_FORMS[tag.name].pin, tag.params) if tag.name in _FORMS else None
+    forced = None if pin is None else zero(shape) if pin == 0 else LocalClass(shape, pin)
     if forced is not None:
         if supplied is not None and supplied != forced:
-            raise ContractError(
-                f"{tag} pins its real class to {forced}, got {supplied}"
-            )
+            raise ContractError(f"{tag} pins its real class to {forced}, got {supplied}")
         return forced
     if supplied is None:
         raise MissingRealClassError(
@@ -383,9 +342,9 @@ def partner_form(
         off = 4 if not outer else 3
         return RealFormTag("Spin", (rank + off, rank - off))
     if tag.name == "AnisotropicOther":
-        if outer:
-            return RealFormTag("CompactForm", family=fam, rank=rank)
-        return RealFormTag("SplitForm", family=fam, rank=rank)
+        # only the outer form arrives: an inner one has real class 0, for which
+        # form_for_class gives SplitForm, which fails the gate and returned above
+        return RealFormTag("CompactForm", family=fam, rank=rank)
     return RealFormTag("AnisotropicOther", family=fam, rank=rank, outer=outer)
 
 

@@ -545,14 +545,11 @@ def _classify_file(path: Path, as_json: bool, out) -> int:
         verdict = classify(desc)
     except DescriptorParseError as e:
         # OutOfScope only when triality is the file's one fault; any other fault fails it
-        if [msg for _, _, msg in e.errors] == [D4_OUT_OF_SCOPE]:
-            verdict = Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, str(e))])
-            print(json.dumps(verdict_to_json(verdict), indent=2) if as_json
-                  else render_verdict(verdict), file=out)
-            return 4
-        for ln, col, msg in e.errors:
-            print(f"{path}:{ln}:{col}: {msg}", file=sys.stderr)
-        return 3
+        if [msg for _, _, msg in e.errors] != [D4_OUT_OF_SCOPE]:
+            for ln, col, msg in e.errors:
+                print(f"{path}:{ln}:{col}: {msg}", file=sys.stderr)
+            return 3
+        verdict = Verdict(Outcome.OUT_OF_SCOPE, [(TAG_SCOPE, str(e))])
     except (RigidityError, OSError, UnicodeDecodeError) as e:
         print(f"{path}: {e}", file=sys.stderr)
         return 3

@@ -138,8 +138,10 @@ class PlaceSymmetry:
     generators: Tuple[PlacePerm, ...] = ()
 
     def __post_init__(self):
-        # one generator order, however they were declared
-        object.__setattr__(self, "generators", tuple(sorted(self.generators, key=lambda p: p.moved)))
+        # one generator order, however they were declared; a generator that
+        # moves no place adds nothing to the group, and could not be emitted
+        moving = (g for g in self.generators if g.moved)
+        object.__setattr__(self, "generators", tuple(sorted(moving, key=lambda p: p.moved)))
         # neither the numbering nor the listed group is part of the value
         points = sorted({a for g in self.generators for a, _ in g.moved}, key=natural_key)
         object.__setattr__(self, "number", {p: i for i, p in enumerate(points)})

@@ -40,9 +40,10 @@ def delta(r: int, s: int) -> int:
 
 
 def _spin_signature(r: int, s: int) -> Tuple[Family, int, bool]:
-    if (r + s) % 2 == 1:
-        return Family.B, (r + s - 1) // 2, False
-    m = (r + s) // 2
+    total = r + s
+    if total % 2 == 1:
+        return Family.B, (total - 1) // 2, False
+    m = total // 2
     return Family.D, m, r % 2 != m % 2
 
 
@@ -51,11 +52,16 @@ def _su_stats(r: int, s: int) -> Tuple[int, int, int]:
 
 
 def _spin_stats(r: int, s: int) -> Tuple[int, int, int]:
-    z = 2 if (r + s) % 4 else 4 if r % 2 == 0 else 1
+    if (r + s) % 4 == 0:
+        z = 4 if r % 2 == 0 else 1
+    else:
+        z = 2
     if r * s == 0 or (r % 2 == 1 and s % 2 == 1 and r != s):
         pi0 = 1
+    elif r == s and r % 2 == 0:
+        pi0 = 4
     else:
-        pi0 = 4 if r == s and r % 2 == 0 else 2
+        pi0 = 2
     return (r + s) // 4 + delta(r, s), z, pi0
 
 
@@ -231,9 +237,10 @@ FORM_PARAMETER_LIMIT = 100
 def trivial_image_forms(t: GroupType) -> List[RealFormTag]:
     """All real forms of the given type passing the trivial-image gate.
 
-    Enumerates the parameter space of the type (which is finite once the
-    rank is fixed) and keeps the forms whose kernel exhausts their
-    cohomology.  Raises CapacityError above ``FORM_PARAMETER_LIMIT``.
+    Enumerates the parameter space of the family (which is finite once the
+    rank is fixed) and keeps the forms of the type's kind over the reals
+    whose kernel exhausts their cohomology.  Raises CapacityError above
+    ``FORM_PARAMETER_LIMIT``.
     """
     f, r, outer = t.family, t.rank, t.is_outer
     total = {Family.A: r + 1, Family.B: 2 * r + 1, Family.C: r, Family.D: 2 * r}.get(f, 0)
@@ -241,29 +248,22 @@ def trivial_image_forms(t: GroupType) -> List[RealFormTag]:
         raise CapacityError(f"parameter total {total} exceeds the limit {FORM_PARAMETER_LIMIT}")
     candidates: List[RealFormTag] = []
     if f == Family.A:
-        if outer:
-            candidates += [RealFormTag("SU", (total - s, s)) for s in range(total // 2 + 1)]
-        else:
-            candidates.append(RealFormTag("SL_R", (total,)))
-            if total % 2 == 0:
-                candidates.append(RealFormTag("SL_H", (total // 2,)))
+        candidates += [RealFormTag("SU", (total - s, s)) for s in range(total // 2 + 1)]
+        candidates.append(RealFormTag("SL_R", (total,)))
+        if total % 2 == 0:
+            candidates.append(RealFormTag("SL_H", (total // 2,)))
     elif f == Family.B:
         candidates += [RealFormTag("Spin", (total - s, s)) for s in range(total // 2 + 1)]
     elif f == Family.C:
         candidates.append(RealFormTag("Sp_R", (2 * r,)))
         candidates += [RealFormTag("Sp", (r - s, s)) for s in range(r // 2 + 1)]
     elif f == Family.D:
-        for s in range(total // 2 + 1):
-            tag = RealFormTag("Spin", (total - s, s))
-            if tag.signature()[2] == outer:
-                candidates.append(tag)
-        star = RealFormTag("SpinStar", (total,))
-        if star.signature()[2] == outer:
-            candidates.append(star)
+        candidates += [RealFormTag("Spin", (total - s, s)) for s in range(total // 2 + 1)]
+        candidates.append(RealFormTag("SpinStar", (total,)))
     elif f == Family.E7:
         candidates += [RealFormTag(n) for n in NAMED if n.startswith("E7")]
     # E6, E8, F4 and G2 have only generic tags, and none of those passes
-    return [tag for tag in candidates if q_image_trivial(tag)]
+    return [tag for tag in candidates if tag.signature()[2] == outer and q_image_trivial(tag)]
 
 
 def real_class(
@@ -289,8 +289,10 @@ def real_class(
     if (fam, rank) != (ambient.family, ambient.rank):
         raise ContractError(f"{tag} has type {fam.value}{rank}, group is {ambient.symbol()}")
     if kind != (PlaceKind.REAL_OUTER if outer else PlaceKind.REAL_INNER):
-        raise ContractError(f"{tag} is {'outer' if outer else 'inner'} type over the reals "
-                            f"but the place is declared {kind.value}")
+        raise ContractError(
+            f"{tag} is {'outer' if outer else 'inner'} type over the reals "
+            f"but the place is declared {kind.value}"
+        )
     shape = h2_local(ambient, kind)
     if shape.kind == "trivial" or tag.name == "SplitForm":
         pin: Value = 0
@@ -299,7 +301,9 @@ def real_class(
     forced = None if pin is None else zero(shape) if pin == 0 else LocalClass(shape, pin)
     if forced is not None:
         if supplied is not None and supplied != forced:
-            raise ContractError(f"{tag} pins its real class to {forced}, got {supplied}")
+            raise ContractError(
+                f"{tag} pins its real class to {forced}, got {supplied}"
+            )
         return forced
     if supplied is None:
         raise MissingRealClassError(
@@ -343,7 +347,7 @@ def partner_form(
         return RealFormTag("Spin", (rank + off, rank - off))
     if tag.name == "AnisotropicOther":
         # only the outer form arrives: an inner one has real class 0, for which
-        # form_for_class gives SplitForm, which fails the gate and returned above
+        # form_for_class gives SplitForm, which fails the gate and is returned above
         return RealFormTag("CompactForm", family=fam, rank=rank)
     return RealFormTag("AnisotropicOther", family=fam, rank=rank, outer=outer)
 
@@ -357,11 +361,10 @@ def form_for_class(
     to go with the new class.
     """
     fam, rank = ambient.family, ambient.rank
-    if fam == Family.A and kind == PlaceKind.REAL_INNER and rank % 2 == 1:
+    if fam == Family.A and kind == PlaceKind.REAL_INNER:
+        # class 1 occurs only at odd rank, where SL_H has a parameter
         return RealFormTag("SL_H", ((rank + 1) // 2,)) if cls.value == 1 else \
             RealFormTag("SL_R", (rank + 1,))
-    if fam == Family.A and kind == PlaceKind.REAL_INNER:
-        return RealFormTag("SL_R", (rank + 1,))
     if fam == Family.A and kind == PlaceKind.REAL_OUTER:
         m = rank + 1
         if cls.shape.kind == "trivial" or cls.value == 0:
@@ -376,12 +379,8 @@ def form_for_class(
         return RealFormTag("Spin", (rank + 1, rank)) if cls.is_zero else \
             RealFormTag("AnisotropicOther", family=fam, rank=rank)
     if fam == Family.D and kind == PlaceKind.REAL_INNER:
-        if rank % 2 == 0:
-            if cls.value == (1, 0):
-                return RealFormTag("SpinStar", (2 * rank,))
-            if cls.value == (0, 0):
-                return RealFormTag("Spin", (rank, rank))
-            return RealFormTag("AnisotropicOther", family=fam, rank=rank)
+        if cls.value == (1, 0):  # a Klein class, so the rank is even
+            return RealFormTag("SpinStar", (2 * rank,))
         return RealFormTag("Spin", (rank, rank)) if cls.is_zero else \
             RealFormTag("AnisotropicOther", family=fam, rank=rank)
     if fam == Family.D:

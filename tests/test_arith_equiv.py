@@ -109,6 +109,12 @@ class TestAlmostConjugate:
         assert not almost_conjugate(G, u1, u2)
 
 
+def _trivial_and_a_transposition(G):
+    """The trivial subgroup of ``G`` and the one generated by (1 2)."""
+    swap = (1, 0) + tuple(range(2, G.degree))
+    return Subgroup(G, frozenset([G.identity])), Subgroup(G, frozenset([G.identity, swap]))
+
+
 class TestAreConjugate:
     def test_fano_pair_is_not(self):
         G, P, L = fano_point_line_stabilizers()
@@ -121,6 +127,10 @@ class TestAreConjugate:
     def test_reflexive(self):
         G, _, V1, _ = wreath_pair()
         assert are_conjugate(G, V1, V1)
+
+    def test_different_orders_fail_fast(self):
+        G = catalog_group("S4")
+        assert not are_conjugate(G, *_trivial_and_a_transposition(G))
 
 
 class TestCommonNormalIndex2:
@@ -143,6 +153,10 @@ class TestCommonNormalIndex2:
         u = Subgroup(G, half)
         n = common_normal_index2(G, u, u)
         assert n is not None and n.order() == 4
+
+    def test_different_orders_have_none(self):
+        G = catalog_group("S4")
+        assert common_normal_index2(G, *_trivial_and_a_transposition(G)) is None
 
 
 class TestSubgroupsOfAnotherGroup:

@@ -22,6 +22,7 @@ from rigidity.classifier import (
     specialize_q,
     specialize_quasisplit,
     subset_sum_forbidden,
+    validate_descriptor,
 )
 from rigidity.cli import emit_descriptor, main, parse
 from rigidity.errors import CapacityError, ContractError, OutOfScopeError, ValidationError
@@ -726,6 +727,13 @@ class TestPlacesByPosition:
         fin = tuple((PlaceLabel(lab.id, lab.kind, "c"), cls) for lab, cls in g.omega.finite)
         with pytest.raises(ValidationError, match=self.FINITE):
             classify(replace(g, omega=OmegaVector(g.group_type, fin, g.omega.real)))
+
+    def test_coordinates_built_for_another_type_are_refused(self):
+        # B3 carries the same shapes as C3 at every place, so the vector builds
+        g = parse(FIXTURES["split_C3_Q"])
+        b3 = OmegaVector(GroupType(Family.B, 3), g.omega.finite, g.omega.real)
+        with pytest.raises(ValidationError, match="^coordinate vector built for a different group type$"):
+            validate_descriptor(replace(g, omega=b3))
 
     def test_a_second_form_at_one_place_is_refused(self):
         g = parse(FIXTURES["spin73_D5_Q"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from rigidity.cli import (
 from rigidity.arith_equiv import PermGroup
 from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.errors import ContractError, DescriptorParseError, ValidationError
-from rigidity.field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlaceSymmetry
+from rigidity.field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlacePerm, PlaceSymmetry
 from rigidity.invariants import (
     TRIVIAL,
     Family,
@@ -166,6 +167,7 @@ _E8_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = E8")
     ("[real]\nw = form=SL_R(3) form=SL_R(3)\n", "7:1: option 'form' given twice"),
     ("[real]\nw = form=Spin(3,2)\n", "7:1: Spin(3,2) is not a form of family A"),
     ("[real]\nw = form=SL_R(4)\n", "7:1: SL(4,R) has type A3, group is 1A2"),
+    ("[real]\nw = form=SL_R(3) omega=x\n", "7:1: bad value 'x'"),
 ], ids=["aut-unclosed", "aut-unclosed-second", "aut-one-label", "aut-undeclared",
         "places-kind", "places-twice", "real-kind", "real-twice", "real-no-form", "real-kind-contradicts",
         "real-kind-contradicts-outer-type",
@@ -176,7 +178,7 @@ _E8_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = E8")
         "real-form-odd-Sp_R", "real-form-odd-SpinStar", "real-form-negative-SU", "real-form-negative-Sp",
         "real-form-zero-SL_R", "real-form-zero-SL_H", "real-form-zero-SU", "real-form-zero-Spin",
         "real-form-zero-Sp", "real-option-twice",
-        "real-form-family", "real-form-type"])
+        "real-form-family", "real-form-type", "real-omega-value"])
 def test_aut_places_and_real_faults_are_positioned(body, message):
     # a body that starts with [group] brings its own head
     with pytest.raises(DescriptorParseError) as err:
@@ -234,6 +236,12 @@ class TestRoundTrip:
             assert v.outcome == Outcome.NOT_RIGID
             again = parse(emit_descriptor(v.witness))
             assert again == v.witness, name
+
+    def test_an_identity_generator_round_trips(self):
+        # a generator that moves no place leaves the group as it is, and was
+        # once emitted as `g1 = ()`, which the parser refuses
+        g = dataclasses.replace(parse(FIXTURES["split_C3_Q"]), symmetry=PlaceSymmetry((PlacePerm(),)))
+        assert parse(emit_descriptor(g)) == g
 
 
 class TestJson:

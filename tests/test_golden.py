@@ -98,7 +98,7 @@ def _outcome(make):
     """``make()``, or the name and message of what it raises."""
     try:
         return make()
-    except Exception as e:  # noqa: BLE001 - the error is the pinned outcome
+    except Exception as e:  # the error is the pinned outcome
         return f"{type(e).__name__}: {e}"
 
 

@@ -219,10 +219,12 @@ def _adjoin(sub: FrozenSet, steps: Sequence[Callable], within: Optional[FrozenSe
 
 
 def generate(xs: Iterable, e, times: Callable = _times,
-             within: Optional[FrozenSet] = None) -> Tuple[tuple, FrozenSet]:
+             within: Optional[FrozenSet] = None, powers: Optional[list] = None) -> Tuple[tuple, FrozenSet]:
     """A generating tuple taken from ``xs`` in their order, one element for
     each that the earlier ones do not generate, and the subgroup generated
     (``_adjoin``); CapacityError past ``DEFAULT_GROUP_CAP`` elements.
+    ``powers``, when given, lists the powers of the first of ``xs``, which
+    is not ``e``, as ``_powers`` does; the span starts from them.
 
     ``times(x)`` is the step y -> yx: ``_times`` lists a group of tuples
     from its generators, and a listed group's ``_Index.right`` spans its
@@ -239,7 +241,7 @@ def generate(xs: Iterable, e, times: Callable = _times,
         if x not in sub:
             gens += (x,)
             steps.append(times(x))
-            sub = _adjoin(sub, steps, within)
+            sub = frozenset(powers) if powers and len(gens) == 1 else _adjoin(sub, steps, within)
     return gens, sub
 
 
@@ -380,7 +382,8 @@ class _Index:
         the join is the union of its cosets that the class subgroup's
         generating tuple reaches.  A class of the powers x^k, with k prime to
         the order of x, of a class spanned before generates the same subgroup
-        and is not spanned again.  Before each join pass it raises
+        and is not spanned again; the powers are listed once and start the
+        class's span.  Before each join pass it raises
         ``CapacityError`` once more than ``NORMAL_SUBGROUP_LIMIT`` are known.
         """
         if self._normal is None:
@@ -391,9 +394,9 @@ class _Index:
             for i, cls in enumerate(classes):
                 if cls[0] == 0 or same[i]:
                     continue
-                gens, sub = generate(cls, 0, self.right)
-                spans.setdefault(sub, gens)
                 powers = _powers(cls[0], self.right(cls[0]), 0)
+                gens, sub = generate(cls, 0, self.right, powers=powers)
+                spans.setdefault(sub, gens)
                 for k in range(2, len(powers)):
                     if gcd(k, len(powers)) == 1:
                         same[self.class_of[powers[k]]] = 1

@@ -13,9 +13,7 @@ variations.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ._util import natural_key
@@ -207,6 +205,19 @@ def _convolve(a: Dict[int, int], b: Dict[int, int], m: int, work: List[int]) -> 
     return out
 
 
+def _fixed_residue(still: Tuple[int, ...], pairs: list, held, m: int) -> Optional[int]:
+    """A fully fixed class weighs one arrangement at one residue, or nothing:
+    its counts must match each still value and each pair's total."""
+    s, total = len(still), 0
+    if tuple(held[:s]) != still:
+        return None
+    for (a, pair, ch), fv, fw in zip(pairs, held[s::2], held[s + 1::2]):
+        if fv + fw != pair:
+            return None
+        total += (a - fv) * ch
+    return total % m
+
+
 def compare_possible(
     omega: OmegaVector, realized: Iterable[tuple], flips: bool = True
 ) -> Tuple[int, Optional[Coords]]:
@@ -217,67 +228,77 @@ def compare_possible(
     (only the coordinates themselves when ``flips`` is off), permuted
     within each adelic class.  A vector is possible exactly when every
     class holds a value multiset that one coherent set of flips produces
-    there, so each class contributes a residue vector (its arrangements
-    summed by the residue of the flip charge) and the possible side is
-    counted, without listing it, as coefficient 0 of the cyclic
-    convolution of those vectors.  Vectors are stored by their support, so
-    the cost follows the residues that occur, not the modulus; convolutions
-    of more than ``RESIDUE_WORK_LIMIT`` products in all raise
-    ``CapacityError``.  Returns the possible count and, unless the two
-    sides are equal, the ``pick_witness`` choice among possible vectors
-    outside the realized side, or among realized vectors outside the
-    possible side when there are none.
+    there.  A class's residue vector (its arrangements summed by the
+    residue of the flip charge) follows from its shape, the place kind and
+    value counts, so classes of one shape share it, and the possible side
+    is counted, without listing it, as coefficient 0 of the cyclic
+    convolution of one vector per class.  A fully fixed class weighs one
+    arrangement at one residue, or nothing, in closed form: that tests the
+    realized vectors, and the witness rebuild carries the finished classes
+    as one residue.  Vectors are stored by their support, so the cost
+    follows the residues that occur, not the modulus; convolutions of more
+    than ``RESIDUE_WORK_LIMIT`` products in all raise ``CapacityError``.
+    Returns the possible count and, unless the sides are equal, the
+    ``pick_witness`` choice among possible vectors outside the realized
+    side, or else among realized vectors outside the possible side.
     """
     t = omega.group_type
     base = omega.finite
     flips = flips and has_symmetry(t)
     charge, m = _flip_rule(t) if flips else ((lambda kind, cls: 0), 1)
-    by_class: Dict[str, List[int]] = {}
-    for i, (lab, _) in enumerate(base):
-        by_class.setdefault(lab.class_key(), []).append(i)
+    by_class: Dict[str, Tuple[List[int], Dict[LocalClass, int]]] = {}
+    for i, (lab, v) in enumerate(base):  # each class's places and value counts
+        idx, counts = by_class.setdefault(lab.class_key(), ([], {}))
+        idx.append(i)
+        counts[v] = counts.get(v, 0) + 1
     classes = list(by_class.values())  # numbered by their first place
-    class_of = {i: k for k, idx in enumerate(classes) for i in idx}
-    # per class: the values flips keep (v, a places) and the flip pairs.  A
-    # twin value v (a places) pairs with its image w: j flips of v and j' of
-    # w leave k = a - j + j' places at v, any k from 0 to the pair's total,
-    # and add (a - k) times the charge of v.  Each value has a slot, still
-    # ones first, then v and w of each pair, and a count per slot fixes the
-    # arrangements ``weights`` counts.
-    parts: List[Tuple[list, list]] = []
-    slots: List[Dict[LocalClass, int]] = []  # per class: value -> slot
-    for idx in classes:
-        counts = Counter(base[i][1] for i in idx)  # hashes each value once
+    class_of = {i: k for k, (idx, _) in enumerate(classes) for i in idx}
+    # per shape (place kind and value counts): the counts of the values
+    # flips keep and the flip pairs.  A twin value v (a places) pairs with
+    # its image w: j flips of v and j' of w leave k = a - j + j' places at
+    # v, any k from 0 to the pair's total, and add (a - k) times the charge
+    # of v.  Each value has a slot, still ones first, then v and w of each
+    # pair, and a count per slot fixes the arrangements ``weights`` counts.
+    shapes: Dict[tuple, int] = {}
+    shape_of: List[int] = []  # per class
+    parts, slots, ranked = [], [], []  # counts, value -> slot, (slot, value) by value
+    for idx, counts in classes:
         kind = base[idx[0]][0].kind
-        still, pairs, paired = [], [], set()
-        for v, a in counts.items():
-            w = sym_act(t, kind, v) if flips else v
-            if w == v:
-                still.append((v, a))
-            elif v not in paired:
-                paired.add(w)
-                pairs.append((v, w, a, a + counts.get(w, 0), charge(kind, v)))
-        parts.append((still, pairs))
-        vals = [v for v, _ in still] + [u for v, w, *_ in pairs for u in (v, w)]
-        slots.append({v: j for j, v in enumerate(vals)})
+        s = shapes.setdefault((kind, frozenset(counts.items())), len(parts))
+        shape_of.append(s)
+        if s == len(parts):  # a new shape
+            still, pairs, paired = [], [], set()
+            for v, a in counts.items():
+                w = sym_act(t, kind, v) if flips else v
+                if w == v:
+                    still.append((v, a))
+                elif v not in paired:
+                    paired.add(w)
+                    pairs.append((v, w, a, a + counts.get(w, 0), charge(kind, v)))
+            parts.append((tuple(a for _, a in still), [p[2:] for p in pairs]))
+            vals = [v for v, _ in still] + [u for v, w, *_ in pairs for u in (v, w)]
+            slots.append({v: j for j, v in enumerate(vals)})
+            ranked.append(sorted(enumerate(vals), key=lambda jv: jv[1].sort_key()))
 
     work = [0]  # residue products so far
+    memo: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
 
-    @lru_cache(maxsize=None)
-    def weights(k: int, fix: Tuple[int, ...]) -> Dict[int, int]:
-        """Class k's arrangements agreeing with the value counts f already
-        fixed there, summed by the residue of their charge: the multinomial
-        of the places left open at each still value and each pair, times
-        one factor per pair with r places open, sum over i of C(r, i) at
-        residue (a - f_v - i) * charge."""
-        still, pairs = parts[k]
-        s = len(still)
-        n = math.factorial(len(classes[k]) - sum(fix))
-        for (_, a), f in zip(still, fix):
+    def weights(s: int, fix: Tuple[int, ...]) -> Dict[int, int]:
+        """The arrangements of a class of shape s agreeing with the value
+        counts f already fixed there, summed by the residue of their charge:
+        the multinomial of the places left open at each still value and each
+        pair, times one factor per pair with r places open, sum over i of
+        C(r, i) at residue (a - f_v - i) * charge."""
+        if (s, fix) in memo:
+            return memo[s, fix]
+        still, pairs = parts[s]
+        n = math.factorial(sum(still) + sum(total for _, total, _ in pairs) - sum(fix))
+        for a, f in zip(still, fix):
             if f > a:
                 return {}
             n //= math.factorial(a - f)
         open_pairs = []
-        for (_, _, a, total, ch), fv, fw in zip(pairs, fix[s::2], fix[s + 1::2]):
+        for (a, total, ch), fv, fw in zip(pairs, fix[len(still)::2], fix[len(still) + 1::2]):
             r = total - fv - fw
             if r < 0:
                 return {}
@@ -290,32 +311,34 @@ def compare_possible(
                 key = (a - i) * ch % m
                 factor[key] = factor.get(key, 0) + n * math.comb(r, i)
             w, n = (factor if w is None else _convolve(w, factor, m, work)), 1
-        return {0: n} if w is None else w
+        memo[s, fix] = w = {0: n} if w is None else w
+        return w
 
     # suffix[k]: the classes from k on, nothing fixed
-    unfixed = [(0,) * len(slot) for slot in slots]
-    one = {0: 1}
-    suffix = [one]
-    for k in reversed(range(len(classes))):
-        suffix.append(_convolve(weights(k, unfixed[k]), suffix[-1], m, work))
+    unfixed = [(0,) * len(slot) for slot in slots]  # per shape
+    suffix = [{0: 1}]
+    for s in reversed(shape_of):
+        suffix.append(_convolve(weights(s, unfixed[s]), suffix[-1], m, work))
     suffix.reverse()
     possible = suffix[0].get(0, 0)
 
+    closed: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}  # (shape, held) -> residue
+
     def is_possible(x: Coords) -> bool:
-        # a class with all its places fixed weighs one arrangement at one
-        # residue, or nothing when no coherent flip puts its values there
         total = 0
-        for k, (idx, slot) in enumerate(zip(classes, slots)):
-            held = [0] * len(slot)
+        for (idx, _), s in zip(classes, shape_of):
+            held = [0] * len(slots[s])
             for i in idx:
-                j = slot.get(x[i])
+                j = slots[s].get(x[i])
                 if j is None:
                     return False
                 held[j] += 1
-            w = weights(k, tuple(held))
-            if not w:
+            key = (s, tuple(held))
+            if key not in closed:
+                closed[key] = _fixed_residue(*parts[s], held, m)
+            if closed[key] is None:
                 return False
-            total += next(iter(w))
+            total += closed[key]
         return total % m == 0
 
     realized = set(realized)
@@ -327,34 +350,36 @@ def compare_possible(
         return possible, pick_witness((tuple(zip(labels, x)) for x in realized.difference(members)), base)
     # rebuild the pick_witness minimum place by place: keep the first value,
     # in pick_witness order, that leaves a possible vector outside the
-    # realized side.  The classes not started yet contribute a suffix
-    # product, the finished ones a running product, and the other open
-    # ones (classes interleave in place order) their current vectors.
-    fixed = list(unfixed)
-    done = one
-    started = 0
+    # realized side.  Classes not started yet enter as a suffix product,
+    # finished ones as the residue ``done``, open ones by their vectors.
+    fixed = [unfixed[s] for s in shape_of]
+    done = started = 0
     opened: List[int] = []
     witness = []
     for i, (lab, b) in enumerate(base):
         c = class_of[i]
+        s = shape_of[c]
         if c == started:
             started += 1
             opened.append(c)
-        rest = _convolve(done, suffix[started], m, work)
+        rest = suffix[started]
         for k in opened:
             if k != c:
-                rest = _convolve(rest, weights(k, fixed[k]), m, work)
-        vals = list(slots[c])
-        for j in sorted(range(len(vals)), key=lambda j: (vals[j] != b, vals[j].sort_key())):
-            v = vals[j]
-            fix = fixed[c][:j] + (fixed[c][j] + 1,) + fixed[c][j + 1:]
+                rest = _convolve(rest, weights(shape_of[k], fixed[k]), m, work)
+        last, held = i == classes[c][0][-1], fixed[c]
+        for j, v in [(slots[s][b], b)] + [jv for jv in ranked[s] if jv[1] != b]:
+            fix = held[:j] + (held[j] + 1,) + held[j + 1:]
             left = [x for x in members if x[i] == v]
-            if len(vals) == 1 or sum(n * rest.get(-r % m, 0) for r, n in weights(c, fix).items()) > len(left):
+            if last:  # the class ends here
+                r = _fixed_residue(*parts[s], fix, m)
+                if r is not None and rest.get((-r - done) % m, 0) > len(left):
+                    break
+            elif sum(n * rest.get((-q - done) % m, 0) for q, n in weights(s, fix).items()) > len(left):
                 break
         fixed[c] = fix
-        if i == classes[c][-1]:
+        if last:
             opened.remove(c)
-            done = _convolve(done, weights(c, fix), m, work)
+            done += r
         witness.append((lab, v))
         members = left
     return possible, tuple(witness)

@@ -5,7 +5,11 @@ index-two criterion and the Mackey decomposition behind it;
 ``global_sym_act`` is the diagram symmetry on the global dual target,
 which the brute-force flip listings filter by; ``outer_fast_path`` is a
 shortcut for weak uniformity of outer types that ``weak_uniformity``
-must agree with; ``reference_group`` lists a field automorphism group by
+must agree with; ``reference_compare_possible`` counts the possible side
+with one residue vector per adelic class and carries the finished classes
+as a running product, as ``brauer.compare_possible`` did before it counted
+per class shape, and must give the same count, witness and exceptions;
+``reference_group`` lists a field automorphism group by
 composing place permutations keyed by place id, ``reference_push`` pushes
 a vector along one of them by place id, and ``reference_global_orbit`` and
 ``reference_two_sided_orbit`` are the orbits ``global_orbit`` and
@@ -32,11 +36,14 @@ that imports the package under test.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import rigidity
 from rigidity.arith_equiv import (
@@ -53,7 +60,15 @@ from rigidity.arith_equiv import (
     perm_inv,
     perm_mul,
 )
-from rigidity.brauer import OmegaVector, inner_twin_places, plain_orbits, sigma_flip
+from rigidity.brauer import (
+    OmegaVector,
+    _convolve,
+    _flip_rule,
+    inner_twin_places,
+    pick_witness,
+    plain_orbits,
+    sigma_flip,
+)
 from rigidity.classifier import GroupDescriptor
 from rigidity.cli import _SECTIONS, _Parser, parse_catalog
 from rigidity.errors import (
@@ -63,7 +78,7 @@ from rigidity.errors import (
     RigidityError,
     ValidationError,
 )
-from rigidity.field_model import FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry
+from rigidity.field_model import Coords, FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry
 from rigidity.invariants import (
     GroupType,
     LocalClass,
@@ -358,6 +373,159 @@ def outer_fast_path(omega: OmegaVector, s: PlaceSymmetry) -> Optional[bool]:
         return False
     glob, adel = plain_orbits(omega, s)
     return set(glob) == set(adel)
+
+
+def reference_compare_possible(
+    omega: OmegaVector, realized: Iterable[tuple], flips: bool = True
+) -> Tuple[int, Optional[Coords]]:
+    """Compare realized vectors (``orbit_set`` value tuples) with the
+    adelically possible ones by counting.
+
+    The possible vectors are the coherent flips of the finite coordinates
+    (only the coordinates themselves when ``flips`` is off), permuted
+    within each adelic class.  A vector is possible exactly when every
+    class holds a value multiset that one coherent set of flips produces
+    there, so each class contributes a residue vector (its arrangements
+    summed by the residue of the flip charge) and the possible side is
+    counted, without listing it, as coefficient 0 of the cyclic
+    convolution of those vectors.  Vectors are stored by their support, so
+    the cost follows the residues that occur, not the modulus; convolutions
+    of more than ``RESIDUE_WORK_LIMIT`` products in all raise
+    ``CapacityError``.  Returns the possible count and, unless the two
+    sides are equal, the ``pick_witness`` choice among possible vectors
+    outside the realized side, or among realized vectors outside the
+    possible side when there are none.
+    """
+    t = omega.group_type
+    base = omega.finite
+    flips = flips and has_symmetry(t)
+    charge, m = _flip_rule(t) if flips else ((lambda kind, cls: 0), 1)
+    by_class: Dict[str, List[int]] = {}
+    for i, (lab, _) in enumerate(base):
+        by_class.setdefault(lab.class_key(), []).append(i)
+    classes = list(by_class.values())  # numbered by their first place
+    class_of = {i: k for k, idx in enumerate(classes) for i in idx}
+    # per class: the values flips keep (v, a places) and the flip pairs.  A
+    # twin value v (a places) pairs with its image w: j flips of v and j' of
+    # w leave k = a - j + j' places at v, any k from 0 to the pair's total,
+    # and add (a - k) times the charge of v.  Each value has a slot, still
+    # ones first, then v and w of each pair, and a count per slot fixes the
+    # arrangements ``weights`` counts.
+    parts: List[Tuple[list, list]] = []
+    slots: List[Dict[LocalClass, int]] = []  # per class: value -> slot
+    for idx in classes:
+        counts = Counter(base[i][1] for i in idx)  # hashes each value once
+        kind = base[idx[0]][0].kind
+        still, pairs, paired = [], [], set()
+        for v, a in counts.items():
+            w = sym_act(t, kind, v) if flips else v
+            if w == v:
+                still.append((v, a))
+            elif v not in paired:
+                paired.add(w)
+                pairs.append((v, w, a, a + counts.get(w, 0), charge(kind, v)))
+        parts.append((still, pairs))
+        vals = [v for v, _ in still] + [u for v, w, *_ in pairs for u in (v, w)]
+        slots.append({v: j for j, v in enumerate(vals)})
+
+    work = [0]  # residue products so far
+
+    @lru_cache(maxsize=None)
+    def weights(k: int, fix: Tuple[int, ...]) -> Dict[int, int]:
+        """Class k's arrangements agreeing with the value counts f already
+        fixed there, summed by the residue of their charge: the multinomial
+        of the places left open at each still value and each pair, times
+        one factor per pair with r places open, sum over i of C(r, i) at
+        residue (a - f_v - i) * charge."""
+        still, pairs = parts[k]
+        s = len(still)
+        n = math.factorial(len(classes[k]) - sum(fix))
+        for (_, a), f in zip(still, fix):
+            if f > a:
+                return {}
+            n //= math.factorial(a - f)
+        open_pairs = []
+        for (_, _, a, total, ch), fv, fw in zip(pairs, fix[s::2], fix[s + 1::2]):
+            r = total - fv - fw
+            if r < 0:
+                return {}
+            n //= math.factorial(r)
+            open_pairs.append((r, a - fv, ch))
+        w = None  # the first factor carries the multinomial
+        for r, a, ch in open_pairs:
+            factor: Dict[int, int] = {}
+            for i in range(r + 1):
+                key = (a - i) * ch % m
+                factor[key] = factor.get(key, 0) + n * math.comb(r, i)
+            w, n = (factor if w is None else _convolve(w, factor, m, work)), 1
+        return {0: n} if w is None else w
+
+    # suffix[k]: the classes from k on, nothing fixed
+    unfixed = [(0,) * len(slot) for slot in slots]
+    one = {0: 1}
+    suffix = [one]
+    for k in reversed(range(len(classes))):
+        suffix.append(_convolve(weights(k, unfixed[k]), suffix[-1], m, work))
+    suffix.reverse()
+    possible = suffix[0].get(0, 0)
+
+    def is_possible(x: Coords) -> bool:
+        # a class with all its places fixed weighs one arrangement at one
+        # residue, or nothing when no coherent flip puts its values there
+        total = 0
+        for k, (idx, slot) in enumerate(zip(classes, slots)):
+            held = [0] * len(slot)
+            for i in idx:
+                j = slot.get(x[i])
+                if j is None:
+                    return False
+                held[j] += 1
+            w = weights(k, tuple(held))
+            if not w:
+                return False
+            total += next(iter(w))
+        return total % m == 0
+
+    realized = set(realized)
+    members = [x for x in realized if is_possible(x)]
+    if possible == len(members):
+        if len(members) == len(realized):
+            return possible, None
+        labels = [lab for lab, _ in base]
+        return possible, pick_witness((tuple(zip(labels, x)) for x in realized.difference(members)), base)
+    # rebuild the pick_witness minimum place by place: keep the first value,
+    # in pick_witness order, that leaves a possible vector outside the
+    # realized side.  The classes not started yet contribute a suffix
+    # product, the finished ones a running product, and the other open
+    # ones (classes interleave in place order) their current vectors.
+    fixed = list(unfixed)
+    done = one
+    started = 0
+    opened: List[int] = []
+    witness = []
+    for i, (lab, b) in enumerate(base):
+        c = class_of[i]
+        if c == started:
+            started += 1
+            opened.append(c)
+        rest = _convolve(done, suffix[started], m, work)
+        for k in opened:
+            if k != c:
+                rest = _convolve(rest, weights(k, fixed[k]), m, work)
+        vals = list(slots[c])
+        for j in sorted(range(len(vals)), key=lambda j: (vals[j] != b, vals[j].sort_key())):
+            v = vals[j]
+            fix = fixed[c][:j] + (fixed[c][j] + 1,) + fixed[c][j + 1:]
+            left = [x for x in members if x[i] == v]
+            if len(vals) == 1 or sum(n * rest.get(-r % m, 0) for r, n in weights(c, fix).items()) > len(left):
+                break
+        fixed[c] = fix
+        if i == classes[c][-1]:
+            opened.remove(c)
+            done = _convolve(done, weights(c, fix), m, work)
+        witness.append((lab, v))
+        members = left
+    return possible, tuple(witness)
 
 
 def compose(p: PlacePerm, q: PlacePerm) -> PlacePerm:

@@ -6,7 +6,7 @@ import pytest
 
 import genfix
 from genfix import rand_symmetric_omega
-from oracles import global_sym_act, outer_fast_path
+from oracles import global_sym_act, outer_fast_path, reference_compare_possible
 from recount import recount_compare_possible
 from rigidity.brauer import (
     OmegaVector,
@@ -455,6 +455,90 @@ class TestResidueVectorsMatchTheRecount:
                 most = max(most, len({frozenset((v, sym_act(t, FI, v))) for v in moved}))
                 both += any(sym_act(t, FI, v) in vals for v in moved)
         assert most == 5 and both
+
+
+def outcome(compare, omega, realized, flips):
+    """The count and witness, or the type of the exception raised."""
+    try:
+        return compare(omega, realized, flips)
+    except Exception as e:
+        return type(e)
+
+
+def assert_same_as_reference(omega, realized, flips):
+    got = outcome(compare_possible, omega, as_values(realized), flips)
+    assert got == outcome(reference_compare_possible, omega, as_values(realized), flips)
+    return got
+
+
+def interleaved_twins(rng):
+    """Two classes holding one value multiset in different orders, their
+    places alternating so both are open at once, and a singleton class."""
+    t = rng.choice([A2, A3, A4])
+    n = center_shape(t).modulus
+    multiset = [LocalClass(cyclic(n), rng.randrange(n)) for _ in range(rng.randint(2, 4))]
+    orders = [rng.sample(multiset, len(multiset)) for _ in "ab"]
+    finite = [(PlaceLabel(f"v{2 * i + k + 1}", FI, c), order[i])
+              for i in range(len(multiset)) for k, (c, order) in enumerate(zip("ab", orders))]
+    finite.append((PlaceLabel(f"v{2 * len(multiset) + 1}", FI), LocalClass(cyclic(n), rng.randrange(1, n))))
+    return OmegaVector(t, tuple(finite))
+
+
+class TestShapeCountingMatchesTheReference:
+    """The per-shape count against the per-class count it replaced
+    (``oracles.reference_compare_possible``): the same possible count, the
+    same witness and the same exception type, with flips on and off."""
+
+    @pytest.mark.parametrize("make,count", TestResidueVectorsMatchTheRecount.GENERATORS,
+                             ids=[m.__name__ for m, _ in TestResidueVectorsMatchTheRecount.GENERATORS])
+    def test_generated_inputs(self, make, count):
+        rng = random.Random(f"shapes/{make.__name__}")
+        witnesses = 0
+        for _ in range(count):
+            g = make(rng)
+            om = g.omega
+            for stab in [None] + [p.id for p in g.field.real_places[:1]]:
+                one_sided = set(global_orbit(om.finite, g.symmetry, fixing=stab))
+                two_sided = one_sided | set(global_orbit(sigma_flip(om), g.symmetry, fixing=stab))
+                for realized in (one_sided, two_sided):
+                    for flips in (True, False):
+                        got = assert_same_as_reference(om, realized, flips)
+                        witnesses += got[1] is not None
+        if make in (genfix.rand_classed, genfix.rand_interleaved, genfix.rand_paired):
+            assert witnesses
+
+    def test_singleton_twin_classes_over_q(self):
+        """8 to 14 places over Q, each its own class, drawn from two values:
+        two shapes at most, each shared by many classes."""
+        rng = random.Random("shapes/singletons")
+        witnesses = 0
+        for _ in range(40):
+            t = rng.choice([A2, A3, A4])
+            n = center_shape(t).modulus
+            two = rng.sample(range(1, n), 2)
+            om = OmegaVector(t, tuple(
+                (PlaceLabel(f"v{i + 1}", FI), LocalClass(cyclic(n), rng.choice(two)))
+                for i in range(rng.randint(8, 14))
+            ))
+            for realized in ({om.finite}, {om.finite, sigma_flip(om)}):
+                for flips in (True, False):
+                    witnesses += assert_same_as_reference(om, realized, flips)[1] is not None
+        assert witnesses >= 80
+
+    def test_interleaved_classes_of_one_shape(self):
+        """Two classes of one shape open at once, with different values
+        fixed in each, on realized sides that miss arrangements."""
+        rng = random.Random("shapes/interleaved")
+        rebuilt = 0
+        for _ in range(60):
+            om = interleaved_twins(rng)
+            arranged = adelic_orbit(om.finite)
+            for realized in ({om.finite}, {om.finite, sigma_flip(om)},
+                             set(rng.sample(arranged, (len(arranged) + 1) // 2))):
+                for flips in (True, False):
+                    got = assert_same_as_reference(om, realized, flips)
+                    rebuilt += got[1] is not None and got[1] not in realized
+        assert rebuilt >= 60
 
 
 class TestOuterFastPath:

@@ -961,6 +961,22 @@ class TestResidueWork:
         # a check per convolution let this input do 502,414 products
         assert RESIDUE_WORK_LIMIT // 2 < sum(done) <= RESIDUE_WORK_LIMIT
 
+    def test_one_convolution_per_class_over_q(self, monkeypatch):
+        """Fourteen singleton twin classes: one convolution each for the
+        suffix, and none in the rebuild, which carries finished classes as
+        one residue; a running product of them took 42."""
+        calls = []
+        convolve = brauer._convolve
+
+        def counted(a, b, m, work):
+            calls.append(len(a) * len(b))
+            return convolve(a, b, m, work)
+
+        monkeypatch.setattr(brauer, "_convolve", counted)
+        v = classify_text(twins_over_q(2, [1, 2] * 7))
+        assert v.outcome == Outcome.NOT_RIGID and v.witness is not None
+        assert len(calls) <= 14
+
 
 class TestRationalChecklistLimit:
     def test_listing_above_the_limit_fails_fast(self):

@@ -8,6 +8,8 @@ globally isomorphic, and produces an explicit locally-equal twin when the
 answer is no.
 """
 
+from types import ModuleType as _ModuleType
+
 from .brauer import (
     OmegaVector,
     SOmegaOrbit,
@@ -74,5 +76,5 @@ from .real_forms import (
     trivial_image_forms,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

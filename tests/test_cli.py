@@ -367,6 +367,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
+    def test_help_prints_the_descriptor_grammar(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert "\n    [places]\n" in out
+        assert "v5a = class=c5 kind=split omega=2/5" in out
+
     def test_the_package_runs_as_a_module_without_warnings(self):
         done = run_python(["-m", "rigidity", "selftest"])
         assert done.returncode == 0, done.stderr.decode()

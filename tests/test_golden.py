@@ -15,7 +15,8 @@ The expected files under ``tests/golden/`` hold:
   ``signature()``, its ``real_stats`` orders and, for each type of its
   family and rank and each real place kind, the class ``real_class`` pins
   with no class supplied or the error it raises; then
-  ``rigidity realforms CODE RANK`` for every type code at ranks 1..8.
+  ``rigidity realforms CODE RANK`` for every type code at ranks 1..8;
+* ``api.txt``: ``rigidity.__all__``, one name per line.
 
 A change that means to alter any of these outputs rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -30,6 +31,7 @@ import random
 from pathlib import Path
 
 import genfix
+import rigidity
 from rigidity.classifier import classify
 from rigidity.cli import _TYPE_CODES, main, verdict_to_json
 from rigidity.invariants import FormKind, GroupType, PlaceKind
@@ -145,6 +147,7 @@ OUTPUTS = {
     "equiv.txt": equiv_text,
     "genfix.txt": genfix_text,
     "forms.txt": forms_text,
+    "api.txt": lambda: "".join(f"{name}\n" for name in rigidity.__all__),
 }
 
 
@@ -179,6 +182,10 @@ def test_generated_verdicts():
 
 def test_named_real_forms():
     _check("forms.txt")
+
+
+def test_public_names():
+    _check("api.txt")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ from .classifier import (
     specialize_quasisplit,
     subset_sum_forbidden,
 )
-from .cli import emit_descriptor, main, parse
+from .cli import main
+from .descriptor import emit_descriptor, parse
 from .errors import (
     CapacityError,
     ContractError,

@@ -1,5 +1,5 @@
-"""The bundled permutation groups, read from ``fixtures/groups.cat`` as
-package data, and the subgroup pairs the arithmetic equivalence checks are
+"""The catalog grammar, the bundled permutation groups, read from
+``fixtures/groups.cat`` as package data, and the subgroup pairs the arithmetic equivalence checks are
 pinned to: the point and line stabilizers of the simple group of order 168
 on the Fano plane, the standard almost-conjugate-but-not-conjugate pair, and
 subgroups of the wreath model on six points.
@@ -9,10 +9,72 @@ from __future__ import annotations
 
 from functools import lru_cache
 from importlib.resources import files
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .arith_equiv import PermGroup, Subgroup, perm_from_cycles
-from .cli import parse_catalog
+from .descriptor import read_cycles
+from .errors import ContractError, DescriptorParseError
+
+# Every element of a catalog group is a tuple of DEGREE points, so with the
+# group order cap of 10080 a degree of 1000 already means 10^7 stored points.
+CATALOG_DEGREE_LIMIT = 1000
+
+
+def parse_catalog(text: str) -> List[PermGroup]:
+    """Catalog grammar: one group per line, ``NAME DEGREE (cycles)(...)``, 1-based points.
+
+    Generators are separated by ``;``.  Every fault is reported as a
+    positioned ``DescriptorParseError`` entry.
+    """
+    groups = []
+    errors = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 2)
+        if len(parts) < 3:
+            errors.append((no, 1, "expected NAME DEGREE CYCLES"))
+            continue
+        name, deg_txt, gen_txt = parts
+        try:
+            degree = int(deg_txt)
+        except ValueError:
+            errors.append((no, 1, f"bad degree {deg_txt!r}"))
+            continue
+        if not 1 <= degree <= CATALOG_DEGREE_LIMIT:
+            errors.append((no, 1, f"degree {degree} outside 1..{CATALOG_DEGREE_LIMIT}"))
+            continue
+        gens = []
+        for chunk in gen_txt.split(";"):
+            try:
+                gens.append(_catalog_generator(chunk.strip(), degree))
+            except ValueError as e:
+                errors.append((no, 1, str(e)))
+        groups.append(PermGroup(degree, gens, name=name))
+    if errors:
+        raise DescriptorParseError(errors)
+    return groups
+
+
+def _catalog_generator(chunk: str, degree: int) -> Tuple[int, ...]:
+    """One generator in 1-based cycle notation; ValueError says what is wrong."""
+    cycles = []
+    for words in read_cycles(chunk):
+        cycle = []
+        for word in words:
+            try:
+                point = int(word)
+            except ValueError:
+                raise ValueError(f"bad point {word!r} in {chunk!r}") from None
+            if not 1 <= point <= degree:
+                raise ValueError(f"point {point} outside degree {degree} in {chunk!r}")
+            cycle.append(point - 1)
+        cycles.append(cycle)
+    try:
+        return perm_from_cycles(degree, cycles)
+    except ContractError as e:
+        raise ValueError(f"{e} in {chunk!r}") from None
 
 
 @lru_cache(maxsize=1)

@@ -14,7 +14,7 @@ from .arith_equiv import almost_conjugate, are_conjugate, common_normal_index2
 from .brauer import plain_orbits, weak_uniformity
 from .catalog import fano_point_line_stabilizers, wreath_pair
 from .classifier import Outcome, classify
-from .cli import parse
+from .descriptor import parse
 from .invariants import Family, GroupType
 from .real_forms import RealFormTag, trivial_image_forms
 
@@ -25,6 +25,19 @@ FIXTURES = {
     for p in sorted((files(__package__) / "fixtures").iterdir(), key=lambda p: p.name)
     if p.name.endswith(".grp")
 }
+
+# the fixtures checked by their outcome alone: (check, fixture, outcome)
+_OUTCOMES = (
+    ("cubic split prime: not rigid", "cubic31", Outcome.NOT_RIGID),
+    ("komatsu quartic: not rigid (sibling square class)", "komatsu_2A2", Outcome.NOT_RIGID),
+    ("sextic wreath field: not rigid (sibling square class)", "lmfdb_sextic_2A2", Outcome.NOT_RIGID),
+    ("split symplectic over Q: rigid", "split_C3_Q", Outcome.RIGID),
+    ("split G2 over Q: not rigid", "split_G2_Q", Outcome.NOT_RIGID),
+    ("split B3 over Q: not rigid", "b3_split_Q", Outcome.NOT_RIGID),
+    ("star form rank 6 over Q: rigid", "spinstar_D6_Q", Outcome.RIGID),
+    ("Spin(7,3) rank 5 over Q: rigid", "spin73_D5_Q", Outcome.RIGID),
+    ("SU(3,1) rank 3 over Q: rigid", "su31_2A3_Q", Outcome.RIGID),
+)
 
 
 def _checks():
@@ -60,34 +73,8 @@ def _checks():
     )
     yield "real quadratic quaternions: witness splits both infinite places", flipped
 
-    cubic = classify(parse(FIXTURES["cubic31"]))
-    yield "cubic split prime: not rigid", cubic.outcome == Outcome.NOT_RIGID
-
-    yield "komatsu quartic: not rigid (sibling square class)", (
-        classify(parse(FIXTURES["komatsu_2A2"])).outcome == Outcome.NOT_RIGID
-    )
-    yield "sextic wreath field: not rigid (sibling square class)", (
-        classify(parse(FIXTURES["lmfdb_sextic_2A2"])).outcome == Outcome.NOT_RIGID
-    )
-
-    yield "split symplectic over Q: rigid", (
-        classify(parse(FIXTURES["split_C3_Q"])).outcome == Outcome.RIGID
-    )
-    yield "split G2 over Q: not rigid", (
-        classify(parse(FIXTURES["split_G2_Q"])).outcome == Outcome.NOT_RIGID
-    )
-    yield "split B3 over Q: not rigid", (
-        classify(parse(FIXTURES["b3_split_Q"])).outcome == Outcome.NOT_RIGID
-    )
-    yield "star form rank 6 over Q: rigid", (
-        classify(parse(FIXTURES["spinstar_D6_Q"])).outcome == Outcome.RIGID
-    )
-    yield "Spin(7,3) rank 5 over Q: rigid", (
-        classify(parse(FIXTURES["spin73_D5_Q"])).outcome == Outcome.RIGID
-    )
-    yield "SU(3,1) rank 3 over Q: rigid", (
-        classify(parse(FIXTURES["su31_2A3_Q"])).outcome == Outcome.RIGID
-    )
+    for name, fixture, outcome in _OUTCOMES:
+        yield name, classify(parse(FIXTURES[fixture])).outcome == outcome
 
     forms_c3 = trivial_image_forms(GroupType(Family.C, 3))
     yield "real form gate C3: split symplectic only", forms_c3 == [RealFormTag("Sp_R", (6,))]

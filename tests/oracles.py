@@ -15,7 +15,8 @@ a vector along one of them by place id, and ``reference_global_orbit`` and
 ``reference_two_sided_orbit`` are the orbits ``global_orbit`` and
 ``classifier._two_sided_orbit`` must agree with.
 ``ReferenceParser`` (``reference_parse``) reads a descriptor line by line
-with no memo, as ``rigidity.cli.parse`` must.
+with no memo and with no table or reader of ``rigidity.descriptor``, and
+``rigidity.descriptor.parse`` must read it alike.
 ``reference_subgroup_check`` and ``reference_are_conjugate`` are the
 all-pairs closure check and the all-members conjugacy test that
 ``arith_equiv.Subgroup`` and ``are_conjugate`` must agree with,
@@ -70,16 +71,20 @@ from rigidity.brauer import (
     sigma_flip,
 )
 from rigidity.classifier import GroupDescriptor
-from rigidity.cli import _SECTIONS, _Parser, parse_catalog
+from rigidity.catalog import parse_catalog
 from rigidity.errors import (
     CapacityError,
     ContractError,
     DescriptorParseError,
+    OutOfScopeError,
     RigidityError,
     ValidationError,
 )
-from rigidity.field_model import Coords, FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry
+from rigidity.field_model import Coords, FieldDescriptor, HbarFiber, PlaceLabel, PlacePerm, PlaceSymmetry
 from rigidity.invariants import (
+    FIXED_RANKS,
+    Family,
+    FormKind,
     GroupType,
     LocalClass,
     PlaceKind,
@@ -586,18 +591,64 @@ def reference_two_sided_orbit(g) -> Set:
     return out
 
 
-class ReferenceParser(_Parser):
+# the grammar's section names, type codes and [field] keys, restated
+_REFERENCE_SECTIONS = ("group", "field", "aut", "places", "real")
+_REFERENCE_TYPE_CODES = {
+    "A": (Family.A, FormKind.INNER), "1A": (Family.A, FormKind.INNER), "2A": (Family.A, FormKind.OUTER),
+    "B": (Family.B, FormKind.INNER), "C": (Family.C, FormKind.INNER),
+    "D": (Family.D, FormKind.INNER), "1D": (Family.D, FormKind.INNER), "2D": (Family.D, FormKind.OUTER),
+    "E6": (Family.E6, FormKind.INNER), "1E6": (Family.E6, FormKind.INNER), "2E6": (Family.E6, FormKind.OUTER),
+    "E7": (Family.E7, FormKind.INNER), "E8": (Family.E8, FormKind.INNER),
+    "F4": (Family.F4, FormKind.INNER), "G2": (Family.G2, FormKind.INNER),
+}
+
+
+def _reference_flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+_REFERENCE_FIELD_KEYS = {
+    "degree": (int, "degree must be an integer"),
+    "complex_places": (int, "complex_places must be an integer"),
+    "locally_determined": (_reference_flag, "locally_determined must be true or false"),
+    "galois": (_reference_flag, "galois must be true or false"),
+    "hbar_fiber": (HbarFiber, "hbar_fiber must be trivial, nontrivial, or unknown"),
+}
+
+
+def _reference_cycles(text: str):
+    """The words of each cycle of ``text``, one cycle at a time, as the
+    parser checks them; ValueError at the first bracket fault."""
+    rest = text
+    while rest:
+        if rest[0] != "(" or ")" not in rest:
+            raise ValueError(f"bad cycle notation {text!r}")
+        inner, rest = rest[1:].split(")", 1)
+        yield inner.split()
+        rest = rest.lstrip()
+
+
+class ReferenceParser:
     """The descriptor parser as it read each line before entry values were
-    memoized: every entry value is split, stripped and read afresh, and each
-    reader reports its own faults through ``err``.  The ``[group]``,
-    ``[field]`` and ``[aut]`` readers, which the memo left alone, are
-    ``cli._Parser``'s.  ``rigidity.cli.parse`` must return what
-    ``reference_parse`` returns, or raise the same positioned errors."""
+    memoized and before the [group] and [field] keys were read from key
+    tables: every entry value is split, stripped and read afresh, and each
+    reader reports its own faults through ``err``.
+    ``rigidity.descriptor.parse`` must return what ``reference_parse``
+    returns, or raise the same positioned errors."""
+
+    def __init__(self, text: str):
+        self.errors: List[Tuple[int, int, str]] = []
+        self.lines = text.splitlines()
+
+    def err(self, line: int, col: int, msg: str):
+        self.errors.append((line, col, msg))
 
     def parse(self) -> GroupDescriptor:
         # each section's entries as key -> (line, value), in file order; a key
         # given twice in one section is refused here, at its second line
-        sections: Dict[str, Dict[str, Tuple[int, str]]] = {s: {} for s in _SECTIONS}
+        sections: Dict[str, Dict[str, Tuple[int, str]]] = {s: {} for s in _REFERENCE_SECTIONS}
         current: Optional[str] = None
         for no, raw in enumerate(self.lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -605,7 +656,7 @@ class ReferenceParser(_Parser):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 name = line[1:-1].strip()
-                if name not in _SECTIONS:
+                if name not in _REFERENCE_SECTIONS:
                     self.err(no, 1, f"unknown section [{name}]")
                     current = None
                 else:
@@ -663,6 +714,85 @@ class ReferenceParser(_Parser):
             self.err(1, 1, str(e))
             raise DescriptorParseError(self.errors)
         return desc
+
+    def _parse_group(self, entries) -> Optional[GroupType]:
+        code = rank = None
+        code_line = 1
+        for key, (no, value) in entries.items():
+            if key == "type":
+                code, code_line = value, no
+            elif key == "rank":
+                try:
+                    rank = int(value)
+                except ValueError:
+                    self.err(no, 1, f"rank must be an integer, got {value!r}")
+            else:
+                self.err(no, 1, f"unknown key {key!r} in [group]")
+        if code is None:
+            self.err(1, 1, "missing type in [group]")
+            return None
+        if code not in _REFERENCE_TYPE_CODES:
+            self.err(code_line, 1, f"unknown type code {code!r}")
+            return None
+        family, kind = _REFERENCE_TYPE_CODES[code]
+        if rank is None:
+            if family not in FIXED_RANKS:
+                self.err(code_line, 1, f"type {code} needs an explicit rank")
+                return None
+            rank = FIXED_RANKS[family]
+        try:
+            return GroupType(family, rank, kind)
+        except (ValueError, OutOfScopeError) as e:
+            self.err(code_line, 1, str(e))
+            return None
+
+    def _parse_field(self, entries):
+        values = {"complex_places": 0}
+        for key, (no, value) in entries.items():
+            if key not in _REFERENCE_FIELD_KEYS:
+                self.err(no, 1, f"unknown key {key!r} in [field]")
+                continue
+            read, message = _REFERENCE_FIELD_KEYS[key]
+            try:
+                values[key] = read(value)
+            except ValueError:
+                self.err(no, 1, message)
+        if "degree" not in values:
+            if "degree" not in entries:
+                self.err(1, 1, "missing degree in [field]")
+            return None
+        degree = values["degree"]
+        galois = values.get("galois", degree == 1)
+        loc_det = values.get("locally_determined")
+        if loc_det is None:
+            if degree > 6:
+                self.err(1, 1, "degree above 6: declare locally_determined explicitly")
+                return None
+            loc_det = True  # fields of degree up to six are locally determined
+        hbar = values.get("hbar_fiber", HbarFiber.TRIVIAL if galois else HbarFiber.UNKNOWN)
+        return degree, values["complex_places"], loc_det, galois, hbar
+
+    def _parse_aut(self, entries, declared) -> List[PlacePerm]:
+        perms = []
+        for name, (no, value) in entries.items():
+            if not value:
+                self.err(no, 1, f"generator {name} is empty")
+                continue
+            before = len(self.errors)
+            try:
+                cycles = []
+                for cyc in _reference_cycles(value):
+                    if len(cyc) < 2:
+                        raise ValueError("cycles need at least two labels")
+                    for pid in cyc:
+                        if pid not in declared:
+                            self.err(no, 1, f"generator {name}: undeclared place {pid}")
+                    cycles.append(tuple(cyc))
+                if len(self.errors) == before:
+                    perms.append(PlacePerm.from_cycles(cycles))
+            except (ValueError, ValidationError) as e:
+                self.err(no, 1, f"generator {name}: {e}")
+        return perms
 
     def _parse_value(self, no: int, text: str, shape: Shape) -> Optional[LocalClass]:
         text = text.strip()

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -6,6 +7,7 @@ import random
 import re
 import time
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,21 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from rigidity._util import MEMO_SIZE
 from rigidity.classifier import GroupDescriptor, Outcome, classify, validate_descriptor
-from rigidity.cli import (
-    _MEMO_TEXT,
-    _TYPE_CODES,
-    D4_OUT_OF_SCOPE,
-    VERDICT_SCHEMA,
-    _format_form,
-    _place_label,
-    _read_place,
-    _read_real,
-    emit_descriptor,
-    main,
-    parse,
-    parse_catalog,
-    verdict_to_json,
-)
+from rigidity.cli import D4_OUT_OF_SCOPE, VERDICT_SCHEMA, emit_descriptor, main, parse, parse_catalog, verdict_to_json
+from rigidity.descriptor import _MEMO_TEXT, _TYPE_CODES, _format_form, _place_label, _read_place, _read_real
 from rigidity.arith_equiv import PermGroup
 from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.errors import ContractError, DescriptorParseError, ValidationError
@@ -382,6 +371,25 @@ class TestCommands:
         assert b"RuntimeWarning" not in done.stderr
 
 
+def test_no_library_module_imports_the_command_line():
+    # the commands import the library, never the other way round
+    offenders = []
+    for path in sorted(Path(str(files("rigidity"))).glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+            else:
+                continue
+            if any(re.fullmatch(r"(rigidity\.)?cli(\..*)?", name) for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 class TestCatalogParse:
     def test_bad_line_positions(self):
         with pytest.raises(DescriptorParseError):
@@ -538,6 +546,16 @@ class TestAgainstTheReferenceParser:
         for seed in range(30):
             text = emit_descriptor(make(random.Random(seed)))
             assert _outcome(parse, text) == _outcome(reference_parse, text), seed
+
+    def test_a_bad_type_code_is_refused_after_the_other_group_faults(self):
+        text = "[group]\ntype = X\nrank = y\ncolour = blue\n[field]\ndegree = x\n"
+        with pytest.raises(DescriptorParseError) as err:
+            parse(text)
+        assert err.value.errors == [(3, 1, "rank must be an integer, got 'y'"),
+                                    (4, 1, "unknown key 'colour' in [group]"),
+                                    (2, 1, "unknown type code 'X'"),
+                                    (6, 1, "degree must be an integer")]
+        assert _outcome(reference_parse, text) == err.value.errors
 
     def test_the_same_bad_entry_is_refused_at_each_of_its_lines(self):
         # the memo keeps the message, not the position

@@ -33,7 +33,8 @@ from pathlib import Path
 import genfix
 import rigidity
 from rigidity.classifier import classify
-from rigidity.cli import _TYPE_CODES, main, verdict_to_json
+from rigidity.cli import main, verdict_to_json
+from rigidity.descriptor import _TYPE_CODES
 from rigidity.invariants import FormKind, GroupType, PlaceKind
 from rigidity.real_forms import NAMED, RealFormTag, real_class, real_stats
 

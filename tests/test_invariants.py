@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import global_sym_act, run_python
 from rigidity._util import MEMO_SIZE
 from rigidity.classifier import classify
-from rigidity.cli import _read_place, _read_real, parse
+from rigidity.descriptor import _read_place, _read_real, parse
 from rigidity.errors import ContractError, OutOfScopeError
 from rigidity.field_model import PlaceLabel
 from rigidity.invariants import (

@@ -1,8 +1,9 @@
 """The catalog grammar, the bundled permutation groups, read from
-``fixtures/groups.cat`` as package data, and the subgroup pairs the arithmetic equivalence checks are
-pinned to: the point and line stabilizers of the simple group of order 168
-on the Fano plane, the standard almost-conjugate-but-not-conjugate pair, and
-subgroups of the wreath model on six points.
+``fixtures/groups.cat`` as package data, and the subgroup pairs the
+arithmetic equivalence checks are pinned to: the point and line stabilizers
+of the simple group of order 168 on the Fano plane, the standard
+almost-conjugate-but-not-conjugate pair, and subgroups of the wreath model
+on six points.
 """
 
 from __future__ import annotations

@@ -421,10 +421,10 @@ def _format_form(tag: RealFormTag) -> str:
 
 def _emit_keys(section: str, keys: Dict[str, _Key], obj) -> List[str]:
     """A [group] or [field] section that prints ``obj`` by its key table."""
-    return [f"[{section}]"] + [
-        f"{key} = {row.show(obj if row.attr is None else getattr(obj, row.attr))}"
-        for key, row in keys.items()
-    ]
+    out = [f"[{section}]"]
+    for key, row in keys.items():
+        out.append(f"{key} = {row.show(obj if row.attr is None else getattr(obj, row.attr))}")
+    return out
 
 
 def emit_descriptor(g: GroupDescriptor) -> str:

@@ -56,8 +56,8 @@ _SECTIONS = ("group", "field", "aut", "places", "real")
 class _Key(NamedTuple):
     """A [group] or [field] key: the reader of its text, which raises
     ValueError to refuse it, the message refusing it (formatted with the
-    text), the attribute its value becomes (None for the whole group type),
-    and the printer of that value."""
+    text), the attribute its value becomes (None for the type code, which
+    is printed from the whole group type), and the printer of that value."""
 
     read: Callable[[str], Any]
     message: str
@@ -328,8 +328,8 @@ class _Parser:
         )
 
     def _read_keys(self, section: str, entries, keys: Dict[str, _Key]) -> Dict[str, Any]:
-        """The value of each [group] or [field] entry by key, read by its row
-        of the section's key table; a fault is reported at its line."""
+        """The value of each [group] or [field] entry, read by its key's row,
+        by the row's attribute or else the key; a fault is reported at its line."""
         values, late = {}, []
         for key, (no, text) in entries.items():
             row = keys.get(key)
@@ -337,7 +337,7 @@ class _Parser:
                 self.err(no, 1, f"unknown key {key!r} in [{section}]")
                 continue
             try:
-                values[key] = row.read(text)
+                values[row.attr or key] = row.read(text)
             except ValueError:
                 (late if row.late else self.errors).append((no, 1, row.message.format(text)))
         self.errors += late
@@ -371,14 +371,14 @@ class _Parser:
                 self.err(1, 1, "missing degree in [field]")
             return None
         degree = values["degree"]
-        galois = values.setdefault("galois", degree == 1)
+        galois = values.setdefault("galois_over_q", degree == 1)
         if "locally_determined" not in values:
             if degree > 6:
                 self.err(1, 1, "degree above 6: declare locally_determined explicitly")
                 return None
             values["locally_determined"] = True  # fields of degree up to six are locally determined
         values.setdefault("hbar_fiber", HbarFiber.TRIVIAL if galois else HbarFiber.UNKNOWN)
-        return {_FIELD_KEYS[key].attr: value for key, value in values.items()}
+        return values
 
     def _parse_aut(self, entries, declared) -> List[PlacePerm]:
         perms = []

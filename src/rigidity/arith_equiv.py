@@ -89,7 +89,6 @@ class PermGroup:
         self._elements: Optional[List[Perm]] = None
         self._index: Optional[_Index] = None
         self._classes: Optional[List[Tuple[Perm, ...]]] = None
-        self._subgroups: Optional[List[FrozenSet[Perm]]] = None
         self._normal: Optional[List[FrozenSet[Perm]]] = None
 
     @property
@@ -127,13 +126,11 @@ class PermGroup:
 
         Each known subgroup is joined with one cyclic subgroup at a time
         (``_adjoin`` from its generating tuple), which takes seconds from
-        order 168 on.  Nothing in the package calls it.  It stays on tuples,
-        off the index layer, as the independent oracle the tests compare
-        ``normal_subgroups`` and ``index_two_subgroups`` with, and for the
-        bench tracer.
+        order 168 on; every call builds the lattice again.  Nothing in the
+        package calls it.  It stays on tuples, off the index layer, as the
+        independent oracle the tests compare ``normal_subgroups`` and
+        ``index_two_subgroups`` with, and for the bench tracer.
         """
-        if self._subgroups is not None:
-            return self._subgroups
         e = self.identity
         cyclics: Dict[FrozenSet[Perm], Perm] = {}
         for x in self.elements():
@@ -154,8 +151,7 @@ class PermGroup:
                         known[key] = new_gens
                         nxt.append(key)
             frontier = nxt
-        self._subgroups = sorted(known, key=lambda s: (len(s), sorted(s)))
-        return self._subgroups
+        return sorted(known, key=lambda s: (len(s), sorted(s)))
 
     def normal_subgroups(self) -> List[FrozenSet[Perm]]:
         """Every normal subgroup, in the order of ``subgroups()``

@@ -194,10 +194,11 @@ def _admit(g: GroupDescriptor) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 # witness construction
 
-def _twin(g: GroupDescriptor, finite: Optional[Coords] = None,
-          reals: Optional[Mapping[str, LocalClass]] = None,
-          forms: Optional[Collection[str]] = None) -> GroupDescriptor:
-    """``g`` with some of its data replaced: a candidate witness.
+def _not_rigid(g: GroupDescriptor, reasons, finite: Optional[Coords] = None,
+               reals: Optional[Mapping[str, LocalClass]] = None,
+               forms: Optional[Collection[str]] = None) -> Verdict:
+    """A negative verdict whose witness, ``g`` with some of its data
+    replaced, has passed the machine check.
 
     ``finite`` replaces the finite coordinates.  ``reals`` maps real place
     ids to new classes, each of which brings ``form_for_class``'s canonical
@@ -213,11 +214,13 @@ def _twin(g: GroupDescriptor, finite: Optional[Coords] = None,
          else partner_form(tag, t, p.kind, cls) if w in forms else tag)
         for p, (_, cls), (w, tag) in zip(g.field.real_places, real, g.real_forms)
     )
-    return replace(
+    witness = replace(
         g,
         omega=OmegaVector(t, g.omega.finite if finite is None else finite, real),
         real_forms=tags,
     )
+    check_witness(g, witness)
+    return Verdict(Outcome.NOT_RIGID, reasons, witness=witness)
 
 
 def check_witness(g: GroupDescriptor, w: GroupDescriptor) -> None:
@@ -316,26 +319,23 @@ def subset_sum_forbidden(values: Sequence[int], modulus: int, targets) -> Option
 # ---------------------------------------------------------------------------
 # shared branch helpers
 
-def _real_gate(g: GroupDescriptor):
-    for w, tag in g.real_forms:
-        if not q_image_trivial(tag):
-            return w, tag
+def _raised(g: GroupDescriptor, k: int) -> Dict[str, LocalClass]:
+    """The first ``k`` real places of ``g``, each with its class raised by one."""
+    return {lab.id: LocalClass(cls.shape, cls.value + 1) for lab, cls in g.omega.real[:k]}
+
+
+def _gate_verdict(g: GroupDescriptor, tag: str, detail: str) -> Optional[Verdict]:
+    """The negative verdict at the first real place whose form fails the
+    trivial-image gate, or None when every form passes it."""
+    for w, form in g.real_forms:
+        if not q_image_trivial(form):
+            return _not_rigid(
+                g,
+                [(tag, detail),
+                 (TAG_REAL_GATE, f"form {form} at {w} admits a locally invisible replacement")],
+                forms=[w],
+            )
     return None
-
-
-def _not_rigid(g: GroupDescriptor, reasons, witness: GroupDescriptor) -> Verdict:
-    """A negative verdict whose witness has passed the machine check."""
-    check_witness(g, witness)
-    return Verdict(Outcome.NOT_RIGID, reasons, witness=witness)
-
-
-def _gate_verdict(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
-    w, form = _real_gate(g)
-    return _not_rigid(
-        g,
-        [(tag, detail), (TAG_REAL_GATE, f"form {form} at {w} admits a locally invisible replacement")],
-        _twin(g, forms=[w]),
-    )
 
 
 def _uniformity_verdict(
@@ -357,7 +357,7 @@ def _uniformity_verdict(
     elif not t.is_outer and inner_twin_bound(g.omega, g.field):
         reasons.append((TAG_TWIN_BOUND,
                         f"{len(twins)} twin places force non-rigidity at degree {g.field.degree}"))
-    return _not_rigid(g, reasons, _twin(g, finite=report.witness))
+    return _not_rigid(g, reasons, finite=report.witness)
 
 
 def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
@@ -372,7 +372,7 @@ def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
         g,
         [(tag, branch),
          (TAG_PLAIN, f"automorphism orbit has {len(realized)} vectors, adelic orbit {possible}")],
-        _twin(g, finite=witness),
+        finite=witness,
     )
 
 
@@ -384,8 +384,25 @@ def _flip_two_same_class(g: GroupDescriptor, tag: str, detail: str) -> Verdict:
     return _not_rigid(
         g,
         [(tag, detail), (TAG_MANY_REAL, f"real classes repeat at {pair[0]} and {pair[1]}")],
-        _twin(g, reals=dict.fromkeys(pair, LocalClass(cls.shape, cls.value + 1))),
+        reals=dict.fromkeys(pair, LocalClass(cls.shape, cls.value + 1)),
     )
+
+
+def _exchange_verdict(g: GroupDescriptor, tag: str, same: str, fixed: str) -> Optional[Verdict]:
+    """None when the two real places of ``g`` have different classes and the
+    same kind and some automorphism exchanges them, else the negative verdict:
+    ``same`` is its reason when the classes agree, ``fixed`` when no
+    automorphism exchanges the places."""
+    w1, w2 = g.field.real_places
+    (_, c1), (_, c2) = g.omega.real
+    if c1 == c2:
+        return _flip_two_same_class(g, tag, same)
+    if w1.kind != w2.kind:
+        return _not_rigid(g, [(tag, "two real places of different split kind can never be exchanged")],
+                          reals={w1.id: c2, w2.id: c1})
+    if len(orbit_set([g.omega.real], g.symmetry)) != 2:  # the classes differ, so a swap moves them
+        return _not_rigid(g, [(tag, fixed)], reals={w1.id: c2, w2.id: c1})
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -396,36 +413,27 @@ def classify_no_symmetry(g: GroupDescriptor) -> Verdict:
     reals = g.field.real_places
     fam = t.family
     if fam in (Family.B, Family.E7, Family.E8, Family.F4, Family.G2):
-        if _real_gate(g):
-            return _gate_verdict(g, TAG_NO_SYM, "(i) requires a totally imaginary base field")
-        return _uniformity_verdict(g, TAG_NO_SYM, "(i) totally imaginary")
+        return (_gate_verdict(g, TAG_NO_SYM, "(i) requires a totally imaginary base field")
+                or _uniformity_verdict(g, TAG_NO_SYM, "(i) totally imaginary"))
     if fam == Family.C:
-        if _real_gate(g):
-            return _gate_verdict(g, TAG_NO_SYM, "(ii) requires the split symplectic form at real places")
+        if gate := _gate_verdict(g, TAG_NO_SYM, "(ii) requires the split symplectic form at real places"):
+            return gate
         if len(reals) >= 2:
             return _not_rigid(
                 g,
                 [(TAG_NO_SYM, "(ii) allows at most one real place"),
                  (TAG_MANY_REAL, f"{len(reals)} real places")],
-                _twin(g, reals={lab.id: LocalClass(cls.shape, cls.value + 1)
-                               for lab, cls in g.omega.real[:2]}),
+                reals=_raised(g, 2),
             )
         return _uniformity_verdict(g, TAG_NO_SYM, "(ii) at most one real place")
-    # type A rank 1
+    # type A rank 1, which has no outer forms, so its real places share one kind
     if len(reals) >= 3:
         return _flip_two_same_class(g, TAG_NO_SYM, "(iii) allows at most two real places")
     if len(reals) == 2:
-        w1, w2 = reals[0].id, reals[1].id
-        (_, c1), (_, c2) = g.omega.real
-        if c1 == c2:
-            return _flip_two_same_class(g, TAG_NO_SYM, "(iii) needs the two real forms to differ")
-        if len(orbit_set([g.omega.real], g.symmetry)) != 2:  # the classes differ, so a swap moves them
-            return _not_rigid(
-                g,
-                [(TAG_NO_SYM, "(iii) needs an automorphism exchanging the real places")],
-                _twin(g, reals={w1: c2, w2: c1}),
-            )
-        return _uniformity_verdict(g, TAG_NO_SYM, "(iii) two exchanged real places", stabilize=w1)
+        return (_exchange_verdict(g, TAG_NO_SYM, "(iii) needs the two real forms to differ",
+                                  "(iii) needs an automorphism exchanging the real places")
+                or _uniformity_verdict(g, TAG_NO_SYM, "(iii) two exchanged real places",
+                                       stabilize=reals[0].id))
     return _uniformity_verdict(g, TAG_NO_SYM, "(ii) at most one real place")
 
 
@@ -437,10 +445,10 @@ def classify_a(g: GroupDescriptor) -> Verdict:
     t = g.group_type
     rank = t.rank
     reals = g.field.real_places
-    if _real_gate(g):
-        detail = "(ii) outer even rank must split at real places" if t.is_outer and rank % 2 == 0 \
-            else "real forms must pass the trivial-image gate"
-        return _gate_verdict(g, TAG_A, detail)
+    detail = "(ii) outer even rank must split at real places" if t.is_outer and rank % 2 == 0 \
+        else "real forms must pass the trivial-image gate"
+    if gate := _gate_verdict(g, TAG_A, detail):
+        return gate
     if rank % 2 == 0:
         branch = "(i) inner even rank" if not t.is_outer else "(ii) outer even rank, split at real places"
         return _uniformity_verdict(g, TAG_A, branch)
@@ -450,23 +458,10 @@ def classify_a(g: GroupDescriptor) -> Verdict:
     stabilize: Optional[str] = None
     branch = "(iii) one real place" if not t.is_outer else "(v) one real place"
     if len(reals) == 2:
-        w1, w2 = reals[0], reals[1]
-        (_, c1), (_, c2) = g.omega.real
-        if c1 == c2:
-            return _flip_two_same_class(g, TAG_A, "two real places need opposite real classes")
-        if w1.kind != w2.kind:
-            return _not_rigid(
-                g,
-                [(TAG_A, "two real places of different split kind can never be exchanged")],
-                _twin(g, reals={w1.id: c2, w2.id: c1}),
-            )
-        if len(orbit_set([g.omega.real], g.symmetry)) != 2:  # the classes differ, so a swap moves them
-            return _not_rigid(
-                g,
-                [(TAG_A, "no automorphism exchanges the two real places")],
-                _twin(g, reals={w1.id: c2, w2.id: c1}),
-            )
-        stabilize = w1.id
+        if exchange := _exchange_verdict(g, TAG_A, "two real places need opposite real classes",
+                                         "no automorphism exchanges the two real places"):
+            return exchange
+        stabilize = reals[0].id
         branch = "(iv) two exchanged real places" if not t.is_outer else "(vi) two exchanged real places"
     if not t.is_outer and (rank + 1) % 4 == 0:
         m = rank + 1
@@ -480,9 +475,7 @@ def classify_a(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_A, branch),
                  (TAG_SUBSET, f"coordinates at {', '.join(ids)} sum to half the real contribution")],
-                _twin(g, finite=_flip_subset(g.omega, ids),
-                      reals={lab.id: LocalClass(cls.shape, cls.value + 1)
-                             for lab, cls in g.omega.real[:1]}),
+                finite=_flip_subset(g.omega, ids), reals=_raised(g, 1),
             )
     return _uniformity_verdict(g, TAG_A, branch, stabilize=stabilize)
 
@@ -491,8 +484,8 @@ def classify_d(g: GroupDescriptor) -> Verdict:
     t = g.group_type
     rank = t.rank
     reals = g.field.real_places
-    if _real_gate(g):
-        return _gate_verdict(g, TAG_D, "the star form or Spin(7,3) is required at the real place")
+    if gate := _gate_verdict(g, TAG_D, "the star form or Spin(7,3) is required at the real place"):
+        return gate
     if len(reals) >= 2:
         if rank % 2 == 0:
             w1, w2 = reals[0].id, reals[1].id
@@ -501,14 +494,13 @@ def classify_d(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_D, "even rank allows only one real place"),
                  (TAG_MANY_REAL, "two inner-type real places")],
-                _twin(g, reals={w1: zero(shape), w2: zero(shape)}),
+                reals={w1: zero(shape), w2: zero(shape)},
             )
         return _not_rigid(
             g,
             [(TAG_D, "odd rank allows only one real place"),
              (TAG_MANY_REAL, f"{len(reals)} real places")],
-            _twin(g, reals={lab.id: LocalClass(cls.shape, cls.value + 1)
-                           for lab, cls in g.omega.real[:2]}),
+            reals=_raised(g, 2),
         )
     twins = inner_twin_places(g.omega)
     r = len(twins)
@@ -523,7 +515,7 @@ def classify_d(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_D, "(i) needs a twin place at exactly one finite place"),
                  (TAG_TWIN_BOUND, f"{r} twin places")],
-                _twin(g, finite=_flip_subset(g.omega, pair)),
+                finite=_flip_subset(g.omega, pair),
             )
         return _plain_verdict(g, TAG_D, "(i) star form, one twin place")
     if rank % 2 == 0:
@@ -533,7 +525,7 @@ def classify_d(g: GroupDescriptor) -> Verdict:
                 [(TAG_D, "(ii) forbids twin places at finite places"),
                  (TAG_OUTER_TWINS if r >= 2 else TAG_TWIN_BOUND,
                   f"twin place at {twins[0].id}")],
-                _twin(g, finite=_flip_subset(g.omega, [twins[0].id])),
+                finite=_flip_subset(g.omega, [twins[0].id]),
             )
         return _plain_verdict(g, TAG_D, "(ii) outer even rank, star form, no twins")
     if not t.is_outer:
@@ -543,9 +535,7 @@ def classify_d(g: GroupDescriptor) -> Verdict:
                 g,
                 [(TAG_D, "(iii) forbids twin places at finite places"),
                  (TAG_SUBSET, f"twin place at {twins[0].id}")],
-                _twin(g, finite=_flip_subset(g.omega, [twins[0].id]),
-                      reals={lab.id: LocalClass(cls.shape, cls.value + 1)
-                             for lab, cls in g.omega.real[:1]}),
+                finite=_flip_subset(g.omega, [twins[0].id]), reals=_raised(g, 1),
             )
         return _plain_verdict(g, TAG_D, "(iii) Spin(7,3), no twins")
     if r >= 2:
@@ -553,7 +543,7 @@ def classify_d(g: GroupDescriptor) -> Verdict:
             g,
             [(TAG_D, "(iv) allows at most one twin place"),
              (TAG_OUTER_TWINS, f"twin places at {', '.join(l.id for l in twins)}")],
-            _twin(g, finite=_flip_subset(g.omega, [twins[0].id])),
+            finite=_flip_subset(g.omega, [twins[0].id]),
         )
     return _plain_verdict(g, TAG_D, "(iv) outer odd rank, at most one twin")
 
@@ -565,7 +555,7 @@ def classify_e6(g: GroupDescriptor) -> Verdict:
         g,
         [(TAG_E6, "never rigid with a real place"),
          (TAG_REAL_GATE, f"every real form of this type fails the gate, e.g. at {w}")],
-        _twin(g, forms=[w]),
+        forms=[w],
     )
 
 

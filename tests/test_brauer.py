@@ -21,6 +21,7 @@ from rigidity.brauer import (
     tate_sum,
     weak_uniformity,
 )
+from rigidity.errors import ContractError
 from rigidity.field_model import (
     FieldDescriptor,
     HbarFiber,
@@ -88,6 +89,18 @@ def gaussian_field(omega):
 
 def values(coords):
     return tuple(cls.value for _, cls in coords)
+
+
+class TestOmegaVector:
+    @pytest.mark.parametrize("finite, real, message", [
+        (((PlaceLabel("w", RI), zero(cyclic(1))),), (), "^place w is not finite$"),
+        ((), ((PlaceLabel("v2", FI), zero(cyclic(3))),), "^place v2 is not real$"),
+        (((PlaceLabel("v2", FI), zero(cyclic(4))),), (),
+         "^place v2: class shape Z/4 but 1A2 carries Z/3 at a finite_inner place$"),
+    ], ids=["real-label-among-finite", "finite-label-among-real", "wrong-shape"])
+    def test_refuses_a_place_or_class_of_the_wrong_kind(self, finite, real, message):
+        with pytest.raises(ContractError, match=message):
+            OmegaVector(A2, finite, real)
 
 
 class TestTateSum:

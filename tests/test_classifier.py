@@ -620,8 +620,7 @@ w = form=SL_R(3)
 """
         assert specialize_quasisplit(parse(text)).outcome == Outcome.RIGID
 
-    def test_quasisplit_requires_galois_flag(self):
-        text = """
+    NON_GALOIS_CUBIC = """
 [group]
 type = 1A
 rank = 2
@@ -634,8 +633,15 @@ v2 = omega=0
 [real]
 w = form=SL_R(3)
 """
-        with pytest.raises(ContractError):
-            specialize_quasisplit(parse(text))
+
+    @pytest.mark.parametrize("check, text, message", [
+        (specialize_quasisplit, NON_GALOIS_CUBIC, "^this checklist assumes a Galois base field$"),
+        (specialize_quasisplit, FIXTURES["table3_A4_Qi"], "^this checklist assumes a quasi-split group$"),
+        (specialize_q, FIXTURES["table3_A4_Qi"], "^this checklist only applies over the rationals$"),
+    ], ids=["quasisplit-non-galois", "quasisplit-not-quasisplit", "q-degree-2"])
+    def test_checklists_refuse_inputs_outside_their_scope(self, check, text, message):
+        with pytest.raises(ContractError, match=message):
+            check(parse(text))
 
 
 class TestNormalization:

@@ -482,13 +482,19 @@ _FUZZ_GENERATORS = [
 def mutated_descriptors(draw):
     """A bundled or generated descriptor with one to three line mutations:
     a new value, a new entry, a deleted or repeated line, or a few stray
-    characters."""
+    characters.  One draw in four first gets a bad type code followed by a
+    bad rank or an unknown [group] key, so the differential sees the order
+    in which the [group] faults are reported."""
     if draw(st.booleans()):
         text = draw(st.sampled_from(sorted(FIXTURES.values())))
     else:
         make = draw(st.sampled_from(_FUZZ_GENERATORS))
         text = emit_descriptor(make(random.Random(draw(st.integers(0, 2 ** 32 - 1)))))
     lines = text.splitlines()
+    if draw(st.integers(0, 3)) == 0:
+        i = next(i for i, line in enumerate(lines) if line.startswith("type ="))
+        lines[i] = "type = " + draw(st.sampled_from(["x", "", "3A", "D"]))
+        lines.insert(i + 1, draw(st.sampled_from(["rank = x", "rank = ", "colour = blue", "g = 1"])))
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, max(len(lines) - 1, 0)))
         op = draw(st.sampled_from(["value", "entry", "delete", "repeat", "chars"]))

@@ -11,7 +11,7 @@ certifying that quadratic extensions of a Galois base field cannot be
 locally-but-not-globally interchangeable.
 
 A group is listed once, as sorted tuples of degree points, and from then on
-the checks run on element numbers in ``_Index``: element i is the i-th of
+``PermGroup`` runs the checks on element numbers: element i is the i-th of
 the sorted list, each generator has its right, left and conjugation tables
 of |G| numbers, the generators of the class subgroups get columns of |G|
 numbers up to a bound, other right factors multiply by tuple products, and
@@ -19,9 +19,10 @@ subgroups are frozensets of numbers.  One coset walk (Dimino's algorithm,
 ``_adjoin``, from a generating tuple ``generate`` takes greedily) lists
 the group and spans its subgroups alike, as ``_powers`` lists the powers of
 one element: each takes a generator as its right multiplication y -> yx,
-``_times(x)`` on tuples and ``_Index.right(x)`` on numbers.  The public
-functions take and return tuples and convert at the boundary.
-``PermGroup.subgroups`` stays on tuples, as the reference lattice.
+``_times(x)`` on tuples and ``PermGroup.right(x)`` on numbers.  Each fact
+about a group is cached once, on numbers; the public functions take and
+return tuples and convert at the boundary.  ``PermGroup.subgroups`` stays
+on tuples, as the reference lattice.
 """
 
 from __future__ import annotations
@@ -76,100 +77,6 @@ def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
     return tuple(out)
 
 
-class PermGroup:
-    """A finite permutation group with cached element list and classes."""
-
-    def __init__(self, degree: int, generators: Sequence[Perm], name: str = ""):
-        self.degree = degree
-        self.name = name
-        self.generators = [tuple(g) for g in generators]
-        for g in self.generators:
-            if len(g) != degree or sorted(g) != list(range(degree)):
-                raise ContractError(f"not a permutation of degree {degree}: {g}")
-        self._elements: Optional[List[Perm]] = None
-        self._index: Optional[_Index] = None
-        self._classes: Optional[List[Tuple[Perm, ...]]] = None
-        self._normal: Optional[List[FrozenSet[Perm]]] = None
-
-    @property
-    def identity(self) -> Perm:
-        return tuple(range(self.degree))
-
-    def elements(self) -> List[Perm]:
-        """The sorted element list; listing it also builds the index layer."""
-        if self._elements is None:
-            self._elements = sorted(generate(self.generators, self.identity)[1])
-            self._index = _Index(self._elements, self.generators)
-        return self._elements
-
-    @property
-    def _kernel(self) -> "_Index":
-        if self._index is None:
-            self.elements()
-        return self._index
-
-    def order(self) -> int:
-        return len(self.elements())
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._kernel.pos
-
-    def conjugacy_classes(self) -> List[Tuple[Perm, ...]]:
-        """Partition of the element list into conjugacy classes, canonically sorted."""
-        if self._classes is None:
-            elems = self.elements()
-            self._classes = [tuple(map(elems.__getitem__, c)) for c in self._kernel.classes()]
-        return self._classes
-
-    def subgroups(self) -> List[FrozenSet[Perm]]:
-        """Every subgroup, sorted by order and then by elements: the reference lattice.
-
-        Each known subgroup is joined with one cyclic subgroup at a time
-        (``_adjoin`` from its generating tuple), which takes seconds from
-        order 168 on; every call builds the lattice again.  Nothing in the
-        package calls it.  It stays on tuples, off the index layer, as the
-        independent oracle the tests compare ``normal_subgroups`` and
-        ``index_two_subgroups`` with, and for the bench tracer.
-        """
-        e = self.identity
-        cyclics: Dict[FrozenSet[Perm], Perm] = {}
-        for x in self.elements():
-            cyclics.setdefault(frozenset(_powers(x, _times(x), e)), x)
-        trivial = frozenset([e])
-        known = {trivial: ()}  # subgroup -> generating tuple
-        frontier = [trivial]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                gens = known[sub]
-                for cyc, x in cyclics.items():
-                    if cyc <= sub:
-                        continue
-                    new_gens = gens + (x,)
-                    key = _adjoin(sub, list(map(_times, new_gens)))
-                    if key not in known:
-                        known[key] = new_gens
-                        nxt.append(key)
-            frontier = nxt
-        return sorted(known, key=lambda s: (len(s), sorted(s)))
-
-    def normal_subgroups(self) -> List[FrozenSet[Perm]]:
-        """Every normal subgroup, in the order of ``subgroups()``
-        (``_Index.normal_subgroups``); CapacityError past
-        ``NORMAL_SUBGROUP_LIMIT``."""
-        if self._normal is None:
-            self.conjugacy_classes()  # first, so the classes are timed on their own
-            k = self._kernel
-            self._normal = [k.perms(n) for n in k.normal_subgroups()]
-        return self._normal
-
-    def index_two_subgroups(self, n: FrozenSet[Perm]) -> List[FrozenSet[Perm]]:
-        """The subgroups of index two in the subgroup ``n``, in the order of
-        ``subgroups()`` (``_Index.halves``)."""
-        k = self._kernel
-        return [k.perms(h) for h in k.halves(k.numbers(n))]
-
-
 def _times(s: Perm) -> Callable[[Perm], Perm]:
     """x -> xs in one call; below two points the identity is the only permutation."""
     return itemgetter(*s) if len(s) > 1 else (lambda x: x)
@@ -215,15 +122,13 @@ def _adjoin(sub: FrozenSet, steps: Sequence[Callable], within: Optional[FrozenSe
 
 
 def generate(xs: Iterable, e, times: Callable = _times,
-             within: Optional[FrozenSet] = None, powers: Optional[list] = None) -> Tuple[tuple, FrozenSet]:
+             within: Optional[FrozenSet] = None) -> Tuple[tuple, FrozenSet]:
     """A generating tuple taken from ``xs`` in their order, one element for
     each that the earlier ones do not generate, and the subgroup generated
     (``_adjoin``); CapacityError past ``DEFAULT_GROUP_CAP`` elements.
-    ``powers``, when given, lists the powers of the first of ``xs``, which
-    is not ``e``, as ``_powers`` does; the span starts from them.
 
     ``times(x)`` is the step y -> yx: ``_times`` lists a group of tuples
-    from its generators, and a listed group's ``_Index.right`` spans its
+    from its generators, and a listed group's ``PermGroup.right`` spans its
     subgroups on element numbers.  With ``within``, the set that ``xs``
     lists and that should be a subgroup: everything generated must lie in
     it, else ContractError.  Every element either is generated or becomes
@@ -237,7 +142,7 @@ def generate(xs: Iterable, e, times: Callable = _times,
         if x not in sub:
             gens += (x,)
             steps.append(times(x))
-            sub = frozenset(powers) if powers and len(gens) == 1 else _adjoin(sub, steps, within)
+            sub = _adjoin(sub, steps, within)
     return gens, sub
 
 
@@ -269,56 +174,132 @@ def _along(tree: List[Tuple[int, int, int]], tables: Sequence[List[int]], a: int
     return f
 
 
-class _Index:
-    """A listed group, worked on by element number.
+class PermGroup:
+    """A finite permutation group, listed once and then worked on by element
+    number.
 
-    Element i is ``elements[i]``.  The list is sorted, so index order is
+    Element i is ``elements()[i]``.  The list is sorted, so index order is
     element order, every sorted output comes out as it would on tuples, and
-    the identity, the least permutation, is 0.  Each generator s has three
-    tables of |G| numbers: x -> xs (its column), x -> sx and x -> sxs^-1.
-    The generators of the class subgroups, which every join of normal
-    subgroups reuses, get columns y -> yx as well, filled along a spanning
-    tree of left multiplications by the generators, since (sy)x = s(yx); the
-    columns kept hold at most ``KEPT_COLUMN_ENTRIES`` numbers, so no product
-    table of |G|^2 entries is ever built.  Any other right factor multiplies
-    by one tuple product for each element.  Subgroups are frozensets of
-    numbers, spanned by the coset walk that lists the group (``generate``,
-    ``_adjoin``), with ``right`` as its step.
+    the identity, the least permutation, is 0.  Listing the group also
+    builds its tables: each generator s has three of |G| numbers, x -> xs
+    (its column), x -> sx and x -> sxs^-1.  The generators of the class
+    subgroups, which every join of normal subgroups reuses, get columns
+    y -> yx as well, filled along a spanning tree of left multiplications by
+    the generators, since (sy)x = s(yx); the columns kept hold at most
+    ``KEPT_COLUMN_ENTRIES`` numbers, so no product table of |G|^2 entries is
+    ever built.  Any other right factor multiplies by one tuple product for
+    each element.  Subgroups are frozensets of numbers, spanned by the coset
+    walk that lists the group (``generate``, ``_adjoin``), with ``right`` as
+    its step.  The classes, the normal subgroups and the squares are cached
+    once, on numbers; ``conjugacy_classes``, ``normal_subgroups`` and
+    ``index_two_subgroups`` convert to tuples on each call.
     """
 
-    def __init__(self, elements: List[Perm], generators: Sequence[Perm]):
-        self.elements = elements
-        self.pos: Dict[Perm, int] = {x: i for i, x in enumerate(elements)}
-        distinct = list(dict.fromkeys(generators))
-        gens = [self.pos[s] for s in distinct]
-        # x -> xs
-        rights = [list(map(self.pos.__getitem__, map(_times(s), elements))) for s in distinct]
-        self.columns: Dict[int, List[int]] = dict(zip(gens, rights))
-        self._room = KEPT_COLUMN_ENTRIES
-        # x -> sx along a tree of right multiplications, since s(yt) = (sy)t
-        right_tree = _spanning_tree(rights, len(elements))
-        self.lefts = [_along(right_tree, rights, s) for s in gens]
-        # x -> sxs^-1: sx, then times s^-1, the inverse of x -> xs
-        self.conjs = []
-        for left, right in zip(self.lefts, rights):
-            back = sorted(range(len(elements)), key=right.__getitem__)
-            self.conjs.append(list(map(back.__getitem__, left)))
-        # the spanning tree of left multiplications that columns and
-        # conjugators are walked along
-        self.tree = _spanning_tree(self.lefts, len(elements))
+    def __init__(self, degree: int, generators: Sequence[Perm], name: str = ""):
+        self.degree = degree
+        self.name = name
+        self.generators = [tuple(g) for g in generators]
+        for g in self.generators:
+            if len(g) != degree or sorted(g) != list(range(degree)):
+                raise ContractError(f"not a permutation of degree {degree}: {g}")
+        self._elements: Optional[List[Perm]] = None
         self._classes: Optional[List[List[int]]] = None
         self._normal: Optional[List[Members]] = None
         self._squares: Optional[List[int]] = None
 
+    @property
+    def identity(self) -> Perm:
+        return tuple(range(self.degree))
+
+    def elements(self) -> List[Perm]:
+        """The sorted element list; listing it also builds the tables."""
+        if self._elements is None:
+            elements = sorted(generate(self.generators, self.identity)[1])
+            self.pos: Dict[Perm, int] = {x: i for i, x in enumerate(elements)}
+            distinct = list(dict.fromkeys(self.generators))
+            gens = [self.pos[s] for s in distinct]
+            # x -> xs
+            rights = [list(map(self.pos.__getitem__, map(_times(s), elements))) for s in distinct]
+            self.columns: Dict[int, List[int]] = dict(zip(gens, rights))
+            self._room = KEPT_COLUMN_ENTRIES
+            # x -> sx along a tree of right multiplications, since s(yt) = (sy)t
+            right_tree = _spanning_tree(rights, len(elements))
+            self.lefts = [_along(right_tree, rights, s) for s in gens]
+            # x -> sxs^-1: sx, then times s^-1, the inverse of x -> xs
+            self.conjs = []
+            for left, right in zip(self.lefts, rights):
+                back = sorted(range(len(elements)), key=right.__getitem__)
+                self.conjs.append(list(map(back.__getitem__, left)))
+            # the spanning tree of left multiplications that columns and
+            # conjugators are walked along
+            self.tree = _spanning_tree(self.lefts, len(elements))
+            self._elements = elements
+        return self._elements
+
+    def order(self) -> int:
+        return len(self.elements())
+
+    def __contains__(self, p: Perm) -> bool:
+        self.elements()
+        return p in self.pos
+
     def numbers(self, perms: Iterable[Perm]) -> Members:
         """The element numbers of ``perms``; ContractError if one is not in the group."""
+        self.elements()
         try:
             return frozenset(map(self.pos.__getitem__, perms))
         except KeyError:
             raise ContractError("subgroup element outside the ambient group") from None
 
     def perms(self, members: Members) -> FrozenSet[Perm]:
-        return frozenset(map(self.elements.__getitem__, members))
+        return frozenset(map(self._elements.__getitem__, members))
+
+    def conjugacy_classes(self) -> List[Tuple[Perm, ...]]:
+        """Partition of the element list into conjugacy classes, canonically
+        sorted (``classes``)."""
+        return [tuple(map(self._elements.__getitem__, c)) for c in self.classes()]
+
+    def subgroups(self) -> List[FrozenSet[Perm]]:
+        """Every subgroup, sorted by order and then by elements: the reference lattice.
+
+        Each known subgroup is joined with one cyclic subgroup at a time
+        (``_adjoin`` from its generating tuple), which takes seconds from
+        order 168 on; every call builds the lattice again.  Nothing in the
+        package calls it.  It stays on tuples, off the element numbers, as
+        the independent oracle the tests compare ``normal_subgroups`` and
+        ``index_two_subgroups`` with, and for the bench tracer.
+        """
+        e = self.identity
+        cyclics: Dict[FrozenSet[Perm], Perm] = {}
+        for x in self.elements():
+            cyclics.setdefault(frozenset(_powers(x, _times(x), e)), x)
+        trivial = frozenset([e])
+        known = {trivial: ()}  # subgroup -> generating tuple
+        frontier = [trivial]
+        while frontier:
+            nxt = []
+            for sub in frontier:
+                gens = known[sub]
+                for cyc, x in cyclics.items():
+                    if cyc <= sub:
+                        continue
+                    new_gens = gens + (x,)
+                    key = _adjoin(sub, list(map(_times, new_gens)))
+                    if key not in known:
+                        known[key] = new_gens
+                        nxt.append(key)
+            frontier = nxt
+        return sorted(known, key=lambda s: (len(s), sorted(s)))
+
+    def normal_subgroups(self) -> List[FrozenSet[Perm]]:
+        """Every normal subgroup, in the order of ``subgroups()``
+        (``normals``); CapacityError past ``NORMAL_SUBGROUP_LIMIT``."""
+        return [self.perms(n) for n in self.normals()]
+
+    def index_two_subgroups(self, n: FrozenSet[Perm]) -> List[FrozenSet[Perm]]:
+        """The subgroups of index two in the subgroup ``n``, in the order of
+        ``subgroups()`` (``halves``)."""
+        return [self.perms(h) for h in self.halves(self.numbers(n))]
 
     def right(self, x: int, keep: bool = False) -> Callable[[int], int]:
         """y -> yx.  A kept column is looked up.  With ``keep``, while there is
@@ -326,25 +307,25 @@ class _Index:
         since (sy)x = s(yx), and kept.  Otherwise each product is one tuple
         product."""
         col = self.columns.get(x)
-        if col is None and keep and self._room >= len(self.elements):
+        if col is None and keep and self._room >= len(self._elements):
             col = self.columns[x] = _along(self.tree, self.lefts, x)
             self._room -= len(col)
         if col is not None:
             return col.__getitem__
-        times, elements, pos = _times(self.elements[x]), self.elements, self.pos
+        times, elements, pos = _times(self._elements[x]), self._elements, self.pos
         return lambda y: pos[times(elements[y])]
 
     def squares(self) -> List[int]:
         """x -> xx."""
         if self._squares is None:
-            self._squares = [self.pos[_times(x)(x)] for x in self.elements]
+            self._squares = [self.pos[_times(x)(x)] for x in self._elements]
         return self._squares
 
     def classes(self) -> List[List[int]]:
         """The conjugacy classes, orbits under the conjugation tables, each
         sorted and listed by (size, least element)."""
         if self._classes is None:
-            n = len(self.elements)
+            n = len(self.elements())
             seen = bytearray(n)
             classes = []
             for rep in range(n):
@@ -368,7 +349,7 @@ class _Index:
             self._classes = classes
         return self._classes
 
-    def normal_subgroups(self) -> List[Members]:
+    def normals(self) -> List[Members]:
         """Every normal subgroup, sorted by order and then by elements.
 
         The subgroup a conjugacy class generates is normal, and every normal
@@ -378,8 +359,7 @@ class _Index:
         the join is the union of its cosets that the class subgroup's
         generating tuple reaches.  A class of the powers x^k, with k prime to
         the order of x, of a class spanned before generates the same subgroup
-        and is not spanned again; the powers are listed once and start the
-        class's span.  Before each join pass it raises
+        and is not spanned again.  Before each join pass it raises
         ``CapacityError`` once more than ``NORMAL_SUBGROUP_LIMIT`` are known.
         """
         if self._normal is None:
@@ -391,7 +371,7 @@ class _Index:
                 if cls[0] == 0 or same[i]:
                     continue
                 powers = _powers(cls[0], self.right(cls[0]), 0)
-                gens, sub = generate(cls, 0, self.right, powers=powers)
+                gens, sub = generate(cls, 0, self.right)
                 spans.setdefault(sub, gens)
                 for k in range(2, len(powers)):
                     if gcd(k, len(powers)) == 1:
@@ -490,7 +470,7 @@ class _Index:
         each."""
         if target.issuperset(xs):
             return True
-        images: List[Optional[List[int]]] = [None] * len(self.elements)
+        images: List[Optional[List[int]]] = [None] * len(self._elements)
         images[0] = list(xs)
         conjs = self.conjs
         for y, x, k in self.tree:
@@ -514,10 +494,10 @@ class Subgroup:
     def __post_init__(self):
         if self.group.identity not in self.members:
             raise ContractError("subgroup must contain the identity")
-        k = self.group._kernel
-        numbers = k.numbers(self.members)
-        gens, _ = generate(sorted(numbers), 0, k.right, numbers)
-        object.__setattr__(self, "generators", tuple(map(k.elements.__getitem__, gens)))
+        G = self.group
+        numbers = G.numbers(self.members)
+        gens, _ = generate(sorted(numbers), 0, G.right, numbers)
+        object.__setattr__(self, "generators", tuple(map(G.elements().__getitem__, gens)))
         object.__setattr__(self, "_numbers", (numbers, gens))
 
     def order(self) -> int:
@@ -529,16 +509,13 @@ def _numbered(G: PermGroup, U: Subgroup) -> Tuple[Members, Tuple[int, ...]]:
     unless U lies in ``G``."""
     if U.group is G:
         return U._numbers
-    k = G._kernel
-    members = k.numbers(U.members)
-    return members, tuple(map(k.pos.__getitem__, U.generators))
+    members = G.numbers(U.members)
+    return members, tuple(map(G.pos.__getitem__, U.generators))
 
 
 def _signature(G: PermGroup, members: Members) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Class profile and induced character."""
-    G.conjugacy_classes()
-    k = G._kernel
-    return k.profile(members), k.induced(members)
+    return G.profile(members), G.induced(members)
 
 
 def _signatures_agree(sig1, sig2) -> bool:
@@ -565,12 +542,12 @@ def are_conjugate(G: PermGroup, U1: Subgroup, U2: Subgroup) -> bool:
     """Whether some element of ``G`` conjugates U1 onto U2.  g<X>g^-1 is
     generated by gXg^-1, so it lies in U2 when they do; conjugation is
     injective and the orders agree, so inside is equality.  Only U1's
-    generators are conjugated (``_Index.conjugates_into``)."""
+    generators are conjugated (``PermGroup.conjugates_into``)."""
     a, gens = _numbered(G, U1)
     b, _ = _numbered(G, U2)
     if len(a) != len(b):
         return False
-    return G._kernel.conjugates_into(gens, b)
+    return G.conjugates_into(gens, b)
 
 
 def common_normal_index2(G: PermGroup, U1: Subgroup, U2: Subgroup) -> Optional[Subgroup]:
@@ -579,10 +556,9 @@ def common_normal_index2(G: PermGroup, U1: Subgroup, U2: Subgroup) -> Optional[S
     b, _ = _numbered(G, U2)
     if len(a) != len(b):
         return None
-    normal = G.normal_subgroups()
-    for n, members in zip(G._kernel.normal_subgroups(), normal):
+    for n in G.normals():
         if len(n) == 2 * len(a) and a <= n and b <= n:
-            return Subgroup(G, members)
+            return Subgroup(G, G.perms(n))
     return None
 
 
@@ -590,7 +566,7 @@ def verify_prop_almost_conjugate(G: PermGroup):
     """Scan every index-two pair inside every normal subgroup.
 
     The normal subgroups and their index-two subgroups come from
-    ``normal_subgroups`` and ``_Index.halves``, not from the subgroup
+    ``PermGroup.normals`` and ``PermGroup.halves``, not from the subgroup
     lattice.  Each index-two subgroup becomes a ``Subgroup``, which checks
     that it is closed, and its class profile and induced character are
     computed once; every pair still compares both, raising ``ContractError``
@@ -601,13 +577,11 @@ def verify_prop_almost_conjugate(G: PermGroup):
     otherwise (False, counterexample pair).  No counterexample should ever
     exist; the scan is the verification.
     """
-    G.normal_subgroups()
-    k = G._kernel
-    for n in k.normal_subgroups():
-        halves = k.halves(n)
+    for n in G.normals():
+        halves = G.halves(n)
         if len(halves) < 2:
             continue
-        inside = [Subgroup(G, k.perms(h)) for h in halves]
+        inside = [Subgroup(G, G.perms(h)) for h in halves]
         signatures = [_signature(G, h) for h in halves]
         for i, u1 in enumerate(inside):
             for j in range(i + 1, len(inside)):

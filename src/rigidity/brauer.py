@@ -185,18 +185,26 @@ def pick_witness(candidates: Iterable[Coords], base: Coords) -> Coords:
     return min(candidates, key=key)
 
 
-# Most terms the convolutions of one comparison may multiply; sparse residue
-# vectors still grow like 2^k with k distinct charges when the modulus is large.
+# Most terms the convolutions of one comparison may multiply, together with
+# the terms of the pair factors it builds; sparse residue vectors still grow
+# like 2^k with k distinct charges when the modulus is large, and a class of
+# r open places in one pair has a factor of r + 1 terms for each count fixed.
 RESIDUE_WORK_LIMIT = 1 << 18
 
 
-def _convolve(a: Dict[int, int], b: Dict[int, int], m: int, work: List[int]) -> Dict[int, int]:
-    """Cyclic convolution mod m of two residue vectors stored by their support."""
-    work[0] += len(a) * len(b)
+def _charge(work: List[int], terms: int) -> None:
+    """Count ``terms`` more residue products of one comparison; CapacityError
+    past ``RESIDUE_WORK_LIMIT``."""
+    work[0] += terms
     if work[0] > RESIDUE_WORK_LIMIT:
         raise CapacityError(
             f"{work[0]} residue products exceed the work limit {RESIDUE_WORK_LIMIT}"
         )
+
+
+def _convolve(a: Dict[int, int], b: Dict[int, int], m: int, work: List[int]) -> Dict[int, int]:
+    """Cyclic convolution mod m of two residue vectors stored by their support."""
+    _charge(work, len(a) * len(b))
     out: Dict[int, int] = {}
     for r, x in a.items():
         for s, y in b.items():
@@ -236,8 +244,9 @@ def compare_possible(
     arrangement at one residue, or nothing, in closed form: that tests the
     realized vectors, and the witness rebuild carries the finished classes
     as one residue.  Vectors are stored by their support, so the cost
-    follows the residues that occur, not the modulus; convolutions of more
-    than ``RESIDUE_WORK_LIMIT`` products in all raise ``CapacityError``.
+    follows the residues that occur, not the modulus; more than
+    ``RESIDUE_WORK_LIMIT`` convolution products and pair factor terms in
+    all raise ``CapacityError``.
     Returns the possible count and, unless the sides are equal, the
     ``pick_witness`` choice among possible vectors outside the realized
     side, or else among realized vectors outside the possible side.
@@ -280,7 +289,7 @@ def compare_possible(
             slots.append({v: j for j, v in enumerate(vals)})
             ranked.append(sorted(enumerate(vals), key=lambda jv: jv[1].sort_key()))
 
-    work = [0]  # residue products so far
+    work = [0]  # residue products and pair factor terms so far
     memo: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
 
     def weights(s: int, fix: Tuple[int, ...]) -> Dict[int, int]:
@@ -288,7 +297,8 @@ def compare_possible(
         counts f already fixed there, summed by the residue of their charge:
         the multinomial of the places left open at each still value and each
         pair, times one factor per pair with r places open, sum over i of
-        C(r, i) at residue (a - f_v - i) * charge."""
+        C(r, i) at residue (a - f_v - i) * charge.  Each factor's r + 1
+        terms count towards ``RESIDUE_WORK_LIMIT``."""
         if (s, fix) in memo:
             return memo[s, fix]
         still, pairs = parts[s]
@@ -306,10 +316,13 @@ def compare_possible(
             open_pairs.append((r, a - fv, ch))
         w = None  # the first factor carries the multinomial
         for r, a, ch in open_pairs:
+            _charge(work, r + 1)
             factor: Dict[int, int] = {}
+            c = n  # n * C(r, i), kept by the running binomial
             for i in range(r + 1):
                 key = (a - i) * ch % m
-                factor[key] = factor.get(key, 0) + n * math.comb(r, i)
+                factor[key] = factor.get(key, 0) + c
+                c = c * (r - i) // (i + 1)
             w, n = (factor if w is None else _convolve(w, factor, m, work)), 1
         memo[s, fix] = w = {0: n} if w is None else w
         return w

@@ -30,7 +30,8 @@ class CapacityError(RigidityError):
     subgroups in ``arith_equiv``, the possible side that ``rigidity orbit``
     prints, the twin places whose flip subsets ``brauer.s_omega_orbit``
     walks (``FLIP_WALK_TWIN_LIMIT``), the products the convolutions of
-    residue vectors multiply when one comparison counts the possible side
+    residue vectors multiply, with the terms of the pair factors they
+    convolve, when one comparison counts the possible side
     (``brauer.RESIDUE_WORK_LIMIT``), the table entries the half-sum subset
     search visits (``classifier.SUBSET_SUM_WORK_LIMIT``), or the parameter
     total whose real forms ``trivial_image_forms`` lists."""

@@ -43,9 +43,14 @@ class PlaceLabel(Interned):
     def _reduce(id: str, kind: PlaceKind, adelic_class: Optional[str] = None):
         return id, kind, adelic_class
 
+    def __post_init__(self):
+        # unlabelled places sit in their own singleton class; the key is
+        # formatted once per pooled label and is not part of its value
+        key = self.adelic_class if self.adelic_class is not None else f"#{self.id}"
+        object.__setattr__(self, "_class_key", key)
+
     def class_key(self) -> str:
-        # unlabelled places sit in their own singleton class
-        return self.adelic_class if self.adelic_class is not None else f"#{self.id}"
+        return self._class_key
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,16 @@ class TestAlmostConjugate:
         u2 = Subgroup(G, frozenset(G.elements()))
         assert not almost_conjugate(G, u1, u2)
 
+    def test_profiles_and_characters_that_disagree_are_refused(self, monkeypatch):
+        # two subgroups of order two in an abelian group meet different
+        # classes; an induced character that reads alike on both contradicts that
+        G = catalog_group("V4")
+        u1, u2 = (Subgroup(G, frozenset([G.identity, x])) for x in G.elements()[1:3])
+        monkeypatch.setattr(PermGroup, "induced", lambda self, members: ())
+        assert almost_conjugate(G, u1, u1)
+        with pytest.raises(ContractError, match="^class profiles and induced characters disagree"):
+            almost_conjugate(G, u1, u2)
+
 
 def _trivial_and_a_transposition(G):
     """The trivial subgroup of ``G`` and the one generated by (1 2)."""
@@ -226,6 +236,22 @@ class TestVerifyProp:
     def test_small_groups(self, factory):
         ok, counterexample = verify_prop_almost_conjugate(factory())
         assert ok and counterexample is None
+
+    def test_an_almost_conjugate_pair_that_is_not_conjugate_is_returned(self, monkeypatch):
+        # in S4 the three subgroups of order two in the Klein four group are
+        # conjugate, so they are almost conjugate
+        monkeypatch.setattr(arith_equiv, "are_conjugate", lambda G, U1, U2: False)
+        G = catalog_group("S4")
+        ok, (u1, u2) = verify_prop_almost_conjugate(G)
+        assert not ok and u1.order() == u2.order() == 2 and u1 != u2
+        assert almost_conjugate(G, u1, u2)
+
+    def test_equiv_prints_a_counterexample_and_exits_three(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(arith_equiv, "are_conjugate", lambda G, U1, U2: False)
+        catalog = tmp_path / "groups.cat"
+        catalog.write_text("S4 4 (1 2);(1 2 3 4)\nC3 3 (1 2 3)\n", encoding="utf-8")
+        assert main(["equiv", str(catalog)]) == 3
+        assert capsys.readouterr().out == "S4 (order 24): COUNTEREXAMPLE\nC3 (order 3): ok\n"
 
 
 class TestHbarCertificate:
@@ -504,7 +530,7 @@ class TestIndexLayerAgainstTheTupleReferences:
         monkeypatch.setattr(arith_equiv, "KEPT_COLUMN_ENTRIES", 2 * catalog_group(name).order())
         G = catalog_group(name)
         agrees_with_the_tuple_references(G)
-        assert len(G._kernel.columns) <= len(set(G.generators)) + 2
+        assert len(G.columns) <= len(set(G.generators)) + 2
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.integers(1, 7).flatmap(

@@ -898,6 +898,16 @@ def pairs_in_one_class(pairs: int) -> str:
             f"galois = true\n[places]\n{places}\n")
 
 
+def one_pair_in_one_class(places: int) -> str:
+    """Inner type A2 over an imaginary quadratic field with one adelic class
+    of the given even number of places, valued 1/3 and 2/3 alternately: one
+    flip pair holding every place of the class.  The ids are not v-ids, so
+    the ``natural_key`` cache holds none of those that other tests count."""
+    values = "\n".join(f"u{i} = class=c omega={1 + i % 2}/3" for i in range(1, places + 1))
+    return ("[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 2\ncomplex_places = 1\n"
+            f"galois = true\n[places]\n{values}\n")
+
+
 def random_twins_over_q(rank: int, count: int) -> str:
     """Type A over Q with ``count`` twin places of random charge, balanced."""
     rng = random.Random(f"twins/{rank}/{count}")
@@ -923,6 +933,27 @@ class TestResidueWork:
         assert v.outcome == small.outcome == Outcome.NOT_RIGID
         assert [tag for tag, _ in v.reasons] == [tag for tag, _ in small.reasons]
         check_witness(g, v.witness)
+
+    def test_one_pair_of_722_places_classifies_within_budget(self):
+        # the pair factors take each binomial from the one before; with a
+        # binomial computed afresh for every term this input took 1.7 s, and
+        # 2,000 places took 96 s (2-vCPU Xeon VM, Python 3.11)
+        small = classify_text(one_pair_in_one_class(40))
+        g = parse(one_pair_in_one_class(722))
+        start = time.perf_counter()
+        v = classify(g)
+        assert time.perf_counter() - start < 1.0
+        assert v.outcome == small.outcome == Outcome.NOT_RIGID
+        assert [tag for tag, _ in v.reasons] == [tag for tag, _ in small.reasons]
+        check_witness(g, v.witness)
+
+    def test_the_pair_factors_count_towards_the_limit(self):
+        # one factor of up to 725 terms for each value count the witness
+        # rebuild fixes; past 722 places they take the count over the limit
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=RESIDUE_WORK_MESSAGE):
+            classify_text(one_pair_in_one_class(724))
+        assert time.perf_counter() - start < 1.0
 
     def test_twin_free_cost_does_not_follow_the_rank(self):
         def peak(rank):

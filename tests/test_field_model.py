@@ -358,6 +358,14 @@ class TestPlacePerm:
         with pytest.raises(ValidationError, match="^not a permutation"):
             PlacePerm(moved)
 
+    def test_a_place_repeated_in_the_cycles_is_rejected(self):
+        with pytest.raises(ValidationError, match="^place b occurs twice in cycle notation$"):
+            PlacePerm.from_cycles([("a", "b"), ("b", "c")])
+
+    def test_the_identity_prints_as_an_empty_cycle(self):
+        assert str(PlacePerm()) == "()"
+        assert str(PlacePerm.from_cycles([])) == "()"
+
     def test_fixed_points_are_dropped_from_the_moved_points(self):
         assert PlacePerm((("c", "c"), ("b", "a"), ("a", "b"))).moved == (("a", "b"), ("b", "a"))
 
@@ -386,6 +394,16 @@ class TestPlacePerm:
             orbit_set([x], s)
         with pytest.raises(ValidationError, match="moves v5a outside the declared support"):
             global_orbit(x, s)
+
+
+class TestClassKey:
+    def test_an_unlabelled_place_sits_in_its_own_class(self):
+        assert PlaceLabel("v7", FI).class_key() == "#v7"
+        assert PlaceLabel("v7", FI, "c").class_key() == "c"
+
+    def test_the_key_is_formatted_once_per_pooled_label(self):
+        lab = PlaceLabel("v7", FI)
+        assert lab.class_key() is PlaceLabel("v7", FI).class_key()
 
 
 class TestNaturalKeyCache:

@@ -16,7 +16,11 @@ The expected files under ``tests/golden/`` hold:
   family and rank and each real place kind, the class ``real_class`` pins
   with no class supplied or the error it raises; then
   ``rigidity realforms CODE RANK`` for every type code at ranks 1..8;
-* ``api.txt``: ``rigidity.__all__``, one name per line.
+* ``api.txt``: ``rigidity.__all__``, one name per line;
+* ``verdict_digest.txt``: what ``tests/verdict_digest.py`` prints, the
+  count, exit code and output digests of ``rigidity classify --json`` on the
+  benchmark's generated classify inputs, so any change of verdict, reason or
+  witness there shows as a diff.
 
 A change that means to alter any of these outputs rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -28,6 +32,8 @@ import io
 import itertools
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import genfix
@@ -38,7 +44,8 @@ from rigidity.descriptor import _TYPE_CODES
 from rigidity.invariants import FormKind, GroupType, PlaceKind
 from rigidity.real_forms import NAMED, RealFormTag, real_class, real_stats
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 GENERATORS = [
@@ -140,6 +147,13 @@ def forms_text() -> str:
     return "".join(lines)
 
 
+def verdict_digest_text() -> str:
+    # its own interpreter: the script puts bench/ on sys.path and changes directory
+    run = subprocess.run([sys.executable, str(TESTS / "verdict_digest.py")],
+                         capture_output=True, text=True, check=True)
+    return run.stdout
+
+
 OUTPUTS = {
     "classify.txt": classify_text,
     "classify.json.txt": lambda: classify_text("--json"),
@@ -149,6 +163,7 @@ OUTPUTS = {
     "genfix.txt": genfix_text,
     "forms.txt": forms_text,
     "api.txt": lambda: "".join(f"{name}\n" for name in rigidity.__all__),
+    "verdict_digest.txt": verdict_digest_text,
 }
 
 
@@ -187,6 +202,10 @@ def test_named_real_forms():
 
 def test_public_names():
     _check("api.txt")
+
+
+def test_verdicts_on_the_benchmark_inputs():
+    _check("verdict_digest.txt")
 
 
 if __name__ == "__main__":

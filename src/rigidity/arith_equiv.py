@@ -13,8 +13,8 @@ locally-but-not-globally interchangeable.
 A group is listed once, as sorted tuples of degree points, and from then on
 ``PermGroup`` runs the checks on element numbers: element i is the i-th of
 the sorted list, each generator has its right, left and conjugation tables
-of |G| numbers, the generators of the class subgroups get columns of |G|
-numbers up to a bound, other right factors multiply by tuple products, and
+of |G| numbers, every other right factor gets a column of |G| numbers while
+the kept columns have room and multiplies by tuple products past it, and
 subgroups are frozensets of numbers.  One coset walk (Dimino's algorithm,
 ``_adjoin``, from a generating tuple ``generate`` takes greedily) lists
 the group and spans its subgroups alike, as ``_powers`` lists the powers of
@@ -43,8 +43,8 @@ DEFAULT_GROUP_CAP = 10080
 # Most normal subgroups one group may list; (Z/2)^n has about 2^(n^2/4).
 NORMAL_SUBGROUP_LIMIT = 512
 
-# Most numbers the kept columns of a group's non-generators hold, 8 MiB of
-# list slots, so no group gets near its |G|^2 product table.
+# Most numbers the columns kept for right factors other than the generators
+# hold, 8 MiB of list slots: all |G| columns up to order 1,024, 2^20/|G| past it.
 KEPT_COLUMN_ENTRIES = 1 << 20
 
 
@@ -182,13 +182,13 @@ class PermGroup:
     element order, every sorted output comes out as it would on tuples, and
     the identity, the least permutation, is 0.  Listing the group also
     builds its tables: each generator s has three of |G| numbers, x -> xs
-    (its column), x -> sx and x -> sxs^-1.  The generators of the class
-    subgroups, which every join of normal subgroups reuses, get columns
-    y -> yx as well, filled along a spanning tree of left multiplications by
-    the generators, since (sy)x = s(yx); the columns kept hold at most
-    ``KEPT_COLUMN_ENTRIES`` numbers, so no product table of |G|^2 entries is
-    ever built.  Any other right factor multiplies by one tuple product for
-    each element.  Subgroups are frozensets of numbers, spanned by the coset
+    (its column), x -> sx and x -> sxs^-1.  Every other right factor x gets
+    its column y -> yx the first time ``right`` is asked for it, filled along
+    a spanning tree of left multiplications by the generators, since
+    (sy)x = s(yx), while the columns kept hold at most
+    ``KEPT_COLUMN_ENTRIES`` numbers; past that room it multiplies by one
+    tuple product for each element, so a large group never builds its |G|^2
+    product table.  Subgroups are frozensets of numbers, spanned by the coset
     walk that lists the group (``generate``, ``_adjoin``), with ``right`` as
     its step.  The classes, the normal subgroups and the squares are cached
     once, on numbers; ``conjugacy_classes``, ``normal_subgroups`` and
@@ -301,13 +301,13 @@ class PermGroup:
         ``subgroups()`` (``halves``)."""
         return [self.perms(h) for h in self.halves(self.numbers(n))]
 
-    def right(self, x: int, keep: bool = False) -> Callable[[int], int]:
-        """y -> yx.  A kept column is looked up.  With ``keep``, while there is
+    def right(self, x: int) -> Callable[[int], int]:
+        """y -> yx.  A kept column is looked up; failing that, while there is
         room, x's column is built along the tree of left multiplications,
-        since (sy)x = s(yx), and kept.  Otherwise each product is one tuple
-        product."""
+        since (sy)x = s(yx), and kept.  Past the room each product is one
+        tuple product."""
         col = self.columns.get(x)
-        if col is None and keep and self._room >= len(self._elements):
+        if col is None and self._room >= len(self._elements):
             col = self.columns[x] = _along(self.tree, self.lefts, x)
             self._room -= len(col)
         if col is not None:
@@ -389,7 +389,7 @@ class PermGroup:
                         # n is normal, so it holds the class subgroup iff it holds gens[0]
                         if gens[0] in n or n <= sub:
                             continue
-                        join = _adjoin(n, [self.right(g, keep=True) for g in gens])
+                        join = _adjoin(n, list(map(self.right, gens)))
                         if join not in known:
                             known.add(join)
                             nxt.append(join)

@@ -440,10 +440,10 @@ class TestBudget:
         assert time.perf_counter() - start < 2.0
 
     def test_verify_on_the_symmetric_group_of_degree_seven(self):
-        # order 5,040, listed with its index layer: about 0.05-0.1 s in-process
-        # and a tracemalloc peak of about 3.6 MiB (0.13-0.23 s and 4.5 MiB on
-        # tuples; 2-vCPU Xeon VM, Python 3.11).  A product table of |G|^2
-        # numbers alone takes about 200 MB
+        # order 5,040, listed with its index layer and 57 kept columns: about
+        # 0.03-0.1 s in-process and a tracemalloc peak of about 5.1 MiB
+        # (0.13-0.23 s and 4.5 MiB on tuples; 2-vCPU Xeon VM, Python 3.11).
+        # A product table of |G|^2 numbers alone takes about 200 MB
         line = "S7 7 (1 2);(1 2 3 4 5 6 7)"
         (G,) = parse_catalog(line)
         start = time.perf_counter()
@@ -460,9 +460,9 @@ class TestBudget:
 
     def test_verify_on_a_cyclic_group_of_order_5040(self):
         # C16 x C9 x C5 x C7 on 37 points: every class is one element, and
-        # columns kept for each would take about 200 MB.  About 0.6 s
-        # in-process and a tracemalloc peak of about 10 MiB (2-vCPU Xeon VM,
-        # Python 3.11)
+        # columns kept for each would take about 200 MB; 86 are kept.  About
+        # 0.28-0.6 s in-process and a tracemalloc peak of about 9.2 MiB
+        # (2-vCPU Xeon VM, Python 3.11)
         line = "C5040 37 " + ";".join(
             "(" + " ".join(map(str, range(a, b + 1))) + ")"
             for a, b in [(1, 16), (17, 25), (26, 30), (31, 37)])
@@ -524,13 +524,30 @@ class TestIndexLayerAgainstTheTupleReferences:
         (G,) = parse_catalog(line)
         agrees_with_the_tuple_references(G)
 
-    @pytest.mark.parametrize("name", ["S4xC2", "S3xS3", "C2wrC3"])
-    def test_with_room_for_two_kept_columns(self, name, monkeypatch):
-        # past the room, right factors multiply by tuple products
-        monkeypatch.setattr(arith_equiv, "KEPT_COLUMN_ENTRIES", 2 * catalog_group(name).order())
-        G = catalog_group(name)
+    @pytest.mark.parametrize("room", [0, 2])
+    @pytest.mark.parametrize("line", ["S4xC2", "S3xS3", "C2wrC3", S4_WR_C2])
+    def test_with_room_for_few_kept_columns(self, line, room, monkeypatch):
+        # past the room, right factors multiply by tuple products; with no
+        # room, every right factor but the generators does
+        def group():
+            return parse_catalog(line)[0] if " " in line else catalog_group(line)
+        monkeypatch.setattr(arith_equiv, "KEPT_COLUMN_ENTRIES", room * group().order())
+        G = group()
         agrees_with_the_tuple_references(G)
-        assert len(G.columns) <= len(set(G.generators)) + 2
+        assert len(G.columns) <= len(set(G.generators)) + room
+
+    def test_columns_kept_over_the_catalog(self):
+        # one column for each right factor asked for while there is room:
+        # every catalog group has room for its whole product table
+        kept = {}
+        for G in catalog_groups():
+            verify_prop_almost_conjugate(G)
+            kept[G.name] = len(G.columns)
+        assert kept == {
+            "C2": 1, "C3": 1, "C4": 2, "C6": 3, "C8": 3, "C12": 6, "V4": 3,
+            "C2^3": 7, "S3": 3, "D8": 6, "Q8": 4, "A4": 6, "D12": 7, "C2wrC3": 11,
+            "S4": 10, "SL(2,3)": 11, "S3xS3": 15, "S4xC2": 21, "PSL(3,2)": 15,
+        }
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.integers(1, 7).flatmap(

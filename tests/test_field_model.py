@@ -409,12 +409,13 @@ class TestClassKey:
 class TestNaturalKeyCache:
     def test_cache_stays_bounded_over_many_place_ids(self):
         before = natural_key.cache_info().misses
-        ids = [f"v{i}" for i in range(MEMO_SIZE + 200)]
+        # ids no other test makes, so none is cached before this test runs
+        ids = [f"keymemo{i}" for i in range(MEMO_SIZE + 200)]
         f = FieldDescriptor(
             degree=1, real_places=(PlaceLabel("w", RI),),
             finite_places=tuple(PlaceLabel(p, FI) for p in reversed(ids)),
         )
-        assert [p.id for p in f.finite_places] == ids  # v2 < v11 still
+        assert [p.id for p in f.finite_places] == ids  # keymemo2 < keymemo11 still
         info = natural_key.cache_info()
         assert info.maxsize == MEMO_SIZE
         assert info.currsize <= MEMO_SIZE

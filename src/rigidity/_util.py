@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from _weakref import _remove_dead_weakref  # the atomic removal WeakValueDictionary uses
 from dataclasses import fields
 from functools import lru_cache
@@ -23,6 +25,16 @@ def natural_key(s: str):
     """Sort key that orders embedded integers numerically ('v2' < 'v11'); the
     string itself breaks ties ('v01' < 'v1'), so the order is total."""
     return tuple(int(tok) if tok.isdigit() else tok for tok in _DIGITS.split(s)), s
+
+
+def count_text(n: int) -> str:
+    """A count as decimal text, which cannot raise: exact up to 4,300 digits,
+    Python's default limit on int-to-text conversion (or the interpreter's,
+    if lower), else its first six digits and its digit count."""
+    most = min(4300, getattr(sys, "get_int_max_str_digits", int)() or 4300)
+    digits = int(n.bit_length() * math.log10(2))  # the digit count, or one less
+    digits += 10 ** digits <= n
+    return str(n) if digits <= most else f"{n // 10 ** (digits - 6)}... ({digits} digits)"
 
 
 class _Pooling(type):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ._util import natural_key
@@ -226,30 +227,23 @@ def _fixed_residue(still: Tuple[int, ...], pairs: list, held, m: int) -> Optiona
     return total % m
 
 
-def compare_possible(
-    omega: OmegaVector, realized: Iterable[tuple], flips: bool = True
-) -> Tuple[int, Optional[Coords]]:
-    """Compare realized vectors (``orbit_set`` value tuples) with the
-    adelically possible ones by counting.
-
-    The possible vectors are the coherent flips of the finite coordinates
-    (only the coordinates themselves when ``flips`` is off), permuted
-    within each adelic class.  A vector is possible exactly when every
-    class holds a value multiset that one coherent set of flips produces
-    there.  A class's residue vector (its arrangements summed by the
-    residue of the flip charge) follows from its shape, the place kind and
-    value counts, so classes of one shape share it, and the possible side
-    is counted, without listing it, as coefficient 0 of the cyclic
-    convolution of one vector per class.  A fully fixed class weighs one
-    arrangement at one residue, or nothing, in closed form: that tests the
-    realized vectors, and the witness rebuild carries the finished classes
-    as one residue.  Vectors are stored by their support, so the cost
-    follows the residues that occur, not the modulus; more than
-    ``RESIDUE_WORK_LIMIT`` convolution products and pair factor terms in
-    all raise ``CapacityError``.
-    Returns the possible count and, unless the sides are equal, the
-    ``pick_witness`` choice among possible vectors outside the realized
-    side, or else among realized vectors outside the possible side.
+def _possible_side(omega: OmegaVector, flips: bool):
+    """The possible side of one comparison, counted and never listed: the
+    coherent flips of the finite coordinates (none when ``flips`` is off),
+    permuted within each adelic class.  A vector is possible exactly when
+    every class holds a value multiset that one coherent set of flips
+    produces there.  A class's residue vector (its arrangements summed by
+    the residue of the flip charge) follows from its shape, the place kind
+    and value counts, so classes of one shape share it, and the possible
+    count is coefficient 0 of the cyclic convolution of one vector per
+    class.  A fully fixed class weighs one arrangement at one residue, or
+    nothing, in closed form: that is the class test of one vector, and the
+    witness rebuild carries the finished classes as one residue.  Vectors
+    are stored by their support, so the cost follows the residues that
+    occur, not the modulus; more than ``RESIDUE_WORK_LIMIT`` convolution
+    products and pair factor terms in all raise ``CapacityError``.
+    Returns the count, the class test of a vector of values, and the
+    witness rebuild, which takes the possible vectors of the realized side.
     """
     t = omega.group_type
     base = omega.finite
@@ -261,7 +255,6 @@ def compare_possible(
         idx.append(i)
         counts[v] = counts.get(v, 0) + 1
     classes = list(by_class.values())  # numbered by their first place
-    class_of = {i: k for k, (idx, _) in enumerate(classes) for i in idx}
     # per shape (place kind and value counts): the counts of the values
     # flips keep and the flip pairs.  A twin value v (a places) pairs with
     # its image w: j flips of v and j' of w leave k = a - j + j' places at
@@ -270,7 +263,7 @@ def compare_possible(
     # pair, and a count per slot fixes the arrangements ``weights`` counts.
     shapes: Dict[tuple, int] = {}
     shape_of: List[int] = []  # per class
-    parts, slots, ranked = [], [], []  # counts, value -> slot, (slot, value) by value
+    parts, slots = [], []  # counts, value -> slot
     for idx, counts in classes:
         kind = base[idx[0]][0].kind
         s = shapes.setdefault((kind, frozenset(counts.items())), len(parts))
@@ -287,7 +280,6 @@ def compare_possible(
             parts.append((tuple(a for _, a in still), [p[2:] for p in pairs]))
             vals = [v for v, _ in still] + [u for v, w, *_ in pairs for u in (v, w)]
             slots.append({v: j for j, v in enumerate(vals)})
-            ranked.append(sorted(enumerate(vals), key=lambda jv: jv[1].sort_key()))
 
     work = [0]  # residue products and pair factor terms so far
     memo: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
@@ -335,9 +327,7 @@ def compare_possible(
     suffix.reverse()
     possible = suffix[0].get(0, 0)
 
-    closed: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}  # (shape, held) -> residue
-
-    def is_possible(x: Coords) -> bool:
+    def is_possible(x: tuple) -> bool:
         total = 0
         for (idx, _), s in zip(classes, shape_of):
             held = [0] * len(slots[s])
@@ -346,62 +336,90 @@ def compare_possible(
                 if j is None:
                     return False
                 held[j] += 1
-            key = (s, tuple(held))
-            if key not in closed:
-                closed[key] = _fixed_residue(*parts[s], held, m)
-            if closed[key] is None:
+            r = _fixed_residue(*parts[s], held, m)
+            if r is None:
                 return False
-            total += closed[key]
+            total += r
         return total % m == 0
 
-    realized = set(realized)
-    members = [x for x in realized if is_possible(x)]
-    if possible == len(members):
-        if len(members) == len(realized):
-            return possible, None
-        labels = [lab for lab, _ in base]
-        return possible, pick_witness((tuple(zip(labels, x)) for x in realized.difference(members)), base)
-    # rebuild the pick_witness minimum place by place: keep the first value,
-    # in pick_witness order, that leaves a possible vector outside the
-    # realized side.  Classes not started yet enter as a suffix product,
-    # finished ones as the residue ``done``, open ones by their vectors.
-    fixed = [unfixed[s] for s in shape_of]
-    done = started = 0
-    opened: List[int] = []
-    witness = []
-    for i, (lab, b) in enumerate(base):
-        c = class_of[i]
-        s = shape_of[c]
-        if c == started:
-            started += 1
-            opened.append(c)
-        rest = suffix[started]
-        for k in opened:
-            if k != c:
-                rest = _convolve(rest, weights(shape_of[k], fixed[k]), m, work)
-        last, held = i == classes[c][0][-1], fixed[c]
-        for j, v in [(slots[s][b], b)] + [jv for jv in ranked[s] if jv[1] != b]:
-            fix = held[:j] + (held[j] + 1,) + held[j + 1:]
-            left = [x for x in members if x[i] == v]
-            if last:  # the class ends here
-                r = _fixed_residue(*parts[s], fix, m)
-                if r is not None and rest.get((-r - done) % m, 0) > len(left):
+    def witness(members: Collection[tuple]) -> Coords:
+        """The pick_witness minimum outside the realized side, place by place:
+        the first value, in that order, that leaves one.  Classes not started
+        enter as a suffix product, finished ones as the residue ``done``."""
+        class_of = {i: k for k, (idx, _) in enumerate(classes) for i in idx}
+        ranked = [sorted(slot.items(), key=lambda vj: vj[0].sort_key()) for slot in slots]  # by value
+        fixed = [unfixed[s] for s in shape_of]
+        done = started = 0
+        opened: List[int] = []
+        chosen = []
+        for i, (lab, b) in enumerate(base):
+            c = class_of[i]
+            s = shape_of[c]
+            if c == started:
+                started += 1
+                opened.append(c)
+            rest = suffix[started]
+            for k in opened:
+                if k != c:
+                    rest = _convolve(rest, weights(shape_of[k], fixed[k]), m, work)
+            last, held = i == classes[c][0][-1], fixed[c]
+            for v, j in [(b, slots[s][b])] + [vj for vj in ranked[s] if vj[0] != b]:
+                fix = held[:j] + (held[j] + 1,) + held[j + 1:]
+                left = [x for x in members if x[i] == v]
+                if last:  # the class ends here
+                    r = _fixed_residue(*parts[s], fix, m)
+                    if r is not None and rest.get((-r - done) % m, 0) > len(left):
+                        break
+                elif sum(n * rest.get((-q - done) % m, 0) for q, n in weights(s, fix).items()) > len(left):
                     break
-            elif sum(n * rest.get((-q - done) % m, 0) for q, n in weights(s, fix).items()) > len(left):
-                break
-        fixed[c] = fix
-        if last:
-            opened.remove(c)
-            done += r
-        witness.append((lab, v))
-        members = left
-    return possible, tuple(witness)
+            fixed[c] = fix
+            if last:
+                opened.remove(c)
+                done += r
+            chosen.append((lab, v))
+            members = left
+        return tuple(chosen)
+
+    return possible, is_possible, witness
+
+
+def compare_possible(
+    omega: OmegaVector, orbit: Set[tuple], flipped: Optional[Set[tuple]] = None
+) -> Tuple[int, Optional[Coords]]:
+    """Compare the realized side, given by its structure, with the possible
+    side by counting.  ``orbit`` is O, the automorphism orbit of the finite
+    values of omega (``orbit_set`` value tuples).  With ``flipped``, σ(O),
+    the realized side is O ∪ σ(O) and flips are on (weak uniformity);
+    without it, O and no flips (the orbit match).  Membership is decided
+    per orbit: generators keep each place in its class, so O arranges
+    omega, the empty flip, and is possible; σ commutes with them, so σ(O)
+    arranges σω, is O or disjoint from it, and one class test of σω decides
+    it.  Returns the possible count and, unless the sides are equal, the
+    ``pick_witness`` choice among possible vectors outside the realized
+    side, else among σ(O), which then are the realized vectors it lacks.
+    """
+    possible, is_possible, witness = _possible_side(omega, flipped is not None)
+    members, outside = orbit, ()
+    if flipped is not None:
+        sigma = tuple(cls for _, cls in sigma_flip(omega))
+        if not is_possible(sigma):
+            outside = flipped
+        elif sigma not in orbit:
+            members = orbit | flipped
+    if possible != len(members):
+        return possible, witness(members)
+    if not outside:
+        return possible, None
+    labels = [lab for lab, _ in omega.finite]
+    return possible, pick_witness((tuple(zip(labels, x)) for x in outside), omega.finite)
 
 
 @dataclass(frozen=True)
 class WeakUniformityReport:
+    """The two-sided comparison of ``weak_uniformity``, by ``compare_possible``."""
+
     holds: bool
-    lhs: FrozenSet[tuple]  # unsorted value tuples, as ``orbit_set`` gives them
+    lhs: FrozenSet[tuple]  # the realized side O ∪ σ(O): unsorted ``orbit_set`` value tuples
     possible: int
     witness: Optional[Coords]
 
@@ -416,21 +434,22 @@ def weak_uniformity(
 
     Left side: the finite vector and its full symmetry flip, closed under
     the declared field automorphisms (restricted to the stabilizer of one
-    real place when requested).  Right side: every coherent flip, closed
+    real place when requested).  The walk lists O, the orbit of the finite
+    vector, once; σ commutes with the automorphisms, which keep place
+    kinds, so the flip's orbit is σ(O), taken vector by vector, or O
+    itself once σω lies in O.  Right side: every coherent flip, closed
     under all class-preserving place permutations, counted rather than
     listed.  Holding means every locally invisible variation is globally
     accounted for.
     """
     if stabilize_real and stabilize_real not in {p.id for p in f.real_places}:
         raise ValidationError([f"{stabilize_real} is not a declared real place"])
-    lhs = orbit_set([omega.finite, sigma_flip(omega)], s, stabilize_real)
-    possible, witness = compare_possible(omega, lhs)
-    return WeakUniformityReport(
-        holds=witness is None,
-        lhs=frozenset(lhs),
-        possible=possible,
-        witness=witness,
-    )
+    orbit = orbit_set([omega.finite], s, stabilize_real)
+    sigma, kinds = tuple(cls for _, cls in sigma_flip(omega)), [lab.kind for lab, _ in omega.finite]
+    flipped = orbit if sigma in orbit else {
+        tuple(map(sym_act, repeat(omega.group_type), kinds, x)) for x in orbit}
+    possible, witness = compare_possible(omega, orbit, flipped)
+    return WeakUniformityReport(witness is None, frozenset(orbit | flipped), possible, witness)
 
 
 def possible_vectors(omega: OmegaVector) -> Tuple[Coords, ...]:

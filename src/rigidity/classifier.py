@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._util import natural_key
+from ._util import count_text, natural_key
 from .brauer import (
     OmegaVector,
     _flip_subset,
@@ -351,7 +351,7 @@ def _uniformity_verdict(
             [(tag, branch), (TAG_WU, f"{cond} holds ({len(report.lhs)} realized variations)")],
         )
     reasons = [(tag, branch),
-               (TAG_WU, f"{cond} fails: {len(report.lhs)} realized < {report.possible} possible")]
+               (TAG_WU, f"{cond} fails: {len(report.lhs)} realized < {count_text(report.possible)} possible")]
     if t.is_outer and len(twins) >= 2:
         reasons.append((TAG_OUTER_TWINS, f"twin places at {', '.join(l.id for l in twins)}"))
     elif not t.is_outer and inner_twin_bound(g.omega, g.field):
@@ -362,7 +362,7 @@ def _uniformity_verdict(
 
 def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
     realized = orbit_set([g.omega.finite], g.symmetry)
-    possible, witness = compare_possible(g.omega, realized, flips=False)
+    possible, witness = compare_possible(g.omega, realized)
     if witness is None:
         return Verdict(
             Outcome.RIGID,
@@ -371,7 +371,7 @@ def _plain_verdict(g: GroupDescriptor, tag: str, branch: str) -> Verdict:
     return _not_rigid(
         g,
         [(tag, branch),
-         (TAG_PLAIN, f"automorphism orbit has {len(realized)} vectors, adelic orbit {possible}")],
+         (TAG_PLAIN, f"automorphism orbit has {len(realized)} vectors, adelic orbit {count_text(possible)}")],
         finite=witness,
     )
 

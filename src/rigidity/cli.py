@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ._util import natural_key
+from ._util import count_text, natural_key
 from .arith_equiv import verify_prop_almost_conjugate
 from .brauer import plain_orbits, possible_vectors, weak_uniformity
 from .catalog import parse_catalog
@@ -126,9 +126,8 @@ def cmd_orbit(args, out=None) -> int:
         validate_descriptor(desc)
         report = weak_uniformity(desc.omega, desc.field, desc.symmetry)
         if report.possible > ORBIT_LISTING_LIMIT:
-            raise CapacityError(
-                f"{report.possible} possible vectors exceed the listing limit {ORBIT_LISTING_LIMIT}"
-            )
+            raise CapacityError(f"{count_text(report.possible)} possible vectors exceed "
+                                f"the listing limit {ORBIT_LISTING_LIMIT}")
         possible = possible_vectors(desc.omega)
         glob, adel = plain_orbits(desc.omega, desc.symmetry)
     except (RigidityError, OSError, UnicodeDecodeError) as e:

@@ -54,13 +54,10 @@ class PlaceKind(str, Enum):
     REAL_OUTER = "real_outer"
     COMPLEX = "complex"
 
-    @property
-    def is_finite(self) -> bool:
-        return self in (PlaceKind.FINITE_INNER, PlaceKind.FINITE_OUTER)
-
-    @property
-    def is_real(self) -> bool:
-        return self in (PlaceKind.REAL_INNER, PlaceKind.REAL_OUTER)
+    def __init__(self, value: str):
+        # stored once per member: a property would look the members up on every read
+        self.is_finite = value.startswith("finite")
+        self.is_real = value.startswith("real")
 
 
 @dataclass(frozen=True, eq=False)

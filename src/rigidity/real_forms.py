@@ -11,6 +11,7 @@ fails this gate always admit a locally invisible replacement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -114,18 +115,16 @@ def _entry(entry, params: Tuple[int, ...]):
     return entry(*params) if callable(entry) else entry
 
 
-# the tags that name a real form of each family
-_ALLOWED_TAGS = {
-    Family.A: {"SL_R", "SL_H", "SU"},
-    Family.B: {"Spin", *GENERIC},
-    Family.C: {"Sp_R", "Sp"},
-    Family.D: {"Spin", "SpinStar", "AnisotropicOther"},
-    Family.E6: set(GENERIC),
-    Family.E7: {"E7_split", "E7_quaternionic", "E7_hermitian", "E7_compact"},
-    Family.E8: set(GENERIC),
-    Family.F4: set(GENERIC),
-    Family.G2: set(GENERIC),
-}
+# the tags that name a real form of each family: each named row under every
+# family its signature gives (a spin form's follows the parity of its
+# parameters, so small ones show both), and the generic tags where the rows
+# leave forms unnamed: in B, in every family no row gives, and D's anisotropic forms
+_ALLOWED_TAGS = {fam: {name for name, form in _FORMS.items()
+                       for params in itertools.product((1, 2), repeat=form.pattern.count("{}"))
+                       if _entry(form.signature, params)[0] == fam} for fam in Family}
+for _fam, _tags in _ALLOWED_TAGS.items():
+    _tags.update(GENERIC if _fam == Family.B or not _tags else
+                 ["AnisotropicOther"] if _fam == Family.D else [])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ must agree with; ``reference_compare_possible`` counts the possible side
 with one residue vector per adelic class and carries the finished classes
 as a running product, as ``brauer.compare_possible`` did before it counted
 per class shape, and must give the same count, witness and exceptions;
+``per_vector_compare_possible`` takes any realized side and runs the class
+test on each of its vectors, as ``compare_possible`` did before it decided
+membership per orbit, and must agree with it on the sides the engine builds;
 ``reference_group`` lists a field automorphism group by
 composing place permutations keyed by place id, ``reference_push`` pushes
 a vector along one of them by place id, and ``reference_global_orbit`` and
@@ -65,6 +68,7 @@ from rigidity.brauer import (
     OmegaVector,
     _convolve,
     _flip_rule,
+    _possible_side,
     inner_twin_places,
     pick_witness,
     plain_orbits,
@@ -378,6 +382,23 @@ def outer_fast_path(omega: OmegaVector, s: PlaceSymmetry) -> Optional[bool]:
         return False
     glob, adel = plain_orbits(omega, s)
     return set(glob) == set(adel)
+
+
+def per_vector_compare_possible(
+    omega: OmegaVector, realized: Iterable[tuple], flips: bool = True
+) -> Tuple[int, Optional[Coords]]:
+    """``brauer.compare_possible`` on any realized side (``orbit_set`` value
+    tuples), with flips on or off: the class test runs on every realized
+    vector, and the count and the witness rebuild are the engine's."""
+    possible, is_possible, witness = _possible_side(omega, flips)
+    realized = set(realized)
+    members = [x for x in realized if is_possible(x)]
+    if possible != len(members):
+        return possible, witness(members)
+    if len(members) == len(realized):
+        return possible, None
+    labels = [lab for lab, _ in omega.finite]
+    return possible, pick_witness((tuple(zip(labels, x)) for x in realized.difference(members)), omega.finite)
 
 
 def reference_compare_possible(

@@ -1,15 +1,17 @@
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 
 import genfix
 from genfix import rand_symmetric_omega
-from oracles import global_sym_act, outer_fast_path, reference_compare_possible
+from oracles import global_sym_act, outer_fast_path, per_vector_compare_possible, reference_compare_possible
 from recount import recount_compare_possible
 from rigidity.brauer import (
     OmegaVector,
+    _possible_side,
     compare_possible,
     inner_twin_bound,
     inner_twin_places,
@@ -187,7 +189,7 @@ class TestSOmegaOrbit:
         assert is_coherent(om)
         listed = s_omega_orbit(om).elements
         assert len(listed) > 3
-        assert compare_possible(om, as_values(listed))[0] == len(listed)
+        assert compare_possible(om, as_values([om.finite]), as_values([sigma_flip(om)]))[0] == len(listed)
 
     def test_elements_keep_the_dual_sum(self):
         rng = random.Random(37)
@@ -366,7 +368,7 @@ class TestCountingMatchesEnumeration:
                 assert (report.possible, report.witness) == want
                 assert report.holds == (want[1] is None)
                 outcomes.add(report.holds)
-                assert compare_possible(om, as_values(one_sided), flips=False) == \
+                assert compare_possible(om, as_values(one_sided)) == \
                     enumerated_comparison(om, one_sided, False)
         if make in (genfix.rand_classed, genfix.rand_paired):
             assert outcomes == {True, False}
@@ -387,7 +389,7 @@ class TestCountingMatchesEnumeration:
             report = weak_uniformity(om, f, s)
             assert (report.possible, report.witness) == enumerated_comparison(om, as_coords(om, report.lhs), True)
             one_sided = set(global_orbit(om.finite, s))
-            assert compare_possible(om, as_values(one_sided), flips=False) == \
+            assert compare_possible(om, as_values(one_sided)) == \
                 enumerated_comparison(om, one_sided, False)
 
 
@@ -399,10 +401,21 @@ def class_multisets(coords):
     return {k: sorted(v) for k, v in out.items()}
 
 
+def engine_sides(g, stab):
+    """The realized sides the engine builds, as value tuples: O, the
+    automorphism orbit of the finite values (fixing ``stab``), and σ(O),
+    walked from σω as a second orbit."""
+    one_sided = as_values(global_orbit(g.omega.finite, g.symmetry, fixing=stab))
+    return one_sided, as_values(global_orbit(sigma_flip(g.omega), g.symmetry, fixing=stab))
+
+
 class TestResidueVectorsMatchTheRecount:
     """The per-class residue vectors against the recount they replaced: the
     same possible count and the same witness, with flips on and off, on
-    realized sides that match, fall short of or exceed the possible side."""
+    realized sides that match, fall short of or exceed the possible side.
+    ``compare_possible`` takes the sides the engine builds (one-sided with
+    flips off, two-sided with flips on); the other two go through the
+    per-vector path."""
 
     GENERATORS = [
         (genfix.rand_classed, 150),
@@ -424,13 +437,15 @@ class TestResidueVectorsMatchTheRecount:
             g = make(rng)
             om = g.omega
             for stab in [None] + [p.id for p in g.field.real_places[:1]]:
-                one_sided = set(global_orbit(om.finite, g.symmetry, fixing=stab))
-                two_sided = one_sided | set(global_orbit(sigma_flip(om), g.symmetry, fixing=stab))
-                for realized in (one_sided, two_sided):
-                    for flips in (True, False):
-                        got = compare_possible(om, as_values(realized), flips)
-                        assert got == recount_compare_possible(om, realized, flips)
-                        witnesses += got[1] is not None
+                one_sided, flipped = engine_sides(g, stab)
+                sides = {(False, False): compare_possible(om, one_sided),
+                         (True, True): compare_possible(om, one_sided, flipped),
+                         (False, True): per_vector_compare_possible(om, one_sided, True),
+                         (True, False): per_vector_compare_possible(om, one_sided | flipped, False)}
+                for (two, flips), got in sides.items():
+                    realized = as_coords(om, one_sided | flipped if two else one_sided)
+                    assert got == recount_compare_possible(om, realized, flips)
+                    witnesses += got[1] is not None
         if make in (genfix.rand_classed, genfix.rand_interleaved, genfix.rand_paired):
             assert witnesses
 
@@ -445,7 +460,7 @@ class TestResidueVectorsMatchTheRecount:
             runs = [k for i, k in enumerate(keys) if i == 0 or keys[i - 1] != k]
             assert len(runs) > len(set(keys))
             realized = set(global_orbit(g.omega.finite, g.symmetry))
-            possible, witness = compare_possible(g.omega, as_values(realized), flips=False)
+            possible, witness = compare_possible(g.omega, as_values(realized))
             if possible > len(realized):
                 rebuilt += 1
                 assert witness not in realized
@@ -470,6 +485,62 @@ class TestResidueVectorsMatchTheRecount:
         assert most == 5 and both
 
 
+class TestOrbitDecisionMatchesThePerVectorPath:
+    """Membership decided per orbit (one class test of σω) against the class
+    test of every realized vector (``oracles.per_vector_compare_possible``):
+    the same count and the same witness on the sides the engine builds, with
+    flips on and off and with and without a stabilized real place, and
+    ``weak_uniformity``'s pointwise σ(O) equal to the walked one.  Some
+    inputs of ``rand_bound_violator`` and ``rand_three_reals`` have a σω
+    that fails the class test, and none of the other generators' do."""
+
+    SIGMA_FAILS = (genfix.rand_bound_violator, genfix.rand_three_reals)
+
+    @pytest.mark.parametrize("make,count", TestResidueVectorsMatchTheRecount.GENERATORS,
+                             ids=[m.__name__ for m, _ in TestResidueVectorsMatchTheRecount.GENERATORS])
+    def test_same_count_and_witness(self, make, count):
+        rng = random.Random(f"orbit-decision/{make.__name__}")
+        sigma_fails = 0
+        for _ in range(count):
+            g = make(rng)
+            om = g.omega
+            sigma = tuple(cls for _, cls in sigma_flip(om))
+            for stab in [None] + [p.id for p in g.field.real_places[:1]]:
+                one_sided, flipped = engine_sides(g, stab)
+                assert compare_possible(om, one_sided) == per_vector_compare_possible(om, one_sided, False)
+                want = per_vector_compare_possible(om, one_sided | flipped, True)
+                assert compare_possible(om, one_sided, flipped) == want
+                report = weak_uniformity(om, g.field, g.symmetry, stabilize_real=stab)
+                assert report.lhs == one_sided | flipped
+                assert (report.possible, report.witness) == want
+                sigma_fails += not _possible_side(om, True)[1](sigma)
+        assert bool(sigma_fails) == (make in self.SIGMA_FAILS)
+
+    def test_a_failing_sigma_omega_holds_the_witness(self):
+        """Inner D6 with one twin place, a real class σ moves and classes of
+        two places that the automorphisms swap: the only coherent flip is
+        the empty one, the automorphisms realize every arrangement of ω,
+        and the witness is the pick_witness choice among σ(O)."""
+        rng = random.Random("orbit-decision/one-twin")
+        d6 = GroupType(Family.D, 6)
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            values = [rng.choice([(0, 0), (1, 1)]) for _ in range(2 * k - 1)]
+            twin = (1, 0) if values.count((1, 1)) % 2 == 0 else (0, 1)
+            values.insert(rng.randrange(2 * k), twin)
+            labels = [PlaceLabel(f"v{j}{side}", FI, f"c{j}") for j in range(1, k + 1) for side in "ab"]
+            om = OmegaVector(d6, tuple(zip(labels, map(partial(LocalClass, KLEIN), values))),
+                             ((PlaceLabel("w", RI), LocalClass(KLEIN, (1, 0))),))
+            assert is_coherent(om)
+            s = PlaceSymmetry(tuple(PlacePerm.from_cycles([(f"v{j}a", f"v{j}b")]) for j in range(1, k + 1)))
+            f = FieldDescriptor(degree=2 ** k, real_places=(om.real[0][0],), finite_places=tuple(labels))
+            report = weak_uniformity(om, f, s)
+            flipped = as_values(global_orbit(sigma_flip(om), s))
+            assert report.possible == len(report.lhs - flipped)
+            assert report.witness == pick_witness(as_coords(om, flipped), om.finite)
+            assert (report.possible, report.witness) == per_vector_compare_possible(om, report.lhs, True)
+
+
 def outcome(compare, omega, realized, flips):
     """The count and witness, or the type of the exception raised."""
     try:
@@ -479,7 +550,7 @@ def outcome(compare, omega, realized, flips):
 
 
 def assert_same_as_reference(omega, realized, flips):
-    got = outcome(compare_possible, omega, as_values(realized), flips)
+    got = outcome(per_vector_compare_possible, omega, as_values(realized), flips)
     assert got == outcome(reference_compare_possible, omega, as_values(realized), flips)
     return got
 
@@ -500,7 +571,8 @@ def interleaved_twins(rng):
 class TestShapeCountingMatchesTheReference:
     """The per-shape count against the per-class count it replaced
     (``oracles.reference_compare_possible``): the same possible count, the
-    same witness and the same exception type, with flips on and off."""
+    same witness and the same exception type, with flips on and off, on any
+    realized side, through the per-vector path."""
 
     @pytest.mark.parametrize("make,count", TestResidueVectorsMatchTheRecount.GENERATORS,
                              ids=[m.__name__ for m, _ in TestResidueVectorsMatchTheRecount.GENERATORS])

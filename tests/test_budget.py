@@ -19,9 +19,9 @@ from oracles import (
     reference_group,
     reference_two_sided_orbit,
 )
-from rigidity import field_model
+from rigidity import brauer, field_model
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP, PermGroup, Subgroup, perm_from_cycles
-from rigidity.brauer import FLIP_WALK_TWIN_LIMIT, OmegaVector, sigma_flip
+from rigidity.brauer import FLIP_WALK_TWIN_LIMIT, OmegaVector, sigma_flip, weak_uniformity
 from rigidity.classifier import GroupDescriptor, Outcome, _two_sided_orbit, classify
 from rigidity.cli import emit_descriptor, main, parse, parse_catalog
 from rigidity.errors import CapacityError, ContractError
@@ -143,6 +143,45 @@ class TestOrbitWalk:
         monkeypatch.setattr(field_model, "apply_perm", lambda *a: steps.append(1) or step(*a))
         assert classify(g).outcome == Outcome.RIGID
         assert 0 < len(steps) <= 2 * 13
+
+
+def counted_class_tests(monkeypatch) -> list:
+    """The value vectors the class test of ``compare_possible`` runs on, as
+    they come."""
+    tests = []
+    build = brauer._possible_side
+
+    def counting(omega, flips):
+        possible, is_possible, witness = build(omega, flips)
+        return possible, lambda x: tests.append(x) or is_possible(x), witness
+
+    monkeypatch.setattr(brauer, "_possible_side", counting)
+    return tests
+
+
+class TestOneClassTestPerOrbit:
+    """Weak uniformity decides which realized vectors are possible by one
+    class test, of σω, however many vectors the automorphisms realize."""
+
+    def test_commuting_swaps_test_one_of_8192_vectors(self, monkeypatch):
+        g = parse(commuting_swaps(13))
+        tests = counted_class_tests(monkeypatch)
+        v = classify(g)
+        assert v.outcome == Outcome.NOT_RIGID
+        assert v.reasons[-1][1] == "weak uniformity fails: 8192 realized < 22369622 possible"
+        assert tests == [tuple(cls for _, cls in sigma_flip(g.omega))]
+
+    def test_a_sigma_omega_that_fails_decides_the_witness(self, monkeypatch):
+        # one twin place over Q and a real class that σ moves: flipping the
+        # twin alone is incoherent, so σω is realized but not possible
+        g = parse("[group]\ntype = 1D\nrank = 6\n[field]\ndegree = 1\n"
+                  "[places]\nv1 = omega=(1,0)\n[real]\nw = form=SpinStar(12)\n")
+        tests = counted_class_tests(monkeypatch)
+        report = weak_uniformity(g.omega, g.field, g.symmetry)
+        sigma = sigma_flip(g.omega)
+        assert tests == [tuple(cls for _, cls in sigma)]
+        assert report.lhs == {(g.omega.finite[0][1],), (sigma[0][1],)}
+        assert (report.holds, report.possible, report.witness) == (False, 1, sigma)
 
 
 class TestLinearInThePlaces:

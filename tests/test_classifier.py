@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from genfix import rand_q
+from oracles import run_python
 from rigidity import brauer, classifier, field_model
 from rigidity.brauer import FLIP_WALK_TWIN_LIMIT, RESIDUE_WORK_LIMIT, OmegaVector
 from rigidity.classifier import (
@@ -887,6 +888,34 @@ class TestBeyondTheOldCap:
         listed = len(s_omega_orbit(om).elements)  # singleton classes: no arrangements
         assert v.reasons[1] == ("weak-uniformity", f"weak uniformity fails: 2 realized < {listed} possible")
         check_witness(g, v.witness)
+
+
+class TestCountsPastTheDigitLimit:
+    """A possible count of more than 4,300 digits, Python's default limit on
+    turning an int into text, prints as its first six digits and its digit
+    count; ``rigidity classify`` used to exit with a ValueError traceback.
+    Each run, the interpreter's start included, ends within 10 s."""
+
+    @pytest.mark.parametrize("twins,digits", [(14400, 4335), (16000, 4817)])
+    def test_rigidity_classify(self, tmp_path, twins, digits):
+        path = tmp_path / "twins.grp"
+        path.write_text(twins_over_q(2, [1, 2] * (twins // 2)), encoding="utf-8")
+        start = time.perf_counter()
+        done = run_python(["-m", "rigidity", "classify", str(path)])
+        assert time.perf_counter() - start < 10.0
+        assert (done.returncode, done.stderr) == (1, b"")
+        out = done.stdout.decode()
+        assert out.startswith("verdict: NotRigid\n")
+        assert re.search(rf"weak uniformity fails: 2 realized < \d{{6}}\.\.\. \({digits} digits\) possible", out)
+        assert f"{twins} twin places force non-rigidity" in out
+
+    def test_rigidity_orbit_names_the_count_it_refuses_to_list(self, tmp_path):
+        path = tmp_path / "twins.grp"
+        path.write_text(twins_over_q(2, [1, 2] * 7200), encoding="utf-8")
+        done = run_python(["-m", "rigidity", "orbit", str(path)])
+        assert (done.returncode, done.stdout) == (3, b"")
+        assert re.fullmatch(rf"{re.escape(str(path))}: \d{{6}}\.\.\. \(4335 digits\) possible "
+                            r"vectors exceed the listing limit 10000\n", done.stderr.decode())
 
 
 def pairs_in_one_class(pairs: int) -> str:

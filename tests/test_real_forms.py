@@ -251,6 +251,25 @@ class TestRealClass:
             real_class(form, t, kind)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("form, t, message", [
+        (RealFormTag("Spin", (3, 2)), GroupType(Family.A, 4), "Spin(3,2) is not a form of family A"),
+        (RealFormTag("SpinStar", (8,)), GroupType(Family.B, 4), "Spin*(8) is not a form of family B"),
+        (RealFormTag("SL_H", (2,)), GroupType(Family.C, 3), "SL(2,H) is not a form of family C"),
+        (RealFormTag("SplitForm", family=Family.D, rank=6), GroupType(Family.D, 6),
+         "SplitForm[D6] is not a form of family D"),
+        (RealFormTag("E7_split"), GroupType(Family.E6, 6), "E7 split is not a form of family E6"),
+        (RealFormTag("CompactForm", family=Family.E7, rank=7), GroupType(Family.E7, 7),
+         "CompactForm[E7] is not a form of family E7"),
+        (RealFormTag("Sp", (2, 1)), GroupType(Family.E8, 8), "Sp(2,1) is not a form of family E8"),
+        (RealFormTag("SU", (2, 1)), GroupType(Family.F4, 4), "SU(2,1) is not a form of family F4"),
+        (RealFormTag("Sp_R", (4,)), GroupType(Family.G2, 2), "Sp(4,R) is not a form of family G2"),
+    ], ids=[f.value for f in Family])
+    def test_one_foreign_tag_per_family(self, form, t, message):
+        # the family check reads the tags each family's rows and generic tags allow
+        with pytest.raises(ContractError) as err:
+            real_class(form, t, RI)
+        assert str(err.value) == message
+
 
 class TestFormForClass:
     @pytest.mark.parametrize("rank", [2, 4])

@@ -13,6 +13,7 @@ variations.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -120,6 +121,15 @@ def _flip_rule(t: GroupType):
     if t.family == Family.A and t.rank % 2 == 1:
         m //= 2
     return (lambda kind, cls: c_local(t, kind, cls).value % m), m
+
+
+def _full_flip_coherent(omega: OmegaVector) -> bool:
+    """Whether flipping every twin place is coherent, which is whether σω is
+    possible: a class's residue follows from its value counts, and σω has
+    the counts of omega swapped at each flip pair."""
+    charge, m = _flip_rule(omega.group_type)
+    value = dict(omega.finite)
+    return sum(charge(lab.kind, value[lab]) for lab in inner_twin_places(omega)) % m == 0
 
 
 @dataclass(frozen=True)
@@ -237,21 +247,20 @@ def _possible_side(omega: OmegaVector, flips: bool):
     and value counts, so classes of one shape share it, and the possible
     count is coefficient 0 of the cyclic convolution of one vector per
     class.  A fully fixed class weighs one arrangement at one residue, or
-    nothing, in closed form: that is the class test of one vector, and the
-    witness rebuild carries the finished classes as one residue.  Vectors
-    are stored by their support, so the cost follows the residues that
-    occur, not the modulus; more than ``RESIDUE_WORK_LIMIT`` convolution
-    products and pair factor terms in all raise ``CapacityError``.
-    Returns the count, the class test of a vector of values, and the
-    witness rebuild, which takes the possible vectors of the realized side.
+    nothing, in closed form, and the witness rebuild carries the finished
+    classes as one residue.  Vectors are stored by their support, so the
+    cost follows the residues that occur, not the modulus; more than
+    ``RESIDUE_WORK_LIMIT`` convolution products and pair factor terms in
+    all raise ``CapacityError``.  Returns the count and the witness
+    rebuild, which takes the possible vectors of the realized side.
     """
     t = omega.group_type
     base = omega.finite
     flips = flips and has_symmetry(t)
     charge, m = _flip_rule(t) if flips else ((lambda kind, cls: 0), 1)
-    by_class: Dict[str, Tuple[List[int], Dict[LocalClass, int]]] = {}
+    by_class: Dict[str, Tuple[List[int], Dict[LocalClass, int]]] = defaultdict(lambda: ([], {}))
     for i, (lab, v) in enumerate(base):  # each class's places and value counts
-        idx, counts = by_class.setdefault(lab.class_key(), ([], {}))
+        idx, counts = by_class[lab.class_key()]
         idx.append(i)
         counts[v] = counts.get(v, 0) + 1
     classes = list(by_class.values())  # numbered by their first place
@@ -327,21 +336,6 @@ def _possible_side(omega: OmegaVector, flips: bool):
     suffix.reverse()
     possible = suffix[0].get(0, 0)
 
-    def is_possible(x: tuple) -> bool:
-        total = 0
-        for (idx, _), s in zip(classes, shape_of):
-            held = [0] * len(slots[s])
-            for i in idx:
-                j = slots[s].get(x[i])
-                if j is None:
-                    return False
-                held[j] += 1
-            r = _fixed_residue(*parts[s], held, m)
-            if r is None:
-                return False
-            total += r
-        return total % m == 0
-
     def witness(members: Collection[tuple]) -> Coords:
         """The pick_witness minimum outside the realized side, place by place:
         the first value, in that order, that leaves one.  Classes not started
@@ -380,7 +374,7 @@ def _possible_side(omega: OmegaVector, flips: bool):
             members = left
         return tuple(chosen)
 
-    return possible, is_possible, witness
+    return possible, witness
 
 
 def compare_possible(
@@ -390,22 +384,22 @@ def compare_possible(
     side by counting.  ``orbit`` is O, the automorphism orbit of the finite
     values of omega (``orbit_set`` value tuples).  With ``flipped``, σ(O),
     the realized side is O ∪ σ(O) and flips are on (weak uniformity);
-    without it, O and no flips (the orbit match).  Membership is decided
-    per orbit: generators keep each place in its class, so O arranges
-    omega, the empty flip, and is possible; σ commutes with them, so σ(O)
-    arranges σω, is O or disjoint from it, and one class test of σω decides
-    it.  Returns the possible count and, unless the sides are equal, the
-    ``pick_witness`` choice among possible vectors outside the realized
-    side, else among σ(O), which then are the realized vectors it lacks.
+    without it, O and no flips (the orbit match).  No vector is tested:
+    generators keep each place in its class, so O arranges omega, the empty
+    flip, and is possible; σ commutes with them, so σ(O) arranges σω and is
+    O or disjoint from it, and it is possible exactly when the full flip is
+    (``_full_flip_coherent``).  Returns the possible count and, unless the
+    sides are equal, the ``pick_witness`` choice among possible vectors
+    outside the realized side, else among σ(O), which then are the
+    realized vectors it lacks.
     """
-    possible, is_possible, witness = _possible_side(omega, flipped is not None)
+    possible, witness = _possible_side(omega, flipped is not None)
     members, outside = orbit, ()
     if flipped is not None:
-        sigma = tuple(cls for _, cls in sigma_flip(omega))
-        if not is_possible(sigma):
-            outside = flipped
-        elif sigma not in orbit:
+        if _full_flip_coherent(omega):
             members = orbit | flipped
+        else:
+            outside = flipped
     if possible != len(members):
         return possible, witness(members)
     if not outside:

@@ -400,7 +400,8 @@ def _exchange_verdict(g: GroupDescriptor, tag: str, same: str, fixed: str) -> Op
     if w1.kind != w2.kind:
         return _not_rigid(g, [(tag, "two real places of different split kind can never be exchanged")],
                           reals={w1.id: c2, w2.id: c1})
-    if len(orbit_set([g.omega.real], g.symmetry)) != 2:  # the classes differ, so a swap moves them
+    # generators keep real places real, so one swaps the two if any automorphism does
+    if not any(p.apply(w1.id) == w2.id for p in g.symmetry.generators):
         return _not_rigid(g, [(tag, fixed)], reals={w1.id: c2, w2.id: c1})
     return None
 

@@ -9,9 +9,12 @@ must agree with; ``reference_compare_possible`` counts the possible side
 with one residue vector per adelic class and carries the finished classes
 as a running product, as ``brauer.compare_possible`` did before it counted
 per class shape, and must give the same count, witness and exceptions;
-``per_vector_compare_possible`` takes any realized side and runs the class
-test on each of its vectors, as ``compare_possible`` did before it decided
-membership per orbit, and must agree with it on the sides the engine builds;
+``reference_class_test`` tests one vector class by class, from the value
+counts of omega and no table of the engine, and ``brauer._full_flip_coherent``
+must agree with it on σω; ``per_vector_compare_possible`` takes any realized
+side and runs that test on each of its vectors, as ``compare_possible`` did
+before it decided membership per orbit, and must agree with it on the sides
+the engine builds;
 ``reference_group`` lists a field automorphism group by
 composing place permutations keyed by place id, ``reference_push`` pushes
 a vector along one of them by place id, and ``reference_global_orbit`` and
@@ -384,15 +387,52 @@ def outer_fast_path(omega: OmegaVector, s: PlaceSymmetry) -> Optional[bool]:
     return set(glob) == set(adel)
 
 
+def reference_class_test(omega: OmegaVector, x: tuple, flips: bool = True) -> bool:
+    """Whether the vector of values ``x`` (over the places of omega) is
+    possible, with flips on or off, tested class by class with no table of
+    ``brauer._possible_side``: each class must hold ω's count of every value
+    the symmetry keeps and, for each pair of a twin value v and its image w,
+    ω's total of the two; j fewer places at v than ω's a add (a - j) times
+    the charge of v, and the charges must sum to 0 mod the modulus."""
+    t = omega.group_type
+    flips = flips and has_symmetry(t)
+    charge, m = _flip_rule(t) if flips else ((lambda kind, cls: 0), 1)
+    want: Dict[str, Counter] = {}
+    got: Dict[str, Counter] = {}
+    kind_of = {}
+    for (lab, v), u in zip(omega.finite, x):
+        want.setdefault(lab.class_key(), Counter())[v] += 1
+        got.setdefault(lab.class_key(), Counter())[u] += 1
+        kind_of[lab.class_key()] = lab.kind
+    total = 0
+    for key, counts in want.items():
+        kind, held, seen = kind_of[key], got[key], set()
+        for v, a in counts.items():
+            w = sym_act(t, kind, v) if flips else v
+            if v in seen:  # the image of a value already paired
+                continue
+            seen.update((v, w))
+            if w == v:
+                if held[v] != a:
+                    return False
+            elif held[v] + held[w] != a + counts[w]:
+                return False
+            else:
+                total += (a - held[v]) * charge(kind, v)
+        if not seen.issuperset(held):
+            return False
+    return total % m == 0
+
+
 def per_vector_compare_possible(
     omega: OmegaVector, realized: Iterable[tuple], flips: bool = True
 ) -> Tuple[int, Optional[Coords]]:
     """``brauer.compare_possible`` on any realized side (``orbit_set`` value
-    tuples), with flips on or off: the class test runs on every realized
-    vector, and the count and the witness rebuild are the engine's."""
-    possible, is_possible, witness = _possible_side(omega, flips)
+    tuples), with flips on or off: ``reference_class_test`` runs on every
+    realized vector, and the count and the witness rebuild are the engine's."""
+    possible, witness = _possible_side(omega, flips)
     realized = set(realized)
-    members = [x for x in realized if is_possible(x)]
+    members = [x for x in realized if reference_class_test(omega, x, flips)]
     if possible != len(members):
         return possible, witness(members)
     if len(members) == len(realized):

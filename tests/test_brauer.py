@@ -1,17 +1,24 @@
 import itertools
 import math
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
 
 import genfix
 from genfix import rand_symmetric_omega
-from oracles import global_sym_act, outer_fast_path, per_vector_compare_possible, reference_compare_possible
+from oracles import (
+    global_sym_act,
+    outer_fast_path,
+    per_vector_compare_possible,
+    reference_class_test,
+    reference_compare_possible,
+)
 from recount import recount_compare_possible
 from rigidity.brauer import (
     OmegaVector,
-    _possible_side,
+    _full_flip_coherent,
     compare_possible,
     inner_twin_bound,
     inner_twin_places,
@@ -44,12 +51,16 @@ from rigidity.invariants import (
     c_local,
     center_shape,
     cyclic,
+    h2_local,
+    shape_elements,
     sym_act,
     zero,
 )
 
 FI = PlaceKind.FINITE_INNER
+FO = PlaceKind.FINITE_OUTER
 RI = PlaceKind.REAL_INNER
+RO = PlaceKind.REAL_OUTER
 
 A2 = GroupType(Family.A, 2)
 A3 = GroupType(Family.A, 3)
@@ -486,13 +497,15 @@ class TestResidueVectorsMatchTheRecount:
 
 
 class TestOrbitDecisionMatchesThePerVectorPath:
-    """Membership decided per orbit (one class test of σω) against the class
-    test of every realized vector (``oracles.per_vector_compare_possible``):
-    the same count and the same witness on the sides the engine builds, with
-    flips on and off and with and without a stabilized real place, and
-    ``weak_uniformity``'s pointwise σ(O) equal to the walked one.  Some
-    inputs of ``rand_bound_violator`` and ``rand_three_reals`` have a σω
-    that fails the class test, and none of the other generators' do."""
+    """Membership decided per orbit (by the coherence of the full flip)
+    against the class test of every realized vector
+    (``oracles.per_vector_compare_possible``): the same count and the same
+    witness on the sides the engine builds, with flips on and off and with
+    and without a stabilized real place, and ``weak_uniformity``'s pointwise
+    σ(O) equal to the walked one.  On every input the full-flip rule agrees
+    with ``oracles.reference_class_test`` of σω.  Some inputs of
+    ``rand_bound_violator`` and ``rand_three_reals`` have a σω that fails
+    it, and none of the other generators' do."""
 
     SIGMA_FAILS = (genfix.rand_bound_violator, genfix.rand_three_reals)
 
@@ -504,7 +517,9 @@ class TestOrbitDecisionMatchesThePerVectorPath:
         for _ in range(count):
             g = make(rng)
             om = g.omega
-            sigma = tuple(cls for _, cls in sigma_flip(om))
+            sigma_possible = _full_flip_coherent(om)
+            assert sigma_possible == reference_class_test(om, tuple(cls for _, cls in sigma_flip(om)))
+            sigma_fails += not sigma_possible
             for stab in [None] + [p.id for p in g.field.real_places[:1]]:
                 one_sided, flipped = engine_sides(g, stab)
                 assert compare_possible(om, one_sided) == per_vector_compare_possible(om, one_sided, False)
@@ -513,7 +528,6 @@ class TestOrbitDecisionMatchesThePerVectorPath:
                 report = weak_uniformity(om, g.field, g.symmetry, stabilize_real=stab)
                 assert report.lhs == one_sided | flipped
                 assert (report.possible, report.witness) == want
-                sigma_fails += not _possible_side(om, True)[1](sigma)
         assert bool(sigma_fails) == (make in self.SIGMA_FAILS)
 
     def test_a_failing_sigma_omega_holds_the_witness(self):
@@ -539,6 +553,61 @@ class TestOrbitDecisionMatchesThePerVectorPath:
             assert report.possible == len(report.lhs - flipped)
             assert report.witness == pick_witness(as_coords(om, flipped), om.finite)
             assert (report.possible, report.witness) == per_vector_compare_possible(om, report.lhs, True)
+
+
+def set_partitions(n):
+    """The partitions of n places into adelic classes, as each place's class
+    number (the first place of each class opens it)."""
+    if n == 0:
+        yield ()
+        return
+    for rest in set_partitions(n - 1):
+        for b in range(max(rest, default=-1) + 2):
+            yield rest + (b,)
+
+
+def every_omega(t, finite, real):
+    """Every vector of type t with up to ``finite`` finite places, in every
+    class partition and kind, and up to ``real`` real places of every kind,
+    with every value."""
+    finite_kinds, real_kinds = ([FI, FO], [RI, RO]) if t.is_outer else ([FI], [RI])
+
+    def values(labels):
+        return itertools.product(*(shape_elements(h2_local(t, lab.kind)) for lab in labels))
+    reals = []
+    for r in range(real + 1):
+        for kinds in itertools.product(real_kinds, repeat=r):
+            labels = [PlaceLabel(f"w{j}", kind) for j, kind in enumerate(kinds)]
+            reals += [tuple(zip(labels, vals)) for vals in values(labels)]
+    for n in range(finite + 1):
+        for part in set_partitions(n):
+            for kinds in itertools.product(finite_kinds, repeat=len(set(part))):
+                labels = [PlaceLabel(f"v{i}", kinds[b], f"c{b}") for i, b in enumerate(part)]
+                for vals in values(labels):
+                    for rs in reals:
+                        yield OmegaVector(t, tuple(zip(labels, vals)), rs)
+
+
+class TestFullFlipRuleExhaustive:
+    """The full-flip rule against the class test of σω on every coherent
+    vector of a bounded scope: 1A2-1A5, 2A2-2A5, 1D5, 2D5, 1D6, 2D6, 1E6
+    and 2E6, with 0-3 finite places in every class partition and kind and
+    0-2 real places of every kind, every value.  σω fails on inner D6 alone
+    here, where a real class can leave an odd number of twin places."""
+
+    def test_every_coherent_vector(self):
+        scope = [(Family.A, range(2, 6)), (Family.D, (5, 6)), (Family.E6, (6,))]
+        types = [GroupType(fam, r, kind) for fam, ranks in scope for r in ranks for kind in FormKind]
+        fails = Counter()
+        inputs = 0
+        for t in types:
+            for om in filter(is_coherent, every_omega(t, 3, 2)):
+                rule = _full_flip_coherent(om)
+                assert rule == reference_class_test(om, tuple(cls for _, cls in sigma_flip(om))), om
+                inputs += 1
+                fails[t.symbol()] += not rule
+        assert inputs == 59717
+        assert +fails == {"1D6": 890}
 
 
 def outcome(compare, omega, realized, flips):

@@ -145,41 +145,38 @@ class TestOrbitWalk:
         assert 0 < len(steps) <= 2 * 13
 
 
-def counted_class_tests(monkeypatch) -> list:
-    """The value vectors the class test of ``compare_possible`` runs on, as
-    they come."""
-    tests = []
-    build = brauer._possible_side
-
-    def counting(omega, flips):
-        possible, is_possible, witness = build(omega, flips)
-        return possible, lambda x: tests.append(x) or is_possible(x), witness
-
-    monkeypatch.setattr(brauer, "_possible_side", counting)
-    return tests
+def counted_flips(monkeypatch) -> list:
+    """The vectors ``brauer`` builds σω of, as they come."""
+    flips = []
+    flip = brauer.sigma_flip
+    monkeypatch.setattr(brauer, "sigma_flip", lambda omega: flips.append(omega) or flip(omega))
+    return flips
 
 
-class TestOneClassTestPerOrbit:
-    """Weak uniformity decides which realized vectors are possible by one
-    class test, of σω, however many vectors the automorphisms realize."""
+class TestNoVectorTestedForMembership:
+    """Weak uniformity decides which realized vectors are possible by the
+    coherence of the full flip, however many vectors the automorphisms
+    realize, and builds σω once."""
 
-    def test_commuting_swaps_test_one_of_8192_vectors(self, monkeypatch):
+    def test_commuting_swaps_flip_once_for_8192_vectors(self, monkeypatch):
         g = parse(commuting_swaps(13))
-        tests = counted_class_tests(monkeypatch)
+        flips = counted_flips(monkeypatch)
         v = classify(g)
         assert v.outcome == Outcome.NOT_RIGID
         assert v.reasons[-1][1] == "weak uniformity fails: 8192 realized < 22369622 possible"
-        assert tests == [tuple(cls for _, cls in sigma_flip(g.omega))]
+        assert flips == [g.omega]
+        assert brauer._full_flip_coherent(g.omega)
 
     def test_a_sigma_omega_that_fails_decides_the_witness(self, monkeypatch):
         # one twin place over Q and a real class that σ moves: flipping the
         # twin alone is incoherent, so σω is realized but not possible
         g = parse("[group]\ntype = 1D\nrank = 6\n[field]\ndegree = 1\n"
                   "[places]\nv1 = omega=(1,0)\n[real]\nw = form=SpinStar(12)\n")
-        tests = counted_class_tests(monkeypatch)
+        flips = counted_flips(monkeypatch)
         report = weak_uniformity(g.omega, g.field, g.symmetry)
+        assert flips == [g.omega]
+        assert not brauer._full_flip_coherent(g.omega)
         sigma = sigma_flip(g.omega)
-        assert tests == [tuple(cls for _, cls in sigma)]
         assert report.lhs == {(g.omega.finite[0][1],), (sigma[0][1],)}
         assert (report.holds, report.possible, report.witness) == (False, 1, sigma)
 

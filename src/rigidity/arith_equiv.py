@@ -226,10 +226,8 @@ class PermGroup:
             right_tree = _spanning_tree(rights, len(elements))
             self.lefts = [_along(right_tree, rights, s) for s in gens]
             # x -> sxs^-1: sx, then times s^-1, the inverse of x -> xs
-            self.conjs = []
-            for left, right in zip(self.lefts, rights):
-                back = sorted(range(len(elements)), key=right.__getitem__)
-                self.conjs.append(list(map(back.__getitem__, left)))
+            self.conjs = [list(map(perm_inv(right).__getitem__, left))
+                          for left, right in zip(self.lefts, rights)]
             # the spanning tree of left multiplications that columns and
             # conjugators are walked along
             self.tree = _spanning_tree(self.lefts, len(elements))

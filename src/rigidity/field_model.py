@@ -13,7 +13,6 @@ uniformity condition downstream.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -143,9 +142,10 @@ class PlaceSymmetry:
     generators: Tuple[PlacePerm, ...] = ()
 
     def __post_init__(self):
-        # one generator order, however they were declared; a generator that
-        # moves no place adds nothing to the group, and could not be emitted
-        moving = (g for g in self.generators if g.moved)
+        # one generator order, however they were declared, and each distinct
+        # generator once, as a copy only adds steps to every orbit walk; one
+        # that moves no place adds nothing to the group, and could not be emitted
+        moving = {g for g in self.generators if g.moved}
         object.__setattr__(self, "generators", tuple(sorted(moving, key=lambda p: p.moved)))
         # neither the numbering nor the listed group is part of the value
         points = sorted({a for g in self.generators for a, _ in g.moved}, key=natural_key)
@@ -262,14 +262,15 @@ def apply_perm(values: tuple, step) -> tuple:
 
 def orbit_set(starts: Sequence[Coords], s: PlaceSymmetry, fixing: Optional[str] = None) -> Set[tuple]:
     """The union of the orbits of vectors over one list of places under the
-    field automorphisms, or under those fixing the place ``fixing``, as
-    tuples of values in place order, unsorted.  The walk applies each
-    generator's position map to each vector found (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 4.1): |orbit| times |generators|
-    steps.  With ``fixing`` each vector carries a mark at the image of that
-    place, and the vectors whose mark came back are kept: the pairs (gx, gw)
-    form one orbit, so those make the stabilizer's orbit.  A ValidationError
-    names a place of the list that a generator moves outside it."""
+    group ``s`` generates, or under its elements fixing the place
+    ``fixing``, as tuples of values in place order, unsorted.  The walk
+    applies each generator's position map to each vector found (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 4.1): |orbit|
+    times |generators| steps.  With ``fixing`` each vector carries a mark at
+    the image of that place, and the vectors whose mark came back are kept:
+    the pairs (gx, gw) form one orbit, so those make the stabilizer's orbit.
+    A ValidationError names a place of the list that a generator moves
+    outside it."""
     pos = {lab.id: i for i, (lab, _) in enumerate(starts[0])}
     n = len(pos)
     marks = [] if fixing is None else [fixing]  # then each place the generators move it to
@@ -307,46 +308,34 @@ def global_orbit(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None)
     return tuple(sorted(orbit, key=coords_key))
 
 
-def _orderings(counts: Dict[LocalClass, int]) -> List[Tuple[LocalClass, ...]]:
-    """Each distinct ordering of a multiset (value -> multiplicity) exactly once,
-    in lexicographic order of the values' positions in ``counts``, by Knuth's
-    Algorithm L (TAOCP 4A, 7.2.1.2), which steps from one to the next."""
-    vals = list(counts)
-    a = [j for j, v in enumerate(vals) for _ in range(counts[v])]
-    out = []
-    while True:
-        out.append(tuple(map(vals.__getitem__, a)))
-        # j is the last rise: the tail after it is non-increasing, its last ordering
-        j = next((j for j in reversed(range(len(a) - 1)) if a[j] < a[j + 1]), None)
-        if j is None:
-            return out
-        # swap a[j] with the tail's smallest larger value, then sort the tail
-        k = max(k for k in range(j + 1, len(a)) if a[k] > a[j])
-        a[j], a[k] = a[k], a[j]
-        a[j + 1:] = a[:j:-1]
-
-
 def adelic_orbit(coords: Coords) -> Tuple[Coords, ...]:
     """All vectors obtained by permuting coordinates within each adelic class.
 
     The values themselves never move between classes: isomorphisms of
     completions act trivially on the local invariants, so only the
-    placement within a class is free.  Output order is canonical and
-    independent of how the places were declared.
+    placement within a class is free.  Each class is walked by
+    ``orbit_set`` under a transposition of its first two places and a
+    cycle through all of them, which generate every permutation of the
+    class; a class that holds one value has one arrangement.  Output order
+    is canonical and independent of how the places were declared.
     """
-    classes: Dict[str, List[str]] = {}
-    for lab, _ in coords:
+    at: Dict[str, List[int]] = {}  # class -> the positions of its places
+    for i, (lab, _) in enumerate(coords):
         if lab.kind.is_finite:
-            classes.setdefault(lab.class_key(), []).append(lab.id)
-    value_of = {lab.id: cls for lab, cls in coords}
-    per_class = [
-        [list(zip(ids, arr)) for arr in _orderings(Counter(value_of[i] for i in ids))]
-        for ids in classes.values()
-    ]
+            at.setdefault(lab.class_key(), []).append(i)
+    per_class = []
+    for pos in at.values():
+        part = tuple(coords[i] for i in pos)
+        if len({cls for _, cls in part}) > 1:
+            ids = [lab.id for lab, _ in part]
+            s = PlaceSymmetry((PlacePerm.from_cycles([ids[:2]]), PlacePerm.from_cycles([ids])))
+            per_class.append([(pos, arr) for arr in orbit_set([part], s)])
+    labels = [lab for lab, _ in coords]
+    values = [cls for _, cls in coords]
     orbit = []
     for combo in itertools.product(*per_class):
-        placed = dict(value_of)
-        for part in combo:
-            placed.update(part)
-        orbit.append(tuple((lab, placed[lab.id]) for lab, _ in coords))
+        for pos, arr in combo:
+            for i, v in zip(pos, arr):
+                values[i] = v
+        orbit.append(tuple(zip(labels, values)))
     return tuple(sorted(orbit, key=coords_key))

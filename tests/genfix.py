@@ -69,6 +69,17 @@ SYMMETRIC_TYPES = [
 ]
 
 
+def set_partitions(n):
+    """The partitions of n places into adelic classes, as each place's class
+    number (the first place of each class opens it)."""
+    if n == 0:
+        yield ()
+        return
+    for rest in set_partitions(n - 1):
+        for b in range(max(rest, default=-1) + 2):
+            yield rest + (b,)
+
+
 def rand_value(rng: random.Random, shape) -> LocalClass:
     return rng.choice(list(shape_elements(shape)))
 

@@ -680,3 +680,9 @@ class TestPermFromCycles:
         # cycles permutes: (0 1)(0 1) is the identity
         with pytest.raises(ContractError, match="^cycles do not define a permutation$"):
             perm_from_cycles(3, [(0, 1), (0, 1)])
+        with pytest.raises(ContractError, match="^point 5 outside degree 3$"):
+            perm_from_cycles(3, [(0, 5)])
+
+    def test_a_group_refuses_a_generator_of_another_degree(self):
+        with pytest.raises(ContractError, match=r"^not a permutation of degree 3: \(0, 1\)$"):
+            PermGroup(3, [(0, 1)])

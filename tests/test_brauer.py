@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 import genfix
-from genfix import rand_symmetric_omega
+from genfix import rand_symmetric_omega, set_partitions
 from oracles import (
     global_sym_act,
     outer_fast_path,
@@ -553,17 +553,6 @@ class TestOrbitDecisionMatchesThePerVectorPath:
             assert report.possible == len(report.lhs - flipped)
             assert report.witness == pick_witness(as_coords(om, flipped), om.finite)
             assert (report.possible, report.witness) == per_vector_compare_possible(om, report.lhs, True)
-
-
-def set_partitions(n):
-    """The partitions of n places into adelic classes, as each place's class
-    number (the first place of each class opens it)."""
-    if n == 0:
-        yield ()
-        return
-    for rest in set_partitions(n - 1):
-        for b in range(max(rest, default=-1) + 2):
-            yield rest + (b,)
 
 
 def every_omega(t, finite, real):

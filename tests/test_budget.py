@@ -102,6 +102,15 @@ def twins_1d6_over_q(n: int) -> str:
             f"[places]\n{places}\n[real]\nw = form=SpinStar(12)\n")
 
 
+def copies_of_one_swap(k: int) -> str:
+    """Type 1A2 over an imaginary quadratic field with one adelic class of k
+    places valued 0, and k declared copies of the generator (v1 v2)."""
+    gens = "\n".join(f"g{i} = (v1 v2)" for i in range(k))
+    places = "\n".join(f"v{i} = class=c omega=0" for i in range(k))
+    return (f"[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 2\ncomplex_places = 1\n"
+            f"[aut]\n{gens}\n[places]\n{places}\n")
+
+
 def test_the_readme_lists_every_limit():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     # the list that follows "kinds of work are limited", up to its first blank line
@@ -179,6 +188,21 @@ class TestNoVectorTestedForMembership:
         sigma = sigma_flip(g.omega)
         assert report.lhs == {(g.omega.finite[0][1],), (sigma[0][1],)}
         assert (report.holds, report.possible, report.witness) == (False, 1, sigma)
+
+
+class TestDuplicateGenerators:
+    def test_eight_thousand_copies_of_one_swap_are_kept_once(self):
+        # a copy adds no element to the group, so it may add no work: each
+        # copy kept would cost a position map over every place and a step of
+        # every orbit walk, quadratic in the copies here
+        g = parse(copies_of_one_swap(8000))
+        start = time.perf_counter()
+        assert classify(g).outcome == Outcome.RIGID
+        assert time.perf_counter() - start < 1.0
+        text = emit_descriptor(g)
+        aut = text.split("[aut]\n", 1)[1].split("\n\n", 1)[0]
+        assert aut.splitlines() == ["g1 = (v1 v2)"]
+        assert parse(text) == g
 
 
 class TestLinearInThePlaces:

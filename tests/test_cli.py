@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,12 +14,14 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rigidity import selftest
 from rigidity._util import MEMO_SIZE
 from rigidity.classifier import GroupDescriptor, Outcome, classify, validate_descriptor
 from rigidity.cli import D4_OUT_OF_SCOPE, VERDICT_SCHEMA, emit_descriptor, main, parse, parse_catalog, verdict_to_json
 from rigidity.descriptor import _MEMO_TEXT, _TYPE_CODES, _format_form, _place_label, _read_place, _read_real
 from rigidity.arith_equiv import PermGroup
 from rigidity.brauer import RESIDUE_WORK_LIMIT, OmegaVector
+from rigidity.catalog import wreath_pair
 from rigidity.errors import ContractError, DescriptorParseError, ValidationError
 from rigidity.field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlacePerm, PlaceSymmetry
 from rigidity.invariants import (
@@ -133,6 +136,7 @@ _E8_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = E8")
     (_D6_HEAD + "[places]\nv2 = omega=(1,0,1)\n", "7:1: expected two components in '(1,0,1)'"),
     (_D6_HEAD + "[places]\nv2 = omega=(1,x)\n", "7:1: bad bit pair '(1,x)'"),
     ("[places]\nv2 = omega=1/0\n", "7:1: bad fraction '1/0'"),
+    ("[places]\nv2 = omega=x/3\n", "7:1: bad fraction 'x/3'"),
     ("[places]\nv2 = omega=1/2\n", "7:1: denominator 2 does not divide the local order 3"),
     ("[places]\nv2 = omega=x\n", "7:1: bad value 'x'"),
     (_G2_HEAD + "[places]\nv2 = omega=1\n", "6:1: only 0 lies in the trivial group"),
@@ -161,7 +165,8 @@ _E8_HEAD = _A2_HEAD.replace("type = 1A\nrank = 2", "type = E8")
         "places-kind", "places-twice", "real-kind", "real-twice", "real-no-form", "real-kind-contradicts",
         "real-kind-contradicts-outer-type",
         "empty-key", "aut-empty", "places-bit-pair", "places-bit-pair-length", "places-bit-pair-value",
-        "places-fraction", "places-denominator", "places-value", "places-trivial-group", "places-trivial-fraction",
+        "places-fraction", "places-fraction-text", "places-denominator", "places-value",
+        "places-trivial-group", "places-trivial-fraction",
         "places-trivial-fraction-E8",
         "real-form-parentheses", "real-form-parameters", "real-form-tag", "real-form-parameter-count",
         "real-form-odd-Sp_R", "real-form-odd-SpinStar", "real-form-negative-SU", "real-form-negative-Sp",
@@ -355,6 +360,16 @@ class TestCommands:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_a_failing_check_is_counted_and_exits_3(self, monkeypatch):
+        monkeypatch.setattr(selftest, "_checks", lambda: iter([("one", True), ("two", False)]))
+        out = io.StringIO()
+        assert selftest.run_selftest(out) == 3
+        assert out.getvalue().splitlines() == ["PASS  one", "FAIL  two", "1 check(s) failed"]
+
+    def test_a_conjugator_that_normalizes_is_found(self):
+        G, U, V1, _ = wreath_pair()
+        assert not selftest._no_normalizing_conjugator(G, U, V1, V1)
 
     def test_help_prints_the_descriptor_grammar(self, capsys):
         with pytest.raises(SystemExit) as done:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from genfix import set_partitions
 from rigidity import field_model
 from rigidity._util import MEMO_SIZE, natural_key
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP
@@ -267,6 +268,21 @@ class TestAdelicOrbit:
             pairs += [(PlaceLabel("v9", FI), LocalClass(Z5, 4)), (PlaceLabel("w", RI), LocalClass(Z5, 1))]
             x = sort_coords(pairs)
             assert adelic_orbit(x) == tuple(sorted(self.listed(x), key=coords_key))
+
+    def test_every_small_vector_matches_the_permutation_listing(self):
+        """Bounded-exhaustive: 1-5 finite places in every partition into
+        adelic classes, every value in Z/3 at each, and one real place."""
+        z3 = cyclic(3)
+        real = (PlaceLabel("w", RI), LocalClass(z3, 1))
+        checked = 0
+        for n in range(1, 6):
+            for part in set_partitions(n):
+                labels = [PlaceLabel(f"v{i}", FI, f"c{b}") for i, b in enumerate(part)]
+                for values in itertools.product(range(3), repeat=n):
+                    x = sort_coords([real] + [(lab, LocalClass(z3, v)) for lab, v in zip(labels, values)])
+                    assert adelic_orbit(x) == tuple(sorted(self.listed(x), key=coords_key))
+                    checked += 1
+        assert checked == 14007  # the sum of Bell(n) * 3^n over n = 1..5
 
     def test_global_orbit_inside_adelic_orbit(self):
         labs = gaussian_places()

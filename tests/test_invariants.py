@@ -238,6 +238,10 @@ class TestCountLocalForms:
         assert count_local_forms(t("A", 1), 4) == 2
         assert count_local_forms(t("A", 1), 8) == 2
 
+    def test_a_square_class_count_below_one_is_refused(self):
+        with pytest.raises(ContractError, match="^square class count must be positive$"):
+            count_local_forms(t("A", 2), 0)
+
     def test_orbit_summand_against_direct_enumeration(self):
         for gt in REPRESENTATIVES:
             inner = gt.inner_twin()
@@ -250,7 +254,35 @@ class TestCountLocalForms:
             assert base == len(orbits)
 
 
+class TestShape:
+    @pytest.mark.parametrize("args, message", [
+        (("bad",), "bad shape kind 'bad'"),
+        (("cyclic", 1), "cyclic shape needs modulus >= 2; use TRIVIAL for order 1"),
+    ])
+    def test_a_bad_shape_is_refused(self, args, message):
+        with pytest.raises(ValueError) as raised:
+            Shape(*args)
+        assert str(raised.value) == message
+
+    def test_names(self):
+        assert [str(TRIVIAL), str(cyclic(4)), str(KLEIN)] == ["0", "Z/4", "Z/2 x Z/2"]
+
+
 class TestLocalClass:
+    @pytest.mark.parametrize("shape, value, message", [
+        (cyclic(3), "1", "cyclic class needs an integer value, got '1'"),
+        (KLEIN, 1, "klein class needs a bit pair, got 1"),
+        (KLEIN, (1, 0, 1), "klein class needs a bit pair, got (1, 0, 1)"),
+    ])
+    def test_a_value_of_the_wrong_form_is_refused(self, shape, value, message):
+        with pytest.raises(ContractError) as raised:
+            LocalClass(shape, value)
+        assert str(raised.value) == message
+
+    def test_classes_of_two_shapes_do_not_add(self):
+        with pytest.raises(ContractError, match="^cannot add classes of shapes Z/2 and Z/3$"):
+            LocalClass(cyclic(2), 1) + LocalClass(cyclic(3), 1)
+
     def test_normalization(self):
         assert LocalClass(cyclic(3), 5).value == 2
         assert LocalClass(KLEIN, (3, 2)).value == (1, 0)

@@ -32,6 +32,10 @@ class TestDelta:
     def test_entries(self, r, s, expected):
         assert delta(r, s) == expected
 
+    def test_a_negative_argument_is_refused(self):
+        with pytest.raises(ContractError, match="^delta takes nonnegative arguments$"):
+            delta(-1, 0)
+
     def test_symmetry(self):
         for r in range(8):
             for s in range(8):
@@ -58,6 +62,10 @@ class TestRealFormTag:
         with pytest.raises(ValueError, match=f"^{name} takes {message}$"):
             RealFormTag(name, params)
 
+    def test_a_generic_tag_needs_its_family(self):
+        with pytest.raises(ValueError, match="^SplitForm needs the ambient family and rank$"):
+            RealFormTag("SplitForm")
+
     def test_a_zero_parameter_is_kept(self):
         assert RealFormTag("SU", (0, 4)).params == (4, 0)
         assert RealFormTag("Spin", (5, 0)).signature() == (Family.B, 2, False)
@@ -83,6 +91,19 @@ class TestRealStats:
     def test_quaternionic_linear_group(self):
         st = real_stats(RealFormTag("SL_H", (3,)))
         assert st.h1_size == 2 and st.kernel_size == 2
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((4, 3, 2, 1), "center cohomology size not divisible by component count"),
+        ((2, 2, 1, 1), "kernel size inconsistent with the quotient formula"),
+        ((1, 2, 1, 2), "kernel larger than the whole cohomology set"),
+    ])
+    def test_inconsistent_sizes_are_refused(self, sizes, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            RealStats(*sizes)
+
+    def test_a_generic_tag_has_no_table(self):
+        with pytest.raises(ContractError, match=r"^no tabulated cohomology data for SplitForm\[A2\]$"):
+            real_stats(RealFormTag("SplitForm", family=Family.A, rank=2))
 
     def test_star_forms(self):
         even = real_stats(RealFormTag("SpinStar", (12,)))
@@ -219,6 +240,10 @@ class TestRealClass:
             real_class(RealFormTag("Spin", (7, 3)), d5, RI)
         got = real_class(RealFormTag("Spin", (7, 3)), d5, RI, LocalClass(cyclic(2), 1))
         assert got == LocalClass(cyclic(2), 1)
+
+    def test_a_supplied_class_of_another_shape_is_refused(self):
+        with pytest.raises(ContractError, match=r"^real class for Spin\(6,3\) must have shape Z/2$"):
+            real_class(RealFormTag("Spin", (6, 3)), GroupType(Family.B, 4), RI, LocalClass(cyclic(3), 1))
 
     def test_forced_value_conflicts_rejected(self):
         a3 = GroupType(Family.A, 3)

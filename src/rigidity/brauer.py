@@ -25,6 +25,7 @@ from .field_model import (
     FieldDescriptor,
     PlaceLabel,
     PlaceSymmetry,
+    _class_symmetry,
     adelic_orbit,
     coords_key,
     global_orbit,
@@ -391,7 +392,9 @@ def compare_possible(
     (``_full_flip_coherent``).  Returns the possible count and, unless the
     sides are equal, the ``pick_witness`` choice among possible vectors
     outside the realized side, else among σ(O), which then are the
-    realized vectors it lacks.
+    realized vectors it lacks.  Only direct ``weak_uniformity`` calls reach
+    that branch (say type 1D6 over Q, one twin): its witness is incoherent,
+    and ``check_witness`` would raise on it if ``classify`` ever got there.
     """
     possible, witness = _possible_side(omega, flipped is not None)
     members, outside = orbit, ()
@@ -447,11 +450,11 @@ def weak_uniformity(
 
 
 def possible_vectors(omega: OmegaVector) -> Tuple[Coords, ...]:
-    """The possible side listed by the reference enumerators: every coherent
-    flip, then every arrangement within the adelic classes."""
-    out: Set[Coords] = set()
-    for e in s_omega_orbit(omega).elements:
-        out.update(adelic_orbit(e))
+    """The possible side, listed: one ``orbit_set`` walk from every coherent
+    flip at once, under the permutations within each adelic class."""
+    starts = s_omega_orbit(omega).elements
+    labels = [lab for lab, _ in omega.finite]
+    out = (tuple(zip(labels, x)) for x in orbit_set(starts, _class_symmetry(starts)))
     return tuple(sorted(out, key=coords_key))
 
 

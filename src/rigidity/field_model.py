@@ -12,7 +12,6 @@ uniformity condition downstream.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -308,34 +307,26 @@ def global_orbit(coords: Coords, s: PlaceSymmetry, fixing: Optional[str] = None)
     return tuple(sorted(orbit, key=coords_key))
 
 
+def _class_symmetry(starts: Sequence[Coords]) -> PlaceSymmetry:
+    """A transposition of the first two places and a cycle through all the
+    places of each adelic class in which some start vector holds two or more
+    values: together they generate every permutation within those classes."""
+    at: Dict[str, List[int]] = {}  # class -> the positions of its places
+    for i, (lab, _) in enumerate(starts[0]):
+        if lab.kind.is_finite:
+            at.setdefault(lab.class_key(), []).append(i)
+    walked = [[starts[0][i][0].id for i in pos] for pos in at.values()
+              if len(pos) > 1 and any(len({x[i][1] for i in pos}) > 1 for x in starts)]
+    return PlaceSymmetry(tuple(PlacePerm.from_cycles([c]) for ids in walked for c in (ids[:2], ids)))
+
+
 def adelic_orbit(coords: Coords) -> Tuple[Coords, ...]:
     """All vectors obtained by permuting coordinates within each adelic class.
 
     The values themselves never move between classes: isomorphisms of
     completions act trivially on the local invariants, so only the
-    placement within a class is free.  Each class is walked by
-    ``orbit_set`` under a transposition of its first two places and a
-    cycle through all of them, which generate every permutation of the
-    class; a class that holds one value has one arrangement.  Output order
-    is canonical and independent of how the places were declared.
+    placement within a class is free.  One ``orbit_set`` walk under
+    ``_class_symmetry`` lists them.  Output order is canonical and
+    independent of how the places were declared.
     """
-    at: Dict[str, List[int]] = {}  # class -> the positions of its places
-    for i, (lab, _) in enumerate(coords):
-        if lab.kind.is_finite:
-            at.setdefault(lab.class_key(), []).append(i)
-    per_class = []
-    for pos in at.values():
-        part = tuple(coords[i] for i in pos)
-        if len({cls for _, cls in part}) > 1:
-            ids = [lab.id for lab, _ in part]
-            s = PlaceSymmetry((PlacePerm.from_cycles([ids[:2]]), PlacePerm.from_cycles([ids])))
-            per_class.append([(pos, arr) for arr in orbit_set([part], s)])
-    labels = [lab for lab, _ in coords]
-    values = [cls for _, cls in coords]
-    orbit = []
-    for combo in itertools.product(*per_class):
-        for pos, arr in combo:
-            for i, v in zip(pos, arr):
-                values[i] = v
-        orbit.append(tuple(zip(labels, values)))
-    return tuple(sorted(orbit, key=coords_key))
+    return global_orbit(coords, _class_symmetry([coords]))

@@ -20,6 +20,10 @@ composing place permutations keyed by place id, ``reference_push`` pushes
 a vector along one of them by place id, and ``reference_global_orbit`` and
 ``reference_two_sided_orbit`` are the orbits ``global_orbit`` and
 ``classifier._two_sided_orbit`` must agree with.
+``reference_arrangements`` lists every permutation of each adelic class
+by ``itertools.permutations``, and ``reference_possible_vectors`` takes
+its union over the coherent flips: the listings ``adelic_orbit`` and
+``brauer.possible_vectors`` must agree with, with no ``orbit_set`` walk.
 ``ReferenceParser`` (``reference_parse``) reads a descriptor line by line
 with no memo and with no table or reader of ``rigidity.descriptor``, and
 ``rigidity.descriptor.parse`` must read it alike.
@@ -43,6 +47,7 @@ that imports the package under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -75,6 +80,7 @@ from rigidity.brauer import (
     inner_twin_places,
     pick_witness,
     plain_orbits,
+    s_omega_orbit,
     sigma_flip,
 )
 from rigidity.classifier import GroupDescriptor
@@ -87,7 +93,9 @@ from rigidity.errors import (
     RigidityError,
     ValidationError,
 )
-from rigidity.field_model import Coords, FieldDescriptor, HbarFiber, PlaceLabel, PlacePerm, PlaceSymmetry
+from rigidity.field_model import (
+    Coords, FieldDescriptor, HbarFiber, PlaceLabel, PlacePerm, PlaceSymmetry, sort_coords,
+)
 from rigidity.invariants import (
     FIXED_RANKS,
     Family,
@@ -633,6 +641,27 @@ def reference_global_orbit(coords, s: PlaceSymmetry, fixing: Optional[str] = Non
     that fix the place ``fixing``, or under all of them."""
     return {reference_push(coords, phi) for phi in reference_group(s)
             if fixing is None or phi.apply(fixing) == fixing}
+
+
+def reference_arrangements(x: Coords) -> Set[Coords]:
+    """Every permutation of each adelic class of ``x``, deduplicated afterwards."""
+    classes: Dict[str, List[Tuple[PlaceLabel, LocalClass]]] = {}
+    for lab, cls in x:
+        if lab.kind.is_finite:
+            classes.setdefault(lab.class_key(), []).append((lab, cls))
+    per_class = [
+        [list(zip([lab for lab, _ in members], arr))
+         for arr in set(itertools.permutations([cls for _, cls in members]))]
+        for members in classes.values()
+    ]
+    rest = [(lab, cls) for lab, cls in x if not lab.kind.is_finite]
+    return {sort_coords(rest + [e for part in combo for e in part])
+            for combo in itertools.product(*per_class)}
+
+
+def reference_possible_vectors(omega: OmegaVector) -> Set[Coords]:
+    """The possible side: ``reference_arrangements`` of each coherent flip, united."""
+    return set().union(*map(reference_arrangements, s_omega_orbit(omega).elements))
 
 
 def reference_two_sided_orbit(g) -> Set:

@@ -14,6 +14,7 @@ from oracles import (
     per_vector_compare_possible,
     reference_class_test,
     reference_compare_possible,
+    reference_possible_vectors,
 )
 from recount import recount_compare_possible
 from rigidity.brauer import (
@@ -30,6 +31,7 @@ from rigidity.brauer import (
     tate_sum,
     weak_uniformity,
 )
+from rigidity.descriptor import parse
 from rigidity.errors import ContractError
 from rigidity.field_model import (
     FieldDescriptor,
@@ -38,6 +40,7 @@ from rigidity.field_model import (
     PlacePerm,
     PlaceSymmetry,
     adelic_orbit,
+    coords_key,
     global_orbit,
     sort_coords,
 )
@@ -56,6 +59,7 @@ from rigidity.invariants import (
     sym_act,
     zero,
 )
+from rigidity.selftest import FIXTURES
 
 FI = PlaceKind.FINITE_INNER
 FO = PlaceKind.FINITE_OUTER
@@ -402,6 +406,30 @@ class TestCountingMatchesEnumeration:
             one_sided = set(global_orbit(om.finite, s))
             assert compare_possible(om, as_values(one_sided)) == \
                 enumerated_comparison(om, one_sided, False)
+
+
+class TestPossibleVectorsMatchThePermutationListing:
+    """``possible_vectors``, one ``orbit_set`` walk from every coherent flip
+    at once, against ``reference_possible_vectors``, which lists every
+    permutation of each class of each flip and walks no orbit.  The inputs
+    are every fixture and those of ``TestCountingMatchesEnumeration``: its
+    draws whose reference listing walks at most 20,000 vectors, so whose
+    possible side has at most that many."""
+
+    def test_on_the_fixtures_and_the_counted_inputs(self):
+        inputs = [parse(text).omega for text in FIXTURES.values()]
+        for make, count in TestCountingMatchesEnumeration.GENERATORS:
+            rng = random.Random(make.__name__)
+            drawn = 0
+            while drawn < count:
+                g = make(rng)
+                if TestCountingMatchesEnumeration.listing_cost(g) <= 20000:
+                    inputs.append(g.omega)
+                    drawn += 1
+        assert len(inputs) == 14 + 530
+        for omega in inputs:
+            want = tuple(sorted(reference_possible_vectors(omega), key=coords_key))
+            assert possible_vectors(omega) == want
 
 
 def class_multisets(coords):

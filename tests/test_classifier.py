@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import genfix
 from genfix import rand_q
 from oracles import run_python
 from rigidity import brauer, classifier, field_model
@@ -821,6 +822,35 @@ class TestVerdictInvariants:
         g = parse(FIXTURES["table1_D1"])
         with pytest.raises(ContractError):
             check_witness(g, g)
+
+
+class TestClassifyMeetsOnlyCoherentFullFlips:
+    """Classify never reaches the branch of ``compare_possible`` where σ(O)
+    lies outside the possible side.  Only twin places charge the full flip.
+    For inner A and E6 a place σ fixes charges 0, so the twins carry the
+    whole charge of omega, which is 0.  Outer types and types without
+    symmetry charge nothing.  For inner odd D coherence forces an even
+    number of twins; inner even D with a real place, the one case with an
+    odd number, goes to the orbit match."""
+
+    GENERATORS = [
+        genfix.rand_q, genfix.rand_quasisplit_galois, genfix.rand_outer_two_twins,
+        genfix.rand_bound_violator, genfix.rand_two_real_quadratic, genfix.rand_three_reals,
+        genfix.rand_classed, genfix.rand_interleaved, genfix.rand_paired,
+    ]
+
+    def test_every_full_flip_classify_checks_is_coherent(self, monkeypatch):
+        checks = []
+        coherent = brauer._full_flip_coherent
+        monkeypatch.setattr(brauer, "_full_flip_coherent",
+                            lambda omega: checks.append(coherent(omega)) or checks[-1])
+        for text in FIXTURES.values():
+            classify(parse(text))
+        for make in self.GENERATORS:
+            for seed in range(400):
+                classify(make(random.Random(seed)))
+        assert len(checks) == 2005
+        assert all(checks)
 
 
 def twins_over_q(rank: int, values) -> str:

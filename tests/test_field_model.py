@@ -4,6 +4,7 @@ import random
 import pytest
 
 from genfix import set_partitions
+from oracles import reference_arrangements
 from rigidity import field_model
 from rigidity._util import MEMO_SIZE, natural_key
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP
@@ -243,21 +244,7 @@ class TestAdelicOrbit:
         y = sort_coords(reversed(list(x)))
         assert adelic_orbit(x) == adelic_orbit(y)
 
-    @staticmethod
-    def listed(x):
-        """The reference listing: every permutation of each class, deduplicated afterwards."""
-        classes = {}
-        for lab, cls in x:
-            if lab.kind.is_finite:
-                classes.setdefault(lab.class_key(), []).append((lab, cls))
-        per_class = [
-            [list(zip([lab for lab, _ in members], arr))
-             for arr in set(itertools.permutations([cls for _, cls in members]))]
-            for members in classes.values()
-        ]
-        rest = [(lab, cls) for lab, cls in x if not lab.kind.is_finite]
-        return {sort_coords(rest + [e for part in combo for e in part])
-                for combo in itertools.product(*per_class)}
+    listed = staticmethod(reference_arrangements)  # the permutation listing
 
     def test_distinct_orderings_match_the_permutation_listing(self):
         rng = random.Random(13)

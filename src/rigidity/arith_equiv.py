@@ -12,17 +12,17 @@ locally-but-not-globally interchangeable.
 
 A group is listed once, as sorted tuples of degree points, and from then on
 ``PermGroup`` runs the checks on element numbers: element i is the i-th of
-the sorted list, each generator has its right, left and conjugation tables
-of |G| numbers, every other right factor gets a column of |G| numbers while
-the kept columns have room and multiplies by tuple products past it, and
-subgroups are frozensets of numbers.  One coset walk (Dimino's algorithm,
+the sorted list, each generator has its right, left and inverse conjugation
+tables of |G| numbers, every other left factor gets a column of |G| numbers
+while the kept columns have room and multiplies by tuple products past it,
+and subgroups are frozensets of numbers.  One coset walk (Dimino's algorithm,
 ``_adjoin``, from a generating tuple ``generate`` takes greedily) lists
 the group and spans its subgroups alike, as ``_powers`` lists the powers of
-one element: each takes a generator as its right multiplication y -> yx,
-``_times(x)`` on tuples and ``PermGroup.right(x)`` on numbers.  Each fact
-about a group is cached once, on numbers; the public functions take and
-return tuples and convert at the boundary.  ``PermGroup.subgroups`` stays
-on tuples, as the reference lattice.
+one element: each steps by a generator x, y -> yx by ``_times(x)`` on
+tuples and y -> xy by ``PermGroup.left(x)`` on numbers.  Each fact about a
+group is cached once, on numbers; the public functions take and return
+tuples and convert at the boundary.  ``PermGroup.subgroups`` stays on
+tuples, as the reference lattice.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ DEFAULT_GROUP_CAP = 10080
 # Most normal subgroups one group may list; (Z/2)^n has about 2^(n^2/4).
 NORMAL_SUBGROUP_LIMIT = 512
 
-# Most numbers the columns kept for right factors other than the generators
+# Most numbers the columns kept for left factors other than the generators
 # hold, 8 MiB of list slots: all |G| columns up to order 1,024, 2^20/|G| past it.
 KEPT_COLUMN_ENTRIES = 1 << 20
 
@@ -84,9 +84,9 @@ def _times(s: Perm) -> Callable[[Perm], Perm]:
 
 def _powers(x, step: Callable, e) -> list:
     """e, x, x^2, ... up to the last power before e, where ``step`` is
-    y -> yx.  Only elements of a listed group come here, so their order is
-    within the cap; ``generate`` checks the cap on each power of an element
-    it is given, as a coset of the trivial subgroup."""
+    y -> yx or y -> xy.  Only elements of a listed group come here, so their
+    order is within the cap; ``generate`` checks the cap on each power of an
+    element it is given, as a coset of the trivial subgroup."""
     out = [e]
     while x != e:
         out.append(x)
@@ -95,10 +95,10 @@ def _powers(x, step: Callable, e) -> list:
 
 
 def _adjoin(sub: FrozenSet, steps: Sequence[Callable], within: Optional[FrozenSet] = None) -> FrozenSet:
-    """The subgroup ``sub`` and the generators whose right multiplications
-    y -> yx are ``steps`` generate, as the union of the right cosets of
-    ``sub`` they reach (Dimino's algorithm): each new coset is the image
-    ``map(step, coset)`` of one found before.
+    """The subgroup ``sub`` and the generators whose multiplications y -> yx
+    (or all y -> xy) are ``steps`` generate, as the union of the right (or
+    left) cosets of ``sub`` they reach (Dimino's algorithm): each new coset
+    is the image ``map(step, coset)`` of one found before.
 
     The union is closed under the generators it is built with, so ``steps``
     must include generators of ``sub`` unless they normalize ``sub``.  A
@@ -127,13 +127,14 @@ def generate(xs: Iterable, e, times: Callable = _times,
     each that the earlier ones do not generate, and the subgroup generated
     (``_adjoin``); CapacityError past ``DEFAULT_GROUP_CAP`` elements.
 
-    ``times(x)`` is the step y -> yx: ``_times`` lists a group of tuples
-    from its generators, and a listed group's ``PermGroup.right`` spans its
-    subgroups on element numbers.  With ``within``, the set that ``xs``
-    lists and that should be a subgroup: everything generated must lie in
-    it, else ContractError.  Every element either is generated or becomes
-    a generator, so this checks closure in at most |within| times the
-    number of generators lookups, and a set that is not closed stops early.
+    ``times(x)`` is the step by x: ``_times`` (y -> yx) lists a group of
+    tuples from its generators, and a listed group's ``PermGroup.left``
+    (y -> xy) spans its subgroups on element numbers.  With ``within``, the
+    set that ``xs`` lists and that should be a subgroup: everything
+    generated must lie in it, else ContractError.  Every element either is
+    generated or becomes a generator, so this checks closure in at most
+    |within| times the number of generators lookups, and a set that is not
+    closed stops early.
     """
     gens: tuple = ()
     steps: List[Callable] = []
@@ -181,15 +182,15 @@ class PermGroup:
     Element i is ``elements()[i]``.  The list is sorted, so index order is
     element order, every sorted output comes out as it would on tuples, and
     the identity, the least permutation, is 0.  Listing the group also
-    builds its tables: each generator s has three of |G| numbers, x -> xs
-    (its column), x -> sx and x -> sxs^-1.  Every other right factor x gets
-    its column y -> yx the first time ``right`` is asked for it, filled along
-    a spanning tree of left multiplications by the generators, since
-    (sy)x = s(yx), while the columns kept hold at most
+    builds its tables: each generator s has three of |G| numbers, x -> xs,
+    x -> sx (its column) and x -> s^-1xs.  Every other left factor x gets
+    its column y -> xy the first time ``left`` is asked for it; all columns
+    are filled along one spanning tree of right multiplications by the
+    generators, since x(yt) = (xy)t.  The columns kept hold at most
     ``KEPT_COLUMN_ENTRIES`` numbers; past that room it multiplies by one
     tuple product for each element, so a large group never builds its |G|^2
     product table.  Subgroups are frozensets of numbers, spanned by the coset
-    walk that lists the group (``generate``, ``_adjoin``), with ``right`` as
+    walk that lists the group (``generate``, ``_adjoin``), with ``left`` as
     its step.  The classes, the normal subgroups and the squares are cached
     once, on numbers; ``conjugacy_classes``, ``normal_subgroups`` and
     ``index_two_subgroups`` convert to tuples on each call.
@@ -218,19 +219,16 @@ class PermGroup:
             self.pos: Dict[Perm, int] = {x: i for i, x in enumerate(elements)}
             distinct = list(dict.fromkeys(self.generators))
             gens = [self.pos[s] for s in distinct]
-            # x -> xs
-            rights = [list(map(self.pos.__getitem__, map(_times(s), elements))) for s in distinct]
-            self.columns: Dict[int, List[int]] = dict(zip(gens, rights))
+            # x -> xs, and the tree that columns and conjugators are walked along
+            self.rights = [list(map(self.pos.__getitem__, map(_times(s), elements))) for s in distinct]
+            self.tree = _spanning_tree(self.rights, len(elements))
+            # x -> sx along the tree, since s(yt) = (sy)t
+            lefts = [_along(self.tree, self.rights, s) for s in gens]
+            self.columns: Dict[int, List[int]] = dict(zip(gens, lefts))
             self._room = KEPT_COLUMN_ENTRIES
-            # x -> sx along a tree of right multiplications, since s(yt) = (sy)t
-            right_tree = _spanning_tree(rights, len(elements))
-            self.lefts = [_along(right_tree, rights, s) for s in gens]
-            # x -> sxs^-1: sx, then times s^-1, the inverse of x -> xs
-            self.conjs = [list(map(perm_inv(right).__getitem__, left))
-                          for left, right in zip(self.lefts, rights)]
-            # the spanning tree of left multiplications that columns and
-            # conjugators are walked along
-            self.tree = _spanning_tree(self.lefts, len(elements))
+            # x -> s^-1xs: s^-1x, the inverse of x -> sx, then times s
+            self.conjs = [list(map(right.__getitem__, perm_inv(left)))
+                          for left, right in zip(lefts, self.rights)]
             self._elements = elements
         return self._elements
 
@@ -299,19 +297,19 @@ class PermGroup:
         ``subgroups()`` (``halves``)."""
         return [self.perms(h) for h in self.halves(self.numbers(n))]
 
-    def right(self, x: int) -> Callable[[int], int]:
-        """y -> yx.  A kept column is looked up; failing that, while there is
-        room, x's column is built along the tree of left multiplications,
-        since (sy)x = s(yx), and kept.  Past the room each product is one
+    def left(self, x: int) -> Callable[[int], int]:
+        """y -> xy.  A kept column is looked up; failing that, while there is
+        room, x's column is built along the tree of right multiplications,
+        since x(yt) = (xy)t, and kept.  Past the room each product is one
         tuple product."""
         col = self.columns.get(x)
         if col is None and self._room >= len(self._elements):
-            col = self.columns[x] = _along(self.tree, self.lefts, x)
+            col = self.columns[x] = _along(self.tree, self.rights, x)
             self._room -= len(col)
         if col is not None:
             return col.__getitem__
-        times, elements, pos = _times(self._elements[x]), self._elements, self.pos
-        return lambda y: pos[times(elements[y])]
+        p, elements, pos = self._elements[x], self._elements, self.pos
+        return lambda y: pos[perm_mul(p, elements[y])]
 
     def squares(self) -> List[int]:
         """x -> xx."""
@@ -368,8 +366,8 @@ class PermGroup:
             for i, cls in enumerate(classes):
                 if cls[0] == 0 or same[i]:
                     continue
-                powers = _powers(cls[0], self.right(cls[0]), 0)
-                gens, sub = generate(cls, 0, self.right)
+                powers = _powers(cls[0], self.left(cls[0]), 0)
+                gens, sub = generate(cls, 0, self.left)
                 spans.setdefault(sub, gens)
                 for k in range(2, len(powers)):
                     if gcd(k, len(powers)) == 1:
@@ -387,7 +385,7 @@ class PermGroup:
                         # n is normal, so it holds the class subgroup iff it holds gens[0]
                         if gens[0] in n or n <= sub:
                             continue
-                        join = _adjoin(n, list(map(self.right, gens)))
+                        join = _adjoin(n, list(map(self.left, gens)))
                         if join not in known:
                             known.add(join)
                             nxt.append(join)
@@ -408,13 +406,13 @@ class PermGroup:
         if len(n) % 2:
             return []
         squares = self.squares()
-        _, sub = generate(sorted({squares[x] for x in n}), 0, self.right)
+        _, sub = generate(sorted({squares[x] for x in n}), 0, self.left)
         coords = dict.fromkeys(sub, 0)
         bit = 1
         for x in n:
             if x not in coords:
                 # the known part is a subgroup holding the squares, so normal in n
-                step = self.right(x)
+                step = self.left(x)
                 coords.update([(step(y), c | bit) for y, c in coords.items()])
                 bit <<= 1
         halves = [frozenset(x for x, c in coords.items() if not (c & f).bit_count() % 2)
@@ -431,20 +429,20 @@ class PermGroup:
 
     def induced(self, members: Members) -> Tuple[int, ...]:
         """Value on each conjugacy class of the character induced from the
-        trivial one on U = ``members``: the number of left cosets xU that the
+        trivial one on U = ``members``: the number of right cosets Ux that the
         class representative fixes, computed without the class profile.
 
-        r fixes xU exactly when r lies in its stabilizer xUx^-1.  The walk
-        starts at U, its own stabilizer, and reaches every left coset from one
-        found before: s(xU) by the table x -> sx, and its stabilizer
-        s(xUx^-1)s^-1 by the table x -> sxs^-1.  Each coset adds one to the
+        r fixes Ux exactly when r lies in its stabilizer x^-1Ux.  The walk
+        starts at U, its own stabilizer, and reaches every right coset from
+        one found before: (Ux)s by the table x -> xs, and its stabilizer
+        s^-1(x^-1Ux)s by the table x -> s^-1xs.  Each coset adds one to the
         class of every representative its stabilizer holds: about 3|G|
         lookups in all, and none per class.
         """
         self.classes()
         rep_class = self.rep_class
         is_rep = rep_class.__contains__
-        steps = list(zip(self.lefts, self.conjs))
+        steps = list(zip(self.rights, self.conjs))
         values = [0] * len(rep_class)
         seen = set(members)
         walk = [(list(members), list(members))]  # (coset, its stabilizer)
@@ -453,9 +451,9 @@ class PermGroup:
             for r in filter(is_rep, stab):
                 values[rep_class[r]] += 1
             x = coset[0]
-            for left, conj in steps:
-                if left[x] not in seen:
-                    new = list(map(left.__getitem__, coset))
+            for right, conj in steps:
+                if right[x] not in seen:
+                    new = list(map(right.__getitem__, coset))
                     seen.update(new)
                     walk.append((new, list(map(conj.__getitem__, stab))))
         return tuple(values)
@@ -463,9 +461,8 @@ class PermGroup:
     def conjugates_into(self, xs: Sequence[int], target: Members) -> bool:
         """Whether some g conjugates every element of ``xs`` into ``target``.
 
-        The walk follows the spanning tree: if y = sx then y's conjugates of
-        ``xs`` are x's conjugates conjugated once more by s, one table lookup
-        each."""
+        The walk follows the spanning tree: if y = zs then y^-1xy is
+        s^-1(z^-1xz)s, one lookup in s's table x -> s^-1xs for each x."""
         if target.issuperset(xs):
             return True
         images: List[Optional[List[int]]] = [None] * len(self._elements)
@@ -494,7 +491,7 @@ class Subgroup:
             raise ContractError("subgroup must contain the identity")
         G = self.group
         numbers = G.numbers(self.members)
-        gens, _ = generate(sorted(numbers), 0, G.right, numbers)
+        gens, _ = generate(sorted(numbers), 0, G.left, numbers)
         object.__setattr__(self, "generators", tuple(map(G.elements().__getitem__, gens)))
         object.__setattr__(self, "_numbers", (numbers, gens))
 
@@ -565,25 +562,25 @@ def verify_prop_almost_conjugate(G: PermGroup):
 
     The normal subgroups and their index-two subgroups come from
     ``PermGroup.normals`` and ``PermGroup.halves``, not from the subgroup
-    lattice.  Each index-two subgroup becomes a ``Subgroup``, which checks
-    that it is closed, and its class profile and induced character are
-    computed once; every pair still compares both, raising ``ContractError``
-    when they disagree, and only almost conjugate pairs are tested for
-    conjugacy.
+    lattice, and stay sets of element numbers.  Each is checked to be closed
+    as ``Subgroup`` checks a set, and its class profile and induced character
+    are computed once; every pair still compares both, raising
+    ``ContractError`` when they disagree, and only almost conjugate pairs are
+    tested for conjugacy (``PermGroup.conjugates_into`` on generators).
 
     Returns (True, None) when almost conjugate implies conjugate throughout,
-    otherwise (False, counterexample pair).  No counterexample should ever
-    exist; the scan is the verification.
+    otherwise (False, a counterexample pair of ``Subgroup``s).  No
+    counterexample should ever exist; the scan is the verification.
     """
     for n in G.normals():
         halves = G.halves(n)
         if len(halves) < 2:
             continue
-        inside = [Subgroup(G, G.perms(h)) for h in halves]
+        gens = [generate(sorted(h), 0, G.left, h)[0] for h in halves]
         signatures = [_signature(G, h) for h in halves]
-        for i, u1 in enumerate(inside):
-            for j in range(i + 1, len(inside)):
-                u2 = inside[j]
-                if _signatures_agree(signatures[i], signatures[j]) and not are_conjugate(G, u1, u2):
-                    return False, (u1, u2)
+        for i, h in enumerate(halves):
+            for j in range(i + 1, len(halves)):
+                if (_signatures_agree(signatures[i], signatures[j])
+                        and not G.conjugates_into(gens[i], halves[j])):
+                    return False, (Subgroup(G, G.perms(h)), Subgroup(G, G.perms(halves[j])))
     return True, None

@@ -152,16 +152,8 @@ def _flip_subset(omega: OmegaVector, ids: Collection[str]) -> Coords:
 FLIP_WALK_TWIN_LIMIT = 14
 
 
-def s_omega_orbit(omega: OmegaVector) -> SOmegaOrbit:
-    """All coherent symmetry flips of the finite coordinates.
-
-    Flipping the coordinates in a subset of the twin places keeps the
-    vector globally realizable exactly when the flipped part's dual sum is
-    fixed by the global symmetry; the subsets satisfying that condition
-    parameterize the orbit.  This walks all 2^r subsets of the r twin
-    places: it is the reference listing, not the decision path, and above
-    ``FLIP_WALK_TWIN_LIMIT`` twin places it raises CapacityError.
-    """
+def _coherent_flips(omega: OmegaVector) -> Tuple[List[FrozenSet[str]], Set[Coords]]:
+    """``s_omega_orbit``'s subsets and flipped vectors, unsorted."""
     twins = inner_twin_places(omega)
     if len(twins) > FLIP_WALK_TWIN_LIMIT:
         raise CapacityError(f"{len(twins)} twin places exceed the flip walk's limit {FLIP_WALK_TWIN_LIMIT}")
@@ -179,11 +171,22 @@ def s_omega_orbit(omega: OmegaVector) -> SOmegaOrbit:
         walk(i + 1, chosen, (acc + charges[i]) % m)
         chosen.pop()
     walk(0, [], 0)
-    elements = {_flip_subset(omega, ids) for ids in subsets}
-    return SOmegaOrbit(
-        admissible_subsets=tuple(sorted(subsets, key=lambda s: (len(s), sorted(map(natural_key, s))))),
-        elements=tuple(sorted(elements, key=coords_key)),
-    )
+    return subsets, {_flip_subset(omega, ids) for ids in subsets}
+
+
+def s_omega_orbit(omega: OmegaVector) -> SOmegaOrbit:
+    """All coherent symmetry flips of the finite coordinates.
+
+    Flipping the coordinates in a subset of the twin places keeps the
+    vector globally realizable exactly when the flipped part's dual sum is
+    fixed by the global symmetry; the subsets satisfying that condition
+    parameterize the orbit.  This walks all 2^r subsets of the r twin
+    places: it is the reference listing, not the decision path, and above
+    ``FLIP_WALK_TWIN_LIMIT`` twin places it raises CapacityError.
+    """
+    subsets, elements = _coherent_flips(omega)
+    return SOmegaOrbit(tuple(sorted(subsets, key=lambda s: (len(s), sorted(map(natural_key, s))))),
+                       tuple(sorted(elements, key=coords_key)))
 
 
 def pick_witness(candidates: Iterable[Coords], base: Coords) -> Coords:
@@ -452,7 +455,7 @@ def weak_uniformity(
 def possible_vectors(omega: OmegaVector) -> Tuple[Coords, ...]:
     """The possible side, listed: one ``orbit_set`` walk from every coherent
     flip at once, under the permutations within each adelic class."""
-    starts = s_omega_orbit(omega).elements
+    starts = list(_coherent_flips(omega)[1])
     labels = [lab for lab, _ in omega.finite]
     out = (tuple(zip(labels, x)) for x in orbit_set(starts, _class_symmetry(starts)))
     return tuple(sorted(out, key=coords_key))

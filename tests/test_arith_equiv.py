@@ -49,6 +49,10 @@ SMALL_CATALOG = [G.name for G in catalog_groups() if G.order() <= 48]
 # points, so a drawn permutation may fall outside it
 DRAWN_FROM = [G for G in catalog_groups() if G.name in ("C4", "V4", "D8", "A4", "C2wrC3", "S3xS3")]
 
+# a group of degree 1 to 7 drawn by up to three generators
+DRAWN_GROUPS = st.integers(1, 7).flatmap(
+    lambda d: st.lists(st.permutations(range(d)).map(tuple), max_size=3).map(lambda gens: (d, gens)))
+
 
 def lattice_normal_subgroups(G):
     """The normal subgroups filtered out of the reference lattice."""
@@ -240,14 +244,14 @@ class TestVerifyProp:
     def test_an_almost_conjugate_pair_that_is_not_conjugate_is_returned(self, monkeypatch):
         # in S4 the three subgroups of order two in the Klein four group are
         # conjugate, so they are almost conjugate
-        monkeypatch.setattr(arith_equiv, "are_conjugate", lambda G, U1, U2: False)
+        monkeypatch.setattr(PermGroup, "conjugates_into", lambda G, xs, target: False)
         G = catalog_group("S4")
         ok, (u1, u2) = verify_prop_almost_conjugate(G)
         assert not ok and u1.order() == u2.order() == 2 and u1 != u2
         assert almost_conjugate(G, u1, u2)
 
     def test_equiv_prints_a_counterexample_and_exits_three(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(arith_equiv, "are_conjugate", lambda G, U1, U2: False)
+        monkeypatch.setattr(PermGroup, "conjugates_into", lambda G, xs, target: False)
         catalog = tmp_path / "groups.cat"
         catalog.write_text("S4 4 (1 2);(1 2 3 4)\nC3 3 (1 2 3)\n", encoding="utf-8")
         assert main(["equiv", str(catalog)]) == 3
@@ -441,7 +445,7 @@ class TestBudget:
 
     def test_verify_on_the_symmetric_group_of_degree_seven(self):
         # order 5,040, listed with its index layer and 57 kept columns: about
-        # 0.03-0.1 s in-process and a tracemalloc peak of about 5.1 MiB
+        # 0.03-0.06 s in-process and a tracemalloc peak of about 4.6 MiB
         # (0.13-0.23 s and 4.5 MiB on tuples; 2-vCPU Xeon VM, Python 3.11).
         # A product table of |G|^2 numbers alone takes about 200 MB
         line = "S7 7 (1 2);(1 2 3 4 5 6 7)"
@@ -461,7 +465,7 @@ class TestBudget:
     def test_verify_on_a_cyclic_group_of_order_5040(self):
         # C16 x C9 x C5 x C7 on 37 points: every class is one element, and
         # columns kept for each would take about 200 MB; 86 are kept.  About
-        # 0.28-0.6 s in-process and a tracemalloc peak of about 9.2 MiB
+        # 0.29-0.51 s in-process and a tracemalloc peak of about 8.3 MiB
         # (2-vCPU Xeon VM, Python 3.11)
         line = "C5040 37 " + ";".join(
             "(" + " ".join(map(str, range(a, b + 1))) + ")"
@@ -550,12 +554,61 @@ class TestIndexLayerAgainstTheTupleReferences:
         }
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(st.integers(1, 7).flatmap(
-        lambda d: st.lists(st.permutations(range(d)).map(tuple), max_size=3)
-        .map(lambda gens: (d, gens))))
+    @given(DRAWN_GROUPS)
     def test_drawn_generators(self, drawn):
         degree, gens = drawn
         agrees_with_the_tuple_references(PermGroup(degree, gens))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(DRAWN_GROUPS)
+    def test_products_on_drawn_generators(self, drawn):
+        # with room for no column past the generators' and with room for
+        # every column, verification multiplies by the same left factors x,
+        # and each kept column and each tuple product past the room is y -> xy
+        degree, gens = drawn
+        runs = []
+        left = PermGroup.left
+        for room in (0, DEFAULT_GROUP_CAP ** 2):
+            asked = set()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(arith_equiv, "KEPT_COLUMN_ENTRIES", room)
+                mp.setattr(PermGroup, "left", lambda G, x, asked=asked: asked.add(x) or left(G, x))
+                G = PermGroup(degree, gens)
+                assert verify_prop_almost_conjugate(G) == (True, None)
+            runs.append((G, asked))
+        (none, asked), (full, asked_with_room) = runs
+        assert asked == asked_with_room
+        assert set(none.columns) == set(map(none.pos.__getitem__, gens))
+        assert set(full.columns) == set(none.columns) | asked
+        elements = full.elements()
+        for x in full.columns:
+            want = [full.pos[perm_mul(elements[x], y)] for y in elements]
+            assert full.columns[x] == want
+            assert list(map(none.left(x), range(len(elements)))) == want
+
+    def test_one_spanning_tree_per_listed_group(self, monkeypatch):
+        trees = []
+        spanning_tree = arith_equiv._spanning_tree
+        monkeypatch.setattr(arith_equiv, "_spanning_tree", lambda *a: trees.append(a) or spanning_tree(*a))
+        groups = catalog_groups()
+        for G in groups:
+            verify_prop_almost_conjugate(G)
+        G, P, L = fano_point_line_stabilizers()
+        are_conjugate(G, P, L)
+        G, U, V1, V2 = wreath_pair()
+        are_conjugate(G, V1, V2)
+        common_normal_index2(G, U, U)
+        assert len(trees) == len(groups) + 2
+
+    def test_verification_builds_no_subgroup(self, monkeypatch):
+        built = []
+        post_init = Subgroup.__post_init__
+        monkeypatch.setattr(Subgroup, "__post_init__", lambda U: built.append(U) or post_init(U))
+        for G in catalog_groups():
+            assert verify_prop_almost_conjugate(G) == (True, None)
+        assert built == []
+        Subgroup(G, frozenset([G.identity]))
+        assert len(built) == 1
 
 
 def outcome(check, *args):

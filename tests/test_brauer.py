@@ -17,6 +17,7 @@ from oracles import (
     reference_possible_vectors,
 )
 from recount import recount_compare_possible
+from rigidity import brauer
 from rigidity.brauer import (
     OmegaVector,
     _full_flip_coherent,
@@ -430,6 +431,17 @@ class TestPossibleVectorsMatchThePermutationListing:
         for omega in inputs:
             want = tuple(sorted(reference_possible_vectors(omega), key=coords_key))
             assert possible_vectors(omega) == want
+
+    def test_sorts_once(self, monkeypatch):
+        # 13 twin places of type 1D6 over Q: 4,096 coherent flips, each a
+        # singleton adelic class, so the possible side is the flips, and
+        # coords_key runs once for each as the listing is sorted
+        text = ("[group]\ntype = 1D\nrank = 6\n[field]\ndegree = 1\n[places]\n"
+                + "".join(f"v{i} = omega=(1,0)\n" for i in range(13))
+                + "[real]\nw = form=SpinStar(12)\n")
+        keyed = []
+        monkeypatch.setattr(brauer, "coords_key", lambda c: keyed.append(c) or coords_key(c))
+        assert len(possible_vectors(parse(text).omega)) == len(keyed) == 4096
 
 
 def class_multisets(coords):

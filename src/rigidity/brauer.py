@@ -55,14 +55,20 @@ class OmegaVector:
     def __post_init__(self):
         object.__setattr__(self, "finite", sort_coords(self.finite))
         object.__setattr__(self, "real", sort_coords(self.real))
+        t = self.group_type
         for lab, cls in self.finite:
             if not lab.kind.is_finite:
                 raise ContractError(f"place {lab.id} is not finite")
-            self._check_shape(lab, cls)
+            if cls.shape is not h2_local(t, lab.kind):
+                self._check_shape(lab, cls)
         for lab, cls in self.real:
             if not lab.kind.is_real:
                 raise ContractError(f"place {lab.id} is not real")
-            self._check_shape(lab, cls)
+            if cls.shape is not h2_local(t, lab.kind):
+                self._check_shape(lab, cls)
+        # σω and the twin places, made by ``_flip_facts`` when first asked
+        # for; not part of the value, so ``replace`` starts without them
+        object.__setattr__(self, "_flips", None)
 
     def _check_shape(self, lab: PlaceLabel, cls: LocalClass):
         want = h2_local(self.group_type, lab.kind)
@@ -93,6 +99,18 @@ def sigma_flip(omega: OmegaVector) -> Coords:
     return tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in omega.finite)
 
 
+def _flip_facts(omega: OmegaVector) -> Tuple[Coords, Tuple[PlaceLabel, ...]]:
+    """σω and the twin places of omega, made by one ``sigma_flip`` the
+    first time they are asked for and then kept with omega."""
+    facts = omega._flips
+    if facts is None:
+        sigma = sigma_flip(omega)
+        twins = tuple(lab for (lab, cls), (_, image) in zip(omega.finite, sigma) if image is not cls)
+        facts = sigma, twins
+        object.__setattr__(omega, "_flips", facts)
+    return facts
+
+
 def inner_twin_places(omega: OmegaVector) -> Tuple[PlaceLabel, ...]:
     """Finite places where the local symmetry moves the coordinate.
 
@@ -100,8 +118,7 @@ def inner_twin_places(omega: OmegaVector) -> Tuple[PlaceLabel, ...]:
     locally isomorphic inner form; these are the only finite places where
     locally invisible variation can happen.
     """
-    t = omega.group_type
-    return tuple(lab for lab, cls in omega.finite if sym_act(t, lab.kind, cls) != cls)
+    return _flip_facts(omega)[1]
 
 
 def _flip_rule(t: GroupType):
@@ -445,7 +462,7 @@ def weak_uniformity(
     if stabilize_real and stabilize_real not in {p.id for p in f.real_places}:
         raise ValidationError([f"{stabilize_real} is not a declared real place"])
     orbit = orbit_set([omega.finite], s, stabilize_real)
-    sigma, kinds = tuple(cls for _, cls in sigma_flip(omega)), [lab.kind for lab, _ in omega.finite]
+    sigma, kinds = tuple(cls for _, cls in _flip_facts(omega)[0]), [lab.kind for lab, _ in omega.finite]
     flipped = orbit if sigma in orbit else {
         tuple(map(sym_act, repeat(omega.group_type), kinds, x)) for x in orbit}
     possible, witness = compare_possible(omega, orbit, flipped)

@@ -19,15 +19,15 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._util import count_text, natural_key
+from ._util import _memo, count_text, natural_key
 from .brauer import (
     OmegaVector,
+    _flip_facts,
     _flip_subset,
     compare_possible,
     inner_twin_bound,
     inner_twin_places,
     s_omega_orbit,
-    sigma_flip,
     tate_sum,
     weak_uniformity,
 )
@@ -232,15 +232,24 @@ def check_witness(g: GroupDescriptor, w: GroupDescriptor) -> None:
     if (w.group_type, w.field, w.symmetry) != (g.group_type, g.field, g.symmetry):
         raise ContractError("witness is not over the input's type, field and automorphisms")
     _validate_coordinates(w, [])
-    t = g.group_type
-    # per adelic class, each value up to the local symmetry
-    mine, theirs = (Counter((lab.class_key(), min(cls.sort_key(), sym_act(t, lab.kind, cls).sort_key()))
-                            for lab, cls in d.omega.finite) for d in (g, w))
-    if mine != theirs:
+    if _classes_up_to_sigma(g.omega) != _classes_up_to_sigma(w.omega):
         raise ContractError("witness is not locally isomorphic to the input")
     target = tuple(v for _, v in _joint(w.omega.finite, w.omega.real, w.real_forms))
     if target in _two_sided_orbit(g):
         raise ContractError("witness lies in the global orbit of the input")
+
+
+@_memo
+def _up_to_sigma(t: GroupType, kind: PlaceKind, cls: LocalClass):
+    """The sort key of a local class up to the local symmetry: the smaller
+    of its own and its image's."""
+    return min(cls.sort_key(), sym_act(t, kind, cls).sort_key())
+
+
+def _classes_up_to_sigma(omega: OmegaVector) -> Counter:
+    """Per adelic class, each finite value up to the local symmetry, counted."""
+    t = omega.group_type
+    return Counter((lab.class_key(), _up_to_sigma(t, lab.kind, cls)) for lab, cls in omega.finite)
 
 
 def _joint(finite: Coords, real: Coords, forms) -> Coords:
@@ -254,7 +263,7 @@ def _two_sided_orbit(g: GroupDescriptor):
     starts = [_joint(g.omega.finite, g.omega.real, g.real_forms)]
     if has_symmetry(t):
         real = tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in g.omega.real)
-        starts.append(_joint(sigma_flip(g.omega), real, g.real_forms))
+        starts.append(_joint(_flip_facts(g.omega)[0], real, g.real_forms))
     return orbit_set(starts, g.symmetry)
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ._util import Interned, natural_key
@@ -42,13 +42,18 @@ class PlaceLabel(Interned):
         return id, kind, adelic_class
 
     def __post_init__(self):
-        # unlabelled places sit in their own singleton class; the key is
-        # formatted once per pooled label and is not part of its value
+        # unlabelled places sit in their own singleton class; the class key
+        # and the place-order key are made once per pooled label and are not
+        # part of its value
         key = self.adelic_class if self.adelic_class is not None else f"#{self.id}"
         object.__setattr__(self, "_class_key", key)
+        object.__setattr__(self, "_sort_key", natural_key(self.id))
 
     def class_key(self) -> str:
         return self._class_key
+
+
+_place_order = attrgetter("_sort_key")  # a label's key in the canonical place order
 
 
 @dataclass(frozen=True)
@@ -63,14 +68,8 @@ class FieldDescriptor:
 
     def __post_init__(self):
         # canonical place order throughout the engine
-        object.__setattr__(
-            self, "real_places",
-            tuple(sorted(self.real_places, key=lambda p: natural_key(p.id))),
-        )
-        object.__setattr__(
-            self, "finite_places",
-            tuple(sorted(self.finite_places, key=lambda p: natural_key(p.id))),
-        )
+        object.__setattr__(self, "real_places", tuple(sorted(self.real_places, key=_place_order)))
+        object.__setattr__(self, "finite_places", tuple(sorted(self.finite_places, key=_place_order)))
 
     def declared_ids(self) -> Tuple[str, ...]:
         return tuple(p.id for p in self.finite_places + self.real_places)
@@ -246,7 +245,7 @@ def validate(f: FieldDescriptor, s: PlaceSymmetry) -> None:
 
 def sort_coords(pairs: Iterable[Tuple[PlaceLabel, LocalClass]]) -> Coords:
     """Put coordinates in the field's place order; every later operation keeps it."""
-    return tuple(sorted(pairs, key=lambda e: natural_key(e[0].id)))
+    return tuple(sorted(pairs, key=lambda e: e[0]._sort_key))
 
 
 def coords_key(coords: Coords):
@@ -269,7 +268,10 @@ def orbit_set(starts: Sequence[Coords], s: PlaceSymmetry, fixing: Optional[str] 
     the image of that place, and the vectors whose mark came back are kept:
     the pairs (gx, gw) form one orbit, so those make the stabilizer's orbit.
     A ValidationError names a place of the list that a generator moves
-    outside it."""
+    outside it.  Without generators each start is its own orbit, and
+    nothing is set up or walked."""
+    if not s.generators:
+        return {tuple(cls for _, cls in x) for x in starts}
     pos = {lab.id: i for i, (lab, _) in enumerate(starts[0])}
     n = len(pos)
     marks = [] if fixing is None else [fixing]  # then each place the generators move it to

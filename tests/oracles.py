@@ -11,7 +11,10 @@ as a running product, as ``brauer.compare_possible`` did before it counted
 per class shape, and must give the same count, witness and exceptions;
 ``reference_class_test`` tests one vector class by class, from the value
 counts of omega and no table of the engine, and ``brauer._full_flip_coherent``
-must agree with it on σω; ``per_vector_compare_possible`` takes any realized
+must agree with it on σω; ``reference_flip_facts`` recomputes σω, the twin
+places, that coherence and each class's values up to σ, which the facts an
+``OmegaVector`` keeps and ``classifier._classes_up_to_sigma`` must equal;
+``per_vector_compare_possible`` takes any realized
 side and runs that test on each of its vectors, as ``compare_possible`` did
 before it decided membership per orbit, and must agree with it on the sides
 the engine builds;
@@ -430,6 +433,19 @@ def reference_class_test(omega: OmegaVector, x: tuple, flips: bool = True) -> bo
         if not seen.issuperset(held):
             return False
     return total % m == 0
+
+
+def reference_flip_facts(omega: OmegaVector):
+    """σω, the twin places, whether the full flip is coherent, and the values
+    of each adelic class up to the local symmetry, counted: recomputed from
+    ``omega.finite`` by ``sym_act`` and ``reference_class_test`` alone, with
+    nothing the vector keeps and no memo table of ``classifier``."""
+    t = omega.group_type
+    sigma = tuple((lab, sym_act(t, lab.kind, cls)) for lab, cls in omega.finite)
+    twins = tuple(lab for (lab, cls), (_, image) in zip(omega.finite, sigma) if image != cls)
+    classes = Counter((lab.class_key(), min(cls.sort_key(), image.sort_key()))
+                      for (lab, cls), (_, image) in zip(omega.finite, sigma))
+    return sigma, twins, reference_class_test(omega, tuple(v for _, v in sigma)), classes
 
 
 def per_vector_compare_possible(

@@ -1,8 +1,11 @@
+import copy
 import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,9 @@ from oracles import (
     per_vector_compare_possible,
     reference_class_test,
     reference_compare_possible,
+    reference_flip_facts,
     reference_possible_vectors,
+    run_python,
 )
 from recount import recount_compare_possible
 from rigidity import brauer
@@ -32,6 +37,7 @@ from rigidity.brauer import (
     tate_sum,
     weak_uniformity,
 )
+from rigidity.classifier import _classes_up_to_sigma, normalize
 from rigidity.descriptor import parse
 from rigidity.errors import ContractError
 from rigidity.field_model import (
@@ -637,6 +643,71 @@ class TestFullFlipRuleExhaustive:
                 fails[t.symbol()] += not rule
         assert inputs == 59717
         assert +fails == {"1D6": 890}
+
+
+def engine_flip_facts(omega):
+    """The facts the engine reads of omega: σω and the twin places kept with
+    it, the coherence of the full flip, and the values of each class up to
+    σ as ``check_witness`` counts them."""
+    sigma, twins = brauer._flip_facts(omega)
+    assert inner_twin_places(omega) == twins
+    return sigma, twins, _full_flip_coherent(omega), _classes_up_to_sigma(omega)
+
+
+def fact_inputs(per_generator):
+    """The fixtures, then ``per_generator`` seeded draws of each generator of
+    ``TestCountingMatchesEnumeration``."""
+    inputs = [parse(text) for text in FIXTURES.values()]
+    for make, _ in TestCountingMatchesEnumeration.GENERATORS:
+        rng = random.Random(f"facts/{make.__name__}")
+        inputs += [make(rng) for _ in range(per_generator)]
+    return inputs
+
+
+class TestKeptFactsAreNeverStale:
+    """σω and the twin places are made once and kept with the vector, and
+    the values up to σ come from a memo table: however a vector is built
+    (parsed, by ``replace``, copied, folded by ``normalize``, unpickled),
+    the engine reads the facts of its own coordinates."""
+
+    def test_kept_facts_equal_a_recomputation(self):
+        folded = 0
+        for g in fact_inputs(30):
+            omega = g.omega
+            want = reference_flip_facts(omega)
+            assert engine_flip_facts(omega) == want
+            assert engine_flip_facts(omega) == want  # now read back
+            # omega keeps its facts before each vector is rebuilt from it
+            flipped = replace(omega, finite=want[0])
+            assert engine_flip_facts(flipped) == reference_flip_facts(flipped)
+            assert engine_flip_facts(replace(omega)) == want
+            assert engine_flip_facts(copy.copy(omega)) == want
+            c2 = normalize(g).omega
+            assert engine_flip_facts(c2) == reference_flip_facts(c2)
+            folded += c2.group_type != omega.group_type
+        assert folded > 0  # some inputs are of type B2
+
+    def test_kept_facts_survive_a_pickle_under_another_hash_seed(self):
+        prelude = ("import pickle, sys\n"
+                   f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+                   "from test_brauer import engine_flip_facts, fact_inputs\n")
+        dump = prelude + (
+            "omegas = [g.omega for g in fact_inputs(10)]\n"
+            "for omega in omegas:\n"
+            "    engine_flip_facts(omega)\n"
+            "sys.stdout.buffer.write(pickle.dumps(omegas))\n"
+        )
+        check = prelude + (
+            "from oracles import reference_flip_facts\n"
+            "omegas = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(all(omega._flips is not None for omega in omegas), len(omegas),\n"
+            "      all(engine_flip_facts(omega) == reference_flip_facts(omega) for omega in omegas))\n"
+        )
+        blob = run_python(["-c", dump], "1")
+        assert blob.returncode == 0, blob.stderr.decode()
+        done = run_python(["-c", check], "2", blob.stdout)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.split() == [b"True", b"104", b"True"]
 
 
 def outcome(compare, omega, realized, flips):

@@ -482,6 +482,27 @@ class TestOrbitsAgainstTheReference:
             compared += 1
         assert compared >= 50
 
+    def test_a_trivial_symmetry_keeps_each_start(self):
+        # with no generators orbit_set sets nothing up and walks nothing:
+        # each start is its own orbit, with or without a fixed place
+        trivial = PlaceSymmetry(())
+        rng = random.Random(75)
+        drawn = 0
+        for make in GENERATORS:
+            for _ in range(20):
+                g = make(rng)
+                if g.symmetry.generators:  # an [aut] section
+                    continue
+                drawn += 1
+                starts = [g.omega.finite, sigma_flip(g.omega)]
+                ids = [p.id for p in g.field.real_places + g.field.finite_places[:1]]
+                for fixing in [None] + ids:
+                    for k in (1, 2):
+                        assert orbit_set(starts[:k], trivial, fixing) == \
+                            {value_tuple(y) for x in starts[:k] for y in reference_global_orbit(x, trivial, fixing)}
+                assert _two_sided_orbit(g) == joint_values(reference_two_sided_orbit(g))
+        assert drawn >= 60
+
     @pytest.mark.parametrize("k", range(5))
     def test_fixing_each_real_place_of_a_real_swap(self, k):
         g = parse(real_swap_with_pairs(k, 2 ** (k + 1)))

@@ -9,6 +9,8 @@ from rigidity import field_model
 from rigidity._util import MEMO_SIZE, natural_key
 from rigidity.arith_equiv import DEFAULT_GROUP_CAP
 from rigidity.brauer import OmegaVector, weak_uniformity
+from rigidity.classifier import Outcome, classify
+from rigidity.descriptor import parse
 from rigidity.errors import CapacityError, ValidationError
 from rigidity.field_model import (
     FieldDescriptor,
@@ -424,3 +426,17 @@ class TestNaturalKeyCache:
         assert info.currsize <= MEMO_SIZE
         # the bound was reached and entries were evicted
         assert info.misses - before > MEMO_SIZE
+
+    def test_parse_and_classify_key_each_place_once(self):
+        # 2,000 ids no other test makes, more than the cache holds: each is
+        # keyed once, when its label is pooled, and every sort of the places,
+        # the coordinates and the witness's coordinates reads the stored key.
+        # Sorting by natural_key itself made 6,000 misses here.
+        values = ["1/3", "1/3", "2/3", "2/3"] + ["0"] * 1996
+        text = ("[group]\ntype = 1A\nrank = 2\n[field]\ndegree = 2\ncomplex_places = 1\n"
+                "galois = true\n[places]\n"
+                + "".join(f"keyonce{i} = omega={v}\n" for i, v in enumerate(values, start=1)))
+        before = natural_key.cache_info().misses
+        verdict = classify(parse(text))
+        assert verdict.outcome == Outcome.NOT_RIGID  # so a witness was built and checked
+        assert natural_key.cache_info().misses - before == 2000

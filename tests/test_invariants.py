@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import global_sym_act, run_python
 from rigidity._util import MEMO_SIZE
-from rigidity.classifier import classify
+from rigidity.classifier import _up_to_sigma, classify
 from rigidity.descriptor import _read_place, _read_real, parse
 from rigidity.errors import ContractError, OutOfScopeError
 from rigidity.field_model import PlaceLabel
@@ -299,7 +299,7 @@ class TestLocalClass:
 
 
 class TestMemo:
-    TABLES = (cyclic, center_shape, h2_local, c_local, sym_act)
+    TABLES = (cyclic, center_shape, h2_local, c_local, sym_act, _up_to_sigma)
 
     def test_caches_stay_bounded_over_many_ranks(self):
         before = {f.__name__: f.cache_info().misses for f in self.TABLES + (_read_place, _read_real)}
@@ -309,6 +309,11 @@ class TestMemo:
             text = (f"[group]\ntype = 1A\nrank = {r}\n[field]\ndegree = 1\n"
                     f"[real]\nw = form=SL_R({n})\n[places]\nv2 = omega=1/{n}\nv3 = omega={r}/{n}\n")
             outcomes.add(classify(parse(text)).outcome.value)
+            # four twin places: not rigid, so check_witness reads each class
+            # up to σ from _up_to_sigma, whose keys hold the type
+            twins = "".join(f"v{p} = omega={v}/{n}\n" for p, v in ((2, 1), (3, 1), (5, r), (7, r)))
+            if r > 1:
+                assert classify(parse(text.split("[places]")[0] + "[places]\n" + twins)).outcome.value == "NotRigid"
         assert outcomes == {"Rigid", "NotRigid"}
         for f in self.TABLES:
             info = f.cache_info()
@@ -324,8 +329,11 @@ class TestMemo:
         # what stays pooled is what the memo tables keep alive, plus a few
         # constants: per entry, c_local holds two classes, a type and two
         # shapes, sym_act two classes, a type and a shape, center_shape and
-        # h2_local a type and a shape, cyclic a shape.  An unbounded pool
-        # would still hold the 10 * MEMO_SIZE values just dropped.
+        # h2_local a type and a shape, cyclic a shape, _up_to_sigma a class,
+        # a type and a shape.  The tables share most of these (here 1,368
+        # classes, 1,024 types and 1,027 shapes stay), so the bounds below
+        # hold with room.  An unbounded pool would still hold the
+        # 10 * MEMO_SIZE values just dropped.
         for cls, per_entry in ((LocalClass, 4), (GroupType, 4), (Shape, 6)):
             assert len(cls._pool) <= per_entry * MEMO_SIZE + 100, cls.__name__
         # the parser's entry memos, which keep types and classes alive too,
@@ -341,11 +349,14 @@ class TestMemo:
         for _ in range(2):
             assert sym_act(t("A", 2), FI, x) == LocalClass(cyclic(3), 2)
             assert c_local(t("A", 2), FI, x) == LocalClass(cyclic(3), 1)
+            assert _up_to_sigma(t("A", 2), FI, x) == (1, 0)
         for _ in range(2):
             with pytest.raises(ContractError):
                 sym_act(t("A", 2), FI, wrong)
             with pytest.raises(ContractError):
                 c_local(t("A", 2), FI, wrong)
+            with pytest.raises(ContractError):
+                _up_to_sigma(t("A", 2), FI, wrong)
             with pytest.raises(ContractError):
                 h2_local(t("A", 2), FO)
             with pytest.raises(ValueError):

@@ -15,30 +15,24 @@ A group is listed once, as sorted tuples of degree points, and from then on
 the sorted list, each generator has its right, left and inverse conjugation
 tables of |G| numbers, every other left factor gets a column of |G| numbers
 while the kept columns have room and multiplies by tuple products past it,
-and subgroups are frozensets of numbers.  One coset walk (Dimino's algorithm,
-``_adjoin``, from a generating tuple ``generate`` takes greedily) lists
-the group and spans its subgroups alike, as ``_powers`` lists the powers of
-one element: each steps by a generator x, y -> yx by ``_times(x)`` on
-tuples and y -> xy by ``PermGroup.left(x)`` on numbers.  Each fact about a
-group is cached once, on numbers; the public functions take and return
-tuples and convert at the boundary.  ``PermGroup.subgroups`` stays on
-tuples, as the reference lattice.
+and subgroups are frozensets of numbers.  One coset walk of ``perm``
+(Dimino's algorithm, ``_adjoin``, from a generating tuple ``generate`` takes
+greedily) lists the group and spans its subgroups alike, as ``_powers``
+lists the powers of one element: each steps by a generator x, y -> yx by
+``_times(x)`` on tuples and y -> xy by ``PermGroup.left(x)`` on numbers.
+Each fact about a group is cached once, on numbers; the public functions
+take and return tuples and convert at the boundary.  ``PermGroup.subgroups``
+stays on tuples, as the reference lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, ContractError
-
-Perm = Tuple[int, ...]
-
-# Largest group order ``generate`` lists, for catalog groups and field
-# automorphisms alike.
-DEFAULT_GROUP_CAP = 10080
+from .perm import Perm, _adjoin, _along, _powers, _spanning_tree, _times, _walk, generate, perm_inv, perm_mul
 
 # Most normal subgroups one group may list; (Z/2)^n has about 2^(n^2/4).
 NORMAL_SUBGROUP_LIMIT = 512
@@ -47,132 +41,7 @@ NORMAL_SUBGROUP_LIMIT = 512
 # hold, 8 MiB of list slots: all |G| columns up to order 1,024, 2^20/|G| past it.
 KEPT_COLUMN_ENTRIES = 1 << 20
 
-
-def perm_mul(a: Perm, b: Perm) -> Perm:
-    """(a*b)(x) = a(b(x))."""
-    return tuple(map(a.__getitem__, b))
-
-
-def perm_inv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
-
-
-def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Perm:
-    """The product of disjoint cycles; a point that occurs twice is refused."""
-    out = list(range(degree))
-    seen = set()
-    for cyc in cycles:
-        if not cyc:
-            raise ContractError("empty cycle")
-        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
-            if not (0 <= a < degree):
-                raise ContractError(f"point {a} outside degree {degree}")
-            if a in seen:
-                raise ContractError("cycles do not define a permutation")
-            seen.add(a)
-            out[a] = b
-    return tuple(out)
-
-
-def _times(s: Perm) -> Callable[[Perm], Perm]:
-    """x -> xs in one call; below two points the identity is the only permutation."""
-    return itemgetter(*s) if len(s) > 1 else (lambda x: x)
-
-
-def _powers(x, step: Callable, e) -> list:
-    """e, x, x^2, ... up to the last power before e, where ``step`` is
-    y -> yx or y -> xy.  Only elements of a listed group come here, so their
-    order is within the cap; ``generate`` checks the cap on each power of an
-    element it is given, as a coset of the trivial subgroup."""
-    out = [e]
-    while x != e:
-        out.append(x)
-        x = step(x)
-    return out
-
-
-def _adjoin(sub: FrozenSet, steps: Sequence[Callable], within: Optional[FrozenSet] = None) -> FrozenSet:
-    """The subgroup ``sub`` and the generators whose multiplications y -> yx
-    (or all y -> xy) are ``steps`` generate, as the union of the right (or
-    left) cosets of ``sub`` they reach (Dimino's algorithm): each new coset
-    is the image ``map(step, coset)`` of one found before.
-
-    The union is closed under the generators it is built with, so ``steps``
-    must include generators of ``sub`` unless they normalize ``sub``.  A
-    coset that would take the union past ``DEFAULT_GROUP_CAP`` raises
-    CapacityError; with ``within``, one that leaves it raises ContractError.
-    """
-    elems = set(sub)
-    cosets = [list(sub)]
-    room = DEFAULT_GROUP_CAP - len(sub)  # a larger union has no room for one more coset
-    for coset in cosets:  # cosets grows while it is read
-        for step in steps:
-            if step(coset[0]) not in elems:
-                if len(elems) > room:
-                    raise CapacityError(f"group order exceeds the cap {DEFAULT_GROUP_CAP}")
-                new = list(map(step, coset))
-                if within is not None and not within.issuperset(new):
-                    raise ContractError("subgroup not closed under composition")
-                elems.update(new)
-                cosets.append(new)
-    return frozenset(elems)
-
-
-def generate(xs: Iterable, e, times: Callable = _times,
-             within: Optional[FrozenSet] = None) -> Tuple[tuple, FrozenSet]:
-    """A generating tuple taken from ``xs`` in their order, one element for
-    each that the earlier ones do not generate, and the subgroup generated
-    (``_adjoin``); CapacityError past ``DEFAULT_GROUP_CAP`` elements.
-
-    ``times(x)`` is the step by x: ``_times`` (y -> yx) lists a group of
-    tuples from its generators, and a listed group's ``PermGroup.left``
-    (y -> xy) spans its subgroups on element numbers.  With ``within``, the
-    set that ``xs`` lists and that should be a subgroup: everything
-    generated must lie in it, else ContractError.  Every element either is
-    generated or becomes a generator, so this checks closure in at most
-    |within| times the number of generators lookups, and a set that is not
-    closed stops early.
-    """
-    gens: tuple = ()
-    steps: List[Callable] = []
-    sub = frozenset([e])
-    for x in xs:
-        if x not in sub:
-            gens += (x,)
-            steps.append(times(x))
-            sub = _adjoin(sub, steps, within)
-    return gens, sub
-
-
 Members = FrozenSet[int]
-
-
-def _spanning_tree(tables: Sequence[List[int]], n: int) -> List[Tuple[int, int, int]]:
-    """(y, x, k) with y = tables[k][x], once for each of the n elements y but
-    the identity 0, breadth first from it, so each x comes before it is used."""
-    seen = bytearray(n)
-    seen[0] = 1
-    order, tree = [0], []
-    for x in order:  # order grows while it is read
-        for k, table in enumerate(tables):
-            y = table[x]
-            if not seen[y]:
-                seen[y] = 1
-                order.append(y)
-                tree.append((y, x, k))
-    return tree
-
-
-def _along(tree: List[Tuple[int, int, int]], tables: Sequence[List[int]], a: int) -> List[int]:
-    """f with f(0) = a and f(y) = tables[k][f(x)] on every edge (y, x, k) of
-    ``tree``: the map that commutes with every table and takes 0 to a."""
-    f = [a] * (len(tree) + 1)
-    for y, x, k in tree:
-        f[y] = tables[k][f[x]]
-    return f
 
 
 class PermGroup:
@@ -323,19 +192,7 @@ class PermGroup:
         if self._classes is None:
             n = len(self.elements())
             seen = bytearray(n)
-            classes = []
-            for rep in range(n):
-                if seen[rep]:
-                    continue
-                seen[rep] = 1
-                orbit = [rep]
-                for x in orbit:  # orbit grows while it is read
-                    for conj in self.conjs:
-                        y = conj[x]
-                        if not seen[y]:
-                            seen[y] = 1
-                            orbit.append(y)
-                classes.append(sorted(orbit))
+            classes = [sorted(_walk(self.conjs, rep, seen)) for rep in range(n) if not seen[rep]]
             classes.sort(key=lambda c: (len(c), c[0]))
             self.class_of = [0] * n
             for i, c in enumerate(classes):

@@ -12,9 +12,9 @@ from functools import lru_cache
 from importlib.resources import files
 from typing import Dict, List, Tuple
 
-from .arith_equiv import PermGroup, Subgroup, perm_from_cycles
-from .descriptor import read_cycles
+from .arith_equiv import PermGroup, Subgroup
 from .errors import ContractError, DescriptorParseError
+from .perm import perm_from_cycles, read_cycles
 
 # Every element of a catalog group is a tuple of DEGREE points, so with the
 # group order cap of 10080 a degree of 1000 already means 10^7 stored points.

@@ -36,6 +36,7 @@ from .classifier import GroupDescriptor
 from .errors import ContractError, DescriptorParseError, OutOfScopeError, RigidityError, ValidationError
 from .field_model import FieldDescriptor, HbarFiber, PlaceLabel, PlacePerm, PlaceSymmetry
 from .invariants import FIXED_RANKS, Family, FormKind, GroupType, LocalClass, PlaceKind, Shape, h2_local, zero
+from .perm import read_cycles
 from .real_forms import GENERIC, RealFormTag, real_class
 
 _TYPE_CODES = {
@@ -100,20 +101,6 @@ _FIELD_KEYS = {
     "hbar_fiber": _Key(HbarFiber, "hbar_fiber must be trivial, nontrivial, or unknown",
                        "hbar_fiber", lambda h: h.value),
 }
-
-
-def read_cycles(text: str):
-    """The cycles of a permutation in cycle notation, each as its list of words.
-
-    Raises ValueError on a bracket fault; the words are the caller's to check.
-    """
-    rest = text
-    while rest:
-        close = rest.find(")")
-        if not rest.startswith("(") or close < 0:
-            raise ValueError(f"bad cycle notation {text!r}")
-        yield rest[1:close].split()
-        rest = rest[close + 1:].strip()
 
 
 def _parse_opts(value: str, allowed):

@@ -24,7 +24,7 @@ class MissingRealClassError(RigidityError):
 
 class CapacityError(RigidityError):
     """Work exceeded its fixed limit: the order of a catalog group or of the
-    field automorphism group, which ``arith_equiv.generate`` lists
+    field automorphism group, which ``perm.generate`` lists
     (``DEFAULT_GROUP_CAP``; orbits walk the generators, so only
     ``field_model.validate`` lists the latter, for its order), the normal
     subgroups in ``arith_equiv``, the possible side that ``rigidity orbit``

@@ -18,9 +18,9 @@ from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ._util import Interned, natural_key
-from .arith_equiv import DEFAULT_GROUP_CAP, Perm, generate
 from .errors import CapacityError, ValidationError
 from .invariants import LocalClass, PlaceKind
+from .perm import DEFAULT_GROUP_CAP, Perm, generate
 
 Coords = Tuple[Tuple["PlaceLabel", LocalClass], ...]
 
@@ -153,7 +153,7 @@ class PlaceSymmetry:
     def group(self) -> Tuple[Perm, ...]:
         """Every element of the generated group as an image tuple over the
         numbered places, sorted (so the identity first); listed once by
-        ``arith_equiv.generate`` and then kept.  Raises CapacityError past
+        ``perm.generate`` and then kept.  Raises CapacityError past
         ``DEFAULT_GROUP_CAP`` elements."""
         if self._group is None:
             images = [tuple(self.number[g.apply(p)] for p in self.number) for g in self.generators]

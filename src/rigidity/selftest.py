@@ -16,6 +16,7 @@ from .catalog import fano_point_line_stabilizers, wreath_pair
 from .classifier import Outcome, classify
 from .descriptor import parse
 from .invariants import Family, GroupType
+from .perm import perm_inv, perm_mul
 from .real_forms import RealFormTag, trivial_image_forms
 
 # The bundled descriptors by file stem.  The package's ``fixtures`` directory
@@ -97,8 +98,6 @@ def _checks():
 
 
 def _no_normalizing_conjugator(G, U, V1, V2) -> bool:
-    from .arith_equiv import perm_inv, perm_mul
-
     for g in G.elements():
         gi = perm_inv(g)
         if frozenset(perm_mul(perm_mul(g, v), gi) for v in V1.members) == V2.members:

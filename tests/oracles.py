@@ -36,7 +36,7 @@ all-pairs closure check and the all-members conjugacy test that
 ``reference_induced_character`` counts fixed cosets by testing every class
 representative against every coset, which the induced character of
 ``arith_equiv`` must agree with, and ``reference_closure`` lists a generated group breadth
-first, as ``arith_equiv.generate`` must.  ``reference_classes``,
+first, as ``perm.generate`` must.  ``reference_classes``,
 ``reference_normal_subgroups``, ``reference_index_two_subgroups``,
 ``stabilizer_induced_character``, ``generator_are_conjugate`` and
 ``reference_verify`` compute on tuples of degree points what
@@ -62,18 +62,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import rigidity
 from rigidity.arith_equiv import (
-    DEFAULT_GROUP_CAP,
     NORMAL_SUBGROUP_LIMIT,
-    Perm,
     PermGroup,
     Subgroup,
-    _adjoin,
-    _times,
     almost_conjugate,
     are_conjugate,
-    generate,
-    perm_inv,
-    perm_mul,
 )
 from rigidity.brauer import (
     OmegaVector,
@@ -113,6 +106,7 @@ from rigidity.invariants import (
     sym_act,
     zero,
 )
+from rigidity.perm import DEFAULT_GROUP_CAP, Perm, _adjoin, _times, generate, perm_inv, perm_mul
 from rigidity.real_forms import GENERIC, RealFormTag, real_class
 
 CATALOG = Path(__file__).resolve().parent.parent / "fixtures" / "groups.cat"

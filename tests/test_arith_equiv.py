@@ -23,7 +23,6 @@ from oracles import (
 )
 from rigidity import arith_equiv
 from rigidity.arith_equiv import (
-    DEFAULT_GROUP_CAP,
     NORMAL_SUBGROUP_LIMIT,
     PermGroup,
     Subgroup,
@@ -32,15 +31,12 @@ from rigidity.arith_equiv import (
     almost_conjugate,
     are_conjugate,
     common_normal_index2,
-    generate,
-    perm_from_cycles,
-    perm_inv,
-    perm_mul,
     verify_prop_almost_conjugate,
 )
 from rigidity.catalog import catalog_group, fano_point_line_stabilizers, wreath_pair
 from rigidity.cli import main, parse_catalog
 from rigidity.errors import CapacityError, ContractError
+from rigidity.perm import DEFAULT_GROUP_CAP, generate, perm_from_cycles, perm_inv, perm_mul
 
 # every bundled group whose subgroup lattice takes well under a second
 SMALL_CATALOG = [G.name for G in catalog_groups() if G.order() <= 48]

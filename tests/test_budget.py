@@ -21,7 +21,7 @@ from oracles import (
     reference_two_sided_orbit,
 )
 from rigidity import brauer, field_model
-from rigidity.arith_equiv import DEFAULT_GROUP_CAP, PermGroup, Subgroup, perm_from_cycles
+from rigidity.arith_equiv import PermGroup, Subgroup
 from rigidity.brauer import (
     FLIP_WALK_TWIN_LIMIT, OmegaVector, possible_vectors, sigma_flip, weak_uniformity,
 )
@@ -32,6 +32,7 @@ from rigidity.field_model import (
     FieldDescriptor, PlaceLabel, PlacePerm, PlaceSymmetry, global_orbit, orbit_set,
 )
 from rigidity.invariants import Family, GroupType, LocalClass, PlaceKind, cyclic
+from rigidity.perm import DEFAULT_GROUP_CAP, perm_from_cycles
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -386,23 +386,48 @@ class TestCommands:
         assert b"RuntimeWarning" not in done.stderr
 
 
-def test_no_library_module_imports_the_command_line():
-    # the commands import the library, never the other way round
-    offenders = []
-    for path in sorted(Path(str(files("rigidity"))).glob("*.py")):
-        if path.stem in ("__init__", "__main__"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                names = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
-            else:
+PACKAGE = Path(str(files("rigidity")))
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+CLASSIFY_ENGINE = ["invariants", "real_forms", "field_model", "brauer", "classifier", "descriptor"]
+EQUIV_ENGINE = ["arith_equiv", "catalog"]
+
+# (importers, the package modules they must not import): the commands import
+# the library, never the other way round; the classify and equiv engines share
+# only the permutation kernel, which stands on ``errors`` alone
+FORBIDDEN_IMPORTS = [
+    ([m for m in MODULES if m not in ("__init__", "__main__")], ["cli"]),
+    (CLASSIFY_ENGINE, EQUIV_ENGINE),
+    (EQUIV_ENGINE, CLASSIFY_ENGINE),
+    (["perm"], [m for m in MODULES if m != "errors"]),
+]
+
+
+def package_imports(path: Path):
+    """(module stem, line) for each package module that ``path`` imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level and not re.match(r"rigidity\b", base):
                 continue
-            if any(re.fullmatch(r"(rigidity\.)?cli(\..*)?", name) for name in names):
-                offenders.append(f"{path.name}:{node.lineno}")
+            names = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            continue
+        stems = {re.sub(r"^rigidity\.?", "", name).split(".")[0] for name in names}
+        for stem in sorted(stems.intersection(MODULES)):
+            yield stem, node.lineno
+
+
+def test_no_module_imports_across_a_forbidden_edge():
+    offenders = []
+    for stem in MODULES:
+        forbidden = {m for importers, ms in FORBIDDEN_IMPORTS if stem in importers for m in ms}
+        for module, line in package_imports(PACKAGE / f"{stem}.py"):
+            if module in forbidden:
+                offenders.append(f"{stem}.py:{line} imports {module}")
     assert offenders == []
+    assert set(CLASSIFY_ENGINE + EQUIV_ENGINE) <= set(MODULES)
 
 
 class TestCatalogParse:

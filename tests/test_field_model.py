@@ -7,7 +7,6 @@ from genfix import set_partitions
 from oracles import reference_arrangements
 from rigidity import field_model
 from rigidity._util import MEMO_SIZE, natural_key
-from rigidity.arith_equiv import DEFAULT_GROUP_CAP
 from rigidity.brauer import OmegaVector, weak_uniformity
 from rigidity.classifier import Outcome, classify
 from rigidity.descriptor import parse
@@ -26,6 +25,7 @@ from rigidity.field_model import (
     validate,
 )
 from rigidity.invariants import Family, GroupType, LocalClass, PlaceKind, cyclic, h2_local, zero
+from rigidity.perm import DEFAULT_GROUP_CAP
 
 FI = PlaceKind.FINITE_INNER
 FO = PlaceKind.FINITE_OUTER
